@@ -135,7 +135,7 @@ def _check_stretch(beta: float, eps: float):
 def stretched_gradient_values(grad: np.ndarray, beta: float, eps: float) -> np.ndarray:
     _check_stretch(beta, eps)
     base = np.sum(grad**2, axis=-1) + eps
-    factor = np.where(base > 0.0, np.power(base, beta / 2.0, where=base > 0.0), 0.0)
+    factor = np.power(base, beta / 2.0, out=np.zeros_like(base), where=base > 0.0)
     return factor[..., None] * grad
 
 
@@ -157,7 +157,7 @@ def stretched_jacobian_values(grad: np.ndarray, hess: np.ndarray, beta: float, e
     base = np.sum(grad**2, axis=-1) + eps
     if beta == 0.0:
         return hess.copy()
-    s = np.where(base > 0.0, np.power(base, beta / 2.0, where=base > 0.0), 0.0)
+    s = np.power(base, beta / 2.0, out=np.zeros_like(base), where=base > 0.0)
     hg = np.einsum("...ij,...j->...i", hess, grad)
     outer = grad[..., :, None] * hg[..., None, :]
     rank1 = np.zeros_like(outer)

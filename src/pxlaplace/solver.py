@@ -1,4 +1,4 @@
-"""Frozen-coefficient Picard solver for the regularized Dirichlet problem.
+"""Frozen-coefficient solver for the regularized Dirichlet problem.
 
 The discrete problem on a grid box is
 
@@ -7,10 +7,15 @@ The discrete problem on a grid box is
 
 with ``A = I + (p - 2) Dv (x) Dv / (|Dv|^2 + eps)`` frozen at the current
 iterate.  Each sweep assembles the 9-point (2-d) or 19-point (3-d) stencil
-and solves the sparse linear system directly; sweeps repeat until both the
-update and the nonlinear residual are tiny.  The right-hand data is
-``g = f_eps + u0_eps``: sampled coefficient/data fields, optionally
-mollified with a radius tied to ``eps``.
+``A(v)`` and takes the correction step ``v <- v + theta LU^-1 (g - A(v) v)``
+with a sparse LU factor of an earlier frozen operator (a chord iteration).
+The factor is kept while every sweep at least halves the nonlinear residual
+and rebuilt from the current ``A(v)`` when one does not; with a fresh factor
+the step is exactly the damped Picard step, so the fixed point
+``A(v) v = g`` does not depend on how often the factor is rebuilt.  Sweeps
+repeat until both the update and the nonlinear residual are tiny.  The
+right-hand data is ``g = f_eps + u0_eps``: sampled coefficient/data fields,
+optionally mollified with a radius tied to ``eps``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from scipy.sparse.linalg import splu
 from .constants import ExponentWindow
 from .diffops import gradient
 from .expressions import Expression
-from .fields import BallRegion, GridSpec, ScalarField, ball_mask, mollify, sample
+from .fields import BallRegion, FieldError, GridSpec, ScalarField, ball_mask, mollify, sample
 
 __all__ = [
     "ContinuationResult",
@@ -42,6 +47,11 @@ __all__ = [
     "manufactured_rhs",
     "solve_regularized",
 ]
+
+
+#: A sweep that leaves the nonlinear residual above this fraction of its
+#: previous value triggers a refactorization from the current iterate.
+REFACTOR_RATIO = 0.5
 
 
 class SolverError(RuntimeError):
@@ -115,7 +125,6 @@ class FrozenOperator:
     matrix: csr_matrix
     ellipticity: tuple
     dominance_violations: int
-    grid: GridSpec
 
 
 @dataclass
@@ -200,8 +209,13 @@ def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float)
     if float(p.values.min()) <= 1.0:
         raise SolverError("exponent field leaves the ellipticity window (p <= 1 somewhere)")
 
-    grads = gradient(v_current).values
+    try:
+        grads = gradient(v_current).values
+    except FieldError as err:  # the difference quotients overflowed
+        raise SolverError(f"frozen operator needs a finite gradient: {err}") from err
     g2 = np.sum(grads**2, axis=-1)
+    if not np.isfinite(g2).all():
+        raise SolverError("frozen operator needs a finite gradient: |Dv|^2 overflowed")
     coef = (p.values - 2.0) / (g2 + eps)
     inner = tuple(slice(1, -1) for _ in range(n))
     # rank-one structure: eigenvalues are 1 (n-1 fold) and 1 + (p-2)|Dv|^2/(|Dv|^2+eps)
@@ -257,38 +271,43 @@ def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float)
                 key = (i, j) if i < j else (j, i)
                 off += np.abs(a[key]) / (h[i] * h[j])
         violations |= a[i, i] / h[i] ** 2 < off - 1e-14
-    return FrozenOperator(matrix, ellipticity, int(violations.sum()), grid)
+    return FrozenOperator(matrix, ellipticity, int(violations.sum()))
 
 
-def _linear_solve(matrix: csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct sparse solve with one refinement step.
+class _LUFactor:
+    """Sparse LU factor of one matrix, reused for any number of solves.
 
-    Enforces a normwise backward error (residual relative to
-    ``|A| |x| + |b|``) of 1e-12.
+    Every solve meets a normwise backward error (residual relative to
+    ``|A| |x| + |b|``) of 1e-12 against the factorized matrix, after at
+    most one refinement step.
     """
-    try:
-        lu = splu(matrix.tocsc())
-        x = lu.solve(rhs)
-    except Exception as err:  # singular factorization, memory, ...
-        raise SolverError(f"linear solve breakdown: {err}") from err
-    norm_a = float(np.abs(matrix).sum(axis=1).max())
 
-    def backward_error(solution):
-        r = rhs - matrix @ solution
-        scale = norm_a * float(np.abs(solution).max()) + float(np.abs(rhs).max()) + 1e-300
+    def __init__(self, matrix: csr_matrix):
+        self._matrix = matrix
+        self._norm = float(np.abs(matrix).sum(axis=1).max())
+        try:
+            self._lu = splu(matrix.tocsc())
+        except (RuntimeError, MemoryError) as err:  # singular factorization, memory
+            raise SolverError(f"linear solve breakdown: {err}") from err
+
+    def _backward_error(self, rhs: np.ndarray, x: np.ndarray):
+        r = rhs - self._matrix @ x
+        scale = self._norm * float(np.abs(x).max()) + float(np.abs(rhs).max()) + 1e-300
         return float(np.abs(r).max()) / scale, r
 
-    error, residual = backward_error(x)
-    if error > 1e-12:
-        x = x + lu.solve(residual)
-        error, _ = backward_error(x)
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x = self._lu.solve(rhs)
+        error, residual = self._backward_error(rhs, x)
         if error > 1e-12:
-            raise SolverError("linear solve did not meet the 1e-12 residual contract")
-    return x
+            x = x + self._lu.solve(residual)
+            error, _ = self._backward_error(rhs, x)
+            if error > 1e-12:
+                raise SolverError("linear solve did not meet the 1e-12 residual contract")
+        return x
 
 
 # ---------------------------------------------------------------------------
-# Picard iteration
+# Chord / Picard iteration
 # ---------------------------------------------------------------------------
 
 
@@ -297,11 +316,16 @@ def solve_regularized(
     options: Optional[SolveOptions] = None,
     warm_start: Optional[ScalarField] = None,
 ) -> SolveResult:
-    """Damped Picard iteration on the frozen-coefficient linearization.
+    """Damped chord iteration on the frozen-coefficient linearization.
 
-    Convergence requires both a small relative update and a nonlinear
-    residual below ``10 * tolerance * max(1, |g|_inf)``; on non-convergence
-    the best iterate is returned flagged, residual included.
+    Each sweep takes ``v <- v + damping * LU^-1 (g - A(v) v)``.  ``LU`` is
+    factorized from ``A(v)`` at the first sweep and again after any sweep
+    that fails to cut the nonlinear residual ``max |g - A(v) v|`` to
+    ``REFACTOR_RATIO`` of its previous value; a sweep right after a
+    refactorization is a damped Picard step.  Convergence requires both a
+    small relative update and a nonlinear residual below
+    ``10 * tolerance * max(1, |g|_inf)``; on non-convergence the last
+    iterate is returned flagged, residual included.
     """
     prob = problem if isinstance(problem, DiscreteProblem) else build_problem(problem)
     opts = options or SolveOptions()
@@ -319,19 +343,26 @@ def solve_regularized(
         flat = ScalarField(grid, np.zeros(grid.shape))
         p2 = ScalarField(grid, np.full(grid.shape, 2.0))
         op0 = assemble_frozen_operator(flat, p2, prob.eps)
-        v = _linear_solve(op0.matrix, rhs).reshape(grid.shape)
+        v = _LUFactor(op0.matrix).solve(rhs).reshape(grid.shape)
 
     op = assemble_frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
-    residual = float(np.abs(op.matrix @ v.ravel() - rhs).max())
+    r = rhs - op.matrix @ v.ravel()
+    residual = float(np.abs(r).max())
+    factor = None
+    refactor = True
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
-        x = _linear_solve(op.matrix, rhs).reshape(grid.shape)
-        vnew = opts.damping * x + (1.0 - opts.damping) * v
-        delta = float(np.abs(vnew - v).max())
-        v = vnew
+        if refactor:
+            factor = None  # release the old factor before splu allocates the new one
+            factor = _LUFactor(op.matrix)
+        step = opts.damping * factor.solve(r).reshape(grid.shape)
+        v = v + step
+        delta = float(np.abs(step).max())
         op = assemble_frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
-        residual = float(np.abs(op.matrix @ v.ravel() - rhs).max())
+        r = rhs - op.matrix @ v.ravel()
+        previous, residual = residual, float(np.abs(r).max())
+        refactor = not residual <= REFACTOR_RATIO * previous  # true for a NaN residual too
         if delta <= opts.tolerance * (1.0 + float(np.abs(v).max())) and residual <= residual_target:
             converged = True
             break

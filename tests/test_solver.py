@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
+from pxlaplace import solver
 from pxlaplace.expressions import parse_expression
 from pxlaplace.fields import GridSpec, ScalarField, sample
+from pxlaplace.fixtures import FIXTURE_SCHEDULE, fixture_problem
 from pxlaplace.solver import (
     ProblemSpec,
     SolveOptions,
@@ -97,6 +100,17 @@ class TestAssembly:
         )
         assert op_ok.dominance_violations == 0
 
+    def test_non_finite_gradient_rejected(self):
+        # a diverging iterate: finite values whose gradient, or its square,
+        # overflows must not reach the ellipticity bounds as NaN
+        grid = unit_square(9)
+        p3 = ScalarField(grid, np.full(grid.shape, 3.0))
+        for spike in ((1e308, -1e308), (1e200, 0.0)):
+            values = np.zeros(grid.shape)
+            values[4, 3], values[4, 5] = spike
+            with np.errstate(over="ignore"), pytest.raises(SolverError, match="finite gradient"):
+                assemble_frozen_operator(ScalarField(grid, values), p3, 1e-2)
+
 
 class TestSolve:
     def test_linear_boundary_reproduced_to_roundoff(self):
@@ -187,6 +201,69 @@ class TestSolve:
         lo, hi = result.ellipticity
         assert lo >= min(1.0, window.t_minus - 1.0) - 1e-12
         assert hi <= window.t_plus + 1.0 + 1e-12
+
+
+class TestFactorReuse:
+    def test_fixture_continuation_factorizes_once_per_level(self, monkeypatch):
+        calls = []
+        original = solver.splu
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(solver, "splu", counting)
+        result = epsilon_continuation(fixture_problem(points=33), FIXTURE_SCHEDULE)
+        sweeps = sum(r.iterations for r in result.results)
+        # one factor for the initial p = 2 solve, then one per eps level
+        assert len(calls) == 1 + len(FIXTURE_SCHEDULE)
+        assert sweeps > len(FIXTURE_SCHEDULE)
+
+    def test_chord_matches_per_sweep_picard(self):
+        # reference: plain Picard, a fresh direct solve of A(v) v = g per sweep
+        prob = build_problem(make_spec("x1^2 - x2^2"))
+        grid = prob.grid
+        rhs = np.where(grid.interior_mask(), prob.g.values, prob.boundary.values).ravel()
+        v = prob.boundary.values.copy()
+        for _ in range(200):
+            op = assemble_frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
+            vnew = spsolve(op.matrix.tocsc(), rhs).reshape(grid.shape)
+            delta = np.abs(vnew - v).max()
+            v = vnew
+            if delta < 1e-11:
+                break
+        assert delta < 1e-11
+        chord = solve_regularized(prob)
+        assert chord.converged
+        assert np.abs(chord.v.values - v).max() < 1e-8
+
+
+class TestLargeExponent:
+    """65^2 saddle data at eps = 0.1, where plain Picard used to stall at
+    round-off or drift for 500 sweeps."""
+
+    @staticmethod
+    def solve(p, **options):
+        spec = make_spec("x1^2 - x2^2", p=p, m=65, eps=0.1)
+        return solve_regularized(spec, SolveOptions(**options))
+
+    @pytest.mark.parametrize(
+        "p, damping",
+        [("4", 1.0), ("8", 1.0), ("8 + sin(x2)", 1.0), ("20", 0.5)],
+    )
+    def test_converges_within_residual_budget(self, p, damping):
+        result = self.solve(p, damping=damping)
+        g_norm = max(1.0, np.abs(result.problem.g.values).max())
+        assert result.converged
+        assert result.residual <= 10.0 * SolveOptions().tolerance * g_norm
+
+    def test_dominance_loss_still_reported(self):
+        assert self.solve("8").dominance_violations > 0
+
+    def test_undamped_p20_flagged_not_raised(self):
+        result = self.solve("20", max_iterations=50)
+        assert not result.converged
+        assert np.isfinite(result.residual)
 
 
 class TestThreeDimensional:
