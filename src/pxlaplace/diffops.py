@@ -28,7 +28,6 @@ __all__ = [
     "jacobian",
     "laplacian",
     "sigma2",
-    "sigma2_field",
     "sigma2_values",
     "stretched_gradient",
     "stretched_gradient_values",
@@ -192,10 +191,6 @@ def sigma2_values(matrices: np.ndarray) -> np.ndarray:
 
 def sigma2(matrix) -> float:
     return float(sigma2_values(np.asarray(matrix, dtype=float)))
-
-
-def sigma2_field(field: MatrixField) -> ScalarField:
-    return ScalarField(field.grid, sigma2_values(field.values), field.valid)
 
 
 def frobenius_sq(matrices: np.ndarray) -> np.ndarray:

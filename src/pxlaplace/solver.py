@@ -10,17 +10,19 @@ iterate.  Each sweep assembles the 9-point (2-d) or 19-point (3-d) stencil
 ``A(v)`` and takes the correction step ``v <- v + theta LU^-1 (g - A(v) v)``
 with a sparse LU factor of an earlier frozen operator (a chord iteration).
 The factor is kept while every sweep at least halves the nonlinear residual
-and rebuilt from the current ``A(v)`` when one does not; with a fresh factor
-the step is exactly the damped Picard step, so the fixed point
-``A(v) v = g`` does not depend on how often the factor is rebuilt.  Sweeps
-repeat until both the update and the nonlinear residual are tiny.  The
-right-hand data is ``g = f_eps + u0_eps``: sampled coefficient/data fields,
-optionally mollified with a radius tied to ``eps``.
+and rebuilt from the current ``A(v)`` when one does not; an eps continuation
+hands it on from one level to the next.  With a fresh factor the step is
+exactly the damped Picard step, so the fixed point ``A(v) v = g`` does not
+depend on how often the factor is rebuilt.  Sweeps repeat until both the
+update and the nonlinear residual are tiny.  The right-hand data is
+``g = f_eps + u0_eps``: sampled coefficient/data fields, optionally
+mollified with a radius tied to ``eps``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -184,9 +186,57 @@ def build_problem(spec: ProblemSpec, seed: Optional[ScalarField] = None) -> Disc
 # ---------------------------------------------------------------------------
 
 
-def _interior_flat(grid: GridSpec) -> np.ndarray:
-    mesh = np.meshgrid(*(np.arange(1, m - 1) for m in grid.shape), indexing="ij")
-    return np.ravel_multi_index(tuple(mesh), grid.shape).ravel()
+#: ``(si, sj, sign)`` of the four cross-derivative entries ``u(x + si h_i e_i
+#: + sj h_j e_j)`` of the stencil, in assembly order.
+_CROSS_TERMS = ((+1, +1, -1.0), (-1, -1, -1.0), (+1, -1, +1.0), (-1, +1, +1.0))
+
+
+@dataclass(frozen=True)
+class _StencilPattern:
+    """CSR structure of the frozen operator on one grid shape.
+
+    ``slots[k]`` holds, per interior node, the position in ``data`` of the
+    ``k``-th stencil entry (the centre, the axis neighbours ``+e_i, -e_i``,
+    then the cross terms of each axis pair in ``_CROSS_TERMS`` order);
+    ``boundary_slots`` holds the Dirichlet diagonal.  The arrays are shared
+    by every matrix assembled on the grid shape, so they are read-only.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+    boundary_slots: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_pattern(shape: tuple) -> _StencilPattern:
+    n = len(shape)
+    size = int(np.prod(shape))
+    strides = [int(np.prod(shape[i + 1 :])) for i in range(n)]
+    mesh = np.meshgrid(*(np.arange(1, m - 1) for m in shape), indexing="ij")
+    interior = np.ravel_multi_index(tuple(mesh), shape).ravel()
+    boundary = np.setdiff1d(np.arange(size), interior, assume_unique=True)
+    offsets = [0]
+    for i in range(n):
+        offsets += [strides[i], -strides[i]]
+    for i in range(n):
+        for j in range(i + 1, n):
+            offsets += [si * strides[i] + sj * strides[j] for si, sj, _ in _CROSS_TERMS]
+    rows = np.concatenate([np.tile(interior, len(offsets)), boundary])
+    cols = np.concatenate([interior + off for off in offsets] + [boundary])
+    # scipy's own COO -> CSR conversion fixes the entry order; its data
+    # carries each entry's stencil-order position along.  No entry repeats.
+    order = csr_matrix((np.arange(rows.size), (rows, cols)), shape=(size, size))
+    slots = np.empty(rows.size, dtype=np.intp)
+    slots[order.data] = np.arange(rows.size)
+    for array in (order.indptr, order.indices, slots):
+        array.setflags(write=False)
+    return _StencilPattern(
+        indptr=order.indptr,
+        indices=order.indices,
+        slots=slots[: -boundary.size].reshape(len(offsets), interior.size),
+        boundary_slots=slots[-boundary.size :],
+    )
 
 
 def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float) -> FrozenOperator:
@@ -195,16 +245,14 @@ def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float)
     Interior rows carry the 9-point (2-d) / 19-point (3-d) stencil; boundary
     rows are Dirichlet identities.  The coefficient matrix eigenvalues and
     the 9-point positivity (diagonal-dominance) condition are inspected on
-    the fly.
+    the fly.  The sparsity pattern is built once per grid shape; each call
+    only fills in the coefficients.
     """
     if eps <= 0:
         raise SolverError("frozen operator needs eps > 0")
     grid = v_current.grid
     n = grid.dimension
-    shape = grid.shape
     h = grid.spacing
-    size = int(np.prod(shape))
-    strides = [int(np.prod(shape[i + 1 :])) for i in range(n)]
 
     if float(p.values.min()) <= 1.0:
         raise SolverError("exponent field leaves the ellipticity window (p <= 1 somewhere)")
@@ -228,44 +276,33 @@ def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float)
         for j in range(i + 1, n):
             a[i, j] = (coef * grads[..., i] * grads[..., j])[inner].ravel()
 
-    idx = _interior_flat(grid)
-    rows, cols, data = [], [], []
+    pattern = _stencil_pattern(grid.shape)
+    data = np.empty(pattern.indices.size)
+    slots = iter(pattern.slots)
 
-    center = np.ones_like(idx, dtype=float)
+    center = np.ones(pattern.slots.shape[1])
     for i in range(n):
         center += 2.0 * a[i, i] / h[i] ** 2
-    rows.append(idx)
-    cols.append(idx)
-    data.append(center)
+    data[next(slots)] = center
 
     for i in range(n):
         coeff = -a[i, i] / h[i] ** 2
-        for sign in (+1, -1):
-            rows.append(idx)
-            cols.append(idx + sign * strides[i])
-            data.append(coeff)
+        data[next(slots)] = coeff
+        data[next(slots)] = coeff
 
     for i in range(n):
         for j in range(i + 1, n):
             q = a[i, j] / (2.0 * h[i] * h[j])
-            for si, sj, sign in ((+1, +1, -1.0), (-1, -1, -1.0), (+1, -1, +1.0), (-1, +1, +1.0)):
-                rows.append(idx)
-                cols.append(idx + si * strides[i] + sj * strides[j])
-                data.append(sign * q)
+            for _, _, sign in _CROSS_TERMS:
+                data[next(slots)] = sign * q
 
-    boundary = np.setdiff1d(np.arange(size), idx, assume_unique=True)
-    rows.append(boundary)
-    cols.append(boundary)
-    data.append(np.ones(boundary.size))
+    data[pattern.boundary_slots] = 1.0
+    size = int(np.prod(grid.shape))
+    matrix = csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size))
 
-    matrix = csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
-
-    violations = np.zeros(idx.size, dtype=bool)
+    violations = np.zeros(center.size, dtype=bool)
     for i in range(n):
-        off = np.zeros(idx.size)
+        off = np.zeros(center.size)
         for j in range(n):
             if j != i:
                 key = (i, j) if i < j else (j, i)
@@ -322,13 +359,25 @@ def solve_regularized(
     factorized from ``A(v)`` at the first sweep and again after any sweep
     that fails to cut the nonlinear residual ``max |g - A(v) v|`` to
     ``REFACTOR_RATIO`` of its previous value; a sweep right after a
-    refactorization is a damped Picard step.  Convergence requires both a
-    small relative update and a nonlinear residual below
+    refactorization is a damped Picard step.  (Within
+    :func:`epsilon_continuation` the first sweep of each later eps level
+    starts from the previous level's factor instead.)  Convergence requires
+    both a small relative update and a nonlinear residual below
     ``10 * tolerance * max(1, |g|_inf)``; on non-convergence the last
     iterate is returned flagged, residual included.
     """
     prob = problem if isinstance(problem, DiscreteProblem) else build_problem(problem)
-    opts = options or SolveOptions()
+    return _chord_solve(prob, options or SolveOptions(), warm_start, [None])
+
+
+def _chord_solve(prob: DiscreteProblem, opts: SolveOptions, warm_start, held: list) -> SolveResult:
+    """The sweeps of :func:`solve_regularized`, starting from the factor in
+    the one-slot list ``held`` (``[None]``: factorize at the first sweep).
+
+    On return ``held`` holds the last factor.  The slot is emptied before a
+    new factor is built, so the caller never keeps an old factor alive
+    while ``splu`` allocates the next one.
+    """
     grid = prob.grid
     interior = grid.interior_mask()
     rhs = np.where(interior, prob.g.values, prob.boundary.values).ravel()
@@ -348,15 +397,14 @@ def solve_regularized(
     op = assemble_frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
     r = rhs - op.matrix @ v.ravel()
     residual = float(np.abs(r).max())
-    factor = None
-    refactor = True
+    refactor = held[0] is None
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
         if refactor:
-            factor = None  # release the old factor before splu allocates the new one
-            factor = _LUFactor(op.matrix)
-        step = opts.damping * factor.solve(r).reshape(grid.shape)
+            held[0] = None  # release the old factor before splu allocates the new one
+            held[0] = _LUFactor(op.matrix)
+        step = opts.damping * held[0].solve(r).reshape(grid.shape)
         v = v + step
         delta = float(np.abs(step).max())
         op = assemble_frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
@@ -451,6 +499,9 @@ def epsilon_continuation(
 ) -> ContinuationResult:
     """Solve along a decreasing eps schedule, warm-starting each solve.
 
+    Each level also starts from the last LU factor of the level before, so
+    a factor is rebuilt only where a sweep fails to halve the residual.
+
     The mollification radius follows the schedule (clipped to what the grid
     can resolve).  With ``refresh_seed`` the interior data field ``u0`` is
     rebuilt from the previous solution each step, so the data term
@@ -469,6 +520,8 @@ def epsilon_continuation(
     region = region or _default_region(grid)
     mask = ball_mask(region.scaled(0.75), grid)
 
+    opts = options or SolveOptions()
+    held = [None]  # the LU factor carried from one eps level to the next
     results = []
     increments = []
     seed = None
@@ -477,7 +530,7 @@ def epsilon_continuation(
     for eps in schedule:
         step_spec = dataclasses.replace(spec, eps=eps, mollify_radius=_clip_radius(eps, grid))
         prob = build_problem(step_spec, seed=seed)
-        result = solve_regularized(prob, options, warm_start=prev)
+        result = _chord_solve(prob, opts, prev, held)
         if not result.converged:
             raise SolverError(f"continuation member solve at eps={eps} did not converge")
         grad = gradient(result.v)

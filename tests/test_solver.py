@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import spsolve
 
 from pxlaplace import solver
+from pxlaplace.diffops import gradient
 from pxlaplace.expressions import parse_expression
 from pxlaplace.fields import GridSpec, ScalarField, sample
 from pxlaplace.fixtures import FIXTURE_SCHEDULE, fixture_problem
@@ -112,6 +116,83 @@ class TestAssembly:
                 assemble_frozen_operator(ScalarField(grid, values), p3, 1e-2)
 
 
+def reference_assembly(v, p, eps):
+    """The frozen operator assembled through COO triplets, as a reference."""
+    grid = v.grid
+    n, shape, h = grid.dimension, grid.shape, grid.spacing
+    size = int(np.prod(shape))
+    strides = [int(np.prod(shape[i + 1 :])) for i in range(n)]
+    grads = gradient(v).values
+    g2 = np.sum(grads**2, axis=-1)
+    coef = (p.values - 2.0) / (g2 + eps)
+    inner = tuple(slice(1, -1) for _ in range(n))
+    lam = 1.0 + coef[inner] * g2[inner]
+    ellipticity = (min(1.0, float(lam.min())), max(1.0, float(lam.max())))
+    a = {}
+    for i in range(n):
+        a[i, i] = (1.0 + coef * grads[..., i] * grads[..., i])[inner].ravel()
+        for j in range(i + 1, n):
+            a[i, j] = (coef * grads[..., i] * grads[..., j])[inner].ravel()
+    mesh = np.meshgrid(*(np.arange(1, m - 1) for m in shape), indexing="ij")
+    idx = np.ravel_multi_index(tuple(mesh), shape).ravel()
+    center = np.ones_like(idx, dtype=float)
+    for i in range(n):
+        center += 2.0 * a[i, i] / h[i] ** 2
+    rows, cols, data = [idx], [idx], [center]
+    for i in range(n):
+        coeff = -a[i, i] / h[i] ** 2
+        for sign in (+1, -1):
+            rows.append(idx)
+            cols.append(idx + sign * strides[i])
+            data.append(coeff)
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = a[i, j] / (2.0 * h[i] * h[j])
+            for si, sj, sign in ((+1, +1, -1.0), (-1, -1, -1.0), (+1, -1, +1.0), (-1, +1, +1.0)):
+                rows.append(idx)
+                cols.append(idx + si * strides[i] + sj * strides[j])
+                data.append(sign * q)
+    boundary = np.setdiff1d(np.arange(size), idx, assume_unique=True)
+    rows.append(boundary)
+    cols.append(boundary)
+    data.append(np.ones(boundary.size))
+    matrix = csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(size, size)
+    )
+    violations = np.zeros(idx.size, dtype=bool)
+    for i in range(n):
+        off = np.zeros(idx.size)
+        for j in range(n):
+            if j != i:
+                key = (i, j) if i < j else (j, i)
+                off += np.abs(a[key]) / (h[i] * h[j])
+        violations |= a[i, i] / h[i] ** 2 < off - 1e-14
+    return matrix, ellipticity, int(violations.sum())
+
+
+class TestAssemblyPattern:
+    def test_bitwise_identical_to_coo_reference(self):
+        rng = np.random.default_rng(3)
+        grids = [
+            unit_square(33),
+            GridSpec((0.0, 0.0), (1.0, 1.0), (17, 9)),
+            GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (9, 9, 9)),
+        ]
+        violations = 0
+        # twice round the grids, so each pattern is also served from the cache
+        for grid in grids + grids:
+            v = ScalarField(grid, rng.standard_normal(grid.shape))
+            p = ScalarField(grid, 1.5 + 3.0 * rng.random(grid.shape))
+            op = assemble_frozen_operator(v, p, 1e-2)
+            matrix, ellipticity, dominance = reference_assembly(v, p, 1e-2)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(op.matrix, name), getattr(matrix, name)), name
+            assert op.ellipticity == ellipticity
+            assert op.dominance_violations == dominance
+            violations += dominance
+        assert violations > 0
+
+
 class TestSolve:
     def test_linear_boundary_reproduced_to_roundoff(self):
         rng = np.random.default_rng(12)
@@ -203,21 +284,41 @@ class TestSolve:
         assert hi <= window.t_plus + 1.0 + 1e-12
 
 
+def count_splu(monkeypatch):
+    """Record every factorization the solver makes; returns the record."""
+    calls = []
+    original = solver.splu
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(solver, "splu", counting)
+    return calls
+
+
 class TestFactorReuse:
-    def test_fixture_continuation_factorizes_once_per_level(self, monkeypatch):
-        calls = []
-        original = solver.splu
-
-        def counting(matrix):
-            calls.append(matrix.shape)
-            return original(matrix)
-
-        monkeypatch.setattr(solver, "splu", counting)
+    def test_fixture_continuation_carries_factor_across_levels(self, monkeypatch):
+        calls = count_splu(monkeypatch)
         result = epsilon_continuation(fixture_problem(points=33), FIXTURE_SCHEDULE)
         sweeps = sum(r.iterations for r in result.results)
-        # one factor for the initial p = 2 solve, then one per eps level
-        assert len(calls) == 1 + len(FIXTURE_SCHEDULE)
+        # one factor for the initial p = 2 solve, one at the first sweep; the
+        # later eps levels keep halving the residual with it
+        assert len(calls) == 2
         assert sweeps > len(FIXTURE_SCHEDULE)
+
+    def test_standalone_solve_factorizes_at_first_sweep(self, monkeypatch):
+        calls = count_splu(monkeypatch)
+        prob = build_problem(fixture_problem(points=33))
+        first = solve_regularized(prob)
+        assert first.converged
+        calls.clear()
+        # a warm-started call needs no initial p = 2 solve, so its one sweep
+        # can only run on a factor it built itself
+        for _ in range(2):
+            solve_regularized(prob, SolveOptions(max_iterations=1), warm_start=first.v)
+            assert len(calls) == 1
+            calls.clear()
 
     def test_chord_matches_per_sweep_picard(self):
         # reference: plain Picard, a fresh direct solve of A(v) v = g per sweep
@@ -362,3 +463,26 @@ class TestContinuation:
         assert rhos[0] == pytest.approx(0.1)
         # clipped up to the resolvable radius 2 h
         assert rhos[1] == pytest.approx(2.0 / 32.0)
+
+
+class TestContinuationRegressions:
+    """Fixture continuations over the full schedule: every level converged,
+    with its residual inside the solver's budget ``10 tol max(1, |g|)``."""
+
+    @staticmethod
+    def check_levels(result):
+        assert len(result.results) == len(FIXTURE_SCHEDULE)
+        for level in result.results:
+            g_norm = max(1.0, np.abs(level.problem.g.values).max())
+            assert level.converged
+            assert level.residual <= 10.0 * SolveOptions().tolerance * g_norm
+
+    def test_fixture_257_converges_with_two_factorizations(self, monkeypatch):
+        calls = count_splu(monkeypatch)
+        self.check_levels(epsilon_continuation(fixture_problem(points=257), FIXTURE_SCHEDULE))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("p", ["1.2", "4"])
+    def test_fixture_65_constant_exponent_converges(self, p):
+        spec = dataclasses.replace(fixture_problem(points=65), p_expr=parse_expression(p, 2))
+        self.check_levels(epsilon_continuation(spec, FIXTURE_SCHEDULE))
