@@ -112,7 +112,7 @@ def pointwise_stretch_audit(
     kappa: float = 10.0,
     constants: Optional[ConstantSet] = None,
 ) -> EstimateReport:
-    """Audit ``|DF|^2 <= C* sigma2(DF) + C~* (|Dv|^2+eps)^beta (g-v)^2`` per node.
+    """Audit ``|DF|^2 <= C* sigma_2(DF) + C~* (|Dv|^2+eps)^beta (g-v)^2`` per node.
 
     ``v`` must (approximately) solve the regularized equation with data
     ``(p, g, eps)``: the residual is checked first, because the bound is an
@@ -179,11 +179,11 @@ def quasiregularity_audit(
     budget: Optional[float] = None,
     window: Optional[ExponentWindow] = None,
 ) -> EstimateReport:
-    """Distortion ``K = |DF|^2 / sigma2(DF)`` of the stretched-gradient map.
+    """Distortion ``K = |DF|^2 / sigma_2(DF)`` of the stretched-gradient map.
 
     Nodes where ``|DF|`` sits below the relative floor are excluded (0/0
-    territory); nodes above it with ``sigma2 <= 0`` are counted as
-    violations.  In dimension 2 ``sigma2`` is exactly ``-det``.
+    territory); nodes above it with ``sigma_2 <= 0`` are counted as
+    violations.  In dimension 2 ``sigma_2`` is exactly ``-det``.
     """
     if beta < 0:
         raise AuditError("distortion audit requires a nonnegative stretch exponent")

@@ -28,8 +28,6 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .audits import (
     AuditError,
     EstimateReport,
@@ -44,7 +42,7 @@ from .config import ConfigError, RunConfig, load_config
 from .constants import AdmissibilityError, constant_set, ExponentWindow
 from .diffops import StretchParams
 from .expressions import ExpressionError
-from .fields import BallRegion, FieldError, ScalarField
+from .fields import BallRegion, ScalarField
 from .identities import run_identity_suite
 from .solver import SolverError, epsilon_continuation
 
@@ -97,22 +95,19 @@ def _writer(handle):
 def write_field_csv(field: ScalarField, path: Path) -> None:
     """Plot-ready CSV with one node per row: x, y[, z], value."""
     grid = field.grid
-    axes = [grid.axis(i) for i in range(grid.dimension)]
+    columns = [c.ravel().tolist() for c in grid.coords()] + [field.values.ravel().tolist()]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         out = _writer(handle)
         out.writerow(["x", "y", "z"][: grid.dimension] + ["value"])
-        for index in np.ndindex(grid.shape):
-            row = [_fmt(axes[i][index[i]]) for i in range(grid.dimension)]
-            row.append(_fmt(field.values[index]))
-            out.writerow(row)
+        out.writerows(zip(*(map(repr, column) for column in columns)))
 
 
-def _location_cells(location, dimension):
+def _location_cells(location):
     cells = ["", "", ""]
     if location is not None:
         for i, value in enumerate(location):
             cells[i] = _fmt(value)
-    return cells[:3]
+    return cells
 
 
 def write_reports_csv(reports, path: Path) -> None:
@@ -134,7 +129,7 @@ def write_reports_csv(reports, path: Path) -> None:
             out.writerow(
                 prefix
                 + ["worst", _fmt(report.worst)]
-                + _location_cells(report.worst_location, report.n)
+                + _location_cells(report.worst_location)
                 + [_fmt(report.tolerance), str(report.passed)]
             )
             for key in sorted(report.details):
@@ -188,10 +183,6 @@ def _write_summary(path: Path, cfg: RunConfig, lines) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_continuation(cfg: RunConfig):
-    return epsilon_continuation(cfg.problem, cfg.schedule)
-
-
 def _run_audits(cfg: RunConfig, continuation):
     final = continuation.results[-1]
     prob = final.problem
@@ -242,7 +233,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     outdir = Path(cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
-    continuation = _run_continuation(cfg)
+    continuation = epsilon_continuation(cfg.problem, cfg.schedule)
     final = continuation.results[-1]
     write_field_csv(final.v, outdir / "solution.csv")
     lines = [
@@ -266,7 +257,7 @@ def cmd_audit(args) -> int:
     cfg = load_config(args.config)
     outdir = Path(cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
-    continuation = _run_continuation(cfg)
+    continuation = epsilon_continuation(cfg.problem, cfg.schedule)
     reports = _run_audits(cfg, continuation)
     write_reports_csv(reports, outdir / "reports.csv")
     lines = [_report_line(report) for report in reports]
@@ -282,7 +273,7 @@ def cmd_gehring(args) -> int:
         raise ConfigError("the delta search stretches with eps = 0 and needs beta >= 0")
     outdir = Path(cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
-    continuation = _run_continuation(cfg)
+    continuation = epsilon_continuation(cfg.problem, cfg.schedule)
     final = continuation.results[-1]
     balls = ball_family(cfg.problem.grid, r_max=cfg.gehring_r_max, seed=cfg.seed)
     results = []
@@ -364,7 +355,7 @@ def main(argv=None) -> int:
     except (ConfigError, ExpressionError, AdmissibilityError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (SolverError, FieldError, AuditError) as err:
+    except (SolverError, AuditError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 

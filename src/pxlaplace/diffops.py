@@ -5,11 +5,13 @@ the box boundary); Hessians pair the compact 3-point second difference on
 the diagonal with the symmetric 4-point cross stencil off it, so they are
 exact on quadratics.  Jacobians of stretched gradients are formed with the
 product rule from the same discrete gradient and Hessian, which keeps the
-algebraic sigma_2 identities exact at the node level.
+algebraic sigma_2 identities exact at the node level.  Both are computed
+once per field and stored on it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,15 +25,10 @@ __all__ = [
     "frobenius_sq",
     "gradient",
     "hessian",
-    "infinity_laplacian",
     "infinity_laplacian_values",
     "jacobian",
-    "laplacian",
-    "sigma2",
     "sigma2_values",
-    "stretched_gradient",
     "stretched_gradient_values",
-    "stretched_jacobian",
     "stretched_jacobian_values",
 ]
 
@@ -57,12 +54,30 @@ def _shrunk_valid(field) -> np.ndarray:
     return eroded & grid.interior_mask()
 
 
+def _once_per_field(compute):
+    """Store ``compute(v)`` on the field ``v`` and return it on later calls.
+
+    Fields are frozen and their arrays read-only, so the stored result stays
+    exact; recomputing it would give the same values.
+    """
+    name = "_" + compute.__name__
+
+    @functools.wraps(compute)
+    def stored(v):
+        result = v.__dict__.get(name)
+        if result is None:
+            result = compute(v)
+            object.__setattr__(v, name, result)
+        return result
+
+    return stored
+
+
+@_once_per_field
 def gradient(v: ScalarField) -> VectorField:
     """Central differences inside, one-sided second order on the boundary."""
     grid = v.grid
     comps = np.gradient(v.values, *grid.spacing, edge_order=2)
-    if grid.dimension == 1:
-        comps = [comps]
     return VectorField(grid, np.stack(comps, axis=-1), _shrunk_valid(v))
 
 
@@ -75,6 +90,7 @@ def _second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+@_once_per_field
 def hessian(v: ScalarField) -> MatrixField:
     """Symmetric discrete Hessian, exact on quadratics."""
     grid = v.grid
@@ -90,21 +106,9 @@ def hessian(v: ScalarField) -> MatrixField:
     return MatrixField(grid, out, _shrunk_valid(v))
 
 
-def laplacian(v: ScalarField) -> ScalarField:
-    hess = hessian(v)
-    return ScalarField(v.grid, np.trace(hess.values, axis1=-2, axis2=-1), hess.valid)
-
-
 def infinity_laplacian_values(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     """The quadratic form ``<H g, g>`` per node."""
     return np.einsum("...ij,...i,...j->...", hess, grad, grad)
-
-
-def infinity_laplacian(v: ScalarField) -> ScalarField:
-    grad = gradient(v)
-    hess = hessian(v)
-    values = infinity_laplacian_values(grad.values, hess.values)
-    return ScalarField(v.grid, values, grad.valid & hess.valid)
 
 
 def jacobian(field: VectorField) -> MatrixField:
@@ -138,13 +142,6 @@ def stretched_gradient_values(grad: np.ndarray, beta: float, eps: float) -> np.n
     return factor[..., None] * grad
 
 
-def stretched_gradient(v: ScalarField, params: StretchParams) -> VectorField:
-    """Per node ``(|Dv|^2 + eps)^(beta/2) Dv``; zero at critical points when eps = 0."""
-    grad = gradient(v)
-    values = stretched_gradient_values(grad.values, params.beta, params.eps)
-    return VectorField(v.grid, values, grad.valid)
-
-
 def stretched_jacobian_values(grad: np.ndarray, hess: np.ndarray, beta: float, eps: float) -> np.ndarray:
     """Product-rule Jacobian of the stretched gradient from node values.
 
@@ -164,13 +161,6 @@ def stretched_jacobian_values(grad: np.ndarray, hess: np.ndarray, beta: float, e
     return s[..., None, None] * (hess + rank1)
 
 
-def stretched_jacobian(v: ScalarField, params: StretchParams) -> MatrixField:
-    grad = gradient(v)
-    hess = hessian(v)
-    values = stretched_jacobian_values(grad.values, hess.values, params.beta, params.eps)
-    return MatrixField(v.grid, values, grad.valid & hess.valid)
-
-
 # ---------------------------------------------------------------------------
 # Matrix invariants
 # ---------------------------------------------------------------------------
@@ -180,17 +170,13 @@ def sigma2_values(matrices: np.ndarray) -> np.ndarray:
     """Negated sum of 2x2 principal minors, per the pair-sum definition."""
     n = matrices.shape[-1]
     if n not in (2, 3):
-        raise ValueError(f"sigma2 is defined for 2x2 and 3x3 matrices, got {n}x{n}")
+        raise ValueError(f"sigma_2 is defined for 2x2 and 3x3 matrices, got {n}x{n}")
     m = matrices
     out = np.zeros(m.shape[:-2])
     for i in range(n):
         for j in range(i + 1, n):
             out -= m[..., i, i] * m[..., j, j] - m[..., i, j] * m[..., j, i]
     return out
-
-
-def sigma2(matrix) -> float:
-    return float(sigma2_values(np.asarray(matrix, dtype=float)))
 
 
 def frobenius_sq(matrices: np.ndarray) -> np.ndarray:

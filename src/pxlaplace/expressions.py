@@ -13,6 +13,7 @@ them, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -65,10 +66,15 @@ class ParseError(ExpressionError):
 
 
 class DomainError(ExpressionError):
-    """Evaluation hit a point outside a sub-expression's domain."""
+    """Evaluation hit a point outside a sub-expression's domain.
 
-    def __init__(self, message: str, node: "_Node"):
+    ``mask`` flags the offending entries; it broadcasts to the shape of the
+    evaluation.
+    """
+
+    def __init__(self, message: str, node: "_Node", mask):
         self.node = node
+        self.mask = np.asarray(mask)
         super().__init__(f"{message} in sub-expression '{node}'")
 
 
@@ -247,65 +253,37 @@ def _neg(a):
 # ---------------------------------------------------------------------------
 
 
-def _eval_scalar(node, point):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return float(point[node.index])
-    if isinstance(node, Neg):
-        return -_eval_scalar(node.arg, point)
-    if isinstance(node, BinOp):
-        left = _eval_scalar(node.left, point)
-        right = _eval_scalar(node.right, point)
-        op = node.op
-        if op == "+":
-            out = left + right
-        elif op == "-":
-            out = left - right
-        elif op == "*":
-            out = left * right
-        elif op == "/":
-            if right == 0.0:
-                raise DomainError("division by zero", node)
-            out = left / right
-        else:
-            try:
-                out = math.pow(left, right)
-            except (ValueError, OverflowError):
-                raise DomainError("invalid power", node) from None
-        if not math.isfinite(out):
-            raise DomainError("non-finite value", node)
-        return out
-    # Call
-    args = [_eval_scalar(a, point) for a in node.args]
-    name = node.name
-    try:
-        if name == "sin":
-            return math.sin(args[0])
-        if name == "cos":
-            return math.cos(args[0])
-        if name == "exp":
-            out = math.exp(args[0])
-        elif name == "log":
-            if args[0] <= 0.0:
-                raise DomainError("log of a non-positive value", node)
-            out = math.log(args[0])
-        elif name == "sqrt":
-            if args[0] < 0.0:
-                raise DomainError("sqrt of a negative value", node)
-            out = math.sqrt(args[0])
-        elif name == "abs":
-            out = abs(args[0])
-        elif name == "min":
-            out = min(args[0], args[1])
-        else:
-            out = max(args[0], args[1])
-    except OverflowError:
-        raise DomainError("overflow", node) from None
-    return out
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
+_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "min": np.minimum,
+    "max": np.maximum,
+}
+
+
+def _check(bad, message, node):
+    if np.any(bad):
+        raise DomainError(message, node, bad)
 
 
 def _eval_array(node, coords):
+    """Evaluate over broadcastable coordinate arrays (0-d ones for a point).
+
+    Every operator and function result must be finite: the first that is not
+    raises :class:`DomainError` with the mask of offending entries.  Callers
+    silence numpy's floating-point warnings (see :func:`_evaluate`).
+    """
     if isinstance(node, Num):
         return np.asarray(node.value)
     if isinstance(node, Var):
@@ -315,49 +293,25 @@ def _eval_array(node, coords):
     if isinstance(node, BinOp):
         left = _eval_array(node.left, coords)
         right = _eval_array(node.right, coords)
-        op = node.op
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            out = left * right
-        elif op == "/":
-            if np.any(right == 0.0):
-                raise DomainError("division by zero", node)
-            out = left / right
-        else:
-            with np.errstate(all="ignore"):
-                out = left**right
-        if not np.all(np.isfinite(out)):
-            raise DomainError("non-finite value", node)
-        return out
-    args = [_eval_array(a, coords) for a in node.args]
-    name = node.name
-    if name == "sin":
-        return np.sin(args[0])
-    if name == "cos":
-        return np.cos(args[0])
-    if name == "abs":
-        return np.abs(args[0])
-    if name == "min":
-        return np.minimum(args[0], args[1])
-    if name == "max":
-        return np.maximum(args[0], args[1])
-    if name == "log":
-        if np.any(args[0] <= 0.0):
-            raise DomainError("log of a non-positive value", node)
-        return np.log(args[0])
-    if name == "sqrt":
-        if np.any(args[0] < 0.0):
-            raise DomainError("sqrt of a negative value", node)
-        return np.sqrt(args[0])
-    # exp
-    with np.errstate(over="ignore"):
-        out = np.exp(args[0])
-    if not np.all(np.isfinite(out)):
-        raise DomainError("overflow", node)
+        if node.op == "/":
+            _check(right == 0.0, "division by zero", node)
+        out = _BINARY[node.op](left, right)
+        message = "invalid power" if node.op == "^" else "non-finite value"
+    else:
+        args = [_eval_array(a, coords) for a in node.args]
+        if node.name == "log":
+            _check(args[0] <= 0.0, "log of a non-positive value", node)
+        elif node.name == "sqrt":
+            _check(args[0] < 0.0, "sqrt of a negative value", node)
+        out = _FUNCTIONS[node.name](*args)
+        message = "overflow" if node.name == "exp" else "non-finite value"
+    _check(~np.isfinite(out), message, node)
     return out
+
+
+def _evaluate(node, coords):
+    with np.errstate(all="ignore"):
+        return _eval_array(node, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +332,7 @@ def _constant_value(node):
         if _has_variable(node):
             return None
         try:
-            return _eval_scalar(node, ())
+            return float(_evaluate(node, ()))
         except DomainError:
             return None
     return None
@@ -477,7 +431,7 @@ class Expression:
             raise ExpressionError(
                 f"point has {len(point)} coordinates, expression expects {self.dimension}"
             )
-        return float(_eval_scalar(self.root, point))
+        return float(self.evaluate_array([float(c) for c in point]))
 
     def evaluate_array(self, coords) -> np.ndarray:
         """Vectorized evaluation over per-axis coordinate arrays.
@@ -490,7 +444,7 @@ class Expression:
                 f"got {len(coords)} coordinate arrays, expression expects {self.dimension}"
             )
         arrays = [np.asarray(c, dtype=float) for c in coords]
-        out = _eval_array(self.root, arrays)
+        out = _evaluate(self.root, arrays)
         shape = np.broadcast_shapes(*(a.shape for a in arrays))
         return np.broadcast_to(out, shape).astype(float, copy=True) if out.shape != shape else out
 
@@ -578,7 +532,10 @@ def _tokenize(source):
             continue
         m = _NUM_RE.match(source, i)
         if m:
-            tokens.append(("num", float(m.group()), i))
+            value = float(m.group())
+            if not math.isfinite(value):
+                raise ParseError(f"numeric literal {m.group()!r} overflows", source, i)
+            tokens.append(("num", value, i))
             i = m.end()
             continue
         m = _IDENT_RE.match(source, i)

@@ -24,8 +24,6 @@ __all__ = [
     "MatrixField",
     "ScalarField",
     "VectorField",
-    "ball_average",
-    "ball_integral",
     "ball_mask",
     "cutoff",
     "mollify",
@@ -171,19 +169,10 @@ def sample(expression: Expression, grid: GridSpec) -> ScalarField:
     try:
         values = expression.evaluate_array(coords)
     except DomainError as err:
-        raise FieldError(f"{_locate_domain_error(expression, coords)}: {err}") from err
+        first = int(np.argmax(np.broadcast_to(err.mask, grid.shape)))
+        node = tuple(float(c.flat[first]) for c in coords)
+        raise FieldError(f"expression domain error at node {node}: {err}") from err
     return ScalarField(grid, np.broadcast_to(values, grid.shape))
-
-
-def _locate_domain_error(expression, coords):
-    flat = [c.ravel() for c in coords]
-    for k in range(flat[0].size):
-        point = tuple(float(c[k]) for c in flat)
-        try:
-            expression.evaluate(point)
-        except DomainError:
-            return f"expression domain error at node {point}"
-    return "expression domain error"
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +281,6 @@ def ball_mask(ball: BallRegion, grid: GridSpec) -> np.ndarray:
     """Nodes whose cell centers lie inside the (scaled) ball."""
     require_inside(ball, grid)
     return _distance(grid, ball.center) <= ball.effective_radius
-
-
-def ball_integral(field: ScalarField, ball: BallRegion) -> float:
-    """Midpoint-rule integral over the discrete ball."""
-    mask = ball_mask(ball, field.grid)
-    if not mask.any():
-        raise FieldError("ball contains no grid nodes")
-    return float(field.values[mask].sum() * field.grid.cell_volume)
-
-
-def ball_average(field: ScalarField, ball: BallRegion) -> float:
-    """Integral divided by the measured discrete ball volume."""
-    mask = ball_mask(ball, field.grid)
-    if not mask.any():
-        raise FieldError("ball contains no grid nodes")
-    return float(field.values[mask].mean())
 
 
 def cutoff(ball: BallRegion, grid: GridSpec) -> ScalarField:

@@ -177,6 +177,18 @@ class TestConfigErrors:
         path, _ = write_config(tmp_path, bad)
         assert main(["audit", "--config", path]) == 2
 
+    def test_non_finite_literal(self, tmp_path, capsys):
+        bad = SMALL_CONFIG.replace('f = "0"', 'f = "1e999"')
+        path, _ = write_config(tmp_path, bad)
+        assert main(["audit", "--config", path]) == 2
+        assert "numeric literal '1e999' overflows at offset 0" in capsys.readouterr().err
+
+    def test_ball_leaving_grid_margin(self, tmp_path, capsys):
+        bad = SMALL_CONFIG.replace("ball_radii = 0.15 0.25", "ball_radii = 0.15 0.6")
+        path, _ = write_config(tmp_path, bad)
+        assert main(["audit", "--config", path]) == 2
+        assert "leaves the grid margin" in capsys.readouterr().err
+
     def test_increasing_schedule(self, tmp_path):
         bad = SMALL_CONFIG.replace("eps_schedule = 0.1 0.01 0.001", "eps_schedule = 0.001 0.01")
         path, _ = write_config(tmp_path, bad)

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -7,18 +10,14 @@ from pxlaplace.diffops import (
     frobenius_sq,
     gradient,
     hessian,
-    infinity_laplacian,
+    infinity_laplacian_values,
     jacobian,
-    laplacian,
-    sigma2,
     sigma2_values,
-    stretched_gradient,
     stretched_gradient_values,
-    stretched_jacobian,
     stretched_jacobian_values,
 )
 from pxlaplace.expressions import parse_expression
-from pxlaplace.fields import GridSpec, VectorField, sample
+from pxlaplace.fields import GridSpec, ScalarField, VectorField, sample
 from pxlaplace.identities import random_polynomial_expression, symbolic_derivative_samples
 
 
@@ -74,6 +73,41 @@ class TestHessian:
         assert np.array_equal(hess.values[..., 0, 1], hess.values[..., 1, 0])
 
 
+class TestComputedOncePerField:
+    def test_repeated_calls_return_the_stored_result(self):
+        field = sample(parse_expression("sin(3*x1)*x2^2", 2), unit_square())
+        assert gradient(field) is gradient(field)
+        assert hessian(field) is hessian(field)
+
+    def test_stored_result_equals_a_fresh_computation(self):
+        grid = unit_square()
+        field = sample(parse_expression("exp(x1)*cos(2*x2)", 2), grid)
+        grad, hess = gradient(field), hessian(field)
+        twin = ScalarField(grid, field.values, field.valid)
+        assert gradient(twin) is not grad
+        assert np.array_equal(gradient(twin).values, grad.values)
+        assert np.array_equal(hessian(twin).values, hess.values)
+        assert np.array_equal(hessian(twin).valid, hess.valid)
+        assert not grad.values.flags.writeable and not hess.values.flags.writeable
+
+    def test_threads_racing_to_store_get_equal_results(self):
+        grid = unit_square(65)
+        expr = parse_expression("sin(3*x1)*x2^2", 2)
+        reference = hessian(sample(expr, grid)).values
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                field = sample(expr, grid)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(hessian, field) for _ in range(8)]
+                    results = [f.result(timeout=60) for f in futures]
+                assert all(np.array_equal(r.values, reference) for r in results)
+                assert hessian(field) is hessian(field)
+        finally:
+            sys.setswitchinterval(switch)
+
+
 class TestSecondOrderConvergence:
     def test_gradient_and_hessian_order_two_on_quartic(self):
         expr = parse_expression("x1^4 - 2*x1^2*x2^2 + 0.5*x2^4", 2)
@@ -94,32 +128,39 @@ class TestSecondOrderConvergence:
         assert 3.6 <= errors_h[33] / errors_h[65] <= 4.4
 
 
+def laplacians(field):
+    """Laplacian and infinity-Laplacian values with their validity masks."""
+    grad, hess = gradient(field), hessian(field)
+    lap = np.trace(hess.values, axis1=-2, axis2=-1)
+    inf = infinity_laplacian_values(grad.values, hess.values)
+    return lap, hess.valid, inf, grad.valid & hess.valid
+
+
 class TestLaplacians:
     def test_half_norm_squared(self):
         grid = unit_square()
         field = sample(parse_expression("0.5*(x1^2 + x2^2)", 2), grid)
-        lap = laplacian(field)
-        inf = infinity_laplacian(field)
+        lap, lap_valid, inf, inf_valid = laplacians(field)
         coords = grid.coords()
         norm_sq = coords[0] ** 2 + coords[1] ** 2
-        assert np.allclose(lap.values[lap.valid], 2.0, atol=1e-11)
-        assert np.allclose(inf.values[inf.valid], norm_sq[inf.valid], atol=1e-10)
+        assert np.allclose(lap[lap_valid], 2.0, atol=1e-11)
+        assert np.allclose(inf[inf_valid], norm_sq[inf_valid], atol=1e-10)
 
     def test_linear_zero(self):
         field = sample(parse_expression("x1 + x2", 2), unit_square())
-        assert np.allclose(laplacian(field).values, 0.0, atol=1e-12)
-        assert np.allclose(infinity_laplacian(field).values, 0.0, atol=1e-12)
+        lap, _, inf, _ = laplacians(field)
+        assert np.allclose(lap, 0.0, atol=1e-12)
+        assert np.allclose(inf, 0.0, atol=1e-12)
 
     def test_saddle_values(self):
         grid = GridSpec((-1.5, -1.5), (1.5, 1.5), (49, 49))
         field = sample(parse_expression("x1^2 - x2^2", 2), grid)
-        lap = laplacian(field)
-        inf = infinity_laplacian(field)
-        assert np.allclose(lap.values[lap.valid], 0.0, atol=1e-10)
+        lap, lap_valid, inf, _ = laplacians(field)
+        assert np.allclose(lap[lap_valid], 0.0, atol=1e-10)
         # at (1, 0): <diag(2,-2)(2,0), (2,0)> = 8
         i = int(np.argmin(np.abs(grid.axis(0) - 1.0)))
         j = int(np.argmin(np.abs(grid.axis(1))))
-        assert inf.values[i, j] == pytest.approx(8.0, abs=1e-9)
+        assert inf[i, j] == pytest.approx(8.0, abs=1e-9)
 
 
 class TestStretchedGradient:
@@ -140,8 +181,9 @@ class TestStretchedGradient:
     def test_field_version(self):
         grid = unit_square()
         field = sample(parse_expression("x1", 2), grid)
-        stretched = stretched_gradient(field, StretchParams(2.0, 3.0))
-        assert np.allclose(stretched.values[..., 0], 4.0, atol=1e-10)
+        params = StretchParams(2.0, 3.0)
+        stretched = stretched_gradient_values(gradient(field).values, params.beta, params.eps)
+        assert np.allclose(stretched[..., 0], 4.0, atol=1e-10)
 
 
 class TestJacobian:
@@ -175,15 +217,17 @@ class TestStretchedJacobian:
     def test_zero_beta_equals_hessian(self):
         field = sample(parse_expression("sin(2*x1)*x2^2", 2), unit_square())
         hess = hessian(field)
-        dj = stretched_jacobian(field, StretchParams(0.0, 0.0))
-        assert np.array_equal(dj.values, hess.values)
+        dj = stretched_jacobian_values(gradient(field).values, hess.values, 0.0, 0.0)
+        assert np.array_equal(dj, hess.values)
 
     def test_jacobian_of_stretched_gradient_matches_on_cubics(self):
         # both routes are exact on degree-3 polynomials away from the boundary
         field = sample(
             parse_expression("x1^3 + x1^2*x2 - 2*x2^3 + x1*x2", 2), unit_square()
         )
-        direct = jacobian(stretched_gradient(field, StretchParams(0.0, 0.0)))
+        grad = gradient(field)
+        stretched = stretched_gradient_values(grad.values, 0.0, 0.0)
+        direct = jacobian(VectorField(field.grid, stretched, grad.valid))
         hess = hessian(field)
         sel = direct.valid  # doubly-shrunk validity
         assert np.abs(direct.values[sel] - hess.values[sel]).max() <= 1e-9
@@ -191,7 +235,7 @@ class TestStretchedJacobian:
 
 class TestMatrixInvariants:
     def test_sigma2_identity_matrix(self):
-        assert sigma2(np.eye(2)) == -1.0
+        assert sigma2_values(np.eye(2)) == -1.0
 
     def test_sigma2_is_minus_det_in_2d(self):
         rng = np.random.default_rng(5)
@@ -199,7 +243,7 @@ class TestMatrixInvariants:
         assert np.array_equal(sigma2_values(mats), -det2(mats))
 
     def test_sigma2_3d_diagonal(self):
-        assert sigma2(np.diag([1.0, 2.0, 3.0])) == -11.0
+        assert sigma2_values(np.diag([1.0, 2.0, 3.0])) == -11.0
 
     def test_frobenius_and_det(self):
         assert frobenius_sq(np.eye(2)) == 2.0
@@ -208,7 +252,7 @@ class TestMatrixInvariants:
 
     def test_sigma2_rejects_wrong_size(self):
         with pytest.raises(ValueError):
-            sigma2(np.eye(4))
+            sigma2_values(np.eye(4))
 
     def test_harmonic_frobenius_equals_twice_sigma2(self):
         # trace-free symmetric 2x2: |M|^2 = 2 sigma2(M); exact for a cubic

@@ -1,13 +1,22 @@
 import math
+import operator
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pxlaplace.expressions import (
+    BinOp,
+    Call,
     DomainError,
     ExpressionError,
+    Neg,
     NonDifferentiableError,
+    Num,
     ParseError,
+    Var,
     parse_expression,
 )
 from pxlaplace.identities import random_polynomial_expression
@@ -19,6 +28,125 @@ def central_difference(expr, point, index, h):
     up[index] += h
     down[index] -= h
     return (expr.evaluate(up) - expr.evaluate(down)) / (2.0 * h)
+
+
+# ---------------------------------------------------------------------------
+# A sympy oracle over generated expression trees.  A tree is a nested tuple:
+# ("var", i), ("num", value), ("neg", t), ("bin", op, t, t) or
+# ("call", name, t); it is printed as fully parenthesized source for the
+# parser and built independently as an unevaluated sympy expression.
+# ---------------------------------------------------------------------------
+
+SYMBOLS = sympy.symbols("x1 x2")
+SYMPY_OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
+SYMPY_FUNCTIONS = {
+    "sin": sympy.sin,
+    "cos": sympy.cos,
+    "exp": sympy.exp,
+    "log": sympy.log,
+    "sqrt": sympy.sqrt,
+    "abs": sympy.Abs,
+}
+# columns are points (x1, x2); zeros put poles and log/sqrt boundaries in reach
+ORACLE_POINTS = np.concatenate(
+    [np.random.default_rng(5).uniform(-2.0, 2.0, size=(2, 12)), [[0.0, 1.0, -1.5], [0.5, 0.0, 0.0]]],
+    axis=1,
+)
+ORACLE_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def trees(functions):
+    leaves = st.one_of(
+        st.tuples(st.just("var"), st.integers(0, 1)),
+        st.tuples(st.just("num"), st.sampled_from([0.5, 1.5, 2.0, 3.0])),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.tuples(st.just("neg"), children),
+            st.tuples(st.just("bin"), st.sampled_from(sorted(SYMPY_OPERATORS)), children, children),
+            st.tuples(st.just("call"), st.sampled_from(functions), children),
+        ),
+        max_leaves=6,
+    )
+
+
+def tree_source(tree):
+    kind = tree[0]
+    if kind == "var":
+        return f"x{tree[1] + 1}"
+    if kind == "num":
+        return repr(tree[1])
+    if kind == "neg":
+        return f"-({tree_source(tree[1])})"
+    if kind == "bin":
+        return f"({tree_source(tree[2])}){tree[1]}({tree_source(tree[3])})"
+    return f"{tree[1]}({tree_source(tree[2])})"
+
+
+def tree_sympy(tree):
+    """Unevaluated sympy expression of the tree (call under ``sympy.evaluate(False)``)."""
+    kind = tree[0]
+    if kind == "var":
+        return SYMBOLS[tree[1]]
+    if kind == "num":
+        return sympy.Float(tree[1])
+    if kind == "neg":
+        return -tree_sympy(tree[1])
+    if kind == "bin":
+        return SYMPY_OPERATORS[tree[1]](tree_sympy(tree[2]), tree_sympy(tree[3]))
+    return SYMPY_FUNCTIONS[tree[1]](tree_sympy(tree[2]))
+
+
+def operations(tree):
+    """Every operator and function sub-tree, innermost first."""
+    if tree[0] in ("var", "num"):
+        return []
+    if tree[0] == "neg":
+        return operations(tree[1])
+    return [sub for child in tree[2:] for sub in operations(child)] + [tree]
+
+
+def sympy_oracle(tree):
+    """``sympy.lambdify`` values of the whole tree and of each operation.
+
+    Variable-free operations come back as Python numbers, complex for a
+    negative base under a fractional power.
+    """
+    with sympy.evaluate(False):
+        exprs = [tree_sympy(t) for t in [tree] + operations(tree)]
+    function = sympy.lambdify(SYMBOLS, exprs, "numpy")
+    with np.errstate(all="ignore"):
+        values = [np.broadcast_to(v, ORACLE_POINTS[0].shape) for v in function(*ORACLE_POINTS)]
+    return values[0], values[1:]
+
+
+def node_sympy(node):
+    """The parsed (or differentiated) tree as an unevaluated sympy expression."""
+    if isinstance(node, Num):
+        return sympy.Float(node.value)
+    if isinstance(node, Var):
+        return SYMBOLS[node.index]
+    if isinstance(node, Neg):
+        return -node_sympy(node.arg)
+    if isinstance(node, BinOp):
+        return SYMPY_OPERATORS[node.op](node_sympy(node.left), node_sympy(node.right))
+    assert isinstance(node, Call)
+    return SYMPY_FUNCTIONS[node.name](*(node_sympy(a) for a in node.args))
+
+
+def real_value(expr, point):
+    """High-precision value at an exact point, or None off the real domain."""
+    value = expr.evalf(40, subs=dict(zip(SYMBOLS, point)))
+    if value.is_real and value.is_finite:
+        return float(value)
+    return None
 
 
 class TestParsing:
@@ -54,6 +182,14 @@ class TestParsing:
     def test_unknown_function(self):
         with pytest.raises(ParseError, match="unknown function"):
             parse_expression("tan(x1)", 2)
+
+    def test_non_finite_literal_rejected(self):
+        for source in ("1e999", "sin(1e999)", "x1 + 3e400*x2"):
+            with pytest.raises(ParseError, match="overflows") as err:
+                parse_expression(source, 2)
+            literal = source[err.value.position :]
+            assert literal.startswith(("1e999", "3e400"))
+        assert parse_expression("1e-999", 2).evaluate((0.0, 0.0)) == 0.0
 
     def test_empty_source(self):
         with pytest.raises(ParseError):
@@ -115,13 +251,34 @@ class TestEvaluation:
         with pytest.raises(ExpressionError):
             parse_expression("x1", 2).evaluate((1.0,))
 
-    def test_array_matches_scalar(self):
-        e = parse_expression("sin(x1)*x2 + x1^3/(1+x2^2)", 2)
-        xs = np.linspace(-1.0, 1.0, 7)
-        ys = np.linspace(-2.0, 2.0, 7)
-        values = e.evaluate_array([xs, ys])
-        for k in range(7):
-            assert values[k] == pytest.approx(e.evaluate((xs[k], ys[k])), abs=0.0)
+    @ORACLE_SETTINGS
+    @given(trees(sorted(SYMPY_FUNCTIONS)))
+    def test_array_matches_sympy_oracle(self, tree):
+        # one domain rule: reject exactly when some operation is non-finite
+        # at some point, and agree to a few ulps otherwise
+        expr = parse_expression(tree_source(tree), 2)
+        whole, parts = sympy_oracle(tree)
+        if any(np.iscomplexobj(part) or not np.isfinite(part).all() for part in parts):
+            with pytest.raises(DomainError):
+                expr.evaluate_array(ORACLE_POINTS)
+            return
+        values = expr.evaluate_array(ORACLE_POINTS)
+        assert np.all(np.abs(values - whole) <= 4.0 * np.spacing(np.abs(whole)))
+
+    def test_point_and_array_share_the_domain_rule(self):
+        e = parse_expression("x1*1e308 + x2*1e308", 2)
+        with pytest.raises(DomainError, match="non-finite value") as point_err:
+            e.evaluate((1.0, 1.0))
+        with pytest.raises(DomainError, match="non-finite value") as array_err:
+            e.evaluate_array([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
+        assert str(point_err.value) == str(array_err.value)
+        assert array_err.value.mask.tolist() == [True, False]
+
+    def test_domain_error_mask_flags_offending_entries(self):
+        xs = np.array([2.0, -1.0, 0.5, 0.0])
+        with pytest.raises(DomainError, match="log") as err:
+            parse_expression("x2 + log(x1)", 2).evaluate_array([xs, 1.0])
+        assert err.value.mask.tolist() == [False, True, False, True]
 
     def test_array_domain_error(self):
         with pytest.raises(DomainError):
@@ -200,6 +357,25 @@ class TestDifferentiation:
     def test_index_out_of_range(self):
         with pytest.raises(ExpressionError):
             parse_expression("x1", 2).differentiate(2)
+
+    @ORACLE_SETTINGS
+    @given(trees(["cos", "exp", "log", "sin", "sqrt"]), st.integers(0, 1))
+    def test_matches_sympy_diff(self, tree, index):
+        derivative = parse_expression(tree_source(tree), 2).differentiate(index)
+        with sympy.evaluate(False):
+            ours = node_sympy(derivative.root)
+            exact = tree_sympy(tree)
+        oracle = sympy.diff(exact, SYMBOLS[index])
+        # exact points; our tree may be defined where sympy's has a removable
+        # pole (folding 0/u to 0), so compare where sympy's derivative is real
+        for point in ((0.75, 1.25), (1.5, 0.5), (-0.5, 1.75), (1.25, -1.5)):
+            point = tuple(sympy.Rational(c) for c in point)
+            expected = real_value(oracle, point)
+            if expected is None:
+                continue
+            got = real_value(ours, point)
+            assert got is not None
+            assert abs(got - expected) <= 1e-10 * (1.0 + abs(expected))
 
 
 def test_derivatives_match_central_differences_on_random_polynomials():
