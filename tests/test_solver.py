@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -170,17 +171,19 @@ def reference_assembly(v, p, eps):
     return matrix, ellipticity, int(violations.sum())
 
 
+PATTERN_GRIDS = [
+    unit_square(33),
+    GridSpec((0.0, 0.0), (1.0, 1.0), (17, 9)),
+    GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (9, 9, 9)),
+]
+
+
 class TestAssemblyPattern:
     def test_bitwise_identical_to_coo_reference(self):
         rng = np.random.default_rng(3)
-        grids = [
-            unit_square(33),
-            GridSpec((0.0, 0.0), (1.0, 1.0), (17, 9)),
-            GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (9, 9, 9)),
-        ]
         violations = 0
         # twice round the grids, so each pattern is also served from the cache
-        for grid in grids + grids:
+        for grid in PATTERN_GRIDS + PATTERN_GRIDS:
             v = ScalarField(grid, rng.standard_normal(grid.shape))
             p = ScalarField(grid, 1.5 + 3.0 * rng.random(grid.shape))
             op = assemble_frozen_operator(v, p, 1e-2)
@@ -191,6 +194,39 @@ class TestAssemblyPattern:
             assert op.dominance_violations == dominance
             violations += dominance
         assert violations > 0
+
+
+def random_operator(grid):
+    rng = np.random.default_rng(5)
+    v = ScalarField(grid, rng.standard_normal(grid.shape))
+    p = ScalarField(grid, 1.5 + 3.0 * rng.random(grid.shape))
+    return assemble_frozen_operator(v, p, 1e-2)
+
+
+def saddle_p20_operator():
+    # frozen at the 65^2 saddle data with p = 20: thousands of rows lose
+    # diagonal dominance, so the stencil is far from monotone
+    prob = build_problem(make_spec("x1^2 - x2^2", p="20", m=65, eps=0.1))
+    op = assemble_frozen_operator(prob.boundary, prob.p, prob.eps)
+    assert op.dominance_violations > 1000
+    return op
+
+
+class TestLUFactor:
+    @pytest.mark.parametrize(
+        "make_operator",
+        [functools.partial(random_operator, grid) for grid in PATTERN_GRIDS] + [saddle_p20_operator],
+        ids=["33x33", "17x9", "9x9x9", "65x65-p20"],
+    )
+    def test_diagonal_pivots_meet_contract(self, make_operator):
+        matrix = make_operator().matrix
+        factor = solver._LUFactor(matrix)
+        # every pivot is a diagonal entry: the row permutation is the column one
+        assert np.array_equal(factor._lu.perm_r, factor._lu.perm_c)
+        rhs = np.random.default_rng(7).standard_normal(matrix.shape[0])
+        x = factor.solve(rhs)
+        scale = np.abs(matrix).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
+        assert np.abs(rhs - matrix @ x).max() <= 1e-12 * scale
 
 
 class TestSolve:
@@ -289,9 +325,9 @@ def count_splu(monkeypatch):
     calls = []
     original = solver.splu
 
-    def counting(matrix):
+    def counting(matrix, **options):
         calls.append(matrix.shape)
-        return original(matrix)
+        return original(matrix, **options)
 
     monkeypatch.setattr(solver, "splu", counting)
     return calls
