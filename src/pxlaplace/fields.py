@@ -209,12 +209,15 @@ def mollify(field, eps: float):
     if eps > 0.5 * min(grid.extents):
         raise FieldError(f"mollification radius {eps} exceeds half the domain width")
     kernel = mollifier_kernel(h, eps)
-    support = kernel > 0
 
     full = np.zeros(grid.shape, dtype=bool)
     full[tuple(slice(r, m - r) for r, m in zip((s // 2 for s in kernel.shape), grid.shape))] = True
-    eroded = ndimage.minimum_filter(field.valid, footprint=support, mode="constant", cval=False)
-    new_valid = full & eroded
+    if field.valid.all():
+        new_valid = full  # the eroded mask of an all-valid input contains ``full``
+    else:
+        support = kernel > 0
+        eroded = ndimage.minimum_filter(field.valid, footprint=support, mode="constant", cval=False)
+        new_valid = full & eroded
 
     def smooth(component):
         conv = ndimage.convolve(component, kernel, mode="nearest")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from pxlaplace.expressions import parse_expression
 from pxlaplace.fields import (
@@ -160,6 +161,28 @@ class TestMollify:
         assert np.array_equal(smoothed.values[..., 0], sa.values)
         assert np.array_equal(smoothed.values[..., 1], sb.values)
         assert np.array_equal(smoothed.valid, sa.valid)
+
+    @pytest.mark.parametrize("holes", [False, True], ids=["all-valid", "invalid-interior"])
+    def test_validity_matches_eroded_reference(self, holes):
+        # reference: the support of every kept node lies inside the grid and
+        # holds only valid input nodes, always checked by erosion
+        grid = unit_square(33)
+        eps = 0.1
+        valid = np.ones(grid.shape, dtype=bool)
+        if holes:
+            valid[16, 16] = valid[9, 20] = False
+        field = ScalarField(grid, sample(parse_expression("sin(3*x1)*x2", 2), grid).values, valid)
+        kernel = mollifier_kernel(grid.spacing, eps)
+        r = kernel.shape[0] // 2
+        full = np.zeros(grid.shape, dtype=bool)
+        full[r:-r, r:-r] = True
+        eroded = ndimage.minimum_filter(valid, footprint=kernel > 0, mode="constant", cval=False)
+        expected_valid = full & eroded
+        conv = ndimage.convolve(field.values, kernel, mode="nearest")
+        smoothed = mollify(field, eps)
+        assert np.array_equal(smoothed.valid, expected_valid)
+        assert np.array_equal(smoothed.values, np.where(expected_valid, conv, field.values))
+        assert holes == (expected_valid.sum() < full.sum())
 
     def test_eps_too_small(self):
         field = sample(parse_expression("x1", 2), unit_square(33))

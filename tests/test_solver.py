@@ -41,6 +41,20 @@ def make_spec(boundary, p=P_VARIABLE, f="0", m=33, eps=1e-2, rho=0.0):
     )
 
 
+CUBE_SCHEDULE = (0.1, 0.01, 0.001)
+
+
+def cube_spec(m, p=P_VARIABLE, boundary="x1^2 - x2^2"):
+    """The fixture data on the unit cube."""
+    return ProblemSpec(
+        grid=GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (m, m, m)),
+        p_expr=parse_expression(p, 3),
+        f_expr=parse_expression("0", 3),
+        boundary_expr=parse_expression(boundary, 3),
+        eps=0.1,
+    )
+
+
 class TestProblemSpec:
     def test_eps_range_enforced(self):
         with pytest.raises(SolverError):
@@ -212,6 +226,11 @@ def saddle_p20_operator():
     return op
 
 
+def backward_error(matrix, x, rhs):
+    scale = np.abs(matrix).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
+    return np.abs(rhs - matrix @ x).max() / scale
+
+
 class TestLUFactor:
     @pytest.mark.parametrize(
         "make_operator",
@@ -225,8 +244,64 @@ class TestLUFactor:
         assert np.array_equal(factor._lu.perm_r, factor._lu.perm_c)
         rhs = np.random.default_rng(7).standard_normal(matrix.shape[0])
         x = factor.solve(rhs)
-        scale = np.abs(matrix).sum(axis=1).max() * np.abs(x).max() + np.abs(rhs).max()
-        assert np.abs(rhs - matrix @ x).max() <= 1e-12 * scale
+        assert backward_error(matrix, x, rhs) <= 1e-12
+
+
+def count_gmres(monkeypatch):
+    """Record the inner iterations of every GMRES call the solver makes."""
+    calls = []
+    original = solver.gmres
+
+    def counting(*args, **options):
+        calls.append(0)
+
+        def tick(_):
+            calls[-1] += 1
+
+        return original(*args, callback=tick, callback_type="pr_norm", **options)
+
+    monkeypatch.setattr(solver, "gmres", counting)
+    return calls
+
+
+class TestPoissonGMRES:
+    @pytest.mark.parametrize("p, growth", [(P_VARIABLE, 2), ("4", 2), ("6", 3)])
+    def test_contract_met_with_mesh_independent_iterations(self, p, growth, monkeypatch):
+        # frozen at the saddle data with a genuine x3 dependence.  p = 6
+        # leaves the 3-d Cordes range, and there the count still creeps up
+        # by about one per refinement (32 at 17^3, 35 at 33^3, 37 at 65^3)
+        calls = count_gmres(monkeypatch)
+        iterations = {}
+        for m in (17, 33):
+            prob = build_problem(cube_spec(m, p=p, boundary="x1^2 - x2^2 + x3*x1"))
+            matrix = assemble_frozen_operator(prob.boundary, prob.p, prob.eps).matrix
+            linear = solver._linear_solver(matrix, prob.grid)
+            assert isinstance(linear, solver._PoissonGMRES)
+            rhs = np.random.default_rng(11).standard_normal(matrix.shape[0])
+            calls.clear()
+            x = linear.solve(rhs)
+            assert backward_error(matrix, x, rhs) <= 1e-12
+            iterations[m] = sum(calls)
+        assert abs(iterations[33] - iterations[17]) <= growth, iterations
+
+
+class TestContract:
+    @pytest.mark.parametrize(
+        "grid, kind",
+        [(unit_square(33), solver._LUFactor), (PATTERN_GRIDS[2], solver._PoissonGMRES)],
+        ids=["lu-2d", "gmres-3d"],
+    )
+    def test_non_finite_solution_rejected(self, grid, kind):
+        # a NaN backward error compares False against any bound
+        matrix = random_operator(grid).matrix
+        linear = solver._linear_solver(matrix, grid)
+        assert isinstance(linear, kind)
+        rhs = np.ones(matrix.shape[0])
+        rhs[grid.shape[-1] + 1] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(
+            SolverError, match=r"backward error of nan, above the 1e-12 bound"
+        ):
+            linear.solve(rhs)
 
 
 class TestSolve:
@@ -342,6 +417,14 @@ class TestFactorReuse:
         # later eps levels keep halving the residual with it
         assert len(calls) == 2
         assert sweeps > len(FIXTURE_SCHEDULE)
+
+    def test_cube_continuation_makes_no_factorization(self, monkeypatch):
+        calls = count_splu(monkeypatch)
+        solves = count_gmres(monkeypatch)
+        result = epsilon_continuation(cube_spec(13), CUBE_SCHEDULE)
+        assert all(level.converged for level in result.results)
+        assert len(calls) == 0
+        assert len(solves) > len(CUBE_SCHEDULE)
 
     def test_standalone_solve_factorizes_at_first_sweep(self, monkeypatch):
         calls = count_splu(monkeypatch)
@@ -506,8 +589,8 @@ class TestContinuationRegressions:
     with its residual inside the solver's budget ``10 tol max(1, |g|)``."""
 
     @staticmethod
-    def check_levels(result):
-        assert len(result.results) == len(FIXTURE_SCHEDULE)
+    def check_levels(result, schedule=FIXTURE_SCHEDULE):
+        assert len(result.results) == len(schedule)
         for level in result.results:
             g_norm = max(1.0, np.abs(level.problem.g.values).max())
             assert level.converged
@@ -522,3 +605,8 @@ class TestContinuationRegressions:
     def test_fixture_65_constant_exponent_converges(self, p):
         spec = dataclasses.replace(fixture_problem(points=65), p_expr=parse_expression(p, 2))
         self.check_levels(epsilon_continuation(spec, FIXTURE_SCHEDULE))
+
+    def test_cube_33_converges_in_the_17_cube_sweeps(self):
+        result = epsilon_continuation(cube_spec(33), CUBE_SCHEDULE)
+        self.check_levels(result, CUBE_SCHEDULE)
+        assert [level.iterations for level in result.results] == [7, 6, 5]
