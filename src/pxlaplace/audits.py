@@ -82,6 +82,25 @@ def _derivative_data(v: ScalarField):
     return grad, hess, grad.valid & hess.valid
 
 
+def _stretched_fields(v: ScalarField, grad, hess, params: StretchParams):
+    """The stretched gradient ``F`` of ``v`` and ``|DF|^2`` per node.
+
+    Both depend only on ``v`` and ``params``, so they are computed once per
+    ``(beta, eps)`` and stored on ``v`` next to its gradient and Hessian;
+    every ball of a Caccioppoli audit reads the same pair.
+    """
+    store = v.__dict__.setdefault("_stretched_fields", {})
+    key = (params.beta, params.eps)
+    if key not in store:
+        f_vals = stretched_gradient_values(grad.values, params.beta, params.eps)
+        df = stretched_jacobian_values(grad.values, hess.values, params.beta, params.eps)
+        df_sq = frobenius_sq(df)
+        for array in (f_vals, df_sq):
+            array.setflags(write=False)
+        store[key] = (f_vals, df_sq)
+    return store[key]
+
+
 def _worst_location(values: np.ndarray, mask: np.ndarray, grid: GridSpec):
     masked = np.where(mask, values, -np.inf)
     index = np.unravel_index(int(np.argmax(masked)), grid.shape)
@@ -262,8 +281,7 @@ def caccioppoli_audit(
     if np.any(support & ~valid):
         raise AuditError("cutoff support leaves the interior-validity region")
 
-    f_vals = stretched_gradient_values(grad.values, params.beta, params.eps)
-    df = stretched_jacobian_values(grad.values, hess.values, params.beta, params.eps)
+    f_vals, df_sq = _stretched_fields(v, grad, hess, params)
     dphi = gradient(phi).values
     if c is None:
         mean_mask = ball_mask(ball.scaled(0.75), grid)
@@ -272,7 +290,7 @@ def caccioppoli_audit(
 
     vol = grid.cell_volume
     base = np.sum(grad.values**2, axis=-1) + params.eps
-    lhs = float(np.sum(frobenius_sq(df) * phi.values**2) * vol)
+    lhs = float(np.sum(df_sq * phi.values**2) * vol)
     osc = float(np.sum(np.sum((f_vals - c) ** 2, axis=-1) * np.sum(dphi**2, axis=-1)) * vol)
     data = float(np.sum(base**params.beta * (g.values - v.values) ** 2 * phi.values**2) * vol)
     rhs = consts.c_sharp * (osc + data)

@@ -6,12 +6,14 @@ The discrete problem on a grid box is
     v = boundary data          on the box boundary,
 
 with ``A = I + (p - 2) Dv (x) Dv / (|Dv|^2 + eps)`` frozen at the current
-iterate.  Each sweep assembles the 9-point (2-d) or 19-point (3-d) stencil
-``A(v)`` and takes the correction step ``v <- v + theta K^-1 (g - A(v) v)``,
-where ``K^-1`` solves with an earlier frozen operator (a chord iteration).
-In 2-d ``K`` is a sparse LU factor: the stencil pattern is structurally
-symmetric with a diagonal of at least 1, so the factor orders by minimum
-degree on ``A + A^T`` and pivots on the diagonal.  In 3-d, where LU fill
+iterate.  Each sweep takes the correction step
+``v <- v + theta K^-1 (g - A(v) v)``, where ``K^-1`` solves with an earlier
+frozen operator (a chord iteration).  The residual ``g - A(v) v`` comes
+straight from the 9-point (2-d) or 19-point (3-d) stencil, matrix-free;
+the stencil is assembled into a sparse matrix only when a linear solver
+is built.  In 2-d ``K`` is a sparse LU factor: the stencil pattern is
+structurally symmetric with a diagonal of at least 1, so the factor
+orders by minimum degree on ``A + A^T`` and pivots on the diagonal.  In 3-d, where LU fill
 grows faster than the grid, ``K^-1`` is GMRES on the frozen operator,
 preconditioned by a DST-I fast Poisson solve.  Every solve is checked
 against a 1e-12 normwise backward error, and one that misses it raises
@@ -40,7 +42,7 @@ from scipy.sparse.linalg import LinearOperator, gmres, splu
 from .constants import ExponentWindow
 from .diffops import gradient
 from .expressions import Expression
-from .fields import BallRegion, FieldError, GridSpec, ScalarField, ball_mask, mollify, sample
+from .fields import BallRegion, GridSpec, ScalarField, ball_mask, mollify, sample
 
 __all__ = [
     "ContinuationResult",
@@ -247,6 +249,99 @@ def _stencil_pattern(shape: tuple) -> _StencilPattern:
     )
 
 
+def _shifted(v: np.ndarray, steps: Optional[dict] = None) -> np.ndarray:
+    """The interior block of ``v``, moved ``steps[k]`` (-1 or 1) nodes along
+    each axis ``k`` in ``steps``; a view."""
+    offsets = [(steps or {}).get(k, 0) for k in range(v.ndim)]
+    return v[tuple(slice(1 + o, m - 1 + o) for o, m in zip(offsets, v.shape))]
+
+
+@dataclass(frozen=True)
+class _Coefficients:
+    """The frozen coefficient ``A(v)`` on the interior nodes.
+
+    ``a[i, j]`` (``i <= j``) holds ``delta_ij + coef Dv_i Dv_j`` with
+    ``coef = (p - 2) / (|Dv|^2 + eps)``; ``lam`` holds ``1 + coef |Dv|^2``,
+    the eigenvalue of ``A`` along ``Dv`` (the others are 1).  All arrays
+    have the shape of the interior block.
+    """
+
+    a: dict
+    lam: np.ndarray
+    spacing: tuple
+
+    @property
+    def ellipticity(self) -> tuple:
+        return (min(1.0, float(self.lam.min())), max(1.0, float(self.lam.max())))
+
+    @property
+    def dominance_violations(self) -> int:
+        """Interior nodes where the stencil is not diagonally dominant."""
+        a, h = self.a, self.spacing
+        n = len(h)
+        violations = np.zeros(self.lam.shape, dtype=bool)
+        for i in range(n):
+            off = np.zeros(self.lam.shape)
+            for j in range(n):
+                if j != i:
+                    off += np.abs(a[min(i, j), max(i, j)]) / (h[i] * h[j])
+            violations |= a[i, i] / h[i] ** 2 < off - 1e-14
+        return int(violations.sum())
+
+
+def _frozen_coefficients(v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple) -> _Coefficients:
+    """``A(v)`` from the central-difference gradient of ``v`` on the interior
+    nodes (bitwise the interior of ``np.gradient``)."""
+    if eps <= 0:
+        raise SolverError("frozen operator needs eps > 0")
+    if float(p.min()) <= 1.0:
+        raise SolverError("exponent field leaves the ellipticity window (p <= 1 somewhere)")
+    n = v.ndim
+    grads = [(_shifted(v, {i: 1}) - _shifted(v, {i: -1})) / (2.0 * spacing[i]) for i in range(n)]
+    g2 = grads[0] ** 2
+    for grad in grads[1:]:
+        g2 = g2 + grad**2
+    if not np.isfinite(g2).all():  # a gradient component overflowed, or its square
+        raise SolverError("frozen operator needs a finite gradient: |Dv|^2 overflowed")
+    coef = (_shifted(p) - 2.0) / (g2 + eps)
+    a = {}
+    for i in range(n):
+        a[i, i] = 1.0 + coef * grads[i] * grads[i]
+        for j in range(i + 1, n):
+            a[i, j] = coef * grads[i] * grads[j]
+    return _Coefficients(a, 1.0 + coef * g2, tuple(spacing))
+
+
+def _nonlinear_residual(v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple, rhs: np.ndarray):
+    """``rhs - A(v) v`` (flat) and the coefficients ``A(v)``, with no matrix.
+
+    Interior rows are ``g - v + A(v) : D^2_h v`` with the 3-point second and
+    4-point cross differences of the assembled stencil; Dirichlet rows are
+    ``boundary - v``.
+    """
+    coeffs = _frozen_coefficients(v, p, eps, spacing)
+    n = v.ndim
+    h = spacing
+    r = (rhs - v.ravel()).reshape(v.shape)
+    interior = _shifted(r)  # a view: the updates land in r
+    centre = _shifted(v)
+    for i in range(n):
+        second = _shifted(v, {i: 1}) - 2.0 * centre + _shifted(v, {i: -1})
+        interior += coeffs.a[i, i] * (second / h[i] ** 2)
+    for i in range(n):
+        for j in range(i + 1, n):
+            cross = (
+                _shifted(v, {i: 1, j: 1})
+                + _shifted(v, {i: -1, j: -1})
+                - _shifted(v, {i: 1, j: -1})
+                - _shifted(v, {i: -1, j: 1})
+            )
+            interior += coeffs.a[i, j] / (2.0 * h[i] * h[j]) * cross
+    if not np.isfinite(r).all():
+        raise SolverError("sweep needs a finite gradient and Hessian: g - A(v) v overflowed")
+    return r.ravel(), coeffs
+
+
 def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float) -> FrozenOperator:
     """Assemble ``-A(x):D^2 + 1`` with coefficients frozen at ``v_current``.
 
@@ -256,33 +351,11 @@ def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float)
     the fly.  The sparsity pattern is built once per grid shape; each call
     only fills in the coefficients.
     """
-    if eps <= 0:
-        raise SolverError("frozen operator needs eps > 0")
     grid = v_current.grid
     n = grid.dimension
     h = grid.spacing
-
-    if float(p.values.min()) <= 1.0:
-        raise SolverError("exponent field leaves the ellipticity window (p <= 1 somewhere)")
-
-    try:
-        grads = gradient(v_current).values
-    except FieldError as err:  # the difference quotients overflowed
-        raise SolverError(f"frozen operator needs a finite gradient: {err}") from err
-    g2 = np.sum(grads**2, axis=-1)
-    if not np.isfinite(g2).all():
-        raise SolverError("frozen operator needs a finite gradient: |Dv|^2 overflowed")
-    coef = (p.values - 2.0) / (g2 + eps)
-    inner = tuple(slice(1, -1) for _ in range(n))
-    # rank-one structure: eigenvalues are 1 (n-1 fold) and 1 + (p-2)|Dv|^2/(|Dv|^2+eps)
-    lam = 1.0 + coef[inner] * g2[inner]
-    ellipticity = (min(1.0, float(lam.min())), max(1.0, float(lam.max())))
-
-    a = {}
-    for i in range(n):
-        a[i, i] = (1.0 + coef * grads[..., i] * grads[..., i])[inner].ravel()
-        for j in range(i + 1, n):
-            a[i, j] = (coef * grads[..., i] * grads[..., j])[inner].ravel()
+    coeffs = _frozen_coefficients(v_current.values, p.values, eps, h)
+    a = {key: block.ravel() for key, block in coeffs.a.items()}
 
     pattern = _stencil_pattern(grid.shape)
     data = np.empty(pattern.indices.size)
@@ -307,16 +380,7 @@ def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float)
     data[pattern.boundary_slots] = 1.0
     size = int(np.prod(grid.shape))
     matrix = csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size))
-
-    violations = np.zeros(center.size, dtype=bool)
-    for i in range(n):
-        off = np.zeros(center.size)
-        for j in range(n):
-            if j != i:
-                key = (i, j) if i < j else (j, i)
-                off += np.abs(a[key]) / (h[i] * h[j])
-        violations |= a[i, i] / h[i] ** 2 < off - 1e-14
-    return FrozenOperator(matrix, ellipticity, int(violations.sum()))
+    return FrozenOperator(matrix, coeffs.ellipticity, coeffs.dominance_violations)
 
 
 class _CheckedSolver:
@@ -428,6 +492,10 @@ class _PoissonGMRES(_CheckedSolver):
         self._preconditioner = LinearOperator(matrix.shape, matvec=precondition, dtype=float)
 
     def _apply(self, rhs: np.ndarray) -> np.ndarray:
+        if not np.isfinite(rhs).all():
+            # GMRES would only spin on it until its cycles run out; the NaN
+            # fails the contract check at once
+            return np.full_like(rhs, np.nan)
         # a missed tolerance is left to the contract check, not to ``info``
         x, _ = gmres(
             self._matrix,
@@ -501,8 +569,10 @@ def _chord_solve(prob: DiscreteProblem, opts: SolveOptions, warm_start, held: li
         op0 = assemble_frozen_operator(flat, p2, prob.eps)
         v = _linear_solver(op0.matrix, grid).solve(rhs).reshape(grid.shape)
 
-    op = assemble_frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
-    r = rhs - op.matrix @ v.ravel()
+    def nonlinear_residual(v):
+        return _nonlinear_residual(v, prob.p.values, prob.eps, grid.spacing, rhs)
+
+    r, coeffs = nonlinear_residual(v)
     residual = float(np.abs(r).max())
     refactor = held[0] is None
     converged = False
@@ -510,14 +580,14 @@ def _chord_solve(prob: DiscreteProblem, opts: SolveOptions, warm_start, held: li
     for iterations in range(1, opts.max_iterations + 1):
         if refactor:
             held[0] = None  # release the old solver before the new one allocates
-            held[0] = _linear_solver(op.matrix, grid)
+            frozen = assemble_frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
+            held[0] = _linear_solver(frozen.matrix, grid)
         step = opts.damping * held[0].solve(r).reshape(grid.shape)
         v = v + step
         delta = float(np.abs(step).max())
-        op = assemble_frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
-        r = rhs - op.matrix @ v.ravel()
+        r, coeffs = nonlinear_residual(v)
         previous, residual = residual, float(np.abs(r).max())
-        refactor = not residual <= REFACTOR_RATIO * previous  # true for a NaN residual too
+        refactor = residual > REFACTOR_RATIO * previous
         if delta <= opts.tolerance * (1.0 + float(np.abs(v).max())) and residual <= residual_target:
             converged = True
             break
@@ -529,9 +599,9 @@ def _chord_solve(prob: DiscreteProblem, opts: SolveOptions, warm_start, held: li
         v=vfield,
         iterations=iterations,
         residual=residual,
-        ellipticity=op.ellipticity,
+        ellipticity=coeffs.ellipticity,
         converged=converged,
-        dominance_violations=op.dominance_violations,
+        dominance_violations=coeffs.dominance_violations,
         value_range=(float(v.min()), float(v.max())),
         principle_range=(float(bvals.min()) - data_norm, float(bvals.max()) + data_norm),
         problem=prob,

@@ -210,6 +210,33 @@ class TestAssemblyPattern:
         assert violations > 0
 
 
+class TestStencilResidual:
+    def test_matches_assembled_operator(self):
+        # the sweep's matrix-free g - A(v) v against the CSR product, up to
+        # round-off relative to the size of the product
+        rng = np.random.default_rng(13)
+        for grid in PATTERN_GRIDS:
+            v = ScalarField(grid, rng.standard_normal(grid.shape))
+            p = ScalarField(grid, 1.5 + 3.0 * rng.random(grid.shape))
+            rhs = rng.standard_normal(v.values.size)
+            op = assemble_frozen_operator(v, p, 1e-2)
+            r, coeffs = solver._nonlinear_residual(v.values, p.values, 1e-2, grid.spacing, rhs)
+            norm = np.abs(op.matrix).sum(axis=1).max()
+            scale = norm * np.abs(v.values).max() + np.abs(rhs).max()
+            assert np.abs(r - (rhs - op.matrix @ v.values.ravel())).max() <= 1e-14 * scale
+            assert coeffs.ellipticity == op.ellipticity
+            assert coeffs.dominance_violations == op.dominance_violations
+
+    def test_overflowing_warm_start_rejected(self):
+        # finite values whose central differences overflow: the sweep must
+        # stop before the residual reaches a solver
+        spec = make_spec("x1")
+        ramp = 1e308 * np.linspace(-1.0, 1.0, spec.grid.shape[0])[:, None]
+        start = ScalarField(spec.grid, np.broadcast_to(ramp, spec.grid.shape))
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match="finite gradient"):
+            solve_regularized(spec, warm_start=start)
+
+
 def random_operator(grid):
     rng = np.random.default_rng(5)
     v = ScalarField(grid, rng.standard_normal(grid.shape))
@@ -302,6 +329,16 @@ class TestContract:
             SolverError, match=r"backward error of nan, above the 1e-12 bound"
         ):
             linear.solve(rhs)
+
+    def test_gmres_not_run_on_non_finite_rhs(self, monkeypatch):
+        calls = count_gmres(monkeypatch)
+        grid = PATTERN_GRIDS[2]
+        linear = solver._linear_solver(random_operator(grid).matrix, grid)
+        rhs = np.ones(grid.shape).ravel()
+        rhs[grid.shape[-1] + 1] = np.inf
+        with pytest.raises(SolverError, match=r"backward error of nan"):
+            linear.solve(rhs)
+        assert sum(calls) == 0
 
 
 class TestSolve:
@@ -408,23 +445,41 @@ def count_splu(monkeypatch):
     return calls
 
 
+def count_assembly(monkeypatch):
+    """Record every assembly of the frozen operator; returns the record."""
+    calls = []
+    original = solver.assemble_frozen_operator
+
+    def counting(*args):
+        calls.append(args[0].grid.shape)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "assemble_frozen_operator", counting)
+    return calls
+
+
 class TestFactorReuse:
     def test_fixture_continuation_carries_factor_across_levels(self, monkeypatch):
         calls = count_splu(monkeypatch)
+        assembled = count_assembly(monkeypatch)
         result = epsilon_continuation(fixture_problem(points=33), FIXTURE_SCHEDULE)
-        sweeps = sum(r.iterations for r in result.results)
         # one factor for the initial p = 2 solve, one at the first sweep; the
         # later eps levels keep halving the residual with it
         assert len(calls) == 2
-        assert sweeps > len(FIXTURE_SCHEDULE)
+        assert [r.iterations for r in result.results] == [7, 6, 6, 5, 5, 5, 4]
+        # the sweeps take their residual from the stencil: a matrix is
+        # assembled only for a factor
+        assert len(assembled) == 2
 
     def test_cube_continuation_makes_no_factorization(self, monkeypatch):
         calls = count_splu(monkeypatch)
         solves = count_gmres(monkeypatch)
+        assembled = count_assembly(monkeypatch)
         result = epsilon_continuation(cube_spec(13), CUBE_SCHEDULE)
         assert all(level.converged for level in result.results)
         assert len(calls) == 0
         assert len(solves) > len(CUBE_SCHEDULE)
+        assert len(assembled) == 2
 
     def test_standalone_solve_factorizes_at_first_sweep(self, monkeypatch):
         calls = count_splu(monkeypatch)
