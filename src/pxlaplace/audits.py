@@ -26,7 +26,7 @@ from .diffops import (
     stretched_gradient_values,
     stretched_jacobian_values,
 )
-from .fields import BallRegion, GridSpec, ScalarField, ball_mask, cutoff, require_inside
+from .fields import BallRegion, FieldError, GridSpec, ScalarField, ball_mask, cutoff, require_inside
 
 __all__ = [
     "AuditError",
@@ -359,7 +359,7 @@ def ball_family(grid: GridSpec, r_max: Optional[float] = None, seed: int = 0) ->
         candidate = BallRegion(point, lattice_radius)
         try:
             require_inside(candidate, grid)
-        except Exception:
+        except FieldError:  # outside the grid margin
             continue
         balls.append(candidate)
     return balls

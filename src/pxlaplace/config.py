@@ -67,9 +67,11 @@ def _unquote(text: str) -> str:
 def load_config(path: str) -> RunConfig:
     """Load and validate a run configuration file.
 
-    Expressions must parse, the eps schedule must be strictly decreasing and
-    every audited stretch exponent must clear the critical exponent of the
-    sampled coefficient window; violations raise :class:`ConfigError`.
+    Expressions must parse, the eps schedule must be strictly decreasing,
+    the audit and stretch exponent lists must not be empty, ``kappa`` and
+    ``c_target`` must be positive, and every audited stretch exponent must
+    clear the critical exponent of the sampled coefficient window;
+    violations raise :class:`ConfigError`.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
@@ -122,14 +124,21 @@ def load_config(path: str) -> RunConfig:
 
     audit = parser["audit"] if "audit" in parser else {}
     audits = tuple(audit.get("audits", "pointwise quasiregularity caccioppoli").split())
+    if not audits:
+        raise ConfigError("audits must name at least one audit")
     for name in audits:
         if name not in KNOWN_AUDITS:
             raise ConfigError(f"unknown audit {name!r}; known: {', '.join(KNOWN_AUDITS)}")
     betas = _floats(audit.get("betas", "0"))
+    if not betas:
+        raise ConfigError("betas must list at least one stretch exponent")
     kappa = float(audit.get("kappa", "10"))
     ball_center = _floats(audit.get("ball_center", " ".join("0.5" for _ in range(dimension))))
     ball_radii = _floats(audit.get("ball_radii", "0.2"))
     c_target = float(audit.get("c_target", str(REGRESSION_GEHRING_BUDGET)))
+    for name, value in (("kappa", kappa), ("c_target", c_target)):
+        if not value > 0:  # NaN fails too
+            raise ConfigError(f"{name} must be positive, got {value}")
     r_max_text = audit.get("gehring_r_max", "")
     gehring_r_max = float(r_max_text) if r_max_text else None
     seed = int(audit.get("seed", "0"))

@@ -22,10 +22,13 @@ The solver is kept while every sweep at least halves the nonlinear residual
 and rebuilt from the current ``A(v)`` when one does not; an eps continuation
 hands it on from one level to the next.  With a fresh solver the step is
 the damped Picard step, so the fixed point ``A(v) v = g`` does not depend
-on how often the solver is rebuilt.  Sweeps repeat until both the
-update and the nonlinear residual are tiny.  The right-hand data is
-``g = f_eps + u0_eps``: sampled coefficient/data fields, optionally
-mollified with a radius tied to ``eps``.
+on how often the solver is rebuilt.  A cold solve starts at ``v = 0``,
+where ``A`` is the identity, so its first sweep builds the solver of the
+``p = 2`` operator and takes ``theta`` times the ``p = 2`` solution for
+damping ``theta``; its second sweep rebuilds from ``A(v)``.  Sweeps repeat
+until both the update and the nonlinear residual are tiny.  The right-hand
+data is ``g = f_eps + u0_eps``: sampled coefficient/data fields,
+optionally mollified with a radius tied to ``eps``.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .fields import BallRegion, GridSpec, ScalarField, ball_mask, mollify, sampl
 __all__ = [
     "ContinuationResult",
     "DiscreteProblem",
-    "FrozenOperator",
     "ProblemSpec",
     "SolveOptions",
     "SolveResult",
@@ -111,7 +113,6 @@ class DiscreteProblem:
     grid: GridSpec
     p: ScalarField
     f: ScalarField
-    u0: ScalarField
     g: ScalarField
     boundary: ScalarField
     eps: float
@@ -133,18 +134,9 @@ class SolveResult:
 
 
 @dataclass
-class FrozenOperator:
-    matrix: csr_matrix
-    ellipticity: tuple
-    dominance_violations: int
-
-
-@dataclass
 class ContinuationResult:
     results: list
     increments: list
-    schedule: tuple
-    region: BallRegion
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +174,6 @@ def build_problem(spec: ProblemSpec, seed: Optional[ScalarField] = None) -> Disc
         grid=grid,
         p=p_used,
         f=f_used,
-        u0=u0_used,
         g=g,
         boundary=boundary,
         eps=spec.eps,
@@ -342,14 +333,12 @@ def _nonlinear_residual(v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple
     return r.ravel(), coeffs
 
 
-def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float) -> FrozenOperator:
+def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float) -> csr_matrix:
     """Assemble ``-A(x):D^2 + 1`` with coefficients frozen at ``v_current``.
 
     Interior rows carry the 9-point (2-d) / 19-point (3-d) stencil; boundary
-    rows are Dirichlet identities.  The coefficient matrix eigenvalues and
-    the 9-point positivity (diagonal-dominance) condition are inspected on
-    the fly.  The sparsity pattern is built once per grid shape; each call
-    only fills in the coefficients.
+    rows are Dirichlet identities.  The sparsity pattern is built once per
+    grid shape; each call only fills in the coefficients.
     """
     grid = v_current.grid
     n = grid.dimension
@@ -379,8 +368,7 @@ def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float)
 
     data[pattern.boundary_slots] = 1.0
     size = int(np.prod(grid.shape))
-    matrix = csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size))
-    return FrozenOperator(matrix, coeffs.ellipticity, coeffs.dominance_violations)
+    return csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size))
 
 
 class _CheckedSolver:
@@ -534,8 +522,12 @@ def solve_regularized(
     ``A(v)`` at the first sweep and again after any sweep that fails to cut
     the nonlinear residual ``max |g - A(v) v|`` to ``REFACTOR_RATIO`` of its
     previous value; a sweep right after a rebuild is a damped Picard step.
-    (Within :func:`epsilon_continuation` the first sweep of each later eps
-    level starts from the previous level's solver instead.)  Convergence
+    Without ``warm_start`` the sweeps start at ``v = 0``, where ``A`` is the
+    identity, so the first sweep solves the ``p = 2`` problem; with damping
+    ``theta`` the first iterate is ``theta`` times that solution.  That
+    solver ignores ``p``, so the second sweep always rebuilds.  (Within
+    :func:`epsilon_continuation` each later eps level starts from the
+    previous level's solution and linear solver instead.)  Convergence
     requires both a small relative update and a nonlinear residual below
     ``10 * tolerance * max(1, |g|_inf)``; on non-convergence the last
     iterate is returned flagged, residual included.
@@ -545,9 +537,10 @@ def solve_regularized(
 
 
 def _chord_solve(prob: DiscreteProblem, opts: SolveOptions, warm_start, held: list) -> SolveResult:
-    """The sweeps of :func:`solve_regularized`, starting from the linear
-    solver in the one-slot list ``held`` (``[None]``: build one at the first
-    sweep).
+    """The sweeps of :func:`solve_regularized`, from ``warm_start`` (or
+    ``v = 0``) with the linear solver in the one-slot list ``held``
+    (``[None]``, always so for a cold start: build one at the first sweep).
+    Every linear solver is built here, in the sweep loop.
 
     On return ``held`` holds the last solver.  The slot is emptied before a
     new solver is built, so the caller never keeps an old LU factor alive
@@ -564,10 +557,7 @@ def _chord_solve(prob: DiscreteProblem, opts: SolveOptions, warm_start, held: li
             raise SolverError("warm start lives on a different grid")
         v = warm_start.values.copy()
     else:
-        flat = ScalarField(grid, np.zeros(grid.shape))
-        p2 = ScalarField(grid, np.full(grid.shape, 2.0))
-        op0 = assemble_frozen_operator(flat, p2, prob.eps)
-        v = _linear_solver(op0.matrix, grid).solve(rhs).reshape(grid.shape)
+        v = np.zeros(grid.shape)  # A(0) = I whatever p is: sweep 1 is the p = 2 solve
 
     def nonlinear_residual(v):
         return _nonlinear_residual(v, prob.p.values, prob.eps, grid.spacing, rhs)
@@ -581,13 +571,14 @@ def _chord_solve(prob: DiscreteProblem, opts: SolveOptions, warm_start, held: li
         if refactor:
             held[0] = None  # release the old solver before the new one allocates
             frozen = assemble_frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
-            held[0] = _linear_solver(frozen.matrix, grid)
+            held[0] = _linear_solver(frozen, grid)
         step = opts.damping * held[0].solve(r).reshape(grid.shape)
         v = v + step
         delta = float(np.abs(step).max())
         r, coeffs = nonlinear_residual(v)
         previous, residual = residual, float(np.abs(r).max())
-        refactor = residual > REFACTOR_RATIO * previous
+        # the solver of A(0) ignores p, so a cold start rebuilds at sweep 2
+        refactor = residual > REFACTOR_RATIO * previous or (warm_start is None and iterations == 1)
         if delta <= opts.tolerance * (1.0 + float(np.abs(v).max())) and residual <= residual_target:
             converged = True
             break
@@ -668,23 +659,22 @@ def _clip_radius(eps: float, grid: GridSpec) -> float:
 
 
 def epsilon_continuation(
-    spec: ProblemSpec,
-    schedule,
-    options: Optional[SolveOptions] = None,
-    refresh_seed: bool = True,
-    region: Optional[BallRegion] = None,
+    spec: ProblemSpec, schedule, options: Optional[SolveOptions] = None
 ) -> ContinuationResult:
     """Solve along a decreasing eps schedule, warm-starting each solve.
 
-    Each level also starts from the last linear solver of the level before,
-    so a solver is rebuilt only where a sweep fails to halve the residual.
+    The first level starts cold at ``v = 0``.  Each later level starts from
+    the solution and the last linear solver of the level before, so a
+    solver is rebuilt only where a sweep fails to halve the residual.
 
     The mollification radius follows the schedule (clipped to what the grid
-    can resolve).  With ``refresh_seed`` the interior data field ``u0`` is
-    rebuilt from the previous solution each step, so the data term
+    can resolve).  The interior data field ``u0`` is rebuilt from the
+    previous solution each step, so the data term
     ``g - v = f_eps + u0_eps - v`` contracts along the schedule and the final
-    iterate approximates the unregularized problem; the Cauchy increments of
-    the gradients are recorded as the convergence evidence.
+    iterate approximates the unregularized problem.  The Cauchy increments
+    ``max |D(v_k - v_{k-1})|`` over a ball inside the grid are recorded as
+    the convergence evidence; the discrete gradient is linear, so no level
+    keeps a gradient of its own.
     """
     schedule = tuple(float(e) for e in schedule)
     if not schedule:
@@ -694,30 +684,23 @@ def epsilon_continuation(
     if any(b >= a for a, b in zip(schedule, schedule[1:])):
         raise SolverError("schedule must be strictly decreasing")
     grid = spec.grid
-    region = region or _default_region(grid)
-    mask = ball_mask(region.scaled(0.75), grid)
+    mask = ball_mask(_default_region(grid).scaled(0.75), grid)
 
     opts = options or SolveOptions()
     held = [None]  # the linear solver carried from one eps level to the next
     results = []
     increments = []
-    seed = None
     prev = None
-    prev_grad = None
     for eps in schedule:
         step_spec = dataclasses.replace(spec, eps=eps, mollify_radius=_clip_radius(eps, grid))
-        prob = build_problem(step_spec, seed=seed)
+        prob = build_problem(step_spec, seed=prev)
         result = _chord_solve(prob, opts, prev, held)
         if not result.converged:
             raise SolverError(f"continuation member solve at eps={eps} did not converge")
-        grad = gradient(result.v)
-        if prev_grad is not None:
-            sel = mask & grad.valid & prev_grad.valid
-            diff = np.linalg.norm(grad.values - prev_grad.values, axis=-1)
-            increments.append(float(diff[sel].max()))
+        if prev is not None:
+            diff = gradient(ScalarField(grid, result.v.values - prev.values))
+            norm = np.linalg.norm(diff.values, axis=-1)
+            increments.append(float(norm[mask & diff.valid].max()))
         results.append(result)
         prev = result.v
-        prev_grad = grad
-        if refresh_seed:
-            seed = result.v
-    return ContinuationResult(results=results, increments=increments, schedule=schedule, region=region)
+    return ContinuationResult(results=results, increments=increments)

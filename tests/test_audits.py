@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pxlaplace import audits
 from pxlaplace.audits import (
     AuditError,
     ball_family,
@@ -231,6 +232,19 @@ class TestBallFamily:
         grid = unit_square(33)
         with pytest.raises(AuditError):
             ball_family(grid, r_max=0.1, seed=0)
+
+    def test_lattice_balls_outside_margin_skipped(self):
+        # lattice radius r_max / 2 = 0.4 reaches past the box from 0.35
+        balls = ball_family(unit_square(65), r_max=0.8, seed=0)
+        assert balls and all(ball.center == (0.5, 0.5) for ball in balls)
+
+    def test_other_errors_surface(self, monkeypatch):
+        def broken(ball, grid):
+            raise RuntimeError("not a margin check")
+
+        monkeypatch.setattr(audits, "require_inside", broken)
+        with pytest.raises(RuntimeError, match="not a margin check"):
+            ball_family(unit_square(65), r_max=0.3, seed=0)
 
 
 class TestEquationResidual:

@@ -1,0 +1,62 @@
+"""The benchmark's traced run wraps lab functions by name.
+
+``perfbench/layers.py`` replaces module attributes (``solver.splu``,
+``solver.gradient``, ``cli.epsilon_continuation`` ...) with recording
+wrappers and puts them back afterwards.  A refactor that removes or renames
+one of them breaks ``perfbench/run.py --trace 1``; this test catches that
+without running the benchmark.
+"""
+
+import importlib
+from pathlib import Path
+
+from pxlaplace import audits, cli, config, constants, expressions, solver
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+OWNERS = {
+    "audits": audits,
+    "cli": cli,
+    "config": config,
+    "constants": constants,
+    "Expression": expressions.Expression,
+    "solver": solver,
+}
+
+#: Solver names the traced run must find.
+SOLVER_NAMES = (
+    "gradient",
+    "assemble_frozen_operator",
+    "splu",
+    "solve_regularized",
+    "build_problem",
+    "sample",
+    "mollify",
+    "ball_mask",
+)
+
+
+def attributes():
+    return {
+        (owner_name, attr): value
+        for owner_name, owner in OWNERS.items()
+        for attr, value in vars(owner).items()
+    }
+
+
+def test_traced_run_wraps_and_restores_every_name(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    before = attributes()
+    recorder = layers.instrument()
+    try:
+        during = attributes()
+    finally:
+        recorder.restore()
+    after = attributes()
+    assert during.keys() == before.keys()
+    wrapped = {key for key, value in during.items() if value is not before[key]}
+    assert {("solver", name) for name in SOLVER_NAMES} <= wrapped
+    assert ("cli", "epsilon_continuation") in wrapped
+    assert ("audits", "infinity_laplacian_values") in wrapped
+    assert all(after[key] is before[key] for key in before)

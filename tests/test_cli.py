@@ -194,6 +194,35 @@ class TestConfigErrors:
         path, _ = write_config(tmp_path, bad)
         assert main(["audit", "--config", path]) == 2
 
+    @pytest.mark.parametrize("command", ["audit", "gehring"])
+    def test_empty_betas(self, tmp_path, capsys, command):
+        # audit would pass over no verdicts; gehring would index an empty list
+        path, _ = write_config(tmp_path, SMALL_CONFIG.replace("betas = 0 1", "betas ="))
+        assert main([command, "--config", path]) == 2
+        assert "betas must list at least one" in capsys.readouterr().err
+
+    def test_empty_audits(self, tmp_path, capsys):
+        bad = SMALL_CONFIG.replace("audits = pointwise quasiregularity caccioppoli", "audits =")
+        path, _ = write_config(tmp_path, bad)
+        assert main(["audit", "--config", path]) == 2
+        assert "audits must name at least one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, line, value",
+        [
+            ("audit", "kappa = 10", "kappa = -1"),
+            ("audit", "kappa = 10", "kappa = 0"),
+            ("audit", "kappa = 10", "kappa = nan"),
+            ("gehring", "c_target = 3.36", "c_target = -1"),
+            ("gehring", "c_target = 3.36", "c_target = 0"),
+        ],
+    )
+    def test_non_positive_budget(self, tmp_path, capsys, command, line, value):
+        # a config mistake, not a numerical failure (3) or an audit verdict (1)
+        path, _ = write_config(tmp_path, SMALL_CONFIG.replace(line, value))
+        assert main([command, "--config", path]) == 2
+        assert "must be positive" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):

@@ -73,30 +73,34 @@ class TestProblemSpec:
         assert prob.window.t_plus == pytest.approx(2.0 + 0.5 * np.sin(1.0))
 
 
+def frozen_coefficients(v, p, eps):
+    """The frozen coefficient ``A(v)`` the assembly and the sweeps share."""
+    return solver._frozen_coefficients(v.values, p.values, eps, v.grid.spacing)
+
+
 class TestAssembly:
     def test_p_equals_two_gives_identity_coefficients(self):
         grid = unit_square(9)
         v = sample(parse_expression("sin(4*x1)*x2", 2), grid)
         p2 = ScalarField(grid, np.full(grid.shape, 2.0))
-        op = assemble_frozen_operator(v, p2, 1e-2)
-        assert op.ellipticity == (1.0, 1.0)
-        assert op.dominance_violations == 0
+        coeffs = frozen_coefficients(v, p2, 1e-2)
+        assert coeffs.ellipticity == (1.0, 1.0)
+        assert coeffs.dominance_violations == 0
 
     def test_zero_gradient_gives_identity_there(self):
         grid = unit_square(9)
         v = ScalarField(grid, np.zeros(grid.shape))
         p3 = ScalarField(grid, np.full(grid.shape, 3.0))
-        op = assemble_frozen_operator(v, p3, 1.0)
-        assert op.ellipticity == (1.0, 1.0)
+        assert frozen_coefficients(v, p3, 1.0).ellipticity == (1.0, 1.0)
 
     def test_rank_one_eigenvalues(self):
         # p = 3, Dv = (1, 0), eps = 1: A = I + e1 e1^T / 2, eigenvalues {1.5, 1}
         grid = unit_square(9)
         v = sample(parse_expression("x1", 2), grid)
         p3 = ScalarField(grid, np.full(grid.shape, 3.0))
-        op = assemble_frozen_operator(v, p3, 1.0)
-        assert op.ellipticity[0] == pytest.approx(1.0, abs=1e-12)
-        assert op.ellipticity[1] == pytest.approx(1.5, abs=1e-12)
+        ellipticity = frozen_coefficients(v, p3, 1.0).ellipticity
+        assert ellipticity[0] == pytest.approx(1.0, abs=1e-12)
+        assert ellipticity[1] == pytest.approx(1.5, abs=1e-12)
 
     def test_rejects_p_out_of_window(self):
         grid = unit_square(9)
@@ -110,14 +114,10 @@ class TestAssembly:
         grid = unit_square(17)
         v = sample(parse_expression("10*(x1 + 3*x2)", 2), grid)
         p8 = ScalarField(grid, np.full(grid.shape, 8.0))
-        op = assemble_frozen_operator(v, p8, 1e-3)
-        assert op.dominance_violations > 0
+        assert frozen_coefficients(v, p8, 1e-3).dominance_violations > 0
         fixture = build_problem(make_spec("x1^2 - x2^2"))
-        v0 = sample(parse_expression("x1^2 - x2^2", 2), grid)
-        op_ok = assemble_frozen_operator(
-            sample(parse_expression("x1^2 - x2^2", 2), fixture.grid), fixture.p, fixture.eps
-        )
-        assert op_ok.dominance_violations == 0
+        saddle = sample(parse_expression("x1^2 - x2^2", 2), fixture.grid)
+        assert frozen_coefficients(saddle, fixture.p, fixture.eps).dominance_violations == 0
 
     def test_non_finite_gradient_rejected(self):
         # a diverging iterate: finite values whose gradient, or its square,
@@ -200,12 +200,13 @@ class TestAssemblyPattern:
         for grid in PATTERN_GRIDS + PATTERN_GRIDS:
             v = ScalarField(grid, rng.standard_normal(grid.shape))
             p = ScalarField(grid, 1.5 + 3.0 * rng.random(grid.shape))
-            op = assemble_frozen_operator(v, p, 1e-2)
+            assembled = assemble_frozen_operator(v, p, 1e-2)
             matrix, ellipticity, dominance = reference_assembly(v, p, 1e-2)
             for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(op.matrix, name), getattr(matrix, name)), name
-            assert op.ellipticity == ellipticity
-            assert op.dominance_violations == dominance
+                assert np.array_equal(getattr(assembled, name), getattr(matrix, name)), name
+            coeffs = frozen_coefficients(v, p, 1e-2)
+            assert coeffs.ellipticity == ellipticity
+            assert coeffs.dominance_violations == dominance
             violations += dominance
         assert violations > 0
 
@@ -219,13 +220,14 @@ class TestStencilResidual:
             v = ScalarField(grid, rng.standard_normal(grid.shape))
             p = ScalarField(grid, 1.5 + 3.0 * rng.random(grid.shape))
             rhs = rng.standard_normal(v.values.size)
-            op = assemble_frozen_operator(v, p, 1e-2)
+            matrix = assemble_frozen_operator(v, p, 1e-2)
             r, coeffs = solver._nonlinear_residual(v.values, p.values, 1e-2, grid.spacing, rhs)
-            norm = np.abs(op.matrix).sum(axis=1).max()
+            norm = np.abs(matrix).sum(axis=1).max()
             scale = norm * np.abs(v.values).max() + np.abs(rhs).max()
-            assert np.abs(r - (rhs - op.matrix @ v.values.ravel())).max() <= 1e-14 * scale
-            assert coeffs.ellipticity == op.ellipticity
-            assert coeffs.dominance_violations == op.dominance_violations
+            assert np.abs(r - (rhs - matrix @ v.values.ravel())).max() <= 1e-14 * scale
+            frozen = frozen_coefficients(v, p, 1e-2)
+            assert coeffs.ellipticity == frozen.ellipticity
+            assert coeffs.dominance_violations == frozen.dominance_violations
 
     def test_overflowing_warm_start_rejected(self):
         # finite values whose central differences overflow: the sweep must
@@ -248,9 +250,8 @@ def saddle_p20_operator():
     # frozen at the 65^2 saddle data with p = 20: thousands of rows lose
     # diagonal dominance, so the stencil is far from monotone
     prob = build_problem(make_spec("x1^2 - x2^2", p="20", m=65, eps=0.1))
-    op = assemble_frozen_operator(prob.boundary, prob.p, prob.eps)
-    assert op.dominance_violations > 1000
-    return op
+    assert frozen_coefficients(prob.boundary, prob.p, prob.eps).dominance_violations > 1000
+    return assemble_frozen_operator(prob.boundary, prob.p, prob.eps)
 
 
 def backward_error(matrix, x, rhs):
@@ -265,7 +266,7 @@ class TestLUFactor:
         ids=["33x33", "17x9", "9x9x9", "65x65-p20"],
     )
     def test_diagonal_pivots_meet_contract(self, make_operator):
-        matrix = make_operator().matrix
+        matrix = make_operator()
         factor = solver._LUFactor(matrix)
         # every pivot is a diagonal entry: the row permutation is the column one
         assert np.array_equal(factor._lu.perm_r, factor._lu.perm_c)
@@ -301,7 +302,7 @@ class TestPoissonGMRES:
         iterations = {}
         for m in (17, 33):
             prob = build_problem(cube_spec(m, p=p, boundary="x1^2 - x2^2 + x3*x1"))
-            matrix = assemble_frozen_operator(prob.boundary, prob.p, prob.eps).matrix
+            matrix = assemble_frozen_operator(prob.boundary, prob.p, prob.eps)
             linear = solver._linear_solver(matrix, prob.grid)
             assert isinstance(linear, solver._PoissonGMRES)
             rhs = np.random.default_rng(11).standard_normal(matrix.shape[0])
@@ -320,7 +321,7 @@ class TestContract:
     )
     def test_non_finite_solution_rejected(self, grid, kind):
         # a NaN backward error compares False against any bound
-        matrix = random_operator(grid).matrix
+        matrix = random_operator(grid)
         linear = solver._linear_solver(matrix, grid)
         assert isinstance(linear, kind)
         rhs = np.ones(matrix.shape[0])
@@ -333,7 +334,7 @@ class TestContract:
     def test_gmres_not_run_on_non_finite_rhs(self, monkeypatch):
         calls = count_gmres(monkeypatch)
         grid = PATTERN_GRIDS[2]
-        linear = solver._linear_solver(random_operator(grid).matrix, grid)
+        linear = solver._linear_solver(random_operator(grid), grid)
         rhs = np.ones(grid.shape).ravel()
         rhs[grid.shape[-1] + 1] = np.inf
         with pytest.raises(SolverError, match=r"backward error of nan"):
@@ -463,10 +464,10 @@ class TestFactorReuse:
         calls = count_splu(monkeypatch)
         assembled = count_assembly(monkeypatch)
         result = epsilon_continuation(fixture_problem(points=33), FIXTURE_SCHEDULE)
-        # one factor for the initial p = 2 solve, one at the first sweep; the
-        # later eps levels keep halving the residual with it
+        # one factor of A(0), the p = 2 operator, at the first sweep and one
+        # at the second; the later eps levels keep halving the residual with it
         assert len(calls) == 2
-        assert [r.iterations for r in result.results] == [7, 6, 6, 5, 5, 5, 4]
+        assert [r.iterations for r in result.results] == [8, 6, 6, 5, 5, 5, 4]
         # the sweeps take their residual from the stencil: a matrix is
         # assembled only for a factor
         assert len(assembled) == 2
@@ -487,8 +488,8 @@ class TestFactorReuse:
         first = solve_regularized(prob)
         assert first.converged
         calls.clear()
-        # a warm-started call needs no initial p = 2 solve, so its one sweep
-        # can only run on a factor it built itself
+        # a warm-started call starts with an empty solver slot, so its one
+        # sweep can only run on a factor it built itself
         for _ in range(2):
             solve_regularized(prob, SolveOptions(max_iterations=1), warm_start=first.v)
             assert len(calls) == 1
@@ -501,8 +502,8 @@ class TestFactorReuse:
         rhs = np.where(grid.interior_mask(), prob.g.values, prob.boundary.values).ravel()
         v = prob.boundary.values.copy()
         for _ in range(200):
-            op = assemble_frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
-            vnew = spsolve(op.matrix.tocsc(), rhs).reshape(grid.shape)
+            matrix = assemble_frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
+            vnew = spsolve(matrix.tocsc(), rhs).reshape(grid.shape)
             delta = np.abs(vnew - v).max()
             v = vnew
             if delta < 1e-11:
@@ -511,6 +512,31 @@ class TestFactorReuse:
         chord = solve_regularized(prob)
         assert chord.converged
         assert np.abs(chord.v.values - v).max() < 1e-8
+
+    def test_cold_start_rebuilds_at_second_sweep(self, monkeypatch):
+        # linear data: the p = 2 sweep already more than halves the residual,
+        # yet the second sweep runs on a factor of A(v), not of A(0)
+        calls = count_splu(monkeypatch)
+        result = solve_regularized(make_spec("0.3*x1 - 0.7*x2"))
+        assert result.converged and result.iterations == 2
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    def test_first_cold_sweep_is_damped_p2_solve(self, damping):
+        # at v = 0 the frozen coefficient is the identity whatever p is
+        prob = build_problem(make_spec("x1^2 - x2^2"))
+        grid = prob.grid
+        rhs = np.where(grid.interior_mask(), prob.g.values, prob.boundary.values).ravel()
+        zero = ScalarField(grid, np.zeros(grid.shape))
+        p2 = ScalarField(grid, np.full(grid.shape, 2.0))
+        matrix = assemble_frozen_operator(zero, p2, prob.eps)
+        expected = damping * spsolve(matrix.tocsc(), rhs)
+        result = solve_regularized(prob, SolveOptions(max_iterations=1, damping=damping))
+        assert result.iterations == 1
+        # an M-matrix with row sums >= 1 has |A^-1| <= 1, so the condition
+        # number is at most |A|: round-off times |A| |x| bounds the gap
+        bound = 1e-14 * np.abs(matrix).sum(axis=1).max() * np.abs(expected).max()
+        assert np.abs(result.v.values.ravel() - expected).max() <= bound
 
 
 class TestLargeExponent:
@@ -621,6 +647,18 @@ class TestContinuation:
         gap = np.abs(final.problem.g.values - final.v.values).max()
         assert gap < 5e-3
 
+    def test_levels_hold_no_gradient(self):
+        # the increments come from gradients of level differences, which
+        # the linear discrete gradient turns into differences of gradients
+        result = epsilon_continuation(fixture_problem(points=33), FIXTURE_SCHEDULE)
+        assert all("_gradient" not in level.v.__dict__ for level in result.results)
+        grid = result.results[0].v.grid
+        mask = solver.ball_mask(solver._default_region(grid).scaled(0.75), grid)
+        grads = [gradient(level.v) for level in result.results]
+        for increment, (a, b) in zip(result.increments, zip(grads, grads[1:])):
+            diff = np.linalg.norm(b.values - a.values, axis=-1)[mask & a.valid & b.valid]
+            assert increment == pytest.approx(float(diff.max()), rel=1e-10)
+
     def test_schedule_validated(self):
         spec = make_spec("x1")
         with pytest.raises(SolverError, match="decreasing"):
@@ -664,4 +702,4 @@ class TestContinuationRegressions:
     def test_cube_33_converges_in_the_17_cube_sweeps(self):
         result = epsilon_continuation(cube_spec(33), CUBE_SCHEDULE)
         self.check_levels(result, CUBE_SCHEDULE)
-        assert [level.iterations for level in result.results] == [7, 6, 5]
+        assert [level.iterations for level in result.results] == [8, 6, 5]
