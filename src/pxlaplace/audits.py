@@ -26,7 +26,16 @@ from .diffops import (
     stretched_gradient_values,
     stretched_jacobian_values,
 )
-from .fields import BallRegion, FieldError, GridSpec, ScalarField, ball_mask, cutoff, require_inside
+from .fields import (
+    BallRegion,
+    FieldError,
+    GridSpec,
+    ScalarField,
+    ball_box,
+    ball_mask,
+    cutoff,
+    require_inside,
+)
 
 __all__ = [
     "AuditError",
@@ -99,6 +108,14 @@ def _stretched_fields(v: ScalarField, grad, hess, params: StretchParams):
             array.setflags(write=False)
         store[key] = (f_vals, df_sq)
     return store[key]
+
+
+def _central_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """``np.gradient``'s interior difference along ``axis`` on the inner nodes."""
+    ahead = [slice(1, -1)] * values.ndim
+    behind = list(ahead)
+    ahead[axis], behind[axis] = slice(2, None), slice(None, -2)
+    return (values[tuple(ahead)] - values[tuple(behind)]) / (2.0 * h)
 
 
 def _worst_location(values: np.ndarray, mask: np.ndarray, grid: GridSpec):
@@ -275,24 +292,35 @@ def caccioppoli_audit(
     grid = v.grid
     n = grid.dimension
     consts = constants or constant_set(window, n, params.beta)
-    phi = cutoff(ball, grid)
+    three_quarter = ball.scaled(0.75)
+    # Every term vanishes off the cutoff's support and its one-node rim.  The
+    # box holds the support with two nodes to spare, so its inner nodes
+    # (``core``) hold every nonzero term, and their central differences of
+    # phi are the full-grid gradient's.  It checks the margin first.
+    box = ball_box(three_quarter, grid, margin_nodes=2)
+    core = tuple(slice(part.start + 1, part.stop - 1) for part in box)
+    inner = (slice(1, -1),) * n
+    phi = cutoff(ball, grid, box)
     grad, hess, valid = _derivative_data(v)
-    support = phi.values > 0.0
-    if np.any(support & ~valid):
+    if np.any((phi > 0.0) & ~valid[box]):
         raise AuditError("cutoff support leaves the interior-validity region")
 
     f_vals, df_sq = _stretched_fields(v, grad, hess, params)
-    dphi = gradient(phi).values
     if c is None:
-        mean_mask = ball_mask(ball.scaled(0.75), grid)
-        c = f_vals[mean_mask].mean(axis=0)
+        mean_mask = ball_mask(three_quarter, grid, box)
+        c = f_vals[box][mean_mask].mean(axis=0)
     c = np.asarray(c, dtype=float)
+    dphi = np.stack(
+        [_central_difference(phi, axis, h) for axis, h in enumerate(grid.spacing)], axis=-1
+    )
+    phi_sq = phi[inner] ** 2
 
     vol = grid.cell_volume
-    base = np.sum(grad.values**2, axis=-1) + params.eps
-    lhs = float(np.sum(df_sq * phi.values**2) * vol)
-    osc = float(np.sum(np.sum((f_vals - c) ** 2, axis=-1) * np.sum(dphi**2, axis=-1)) * vol)
-    data = float(np.sum(base**params.beta * (g.values - v.values) ** 2 * phi.values**2) * vol)
+    base = np.sum(grad.values[core] ** 2, axis=-1) + params.eps
+    gap = g.values[core] - v.values[core]
+    lhs = float(np.sum(df_sq[core] * phi_sq) * vol)
+    osc = float(np.sum(np.sum((f_vals[core] - c) ** 2, axis=-1) * np.sum(dphi**2, axis=-1)) * vol)
+    data = float(np.sum(base**params.beta * gap**2 * phi_sq) * vol)
     rhs = consts.c_sharp * (osc + data)
     ratio = 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
 
@@ -327,9 +355,11 @@ def _ball_name(ball: BallRegion) -> str:
 def ball_family(grid: GridSpec, r_max: Optional[float] = None, seed: int = 0) -> list:
     """Concentric shrinking balls plus a jittered lattice of off-center balls.
 
-    Radii halve from ``r_max`` down to the resolvable ``8 h``; every ball is
-    kept only if its three-quarter scaling sits inside the grid margin.
-    Deterministic for a fixed seed.
+    Radii halve from ``r_max`` down to the resolvable ``8 h``.  The
+    three-quarter scaling of every concentric ball, which the audits read,
+    must sit inside the grid margin (:class:`FieldError` otherwise); a
+    lattice ball is kept only if the whole ball does.  Deterministic for a
+    fixed seed.
     """
     h = max(grid.spacing)
     r_min = 8.0 * h
@@ -346,7 +376,9 @@ def ball_family(grid: GridSpec, r_max: Optional[float] = None, seed: int = 0) ->
     rng = np.random.default_rng(seed)
     balls = []
     for radius in radii:
-        balls.append(BallRegion(center, radius))
+        ball = BallRegion(center, radius)
+        require_inside(ball.scaled(0.75), grid)
+        balls.append(ball)
     fractions = (0.35, 0.65)
     lattice_radius = radii[min(1, len(radii) - 1)]
     for offsets in np.stack(
@@ -365,16 +397,14 @@ def ball_family(grid: GridSpec, r_max: Optional[float] = None, seed: int = 0) ->
     return balls
 
 
-def _holder_ratio(dfnorm, fvals, fweight, ball_masks, delta, radius_list):
+def _holder_ratio(ball_data, delta):
     """Worst per-ball ratio of the higher-integrability bound at one delta."""
     ratios = []
-    for (mq, m3), radius in zip(ball_masks, radius_list):
-        lhs = float(np.mean(dfnorm[mq] ** (2.0 + delta)) ** (1.0 / (2.0 + delta)))
-        cbar = fvals[m3].mean(axis=0)
-        osc = np.sqrt(float(np.mean(np.sum((fvals[m3] - cbar) ** 2, axis=-1)))) / radius
+    for dfnorm_q, osc, fweight_3 in ball_data:
+        lhs = float(np.mean(dfnorm_q ** (2.0 + delta)) ** (1.0 / (2.0 + delta)))
         rhs = osc
-        if fweight is not None:
-            rhs += float(np.mean(fweight[m3] ** (2.0 + delta)) ** (1.0 / (2.0 + delta)))
+        if fweight_3 is not None:
+            rhs += float(np.mean(fweight_3 ** (2.0 + delta)) ** (1.0 / (2.0 + delta)))
         if rhs == 0.0:
             ratios.append(0.0 if lhs == 0.0 else np.inf)
         else:
@@ -383,6 +413,9 @@ def _holder_ratio(dfnorm, fvals, fweight, ball_masks, delta, radius_list):
 
 
 def _holder_data(u: ScalarField, f: Optional[ScalarField], beta: float, balls):
+    """Per ball, what every delta reads: ``|DF|`` on the quarter ball, the
+    delta-free oscillation ``|F - mean F| / R`` over the three-quarter ball
+    and the data weight there (``None`` without data)."""
     grid = u.grid
     grad, hess, valid = _derivative_data(u)
     df = stretched_jacobian_values(grad.values, hess.values, beta, 0.0)
@@ -392,16 +425,21 @@ def _holder_data(u: ScalarField, f: Optional[ScalarField], beta: float, balls):
     if f is not None and float(np.abs(f.values).max()) > 0.0:
         gnorm = np.sqrt(np.sum(grad.values**2, axis=-1))
         fweight = gnorm**beta * np.abs(f.values)
-    masks = []
+    ball_data = []
     for ball in balls:
-        m3 = ball_mask(ball.scaled(0.75), grid)
-        if np.any(m3 & ~valid):
+        three_quarter = ball.scaled(0.75)
+        box = ball_box(three_quarter, grid, margin_nodes=0)
+        m3 = ball_mask(three_quarter, grid, box)
+        if np.any(m3 & ~valid[box]):
             raise AuditError(f"ball {_ball_name(ball)} leaves the validity region")
-        mq = ball_mask(ball.scaled(0.25), grid)
+        mq = ball_mask(ball.scaled(0.25), grid, box)
         if not mq.any():
             raise AuditError(f"quarter ball of {_ball_name(ball)} contains no nodes")
-        masks.append((mq, m3))
-    return dfnorm, fvals, fweight, masks
+        f3 = fvals[box][m3]
+        cbar = f3.mean(axis=0)
+        osc = np.sqrt(float(np.mean(np.sum((f3 - cbar) ** 2, axis=-1)))) / ball.radius
+        ball_data.append((dfnorm[box][mq], osc, None if fweight is None else fweight[box][m3]))
+    return ball_data
 
 
 def reverse_holder_audit(
@@ -422,9 +460,7 @@ def reverse_holder_audit(
         raise AuditError("empty ball family")
     if delta < 0:
         raise AuditError("delta must be nonnegative")
-    dfnorm, fvals, fweight, masks = _holder_data(u, f, beta, balls)
-    radii = [ball.radius for ball in balls]
-    ratios = _holder_ratio(dfnorm, fvals, fweight, masks, delta, radii)
+    ratios = _holder_ratio(_holder_data(u, f, beta, balls), delta)
     return GehringResult(
         delta=delta,
         c_target=float("nan"),
@@ -450,14 +486,13 @@ def gehring_delta_search(
     """
     if not balls:
         raise AuditError("empty ball family")
-    dfnorm, fvals, fweight, masks = _holder_data(u, f, beta, balls)
-    radii = [ball.radius for ball in balls]
+    ball_data = _holder_data(u, f, beta, balls)
 
     def worst(delta):
-        return float(np.max(_holder_ratio(dfnorm, fvals, fweight, masks, delta, radii)))
+        return float(np.max(_holder_ratio(ball_data, delta)))
 
     def result(delta, feasible):
-        ratios = _holder_ratio(dfnorm, fvals, fweight, masks, delta, radii)
+        ratios = _holder_ratio(ball_data, delta)
         return GehringResult(
             delta=delta,
             c_target=c_target,

@@ -25,6 +25,7 @@ _configure_threads()
 
 import argparse
 import csv
+import itertools
 import sys
 from pathlib import Path
 
@@ -93,13 +94,19 @@ def _writer(handle):
 
 
 def write_field_csv(field: ScalarField, path: Path) -> None:
-    """Plot-ready CSV with one node per row: x, y[, z], value."""
+    """Plot-ready CSV with one node per row: x, y[, z], value.
+
+    Each axis coordinate is formatted once.  A float's ``repr`` holds no
+    comma, quote or newline, so the rows are joined as ``csv.writer``
+    would write them, without its per-field scan.
+    """
     grid = field.grid
-    columns = [c.ravel().tolist() for c in grid.coords()] + [field.values.ravel().tolist()]
+    axes = [[repr(x) + "," for x in grid.axis(i).tolist()] for i in range(grid.dimension)]
+    prefixes = map("".join, itertools.product(*axes))
+    values = map(repr, field.values.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        out = _writer(handle)
-        out.writerow(["x", "y", "z"][: grid.dimension] + ["value"])
-        out.writerows(zip(*(map(repr, column) for column in columns)))
+        handle.write(",".join(["x", "y", "z"][: grid.dimension] + ["value"]) + "\n")
+        handle.writelines(f"{prefix}{value}\n" for prefix, value in zip(prefixes, values))
 
 
 def _location_cells(location):
@@ -273,9 +280,9 @@ def cmd_gehring(args) -> int:
         raise ConfigError("the delta search stretches with eps = 0 and needs beta >= 0")
     outdir = Path(cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
+    balls = ball_family(cfg.problem.grid, r_max=cfg.gehring_r_max, seed=cfg.seed)
     continuation = epsilon_continuation(cfg.problem, cfg.schedule)
     final = continuation.results[-1]
-    balls = ball_family(cfg.problem.grid, r_max=cfg.gehring_r_max, seed=cfg.seed)
     results = []
     for beta in cfg.betas:
         results.append(

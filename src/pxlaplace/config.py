@@ -14,7 +14,7 @@ from typing import Optional
 
 from .constants import beta_star
 from .expressions import ExpressionError, parse_expression
-from .fields import FieldError, GridSpec, sample
+from .fields import BallRegion, FieldError, GridSpec, require_inside, sample
 from .fixtures import REGRESSION_GEHRING_BUDGET
 from .solver import ProblemSpec, SolverError
 
@@ -69,8 +69,10 @@ def load_config(path: str) -> RunConfig:
 
     Expressions must parse, the eps schedule must be strictly decreasing,
     the audit and stretch exponent lists must not be empty, ``kappa`` and
-    ``c_target`` must be positive, and every audited stretch exponent must
-    clear the critical exponent of the sampled coefficient window;
+    ``c_target`` must be positive, every audited stretch exponent must
+    clear the critical exponent of the sampled coefficient window, and with
+    the Caccioppoli audit listed ``ball_radii`` must not be empty and every
+    ball's three-quarter scaling must sit inside the grid margin;
     violations raise :class:`ConfigError`.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -135,6 +137,14 @@ def load_config(path: str) -> RunConfig:
     kappa = float(audit.get("kappa", "10"))
     ball_center = _floats(audit.get("ball_center", " ".join("0.5" for _ in range(dimension))))
     ball_radii = _floats(audit.get("ball_radii", "0.2"))
+    if "caccioppoli" in audits:
+        if not ball_radii:
+            raise ConfigError("ball_radii must list at least one radius for the caccioppoli audit")
+        try:
+            for radius in ball_radii:
+                require_inside(BallRegion(ball_center, radius).scaled(0.75), grid)
+        except FieldError as err:
+            raise ConfigError(f"bad Caccioppoli ball: {err}") from err
     c_target = float(audit.get("c_target", str(REGRESSION_GEHRING_BUDGET)))
     for name, value in (("kappa", kappa), ("c_target", c_target)):
         if not value > 0:  # NaN fails too

@@ -24,6 +24,7 @@ __all__ = [
     "MatrixField",
     "ScalarField",
     "VectorField",
+    "ball_box",
     "ball_mask",
     "cutoff",
     "mollify",
@@ -275,26 +276,58 @@ def require_inside(ball: BallRegion, grid: GridSpec, margin_nodes: int = 2) -> N
             )
 
 
-def _distance(grid: GridSpec, center) -> np.ndarray:
-    coords = grid.coords()
-    return np.sqrt(sum((c - z) ** 2 for c, z in zip(coords, center)))
+def ball_box(ball: BallRegion, grid: GridSpec, margin_nodes: int = 2) -> tuple:
+    """Index box around the (scaled) ball, one slice per axis.
+
+    Per axis it holds every node whose offset from the center, computed as
+    in the distance of :func:`ball_mask`, is at most the ball's radius (and
+    the nearest node, so it is never empty), widened by ``margin_nodes`` on
+    each side.  It therefore holds the nodes of :func:`ball_mask`, and the
+    box of a three-quarter scaling holds the support of :func:`cutoff`.
+    The ball must keep the same node margin (:func:`require_inside`), so
+    the box fits the grid.
+    """
+    require_inside(ball, grid, margin_nodes)
+    r = ball.effective_radius
+    box = []
+    for i, c in enumerate(ball.center):
+        offsets = np.sqrt((grid.axis(i) - c) ** 2)
+        near = np.flatnonzero(offsets <= max(r, offsets.min()))
+        box.append(slice(int(near[0]) - margin_nodes, int(near[-1]) + 1 + margin_nodes))
+    return tuple(box)
 
 
-def ball_mask(ball: BallRegion, grid: GridSpec) -> np.ndarray:
-    """Nodes whose cell centers lie inside the (scaled) ball."""
+def _distance(grid: GridSpec, center, box=None) -> np.ndarray:
+    """Distance of every node (of ``box``, when given) from ``center``."""
+    if box is None:
+        box = (slice(None),) * grid.dimension
+    axes = np.meshgrid(
+        *(grid.axis(i)[part] for i, part in enumerate(box)), indexing="ij", sparse=True
+    )
+    return np.sqrt(sum((c - z) ** 2 for c, z in zip(axes, center)))
+
+
+def ball_mask(ball: BallRegion, grid: GridSpec, box=None) -> np.ndarray:
+    """Nodes whose cell centers lie inside the (scaled) ball.
+
+    With an index ``box`` from :func:`ball_box` the mask covers only the
+    nodes of that box.
+    """
     require_inside(ball, grid)
-    return _distance(grid, ball.center) <= ball.effective_radius
+    return _distance(grid, ball.center, box) <= ball.effective_radius
 
 
-def cutoff(ball: BallRegion, grid: GridSpec) -> ScalarField:
+def cutoff(ball: BallRegion, grid: GridSpec, box=None):
     """Radial cutoff: 1 on the half ball, 0 outside the three-quarter ball.
 
     The ramp is a clamped smoothstep over the annulus ``[R/2, 3R/4]``; its
     analytic slope peaks at ``6/R``, inside the admissible ``8/R`` budget.
+    Returns a field on the grid or, given an index ``box`` from
+    :func:`ball_box`, the array of its values on that box.
     """
     require_inside(ball.scaled(0.75), grid)
     radius = ball.effective_radius
-    r = _distance(grid, ball.center)
+    r = _distance(grid, ball.center, box)
     t = np.clip((r - 0.5 * radius) / (0.25 * radius), 0.0, 1.0)
     phi = 1.0 - t * t * (3.0 - 2.0 * t)
-    return ScalarField(grid, phi)
+    return phi if box is not None else ScalarField(grid, phi)

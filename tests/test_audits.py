@@ -13,10 +13,17 @@ from pxlaplace.audits import (
     reverse_holder_audit,
 )
 from pxlaplace.constants import ExponentWindow, constant_set
-from pxlaplace.diffops import StretchParams
+from pxlaplace.diffops import (
+    StretchParams,
+    frobenius_sq,
+    gradient,
+    hessian,
+    stretched_gradient_values,
+    stretched_jacobian_values,
+)
 from pxlaplace.expressions import parse_expression
-from pxlaplace.fields import BallRegion, GridSpec, ScalarField, sample
-from pxlaplace.fixtures import caccioppoli_balls
+from pxlaplace.fields import BallRegion, FieldError, GridSpec, ScalarField, ball_mask, cutoff, sample
+from pxlaplace.fixtures import REGRESSION_GEHRING_BUDGET, caccioppoli_balls
 
 
 def unit_square(m=65):
@@ -163,6 +170,150 @@ class TestCaccioppoliAudit:
             )
 
 
+def full_grid_caccioppoli(v, g, params, ball, c=None):
+    """Lhs, oscillation and data term of the cutoff energy bound, each
+    summed over every node of the grid."""
+    grid = v.grid
+    phi_field = cutoff(ball, grid)
+    phi = phi_field.values
+    dphi = gradient(phi_field).values
+    grad = gradient(v).values
+    df = stretched_jacobian_values(grad, hessian(v).values, params.beta, params.eps)
+    f_vals = stretched_gradient_values(grad, params.beta, params.eps)
+    if c is None:
+        c = f_vals[ball_mask(ball.scaled(0.75), grid)].mean(axis=0)
+    vol = grid.cell_volume
+    base = np.sum(grad**2, axis=-1) + params.eps
+    lhs = float(np.sum(frobenius_sq(df) * phi**2) * vol)
+    osc = float(np.sum(np.sum((f_vals - c) ** 2, axis=-1) * np.sum(dphi**2, axis=-1)) * vol)
+    data = float(np.sum(base**params.beta * (g.values - v.values) ** 2 * phi**2) * vol)
+    return lhs, osc, data
+
+
+def three_d_fields():
+    grid = GridSpec((0.0, -0.5, 0.25), (1.0, 0.5, 1.25), (21, 21, 21))
+    v = sample(parse_expression("sin(2*x1)*x2 + x3^2 - x1*x3", 3), grid)
+    g = sample(parse_expression("x1 + x2*x3", 3), grid)
+    return v, g, BallRegion((0.45, 0.05, 0.8), 0.4)
+
+
+def margin_ball(grid):
+    """An off-centre ball whose three-quarter scaling reaches x = 2h, the
+    grid margin, exactly; the node (2h, 38h) sits on its sphere."""
+    h = grid.spacing[0]
+    return BallRegion((2 * h + 0.1875, 38 * h), 0.25)
+
+
+class TestCaccioppoliMatchesFullGrid:
+    """The audit sums over its ball's index box; every term must agree with
+    the full-grid sums to round-off."""
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("explicit_c", [False, True])
+    @pytest.mark.parametrize("case", ["margin-2d", "3d"])
+    def test_terms_and_ratio(self, canonical_run, case, beta, explicit_c):
+        if case == "3d":
+            v, g, ball = three_d_fields()
+            p = ScalarField(v.grid, np.full(v.grid.shape, 2.0))
+            window = ExponentWindow(2.0, 2.0)
+            params = StretchParams(beta, 1e-2)
+        else:
+            final = canonical_run[0].results[-1]
+            v, p, g, window = final.v, final.problem.p, final.problem.g, final.problem.window
+            params = StretchParams(beta, final.problem.eps)
+            ball = margin_ball(v.grid)
+        n = v.grid.dimension
+        c = np.linspace(-0.3, 0.7, n) if explicit_c else None
+        report = caccioppoli_audit(v, p, g, params, window, ball, c=c)
+        lhs, osc, data = full_grid_caccioppoli(v, g, params, ball, c)
+        rhs = constant_set(window, n, beta).c_sharp * (osc + data)
+        got = report.details
+        for name, expected in (("lhs", lhs), ("oscillation", osc), ("data_term", data), ("rhs", rhs)):
+            assert got[name] == pytest.approx(expected, rel=1e-13, abs=0.0), name
+        assert lhs > 0.0 and osc > 0.0
+        assert report.worst == pytest.approx(lhs / rhs, rel=1e-13, abs=0.0)
+
+    def test_margin_ball_reaches_the_margin(self, canonical_run):
+        final = canonical_run[0].results[-1]
+        prob = final.problem
+        ball = margin_ball(prob.grid)
+        h = prob.grid.spacing[0]
+        # the cutoff is positive one node inside the sphere, so D phi is
+        # nonzero two nodes from the box's edge; a step outwards fails
+        assert cutoff(ball, prob.grid).values[3, 38] > 0.0
+        with pytest.raises(FieldError, match="margin"):
+            caccioppoli_audit(
+                final.v, prob.p, prob.g, StretchParams(0.0, prob.eps), prob.window,
+                BallRegion((ball.center[0] - h, ball.center[1]), ball.radius),
+            )
+
+
+def per_delta_ratios(u, f, beta, balls):
+    """The per-ball ratios at one delta, with every ball's arrays gathered
+    again from full-grid masks at every call."""
+    grid = u.grid
+    grad = gradient(u).values
+    dfnorm = np.sqrt(
+        frobenius_sq(stretched_jacobian_values(grad, hessian(u).values, beta, 0.0))
+    )
+    fvals = stretched_gradient_values(grad, beta, 0.0)
+    fweight = None
+    if f is not None and float(np.abs(f.values).max()) > 0.0:
+        fweight = np.sqrt(np.sum(grad**2, axis=-1)) ** beta * np.abs(f.values)
+
+    def ratios(delta):
+        out = []
+        for ball in balls:
+            mq = ball_mask(ball.scaled(0.25), grid)
+            m3 = ball_mask(ball.scaled(0.75), grid)
+            lhs = float(np.mean(dfnorm[mq] ** (2.0 + delta)) ** (1.0 / (2.0 + delta)))
+            cbar = fvals[m3].mean(axis=0)
+            rhs = np.sqrt(float(np.mean(np.sum((fvals[m3] - cbar) ** 2, axis=-1)))) / ball.radius
+            if fweight is not None:
+                rhs += float(np.mean(fweight[m3] ** (2.0 + delta)) ** (1.0 / (2.0 + delta)))
+            out.append(lhs / rhs)
+        return out
+
+    return ratios
+
+
+def per_delta_search(ratios, c_target, resolution=1e-3):
+    lo, hi = 0.0, 2.0
+    if max(ratios(lo)) > c_target:
+        return lo, ratios(lo)
+    if max(ratios(hi)) <= c_target:
+        return hi, ratios(hi)
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if max(ratios(mid)) <= c_target:
+            lo = mid
+        else:
+            hi = mid
+    return lo, ratios(lo)
+
+
+class TestGehringMatchesPerDeltaGather:
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("budget", ["fixture", "bisected"])
+    @pytest.mark.parametrize("with_f", [False, True])
+    def test_delta_and_ratios_bitwise(self, canonical_run, beta, budget, with_f):
+        final = canonical_run[0].results[-1]
+        grid = final.v.grid
+        f = final.problem.f
+        if with_f:
+            f = sample(parse_expression("0.5 + x1*x2", 2), grid)
+        balls = ball_family(grid, r_max=0.3, seed=3)
+        ratios = per_delta_ratios(final.v, f, beta, balls)
+        c_target = REGRESSION_GEHRING_BUDGET
+        if budget == "bisected":
+            # between the worst ratios at the ends, so the search bisects
+            c_target = 0.5 * (max(ratios(0.0)) + max(ratios(2.0)))
+        result = gehring_delta_search(final.v, f, beta, balls, c_target)
+        delta, expected = per_delta_search(ratios, c_target)
+        assert result.delta == delta
+        assert result.ratios == expected
+
+
 class TestReverseHolder:
     def test_linear_field_all_ratios_zero(self):
         grid = unit_square()
@@ -234,9 +385,15 @@ class TestBallFamily:
             ball_family(grid, r_max=0.1, seed=0)
 
     def test_lattice_balls_outside_margin_skipped(self):
-        # lattice radius r_max / 2 = 0.4 reaches past the box from 0.35
-        balls = ball_family(unit_square(65), r_max=0.8, seed=0)
+        # one radius at 33^2 (0.225 < 8h), so the lattice radius is 0.45,
+        # which reaches past the box from 0.35; the centred ball fits
+        balls = ball_family(unit_square(33), r_max=0.45, seed=0)
         assert balls and all(ball.center == (0.5, 0.5) for ball in balls)
+
+    def test_concentric_ball_outside_margin_rejected(self):
+        # three-quarter scaling of r_max = 0.8 reaches 0.6 from the centre
+        with pytest.raises(FieldError, match="leaves the grid margin"):
+            ball_family(unit_square(65), r_max=0.8, seed=0)
 
     def test_other_errors_surface(self, monkeypatch):
         def broken(ball, grid):

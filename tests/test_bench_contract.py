@@ -35,6 +35,14 @@ SOLVER_NAMES = (
     "ball_mask",
 )
 
+#: Names the traced run wraps around the per-ball audits and the writers.
+AUDIT_AND_WRITER_NAMES = (
+    ("audits", "cutoff"),
+    ("audits", "ball_mask"),
+    ("audits", "require_inside"),
+    ("cli", "write_field_csv"),
+)
+
 
 def attributes():
     return {
@@ -58,5 +66,14 @@ def test_traced_run_wraps_and_restores_every_name(monkeypatch):
     wrapped = {key for key, value in during.items() if value is not before[key]}
     assert {("solver", name) for name in SOLVER_NAMES} <= wrapped
     assert ("cli", "epsilon_continuation") in wrapped
+    assert set(AUDIT_AND_WRITER_NAMES) <= wrapped
     assert ("audits", "infinity_laplacian_values") in wrapped
     assert all(after[key] is before[key] for key in before)
+
+
+def test_audit_and_writer_names_exist():
+    # checked without instrumenting, so a missing name fails here by name
+    # instead of as an AttributeError inside the traced run
+    present = attributes()
+    for key in AUDIT_AND_WRITER_NAMES:
+        assert key in present, f"the traced run wraps {key}, which no longer exists"

@@ -1,6 +1,11 @@
+import csv
+
+import numpy as np
 import pytest
 
-from pxlaplace.cli import main
+from pxlaplace import cli
+from pxlaplace.cli import main, write_field_csv
+from pxlaplace.fields import GridSpec, ScalarField
 
 SMALL_CONFIG = """\
 [problem]
@@ -189,6 +194,30 @@ class TestConfigErrors:
         assert main(["audit", "--config", path]) == 2
         assert "leaves the grid margin" in capsys.readouterr().err
 
+    def test_empty_ball_radii(self, tmp_path, capsys):
+        # the audit would list caccioppoli and pass without a verdict on it
+        bad = SMALL_CONFIG.replace("ball_radii = 0.15 0.25", "ball_radii =")
+        path, _ = write_config(tmp_path, bad)
+        assert main(["audit", "--config", path]) == 2
+        assert "ball_radii must list at least one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, line, value",
+        [
+            ("audit", "ball_radii = 0.15 0.25", "ball_radii = 0.15 0.6"),
+            ("gehring", "seed = 7", "seed = 7\ngehring_r_max = 0.6"),
+        ],
+    )
+    def test_ball_geometry_checked_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, command, line, value
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "epsilon_continuation", lambda *args: calls.append(args))
+        path, _ = write_config(tmp_path, SMALL_CONFIG.replace(line, value))
+        assert main([command, "--config", path]) == 2
+        assert "leaves the grid margin" in capsys.readouterr().err
+        assert calls == []
+
     def test_increasing_schedule(self, tmp_path):
         bad = SMALL_CONFIG.replace("eps_schedule = 0.1 0.01 0.001", "eps_schedule = 0.001 0.01")
         path, _ = write_config(tmp_path, bad)
@@ -237,3 +266,36 @@ class TestDeterminism:
         assert main(["gehring", "--config", path_b]) == 0
         for name in ("reports.csv", "gehring.csv", "gehring_1.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def csv_writer_field_csv(field, path):
+    """The solution CSV as ``csv.writer`` writes it from meshgrid columns."""
+    grid = field.grid
+    columns = [c.ravel().tolist() for c in grid.coords()] + [field.values.ravel().tolist()]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        out = csv.writer(handle, lineterminator="\n")
+        out.writerow(["x", "y", "z"][: grid.dimension] + ["value"])
+        out.writerows(zip(*(map(repr, column) for column in columns)))
+
+
+class TestFieldCsv:
+    SPECIAL = (-0.0, 5e-324, 1e300, -1e300, 0.1, 1.0 / 3.0, -2.5e-8, 123456789.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            GridSpec((-1.5, 0.25), (2.0, 2.0), (15, 11)),
+            GridSpec((0.1, -2.0, 3.0), (1.1, -1.2, 3.9), (9, 8, 10)),
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_bytes_match_csv_writer(self, tmp_path, grid):
+        values = np.random.default_rng(5).standard_normal(grid.shape).ravel()
+        values[: len(self.SPECIAL)] = self.SPECIAL
+        values[-len(self.SPECIAL) :] = self.SPECIAL
+        field = ScalarField(grid, values.reshape(grid.shape))
+        write_field_csv(field, tmp_path / "fast.csv")
+        csv_writer_field_csv(field, tmp_path / "reference.csv")
+        written = (tmp_path / "fast.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert b"-0.0\n" in written and b"5e-324\n" in written and b"-1e+300\n" in written
