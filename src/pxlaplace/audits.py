@@ -18,6 +18,7 @@ import numpy as np
 from .constants import ConstantSet, ExponentWindow, constant_set
 from .diffops import (
     StretchParams,
+    _central_difference,
     frobenius_sq,
     gradient,
     hessian,
@@ -47,7 +48,6 @@ __all__ = [
     "gehring_delta_search",
     "pointwise_stretch_audit",
     "quasiregularity_audit",
-    "reverse_holder_audit",
 ]
 
 DISTORTION_FLOOR = 1e-12
@@ -91,31 +91,25 @@ def _derivative_data(v: ScalarField):
     return grad, hess, grad.valid & hess.valid
 
 
-def _stretched_fields(v: ScalarField, grad, hess, params: StretchParams):
-    """The stretched gradient ``F`` of ``v`` and ``|DF|^2`` per node.
+def _stretched_fields(v: ScalarField, beta: float, eps: float):
+    """The stretched gradient ``F``, ``|DF|^2`` and ``sigma_2(DF)`` per node.
 
-    Both depend only on ``v`` and ``params``, so they are computed once per
-    ``(beta, eps)`` and stored on ``v`` next to its gradient and Hessian;
-    every ball of a Caccioppoli audit reads the same pair.
+    All three depend only on ``v``, ``beta`` and ``eps``, so they are
+    computed once per ``(beta, eps)`` and stored on ``v``, read-only, next
+    to its gradient and Hessian.  Every audit reads them from here; the
+    Jacobian ``DF`` itself is not kept.
     """
     store = v.__dict__.setdefault("_stretched_fields", {})
-    key = (params.beta, params.eps)
+    key = (beta, eps)
     if key not in store:
-        f_vals = stretched_gradient_values(grad.values, params.beta, params.eps)
-        df = stretched_jacobian_values(grad.values, hess.values, params.beta, params.eps)
-        df_sq = frobenius_sq(df)
-        for array in (f_vals, df_sq):
+        grad, hess, _ = _derivative_data(v)
+        f_vals = stretched_gradient_values(grad.values, beta, eps)
+        df = stretched_jacobian_values(grad.values, hess.values, beta, eps)
+        fields = (f_vals, frobenius_sq(df), sigma2_values(df))
+        for array in fields:
             array.setflags(write=False)
-        store[key] = (f_vals, df_sq)
+        store[key] = fields
     return store[key]
-
-
-def _central_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """``np.gradient``'s interior difference along ``axis`` on the inner nodes."""
-    ahead = [slice(1, -1)] * values.ndim
-    behind = list(ahead)
-    ahead[axis], behind[axis] = slice(2, None), slice(None, -2)
-    return (values[tuple(ahead)] - values[tuple(behind)]) / (2.0 * h)
 
 
 def _worst_location(values: np.ndarray, mask: np.ndarray, grid: GridSpec):
@@ -170,10 +164,8 @@ def pointwise_stretch_audit(
             f"(budget {eq_budget:.3e})"
         )
 
-    grad, hess, valid = _derivative_data(v)
-    df = stretched_jacobian_values(grad.values, hess.values, params.beta, params.eps)
-    lhs = frobenius_sq(df)
-    s2 = sigma2_values(df)
+    grad, _, valid = _derivative_data(v)
+    _, lhs, s2 = _stretched_fields(v, params.beta, params.eps)
     base = np.sum(grad.values**2, axis=-1) + params.eps
     data_term = consts.c_tilde_star * base**params.beta * (g.values - v.values) ** 2
     residual = lhs - consts.c_star * s2 - data_term
@@ -224,14 +216,12 @@ def quasiregularity_audit(
     if beta < 0:
         raise AuditError("distortion audit requires a nonnegative stretch exponent")
     grid = u.grid
-    grad, hess, valid = _derivative_data(u)
+    _, _, valid = _derivative_data(u)
     if region is not None:
         valid = valid & ball_mask(region, grid)
         if not valid.any():
             raise AuditError("audit region lies outside the interior-validity nodes")
-    df = stretched_jacobian_values(grad.values, hess.values, beta, 0.0)
-    lhs = frobenius_sq(df)
-    s2 = sigma2_values(df)
+    _, lhs, s2 = _stretched_fields(u, beta, 0.0)
 
     norm = np.sqrt(lhs)
     floor = DISTORTION_FLOOR * float(norm[valid].max()) if valid.any() else 0.0
@@ -301,11 +291,11 @@ def caccioppoli_audit(
     core = tuple(slice(part.start + 1, part.stop - 1) for part in box)
     inner = (slice(1, -1),) * n
     phi = cutoff(ball, grid, box)
-    grad, hess, valid = _derivative_data(v)
+    grad, _, valid = _derivative_data(v)
     if np.any((phi > 0.0) & ~valid[box]):
         raise AuditError("cutoff support leaves the interior-validity region")
 
-    f_vals, df_sq = _stretched_fields(v, grad, hess, params)
+    f_vals, df_sq, _ = _stretched_fields(v, params.beta, params.eps)
     if c is None:
         mean_mask = ball_mask(three_quarter, grid, box)
         c = f_vals[box][mean_mask].mean(axis=0)
@@ -365,6 +355,8 @@ def ball_family(grid: GridSpec, r_max: Optional[float] = None, seed: int = 0) ->
     r_min = 8.0 * h
     if r_max is None:
         r_max = 0.25 * min(grid.extents)
+    if not np.isfinite(r_max):
+        raise AuditError(f"r_max must be finite, got {r_max}")
     if r_max < r_min:
         raise AuditError(f"r_max {r_max} below the resolvable radius {r_min}")
     center = tuple(0.5 * (a + b) for a, b in zip(grid.lo, grid.hi))
@@ -417,10 +409,9 @@ def _holder_data(u: ScalarField, f: Optional[ScalarField], beta: float, balls):
     delta-free oscillation ``|F - mean F| / R`` over the three-quarter ball
     and the data weight there (``None`` without data)."""
     grid = u.grid
-    grad, hess, valid = _derivative_data(u)
-    df = stretched_jacobian_values(grad.values, hess.values, beta, 0.0)
-    dfnorm = np.sqrt(frobenius_sq(df))
-    fvals = stretched_gradient_values(grad.values, beta, 0.0)
+    grad, _, valid = _derivative_data(u)
+    fvals, df_sq, _ = _stretched_fields(u, beta, 0.0)
+    dfnorm = np.sqrt(df_sq)
     fweight = None
     if f is not None and float(np.abs(f.values).max()) > 0.0:
         gnorm = np.sqrt(np.sum(grad.values**2, axis=-1))
@@ -442,35 +433,6 @@ def _holder_data(u: ScalarField, f: Optional[ScalarField], beta: float, balls):
     return ball_data
 
 
-def reverse_holder_audit(
-    u: ScalarField,
-    f: Optional[ScalarField],
-    beta: float,
-    delta: float,
-    balls,
-) -> GehringResult:
-    """Measured constants of the higher-integrability bound at a fixed delta.
-
-    Per ball: the ``(2+delta)``-average of ``|DF|`` over the quarter ball
-    against the L2 oscillation of the stretched gradient over the
-    three-quarter ball scaled by ``1/R`` (plus the weighted data term when
-    ``f`` is nonzero).
-    """
-    if not balls:
-        raise AuditError("empty ball family")
-    if delta < 0:
-        raise AuditError("delta must be nonnegative")
-    ratios = _holder_ratio(_holder_data(u, f, beta, balls), delta)
-    return GehringResult(
-        delta=delta,
-        c_target=float("nan"),
-        feasible_at_zero=True,
-        balls=list(balls),
-        ratios=ratios,
-        worst_ratio=float(np.max(ratios)),
-    )
-
-
 def gehring_delta_search(
     u: ScalarField,
     f: Optional[ScalarField],
@@ -482,7 +444,8 @@ def gehring_delta_search(
     """Largest delta in [0, 2] whose worst per-ball ratio stays under budget.
 
     Bisection at the stated resolution; if even delta = 0 misses the budget
-    the result reports that instead of failing.
+    the result reports that instead of failing.  A worst ratio that is not
+    ``<= c_target``, NaN included, misses it.
     """
     if not balls:
         raise AuditError("empty ball family")
@@ -502,7 +465,7 @@ def gehring_delta_search(
             worst_ratio=float(np.max(ratios)),
         )
 
-    if worst(0.0) > c_target:
+    if not worst(0.0) <= c_target:
         return result(0.0, False)
     if worst(2.0) <= c_target:
         return result(2.0, True)

@@ -9,6 +9,7 @@ annotated example.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -68,12 +69,13 @@ def load_config(path: str) -> RunConfig:
     """Load and validate a run configuration file.
 
     Expressions must parse, the eps schedule must be strictly decreasing,
-    the audit and stretch exponent lists must not be empty, ``kappa`` and
-    ``c_target`` must be positive, every audited stretch exponent must
-    clear the critical exponent of the sampled coefficient window, and with
-    the Caccioppoli audit listed ``ball_radii`` must not be empty and every
-    ball's three-quarter scaling must sit inside the grid margin;
-    violations raise :class:`ConfigError`.
+    the audit and stretch exponent lists must not be empty, the stretch
+    exponents must be finite, ``kappa``, ``c_target`` and a given
+    ``gehring_r_max`` must be positive and finite, every audited stretch
+    exponent must clear the critical exponent of the sampled coefficient
+    window, and with the Caccioppoli audit listed ``ball_radii`` must not be
+    empty and every ball's three-quarter scaling must sit inside the grid
+    margin; violations raise :class:`ConfigError`.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
@@ -134,6 +136,8 @@ def load_config(path: str) -> RunConfig:
     betas = _floats(audit.get("betas", "0"))
     if not betas:
         raise ConfigError("betas must list at least one stretch exponent")
+    if not all(math.isfinite(beta) for beta in betas):
+        raise ConfigError(f"betas must be finite, got {' '.join(map(str, betas))}")
     kappa = float(audit.get("kappa", "10"))
     ball_center = _floats(audit.get("ball_center", " ".join("0.5" for _ in range(dimension))))
     ball_radii = _floats(audit.get("ball_radii", "0.2"))
@@ -146,11 +150,14 @@ def load_config(path: str) -> RunConfig:
         except FieldError as err:
             raise ConfigError(f"bad Caccioppoli ball: {err}") from err
     c_target = float(audit.get("c_target", str(REGRESSION_GEHRING_BUDGET)))
-    for name, value in (("kappa", kappa), ("c_target", c_target)):
-        if not value > 0:  # NaN fails too
-            raise ConfigError(f"{name} must be positive, got {value}")
     r_max_text = audit.get("gehring_r_max", "")
     gehring_r_max = float(r_max_text) if r_max_text else None
+    positive = [("kappa", kappa), ("c_target", c_target)]
+    if gehring_r_max is not None:
+        positive.append(("gehring_r_max", gehring_r_max))
+    for name, value in positive:
+        if not (value > 0 and math.isfinite(value)):  # NaN fails too
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
     seed = int(audit.get("seed", "0"))
 
     # admissibility of every audited stretch exponent, checked up front

@@ -3,10 +3,13 @@
 Gradients use second-order central differences (one-sided second order at
 the box boundary); Hessians pair the compact 3-point second difference on
 the diagonal with the symmetric 4-point cross stencil off it, so they are
-exact on quadratics.  Jacobians of stretched gradients are formed with the
-product rule from the same discrete gradient and Hessian, which keeps the
-algebraic sigma_2 identities exact at the node level.  Both are computed
-once per field and stored on it.
+exact on quadratics.  Both are computed once per field and stored on it.
+The interior central difference alone, which the solver's frozen
+coefficient and the Caccioppoli cutoff slope read, is
+:func:`_central_difference`.  Jacobians of stretched gradients are formed
+with the product rule from the discrete gradient and Hessian, which keeps
+the algebraic sigma_2 identities exact at the node level; ``sigma_2`` and
+the squared Frobenius norm are their matrix invariants.
 """
 
 from __future__ import annotations
@@ -21,12 +24,10 @@ from .fields import MatrixField, ScalarField, VectorField
 
 __all__ = [
     "StretchParams",
-    "det2",
     "frobenius_sq",
     "gradient",
     "hessian",
     "infinity_laplacian_values",
-    "jacobian",
     "sigma2_values",
     "stretched_gradient_values",
     "stretched_jacobian_values",
@@ -81,6 +82,15 @@ def gradient(v: ScalarField) -> VectorField:
     return VectorField(grid, np.stack(comps, axis=-1), _shrunk_valid(v))
 
 
+def _central_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """``(v[i+1] - v[i-1]) / 2h`` along ``axis`` on the interior nodes: the
+    interior of ``np.gradient``, bitwise."""
+    ahead = [slice(1, -1)] * values.ndim
+    behind = list(ahead)
+    ahead[axis], behind[axis] = slice(2, None), slice(None, -2)
+    return (values[tuple(ahead)] - values[tuple(behind)]) / (2.0 * h)
+
+
 def _second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     a = np.moveaxis(values, axis, 0)
     out = np.empty_like(a)
@@ -109,18 +119,6 @@ def hessian(v: ScalarField) -> MatrixField:
 def infinity_laplacian_values(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     """The quadratic form ``<H g, g>`` per node."""
     return np.einsum("...ij,...i,...j->...", hess, grad, grad)
-
-
-def jacobian(field: VectorField) -> MatrixField:
-    """Row i holds the discrete gradient of component i."""
-    grid = field.grid
-    n = grid.dimension
-    h = grid.spacing
-    out = np.empty(grid.shape + (n, n))
-    for i in range(n):
-        for j in range(n):
-            out[..., i, j] = np.gradient(field.values[..., i], h[j], axis=j, edge_order=2)
-    return MatrixField(grid, out, _shrunk_valid(field))
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +179,3 @@ def sigma2_values(matrices: np.ndarray) -> np.ndarray:
 
 def frobenius_sq(matrices: np.ndarray) -> np.ndarray:
     return np.sum(np.asarray(matrices) ** 2, axis=(-2, -1))
-
-
-def det2(matrices: np.ndarray) -> np.ndarray:
-    m = np.asarray(matrices)
-    if m.shape[-1] != 2:
-        raise ValueError("det2 expects 2x2 matrices")
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]

@@ -195,7 +195,7 @@ def mollifier_kernel(spacing, eps: float) -> np.ndarray:
     return weights / total
 
 
-def mollify(field, eps: float):
+def mollify(field: ScalarField, eps: float) -> ScalarField:
     """Convolve with the normalized bump of radius ``eps``.
 
     Output values equal the raw input wherever the kernel support leaves the
@@ -220,18 +220,8 @@ def mollify(field, eps: float):
         eroded = ndimage.minimum_filter(field.valid, footprint=support, mode="constant", cval=False)
         new_valid = full & eroded
 
-    def smooth(component):
-        conv = ndimage.convolve(component, kernel, mode="nearest")
-        return np.where(new_valid, conv, component)
-
-    if isinstance(field, ScalarField):
-        return ScalarField(grid, smooth(field.values), new_valid)
-    if isinstance(field, VectorField):
-        out = np.stack(
-            [smooth(field.values[..., i]) for i in range(grid.dimension)], axis=-1
-        )
-        return VectorField(grid, out, new_valid)
-    raise FieldError(f"cannot mollify {type(field).__name__}")
+    conv = ndimage.convolve(field.values, kernel, mode="nearest")
+    return ScalarField(grid, np.where(new_valid, conv, field.values), new_valid)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,16 @@
 """Executable checks of the algebra behind the sigma_2 estimates.
 
-Three facts carry the second-order bounds and are checked here numerically:
+Two facts carry the second-order bounds and are checked here numerically:
 
 * the product-rule expansion of ``sigma_2`` of a stretched-gradient Jacobian
   into a Frobenius/trace part plus a ``beta``-weighted correction,
 * the trace contraction relating ``[|H|^2 - (tr H)^2] |g|^2`` to ``|Hg|^2``
-  and ``<Hg, g> tr H`` (an identity in 2-d, a one-sided bound in 3-d),
-* the integrated pair-sum (divergence) form of ``sigma_2`` against a
-  compactly supported weight.
+  and ``<Hg, g> tr H`` (an identity in 2-d, a one-sided bound in 3-d).
 
-Each check has a raw array version working on gradient/Hessian values (so
-exact symbolic derivatives can be fed in) plus a field-level wrapper that
-differentiates a sampled field discretely.
+Each check works on raw gradient/Hessian values, so exact symbolic
+derivatives of random polynomials can be fed in as the oracle, and so can
+the values of :func:`pxlaplace.diffops.gradient` and
+:func:`pxlaplace.diffops.hessian` of a sampled field.
 """
 
 from __future__ import annotations
@@ -21,23 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffops import (
-    StretchParams,
-    gradient,
-    hessian,
-    infinity_laplacian_values,
-    sigma2_values,
-    stretched_gradient_values,
-    stretched_jacobian_values,
-)
+from .diffops import infinity_laplacian_values, sigma2_values, stretched_jacobian_values
 from .expressions import Expression
-from .fields import ScalarField
 
 __all__ = [
     "CheckReport",
-    "check_sigma2_structure",
-    "check_trace_identity",
-    "divergence_structure_terms",
     "random_polynomial_expression",
     "run_identity_suite",
     "sigma2_structure_residual",
@@ -103,65 +90,6 @@ def trace_inequality_slack_3d(grad, hess) -> np.ndarray:
         + (n - 2.0) / (n - 1.0) * (hg2 * g2 - inf_lap**2)
     )
     return lhs - rhs
-
-
-def check_sigma2_structure(v: ScalarField, params: StretchParams) -> ScalarField:
-    """Residual field of the structural identity for a sampled scalar field."""
-    grad = gradient(v)
-    hess = hessian(v)
-    residual = sigma2_structure_residual(grad.values, hess.values, params.beta, params.eps)
-    return ScalarField(v.grid, residual, grad.valid & hess.valid)
-
-
-def check_trace_identity(v: ScalarField, tolerance: float = 1e-9) -> CheckReport:
-    """Per-node trace identity (n = 2) or inequality (n = 3) on a sampled field."""
-    grad = gradient(v)
-    hess = hessian(v)
-    valid = grad.valid & hess.valid
-    if v.grid.dimension == 2:
-        residual = trace_identity_residual_2d(grad.values, hess.values)
-        worst = float(np.abs(residual[valid]).max())
-        return CheckReport("trace-identity-2d", int(valid.sum()), worst, tolerance, worst <= tolerance)
-    slack = trace_inequality_slack_3d(grad.values, hess.values)
-    worst = float(slack[valid].min())
-    return CheckReport("trace-inequality-3d", int(valid.sum()), worst, tolerance, worst >= -tolerance)
-
-
-def divergence_structure_terms(v: ScalarField, params: StretchParams, phi: ScalarField, c) -> tuple:
-    """Both sides of the integrated pair-sum form of sigma_2 against ``phi``.
-
-    Returns ``(lhs, rhs)`` where ``lhs`` integrates ``sigma_2(DF) phi`` and
-    ``rhs`` the boundary-free pair sum
-    ``sum_{i<j} (F_i - c_i) [ (d_j F_j) d_i phi - (d_i F_j) d_j phi ]``.
-    Their gap shrinks at second order under grid refinement.
-    """
-    if params.eps <= 0:
-        raise ValueError("the divergence structure check needs eps > 0")
-    grid = v.grid
-    n = grid.dimension
-    grad = gradient(v)
-    hess = hessian(v)
-    valid = grad.valid & hess.valid
-    support = phi.values != 0.0
-    if np.any(support & ~valid):
-        raise ValueError("cutoff support must stay inside the interior-validity region")
-    c = np.asarray(c, dtype=float)
-    if c.shape != (n,):
-        raise ValueError(f"constant vector must have shape ({n},)")
-
-    f_vals = stretched_gradient_values(grad.values, params.beta, params.eps)
-    df = stretched_jacobian_values(grad.values, hess.values, params.beta, params.eps)
-    dphi = gradient(phi).values
-    vol = grid.cell_volume
-
-    lhs = float(np.sum(sigma2_values(df) * phi.values) * vol)
-    rhs = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            shifted = f_vals[..., i] - c[i]
-            rhs += np.sum(shifted * df[..., j, j] * dphi[..., i])
-            rhs -= np.sum(shifted * df[..., j, i] * dphi[..., j])
-    return lhs, float(rhs * vol)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .constants import ExponentWindow
-from .diffops import gradient
+from .diffops import _central_difference, gradient
 from .expressions import Expression
 from .fields import BallRegion, GridSpec, ScalarField, ball_mask, mollify, sample
 
@@ -288,7 +288,7 @@ def _frozen_coefficients(v: np.ndarray, p: np.ndarray, eps: float, spacing: tupl
     if float(p.min()) <= 1.0:
         raise SolverError("exponent field leaves the ellipticity window (p <= 1 somewhere)")
     n = v.ndim
-    grads = [(_shifted(v, {i: 1}) - _shifted(v, {i: -1})) / (2.0 * spacing[i]) for i in range(n)]
+    grads = [_central_difference(v, i, spacing[i]) for i in range(n)]
     g2 = grads[0] ** 2
     for grad in grads[1:]:
         g2 = g2 + grad**2

@@ -1,3 +1,7 @@
+import functools
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,6 @@ from pxlaplace.audits import (
     gehring_delta_search,
     pointwise_stretch_audit,
     quasiregularity_audit,
-    reverse_holder_audit,
 )
 from pxlaplace.constants import ExponentWindow, constant_set
 from pxlaplace.diffops import (
@@ -314,22 +317,31 @@ class TestGehringMatchesPerDeltaGather:
         assert result.ratios == expected
 
 
+# Every ratio meets a huge budget, so the search ends at delta = 2; none meets
+# a negative one, so it ends at delta = 0.  The result's ratios are then
+# those of the two ends of the delta range.
+HUGE_BUDGET = 1e300
+NEGATIVE_BUDGET = -1.0
+
+
 class TestReverseHolder:
     def test_linear_field_all_ratios_zero(self):
         grid = unit_square()
         u = sample(parse_expression("x1 - 3*x2", 2), grid)
         balls = [BallRegion((0.5, 0.5), 0.25)]
-        for delta in (0.0, 0.7, 2.0):
-            result = reverse_holder_audit(u, None, 0.0, delta, balls)
+        for c_target, delta in ((HUGE_BUDGET, 2.0), (NEGATIVE_BUDGET, 0.0)):
+            result = gehring_delta_search(u, None, 0.0, balls, c_target)
+            assert result.delta == delta
             assert result.worst_ratio == 0.0
 
     def test_constant_hessian_plateau(self):
         # quadratic field: |DF| constant, so the ratio is delta-independent
         u = saddle_field()
         balls = [BallRegion((0.5, 0.5), 0.25), BallRegion((0.4, 0.6), 0.15)]
-        r0 = reverse_holder_audit(u, None, 0.0, 0.0, balls)
-        r1 = reverse_holder_audit(u, None, 0.0, 1.5, balls)
-        assert r0.worst_ratio == pytest.approx(r1.worst_ratio, rel=1e-9)
+        r0 = gehring_delta_search(u, None, 0.0, balls, NEGATIVE_BUDGET)
+        r2 = gehring_delta_search(u, None, 0.0, balls, HUGE_BUDGET)
+        assert (r0.delta, r2.delta) == (0.0, 2.0)
+        assert r0.worst_ratio == pytest.approx(r2.worst_ratio, rel=1e-9)
         assert np.isfinite(r0.worst_ratio)
 
     def test_delta_search_linear_hits_upper_end(self):
@@ -347,10 +359,17 @@ class TestReverseHolder:
         assert not result.feasible_at_zero
         assert result.delta == 0.0
 
+    def test_nan_beta_is_infeasible(self):
+        # every ratio is NaN, and NaN <= c_target is false: no PASS on NaN
+        u = saddle_field(33)
+        balls = [BallRegion((0.5, 0.5), 0.25)]
+        result = gehring_delta_search(u, None, float("nan"), balls, HUGE_BUDGET)
+        assert np.isnan(result.worst_ratio)
+        assert not result.feasible_at_zero
+        assert result.delta == 0.0
+
     def test_empty_family_rejected(self):
         u = saddle_field(33)
-        with pytest.raises(AuditError):
-            reverse_holder_audit(u, None, 0.0, 0.0, [])
         with pytest.raises(AuditError):
             gehring_delta_search(u, None, 0.0, [], 1.0)
 
@@ -359,9 +378,100 @@ class TestReverseHolder:
         u = saddle_field()
         f = ScalarField(grid, np.full(grid.shape, 2.0))
         balls = [BallRegion((0.5, 0.5), 0.25)]
-        with_f = reverse_holder_audit(u, f, 0.0, 0.0, balls)
-        without = reverse_holder_audit(u, None, 0.0, 0.0, balls)
+        with_f = gehring_delta_search(u, f, 0.0, balls, NEGATIVE_BUDGET)
+        without = gehring_delta_search(u, None, 0.0, balls, NEGATIVE_BUDGET)
+        assert with_f.delta == without.delta == 0.0
         assert with_f.worst_ratio < without.worst_ratio
+
+
+class TestStretchedFieldStore:
+    """The four audits share one stored (F, |DF|^2, sigma_2) per (beta, eps)."""
+
+    BETAS = (0.0, 1.0)
+
+    @staticmethod
+    def battery(prob, balls):
+        """Every audit of perfbench's battery, in its order, as a function of
+        the solution: per beta the pointwise, quasiregularity and Caccioppoli
+        audits, then the delta search per beta."""
+        runs = []
+        for beta in TestStretchedFieldStore.BETAS:
+            params = StretchParams(beta, prob.eps)
+            common = dict(p=prob.p, g=prob.g, params=params, window=prob.window)
+            budget = constant_set(prob.window, 2, beta).c_star
+            runs.append(functools.partial(pointwise_stretch_audit, **common))
+            runs.append(
+                functools.partial(quasiregularity_audit, beta=beta, budget=budget, window=prob.window)
+            )
+            for ball in caccioppoli_balls():
+                runs.append(functools.partial(caccioppoli_audit, ball=ball, **common))
+        for beta in TestStretchedFieldStore.BETAS:
+            runs.append(
+                functools.partial(
+                    gehring_delta_search,
+                    f=prob.f,
+                    beta=beta,
+                    balls=balls,
+                    c_target=REGRESSION_GEHRING_BUDGET,
+                )
+            )
+        return runs
+
+    def test_four_builds_for_two_betas(self, canonical_run, monkeypatch):
+        final = canonical_run[0].results[-1]
+        prob = final.problem
+
+        def twin():  # same values, nothing stored yet
+            return ScalarField(final.v.grid, final.v.values, final.v.valid)
+
+        runs = self.battery(prob, ball_family(prob.grid, r_max=0.3, seed=3))
+        calls = []
+        counted = audits.stretched_jacobian_values
+
+        def counting(grad, hess, beta, eps):
+            calls.append((beta, eps))
+            return counted(grad, hess, beta, eps)
+
+        monkeypatch.setattr(audits, "stretched_jacobian_values", counting)
+        shared = twin()
+        results = [run(shared) for run in runs]
+        # one build per (beta, eps): the solve's eps and eps = 0, per beta
+        expected = [(beta, eps) for beta in self.BETAS for eps in (prob.eps, 0.0)]
+        assert len(calls) == 4 and sorted(calls) == sorted(expected)
+
+        for beta, eps in expected:
+            for array in audits._stretched_fields(shared, beta, eps):
+                assert not array.flags.writeable
+        assert len(calls) == 4  # reading the store builds nothing
+        for run, result in zip(runs, results):
+            assert run(twin()) == result
+
+    def test_threads_racing_to_fill_the_store(self):
+        # a race may build a triple twice, but every reader sees equal values
+        expr = parse_expression("sin(3*x1)*x2^2 + x1*x2", 2)
+        grid = unit_square(33)
+        balls = [BallRegion((0.5, 0.5), 0.25)]
+
+        def audit(v):
+            return (
+                quasiregularity_audit(v, 1.0, window=ExponentWindow(2.0, 2.5)),
+                gehring_delta_search(v, None, 1.0, balls, HUGE_BUDGET),
+            )
+
+        reference = audit(sample(expr, grid))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                field = sample(expr, grid)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [pool.submit(audit, field) for _ in range(8)]
+                    results = [f.result(timeout=60) for f in futures]
+                assert all(result == reference for result in results)
+                stored = audits._stretched_fields(field, 1.0, 0.0)
+                assert stored is audits._stretched_fields(field, 1.0, 0.0)
+        finally:
+            sys.setswitchinterval(switch)
 
 
 class TestBallFamily:
@@ -383,6 +493,12 @@ class TestBallFamily:
         grid = unit_square(33)
         with pytest.raises(AuditError):
             ball_family(grid, r_max=0.1, seed=0)
+
+    @pytest.mark.parametrize("r_max", [float("inf"), float("nan")])
+    def test_non_finite_r_max_rejected(self, r_max):
+        # inf would halve forever; nan would leave no radius at all
+        with pytest.raises(AuditError, match="finite"):
+            ball_family(unit_square(33), r_max=r_max, seed=0)
 
     def test_lattice_balls_outside_margin_skipped(self):
         # one radius at 33^2 (0.225 < 8h), so the lattice radius is 0.45,
@@ -444,13 +560,7 @@ class TestEquationResidual:
 
 class TestSigma2Consistency:
     def test_pair_sum_equals_minus_det_on_audited_fields(self, canonical_run):
-        from pxlaplace.diffops import (
-            det2,
-            gradient,
-            hessian,
-            sigma2_values,
-            stretched_jacobian_values,
-        )
+        from pxlaplace.diffops import sigma2_values
 
         continuation, _ = canonical_run
         final = continuation.results[-1]
@@ -458,7 +568,8 @@ class TestSigma2Consistency:
         hess = hessian(final.v)
         for beta in (0.0, 1.0):
             df = stretched_jacobian_values(grad.values, hess.values, beta, 0.0)
-            assert np.array_equal(sigma2_values(df), -det2(df))
+            det = df[..., 0, 0] * df[..., 1, 1] - df[..., 0, 1] * df[..., 1, 0]
+            assert np.array_equal(sigma2_values(df), -det)
 
 
 class TestAdmissibleBetaRange:

@@ -252,6 +252,37 @@ class TestConfigErrors:
         assert main([command, "--config", path]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, line, value, message",
+        [
+            ("audit", "betas = 0 1", "betas = 0 nan", "betas must be finite"),
+            ("gehring", "betas = 0 1", "betas = nan", "betas must be finite"),
+            ("audit", "kappa = 10", "kappa = inf", "kappa must be positive and finite"),
+            ("gehring", "c_target = 3.36", "c_target = inf", "c_target must be positive and finite"),
+            ("gehring", "seed = 7", "seed = 7\ngehring_r_max = inf", "gehring_r_max must be"),
+            ("gehring", "seed = 7", "seed = 7\ngehring_r_max = nan", "gehring_r_max must be"),
+            ("gehring", "seed = 7", "seed = 7\ngehring_r_max = 0", "gehring_r_max must be"),
+            ("gehring", "seed = 7", "seed = 7\ngehring_r_max = -0.2", "gehring_r_max must be"),
+        ],
+        ids=[
+            "audit-betas-nan",
+            "gehring-betas-nan",
+            "kappa-inf",
+            "c_target-inf",
+            "gehring_r_max-inf",
+            "gehring_r_max-nan",
+            "gehring_r_max-zero",
+            "gehring_r_max-negative",
+        ],
+    )
+    def test_non_finite_numbers(self, tmp_path, capsys, command, line, value, message):
+        # nan betas would PASS the delta search, an infinite kappa or c_target
+        # would make every verdict pass, and an infinite gehring_r_max would
+        # halve forever: config mistakes (2), not verdicts (0 or 1)
+        path, _ = write_config(tmp_path, SMALL_CONFIG.replace(line, value))
+        assert main([command, "--config", path]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):

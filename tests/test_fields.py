@@ -148,20 +148,6 @@ class TestMollify:
         band = ~smoothed.valid
         assert np.array_equal(smoothed.values[band], field.values[band])
 
-    def test_vector_field_componentwise(self):
-        grid = unit_square(33)
-        a = sample(parse_expression("x1^2", 2), grid)
-        b = sample(parse_expression("0.5*x2", 2), grid)
-        from pxlaplace.fields import VectorField
-
-        vec = VectorField(grid, np.stack([a.values, b.values], axis=-1))
-        smoothed = mollify(vec, 0.1)
-        sa = mollify(a, 0.1)
-        sb = mollify(b, 0.1)
-        assert np.array_equal(smoothed.values[..., 0], sa.values)
-        assert np.array_equal(smoothed.values[..., 1], sb.values)
-        assert np.array_equal(smoothed.valid, sa.valid)
-
     @pytest.mark.parametrize("holes", [False, True], ids=["all-valid", "invalid-interior"])
     def test_validity_matches_eroded_reference(self, holes):
         # reference: the support of every kept node lies inside the grid and
