@@ -86,9 +86,8 @@ class GehringResult:
 
 
 def _derivative_data(v: ScalarField):
-    grad = gradient(v)
-    hess = hessian(v)
-    return grad, hess, grad.valid & hess.valid
+    """Gradient, Hessian and the nodes they are read on: the interior."""
+    return gradient(v), hessian(v), v.grid.interior_mask()
 
 
 def _stretched_fields(v: ScalarField, beta: float, eps: float):
@@ -102,9 +101,9 @@ def _stretched_fields(v: ScalarField, beta: float, eps: float):
     store = v.__dict__.setdefault("_stretched_fields", {})
     key = (beta, eps)
     if key not in store:
-        grad, hess, _ = _derivative_data(v)
-        f_vals = stretched_gradient_values(grad.values, beta, eps)
-        df = stretched_jacobian_values(grad.values, hess.values, beta, eps)
+        grad, hess = gradient(v), hessian(v)
+        f_vals = stretched_gradient_values(grad, beta, eps)
+        df = stretched_jacobian_values(grad, hess, beta, eps)
         fields = (f_vals, frobenius_sq(df), sigma2_values(df))
         for array in fields:
             array.setflags(write=False)
@@ -119,13 +118,13 @@ def _worst_location(values: np.ndarray, mask: np.ndarray, grid: GridSpec):
 
 
 def equation_residual(v: ScalarField, p: ScalarField, g: ScalarField, eps: float) -> float:
-    """Max-norm residual of the discrete regularized equation at valid nodes."""
-    grad, hess, valid = _derivative_data(v)
-    g2 = np.sum(grad.values**2, axis=-1)
-    lap = np.trace(hess.values, axis1=-2, axis2=-1)
-    inf_lap = infinity_laplacian_values(grad.values, hess.values)
+    """Max-norm residual of the discrete regularized equation at interior nodes."""
+    grad, hess, interior = _derivative_data(v)
+    g2 = np.sum(grad**2, axis=-1)
+    lap = np.trace(hess, axis1=-2, axis2=-1)
+    inf_lap = infinity_laplacian_values(grad, hess)
     res = -lap - (p.values - 2.0) * inf_lap / (g2 + eps) + v.values - g.values
-    return float(np.abs(res[valid]).max())
+    return float(np.abs(res[interior]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +163,15 @@ def pointwise_stretch_audit(
             f"(budget {eq_budget:.3e})"
         )
 
-    grad, _, valid = _derivative_data(v)
+    grad, _, interior = _derivative_data(v)
     _, lhs, s2 = _stretched_fields(v, params.beta, params.eps)
-    base = np.sum(grad.values**2, axis=-1) + params.eps
+    base = np.sum(grad**2, axis=-1) + params.eps
     data_term = consts.c_tilde_star * base**params.beta * (g.values - v.values) ** 2
     residual = lhs - consts.c_star * s2 - data_term
     normalized = residual / (lhs + 1.0)
 
-    worst = float(normalized[valid].max())
-    location = _worst_location(normalized, valid, grid)
+    worst = float(normalized[interior].max())
+    location = _worst_location(normalized, interior, grid)
     return EstimateReport(
         audit="pointwise-stretch",
         region="interior",
@@ -188,9 +187,9 @@ def pointwise_stretch_audit(
         tolerance=tolerance,
         passed=worst <= tolerance,
         details={
-            "worst_raw": float(residual[valid].max()),
+            "worst_raw": float(residual[interior].max()),
             "equation_residual": eq_res,
-            "nodes": int(valid.sum()),
+            "nodes": int(interior.sum()),
         },
     )
 
@@ -216,16 +215,16 @@ def quasiregularity_audit(
     if beta < 0:
         raise AuditError("distortion audit requires a nonnegative stretch exponent")
     grid = u.grid
-    _, _, valid = _derivative_data(u)
+    nodes = grid.interior_mask()
     if region is not None:
-        valid = valid & ball_mask(region, grid)
-        if not valid.any():
-            raise AuditError("audit region lies outside the interior-validity nodes")
+        nodes &= ball_mask(region, grid)
+        if not nodes.any():
+            raise AuditError("audit region holds no interior nodes")
     _, lhs, s2 = _stretched_fields(u, beta, 0.0)
 
     norm = np.sqrt(lhs)
-    floor = DISTORTION_FLOOR * float(norm[valid].max()) if valid.any() else 0.0
-    audited = valid & (norm > floor)
+    floor = DISTORTION_FLOOR * float(norm[nodes].max())
+    audited = nodes & (norm > floor)
     positive = audited & (s2 > 0.0)
     violations = int(np.sum(audited & (s2 <= 0.0)))
 
@@ -285,15 +284,14 @@ def caccioppoli_audit(
     three_quarter = ball.scaled(0.75)
     # Every term vanishes off the cutoff's support and its one-node rim.  The
     # box holds the support with two nodes to spare, so its inner nodes
-    # (``core``) hold every nonzero term, and their central differences of
-    # phi are the full-grid gradient's.  It checks the margin first.
+    # (``core``) are interior nodes that hold every nonzero term, and their
+    # central differences of phi are the full-grid gradient's.  It checks
+    # the margin first.
     box = ball_box(three_quarter, grid, margin_nodes=2)
     core = tuple(slice(part.start + 1, part.stop - 1) for part in box)
     inner = (slice(1, -1),) * n
     phi = cutoff(ball, grid, box)
-    grad, _, valid = _derivative_data(v)
-    if np.any((phi > 0.0) & ~valid[box]):
-        raise AuditError("cutoff support leaves the interior-validity region")
+    grad = gradient(v)
 
     f_vals, df_sq, _ = _stretched_fields(v, params.beta, params.eps)
     if c is None:
@@ -306,7 +304,7 @@ def caccioppoli_audit(
     phi_sq = phi[inner] ** 2
 
     vol = grid.cell_volume
-    base = np.sum(grad.values[core] ** 2, axis=-1) + params.eps
+    base = np.sum(grad[core] ** 2, axis=-1) + params.eps
     gap = g.values[core] - v.values[core]
     lhs = float(np.sum(df_sq[core] * phi_sq) * vol)
     osc = float(np.sum(np.sum((f_vals[core] - c) ** 2, axis=-1) * np.sum(dphi**2, axis=-1)) * vol)
@@ -347,7 +345,8 @@ def ball_family(grid: GridSpec, r_max: Optional[float] = None, seed: int = 0) ->
 
     Radii halve from ``r_max`` down to the resolvable ``8 h``.  The
     three-quarter scaling of every concentric ball, which the audits read,
-    must sit inside the grid margin (:class:`FieldError` otherwise); a
+    must sit inside the grid margin, and ``r_max`` must be finite and at
+    least ``8 h`` (:class:`FieldError` otherwise); a
     lattice ball is kept only if the whole ball does.  Deterministic for a
     fixed seed.
     """
@@ -356,9 +355,9 @@ def ball_family(grid: GridSpec, r_max: Optional[float] = None, seed: int = 0) ->
     if r_max is None:
         r_max = 0.25 * min(grid.extents)
     if not np.isfinite(r_max):
-        raise AuditError(f"r_max must be finite, got {r_max}")
+        raise FieldError(f"r_max must be finite, got {r_max}")
     if r_max < r_min:
-        raise AuditError(f"r_max {r_max} below the resolvable radius {r_min}")
+        raise FieldError(f"r_max {r_max} below the resolvable radius {r_min}")
     center = tuple(0.5 * (a + b) for a, b in zip(grid.lo, grid.hi))
     radii = []
     r = float(r_max)
@@ -409,20 +408,20 @@ def _holder_data(u: ScalarField, f: Optional[ScalarField], beta: float, balls):
     delta-free oscillation ``|F - mean F| / R`` over the three-quarter ball
     and the data weight there (``None`` without data)."""
     grid = u.grid
-    grad, _, valid = _derivative_data(u)
+    grad, _, interior = _derivative_data(u)
     fvals, df_sq, _ = _stretched_fields(u, beta, 0.0)
     dfnorm = np.sqrt(df_sq)
     fweight = None
     if f is not None and float(np.abs(f.values).max()) > 0.0:
-        gnorm = np.sqrt(np.sum(grad.values**2, axis=-1))
+        gnorm = np.sqrt(np.sum(grad**2, axis=-1))
         fweight = gnorm**beta * np.abs(f.values)
     ball_data = []
     for ball in balls:
         three_quarter = ball.scaled(0.75)
         box = ball_box(three_quarter, grid, margin_nodes=0)
         m3 = ball_mask(three_quarter, grid, box)
-        if np.any(m3 & ~valid[box]):
-            raise AuditError(f"ball {_ball_name(ball)} leaves the validity region")
+        if np.any(m3 & ~interior[box]):
+            raise AuditError(f"ball {_ball_name(ball)} leaves the interior nodes")
         mq = ball_mask(ball.scaled(0.25), grid, box)
         if not mq.any():
             raise AuditError(f"quarter ball of {_ball_name(ball)} contains no nodes")

@@ -3,7 +3,9 @@
 Gradients use second-order central differences (one-sided second order at
 the box boundary); Hessians pair the compact 3-point second difference on
 the diagonal with the symmetric 4-point cross stencil off it, so they are
-exact on quadratics.  Both are computed once per field and stored on it.
+exact on quadratics.  Both are read-only arrays with the derivative axes
+last, computed once per field and stored on it; callers read them on the
+interior nodes, where every stencil is central.
 The interior central difference alone, which the solver's frozen
 coefficient and the Caccioppoli cutoff slope read, is
 :func:`_central_difference`.  Jacobians of stretched gradients are formed
@@ -18,9 +20,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .fields import MatrixField, ScalarField, VectorField
+from .fields import ScalarField, _prepare
 
 __all__ = [
     "StretchParams",
@@ -48,13 +49,6 @@ class StretchParams:
             raise ValueError(f"regularization must be nonnegative, got {self.eps}")
 
 
-def _shrunk_valid(field) -> np.ndarray:
-    """Validity after one stencil application: box-erode and drop the boundary."""
-    grid = field.grid
-    eroded = ndimage.minimum_filter(field.valid, size=3, mode="constant", cval=False)
-    return eroded & grid.interior_mask()
-
-
 def _once_per_field(compute):
     """Store ``compute(v)`` on the field ``v`` and return it on later calls.
 
@@ -75,11 +69,14 @@ def _once_per_field(compute):
 
 
 @_once_per_field
-def gradient(v: ScalarField) -> VectorField:
-    """Central differences inside, one-sided second order on the boundary."""
+def gradient(v: ScalarField) -> np.ndarray:
+    """Central differences inside, one-sided second order on the boundary.
+
+    Shape ``grid.shape + (n,)``; a non-finite entry raises :class:`FieldError`.
+    """
     grid = v.grid
     comps = np.gradient(v.values, *grid.spacing, edge_order=2)
-    return VectorField(grid, np.stack(comps, axis=-1), _shrunk_valid(v))
+    return _prepare(np.stack(comps, axis=-1), grid.shape + (grid.dimension,), "gradient")
 
 
 def _central_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -101,8 +98,11 @@ def _second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 @_once_per_field
-def hessian(v: ScalarField) -> MatrixField:
-    """Symmetric discrete Hessian, exact on quadratics."""
+def hessian(v: ScalarField) -> np.ndarray:
+    """Symmetric discrete Hessian, exact on quadratics.
+
+    Shape ``grid.shape + (n, n)``; a non-finite entry raises :class:`FieldError`.
+    """
     grid = v.grid
     n = grid.dimension
     h = grid.spacing
@@ -113,7 +113,7 @@ def hessian(v: ScalarField) -> MatrixField:
         for j in range(i + 1, n):
             dj = np.gradient(v.values, h[j], axis=j, edge_order=2)
             out[..., i, j] = out[..., j, i] = np.gradient(dj, h[i], axis=i, edge_order=2)
-    return MatrixField(grid, out, _shrunk_valid(v))
+    return _prepare(out, grid.shape + (n, n), "Hessian")
 
 
 def infinity_laplacian_values(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:

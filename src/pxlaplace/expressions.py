@@ -425,14 +425,6 @@ class Expression:
     def __str__(self):
         return str(self.root)
 
-    def evaluate(self, point) -> float:
-        """Evaluate at a single point (sequence of ``dimension`` floats)."""
-        if len(point) != self.dimension:
-            raise ExpressionError(
-                f"point has {len(point)} coordinates, expression expects {self.dimension}"
-            )
-        return float(self.evaluate_array([float(c) for c in point]))
-
     def evaluate_array(self, coords) -> np.ndarray:
         """Vectorized evaluation over per-axis coordinate arrays.
 

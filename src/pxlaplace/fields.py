@@ -1,16 +1,14 @@
 """Uniform Cartesian grids, sampled fields, mollification, balls and cutoffs.
 
 Rectangular boxes discretized with node-centered uniform spacing carry all
-discrete data.  Fields keep a per-node ``valid`` mask: operations that lose
-accuracy near the box boundary (one-sided stencils, partial mollifier
-support) clear it there, and every estimate audit restricts itself to nodes
-that are still flagged valid.
+discrete data.  Derivatives are read on the interior nodes alone
+(:meth:`GridSpec.interior_mask`), where every difference stencil is
+central, so a field is its grid and its node values and nothing more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import ndimage
@@ -21,9 +19,7 @@ __all__ = [
     "BallRegion",
     "FieldError",
     "GridSpec",
-    "MatrixField",
     "ScalarField",
-    "VectorField",
     "ball_box",
     "ball_mask",
     "cutoff",
@@ -105,54 +101,13 @@ def _prepare(values, shape, what):
     return arr
 
 
-def _prepare_valid(valid, shape):
-    if valid is None:
-        arr = np.ones(shape, dtype=bool)
-    else:
-        arr = np.array(valid, dtype=bool)
-        if arr.shape != shape:
-            raise FieldError(f"valid mask has shape {arr.shape}, expected {shape}")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class ScalarField:
     grid: GridSpec
     values: np.ndarray
-    valid: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", _prepare(self.values, self.grid.shape, "scalar field"))
-        object.__setattr__(self, "valid", _prepare_valid(self.valid, self.grid.shape))
-
-
-@dataclass(frozen=True)
-class VectorField:
-    grid: GridSpec
-    values: np.ndarray
-    valid: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        n = self.grid.dimension
-        object.__setattr__(
-            self, "values", _prepare(self.values, self.grid.shape + (n,), "vector field")
-        )
-        object.__setattr__(self, "valid", _prepare_valid(self.valid, self.grid.shape))
-
-
-@dataclass(frozen=True)
-class MatrixField:
-    grid: GridSpec
-    values: np.ndarray
-    valid: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        n = self.grid.dimension
-        object.__setattr__(
-            self, "values", _prepare(self.values, self.grid.shape + (n, n), "matrix field")
-        )
-        object.__setattr__(self, "valid", _prepare_valid(self.valid, self.grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +153,8 @@ def mollifier_kernel(spacing, eps: float) -> np.ndarray:
 def mollify(field: ScalarField, eps: float) -> ScalarField:
     """Convolve with the normalized bump of radius ``eps``.
 
-    Output values equal the raw input wherever the kernel support leaves the
-    grid (or touches invalid input nodes); those nodes are flagged invalid.
+    Output values equal the raw input wherever the kernel support leaves
+    the grid.
     """
     grid = field.grid
     h = grid.spacing
@@ -213,15 +168,8 @@ def mollify(field: ScalarField, eps: float) -> ScalarField:
 
     full = np.zeros(grid.shape, dtype=bool)
     full[tuple(slice(r, m - r) for r, m in zip((s // 2 for s in kernel.shape), grid.shape))] = True
-    if field.valid.all():
-        new_valid = full  # the eroded mask of an all-valid input contains ``full``
-    else:
-        support = kernel > 0
-        eroded = ndimage.minimum_filter(field.valid, footprint=support, mode="constant", cval=False)
-        new_valid = full & eroded
-
     conv = ndimage.convolve(field.values, kernel, mode="nearest")
-    return ScalarField(grid, np.where(new_valid, conv, field.values), new_valid)
+    return ScalarField(grid, np.where(full, conv, field.values))
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +189,8 @@ class BallRegion:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "scale", float(self.scale))
-        if self.radius <= 0:
-            raise FieldError("ball radius must be positive")
+        if not self.radius > 0:  # NaN fails too
+            raise FieldError(f"ball radius must be positive, got {self.radius}")
         if self.scale not in BALL_SCALES:
             raise FieldError(f"ball scale must be one of {BALL_SCALES}")
 
@@ -260,7 +208,7 @@ def require_inside(ball: BallRegion, grid: GridSpec, margin_nodes: int = 2) -> N
         raise FieldError("ball center dimension does not match grid")
     r = ball.effective_radius
     for c, a, b, h in zip(ball.center, grid.lo, grid.hi, grid.spacing):
-        if c - r < a + margin_nodes * h or c + r > b - margin_nodes * h:
+        if not (a + margin_nodes * h <= c - r and c + r <= b - margin_nodes * h):  # NaN fails
             raise FieldError(
                 f"ball of radius {r} at {ball.center} leaves the grid margin"
             )
@@ -307,17 +255,16 @@ def ball_mask(ball: BallRegion, grid: GridSpec, box=None) -> np.ndarray:
     return _distance(grid, ball.center, box) <= ball.effective_radius
 
 
-def cutoff(ball: BallRegion, grid: GridSpec, box=None):
+def cutoff(ball: BallRegion, grid: GridSpec, box=None) -> np.ndarray:
     """Radial cutoff: 1 on the half ball, 0 outside the three-quarter ball.
 
     The ramp is a clamped smoothstep over the annulus ``[R/2, 3R/4]``; its
     analytic slope peaks at ``6/R``, inside the admissible ``8/R`` budget.
-    Returns a field on the grid or, given an index ``box`` from
-    :func:`ball_box`, the array of its values on that box.
+    Returns the array of its values on the grid or, given an index ``box``
+    from :func:`ball_box`, on that box.
     """
     require_inside(ball.scaled(0.75), grid)
     radius = ball.effective_radius
     r = _distance(grid, ball.center, box)
     t = np.clip((r - 0.5 * radius) / (0.25 * radius), 0.0, 1.0)
-    phi = 1.0 - t * t * (3.0 - 2.0 * t)
-    return phi if box is not None else ScalarField(grid, phi)
+    return 1.0 - t * t * (3.0 - 2.0 * t)

@@ -144,8 +144,14 @@ def run_identity_suite(seed: int = 0, count: int = 100, tolerance: float = 1e-9)
     ``count`` polynomials (alternating between 2-d and 3-d) feed the sigma_2
     structure residual with random ``beta`` in (-0.9, 3) and ``eps`` in
     (0.1, 2); the 2-d cases also exercise the trace identity.  The 3-d trace
-    inequality is sampled at ten thousand further points.
+    inequality is sampled at ten thousand further points.  A ``count``
+    below 1, or a tolerance that is not positive and finite, would let the
+    checks pass over nothing and raises :class:`ValueError`.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if not (tolerance > 0 and np.isfinite(tolerance)):  # NaN fails too
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     rng = np.random.default_rng(seed)
     points_per_poly = 120
     worst_structure = 0.0

@@ -672,9 +672,9 @@ def epsilon_continuation(
     previous solution each step, so the data term
     ``g - v = f_eps + u0_eps - v`` contracts along the schedule and the final
     iterate approximates the unregularized problem.  The Cauchy increments
-    ``max |D(v_k - v_{k-1})|`` over a ball inside the grid are recorded as
-    the convergence evidence; the discrete gradient is linear, so no level
-    keeps a gradient of its own.
+    ``max |D(v_k - v_{k-1})|`` over a ball two nodes inside the grid, where
+    every difference is central, are recorded as the convergence evidence;
+    the discrete gradient is linear, so no level keeps a gradient of its own.
     """
     schedule = tuple(float(e) for e in schedule)
     if not schedule:
@@ -699,8 +699,7 @@ def epsilon_continuation(
             raise SolverError(f"continuation member solve at eps={eps} did not converge")
         if prev is not None:
             diff = gradient(ScalarField(grid, result.v.values - prev.values))
-            norm = np.linalg.norm(diff.values, axis=-1)
-            increments.append(float(norm[mask & diff.valid].max()))
+            increments.append(float(np.linalg.norm(diff, axis=-1)[mask].max()))
         results.append(result)
         prev = result.v
     return ContinuationResult(results=results, increments=increments)

@@ -177,11 +177,10 @@ def full_grid_caccioppoli(v, g, params, ball, c=None):
     """Lhs, oscillation and data term of the cutoff energy bound, each
     summed over every node of the grid."""
     grid = v.grid
-    phi_field = cutoff(ball, grid)
-    phi = phi_field.values
-    dphi = gradient(phi_field).values
-    grad = gradient(v).values
-    df = stretched_jacobian_values(grad, hessian(v).values, params.beta, params.eps)
+    phi = cutoff(ball, grid)
+    dphi = gradient(ScalarField(grid, phi))
+    grad = gradient(v)
+    df = stretched_jacobian_values(grad, hessian(v), params.beta, params.eps)
     f_vals = stretched_gradient_values(grad, params.beta, params.eps)
     if c is None:
         c = f_vals[ball_mask(ball.scaled(0.75), grid)].mean(axis=0)
@@ -243,7 +242,7 @@ class TestCaccioppoliMatchesFullGrid:
         h = prob.grid.spacing[0]
         # the cutoff is positive one node inside the sphere, so D phi is
         # nonzero two nodes from the box's edge; a step outwards fails
-        assert cutoff(ball, prob.grid).values[3, 38] > 0.0
+        assert cutoff(ball, prob.grid)[3, 38] > 0.0
         with pytest.raises(FieldError, match="margin"):
             caccioppoli_audit(
                 final.v, prob.p, prob.g, StretchParams(0.0, prob.eps), prob.window,
@@ -255,9 +254,9 @@ def per_delta_ratios(u, f, beta, balls):
     """The per-ball ratios at one delta, with every ball's arrays gathered
     again from full-grid masks at every call."""
     grid = u.grid
-    grad = gradient(u).values
+    grad = gradient(u)
     dfnorm = np.sqrt(
-        frobenius_sq(stretched_jacobian_values(grad, hessian(u).values, beta, 0.0))
+        frobenius_sq(stretched_jacobian_values(grad, hessian(u), beta, 0.0))
     )
     fvals = stretched_gradient_values(grad, beta, 0.0)
     fweight = None
@@ -422,7 +421,7 @@ class TestStretchedFieldStore:
         prob = final.problem
 
         def twin():  # same values, nothing stored yet
-            return ScalarField(final.v.grid, final.v.values, final.v.valid)
+            return ScalarField(final.v.grid, final.v.values)
 
         runs = self.battery(prob, ball_family(prob.grid, r_max=0.3, seed=3))
         calls = []
@@ -491,13 +490,13 @@ class TestBallFamily:
 
     def test_r_max_below_resolvable_rejected(self):
         grid = unit_square(33)
-        with pytest.raises(AuditError):
+        with pytest.raises(FieldError, match="resolvable"):
             ball_family(grid, r_max=0.1, seed=0)
 
     @pytest.mark.parametrize("r_max", [float("inf"), float("nan")])
     def test_non_finite_r_max_rejected(self, r_max):
         # inf would halve forever; nan would leave no radius at all
-        with pytest.raises(AuditError, match="finite"):
+        with pytest.raises(FieldError, match="finite"):
             ball_family(unit_square(33), r_max=r_max, seed=0)
 
     def test_lattice_balls_outside_margin_skipped(self):
@@ -567,7 +566,7 @@ class TestSigma2Consistency:
         grad = gradient(final.v)
         hess = hessian(final.v)
         for beta in (0.0, 1.0):
-            df = stretched_jacobian_values(grad.values, hess.values, beta, 0.0)
+            df = stretched_jacobian_values(grad, hess, beta, 0.0)
             det = df[..., 0, 0] * df[..., 1, 1] - df[..., 0, 1] * df[..., 1, 0]
             assert np.array_equal(sigma2_values(df), -det)
 

@@ -4,11 +4,14 @@
 ``solver.gradient``, ``cli.epsilon_continuation`` ...) with recording
 wrappers and puts them back afterwards.  A refactor that removes or renames
 one of them breaks ``perfbench/run.py --trace 1``; this test catches that
-without running the benchmark.
+without running the benchmark.  The untraced run gates every operation on
+its workload's check; the last test runs that gate once per workload.
 """
 
 import importlib
 from pathlib import Path
+
+import pytest
 
 from pxlaplace import audits, cli, config, constants, expressions, solver
 
@@ -77,3 +80,19 @@ def test_audit_and_writer_names_exist():
     present = attributes()
     for key in AUDIT_AND_WRITER_NAMES:
         assert key in present, f"the traced run wraps {key}, which no longer exists"
+
+
+@pytest.mark.parametrize("name", ["fixture-129", "ladder-65", "cube-17", "battery-129"])
+def test_workload_gate_passes(monkeypatch, tmp_path, name):
+    # ``perfbench/run.py``'s rule on one operation per key: its problem list
+    # is empty or is exactly the workload's known failure.  This runs what
+    # the benchmark runs, so a changed return type breaks it here.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    # a command line workload hooks ``cli.epsilon_continuation``; put it back
+    monkeypatch.setattr(cli, "epsilon_continuation", cli.epsilon_continuation)
+    workload = workloads.make(name, 0, tmp_path)
+    workload.setup()
+    for key in workload.keys:
+        problems = workload.check(key, workload.run(key))
+        assert problems == [] or problems == workload.known_failures.get(key), (key, problems)

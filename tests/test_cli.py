@@ -95,6 +95,23 @@ class TestIdentitiesCommand:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 3
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--count", "0", "count must be at least 1"),
+            ("--tolerance", "inf", "tolerance must be positive and finite"),
+            ("--tolerance", "nan", "tolerance must be positive and finite"),
+            ("--tolerance", "0", "tolerance must be positive and finite"),
+        ],
+    )
+    def test_checks_that_pass_over_nothing_rejected(self, capsys, option, value, message):
+        # no samples, or a tolerance every residual meets: a usage error (2),
+        # not a PASS
+        assert main(["identities", option, value]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "[PASS]" not in captured.out
+
 
 class TestSolveCommand:
     def test_linear_fixture_residual(self, tmp_path, capsys):
@@ -157,6 +174,18 @@ class TestAuditCommand:
 
 
 class TestGehringCommand:
+    def test_unresolvable_ball_family_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # at 17^3 the default r_max (a quarter of the box) is below 8h = 0.5
+        calls = []
+        monkeypatch.setattr(cli, "epsilon_continuation", lambda *args: calls.append(args))
+        config = SMALL_CONFIG.replace("dimension = 2", "dimension = 3").replace(
+            "lo = 0 0\nhi = 1 1\npoints = 33 33", "lo = 0 0 0\nhi = 1 1 1\npoints = 17 17 17"
+        ).replace("ball_center = 0.5 0.5", "ball_center = 0.5 0.5 0.5")
+        path, _ = write_config(tmp_path, config)
+        assert main(["gehring", "--config", path]) == 2
+        assert "r_max 0.25 below the resolvable radius 0.5" in capsys.readouterr().err
+        assert calls == []
+
     def test_runs_and_writes_csv(self, tmp_path):
         path, outdir = write_config(tmp_path, SMALL_CONFIG)
         assert main(["gehring", "--config", path]) == 0
@@ -263,6 +292,8 @@ class TestConfigErrors:
             ("gehring", "seed = 7", "seed = 7\ngehring_r_max = nan", "gehring_r_max must be"),
             ("gehring", "seed = 7", "seed = 7\ngehring_r_max = 0", "gehring_r_max must be"),
             ("gehring", "seed = 7", "seed = 7\ngehring_r_max = -0.2", "gehring_r_max must be"),
+            ("audit", "ball_center = 0.5 0.5", "ball_center = nan 0.5", "leaves the grid margin"),
+            ("audit", "ball_radii = 0.15 0.25", "ball_radii = nan", "must be positive, got nan"),
         ],
         ids=[
             "audit-betas-nan",
@@ -273,15 +304,23 @@ class TestConfigErrors:
             "gehring_r_max-nan",
             "gehring_r_max-zero",
             "gehring_r_max-negative",
+            "ball_center-nan",
+            "ball_radii-nan",
         ],
     )
-    def test_non_finite_numbers(self, tmp_path, capsys, command, line, value, message):
+    def test_non_finite_numbers(
+        self, tmp_path, capsys, monkeypatch, command, line, value, message
+    ):
         # nan betas would PASS the delta search, an infinite kappa or c_target
-        # would make every verdict pass, and an infinite gehring_r_max would
-        # halve forever: config mistakes (2), not verdicts (0 or 1)
+        # would make every verdict pass, an infinite gehring_r_max would
+        # halve forever, and a nan ball would fail only after the solve:
+        # config mistakes (2), caught before the solve, not verdicts (0 or 1)
+        calls = []
+        monkeypatch.setattr(cli, "epsilon_continuation", lambda *args: calls.append(args))
         path, _ = write_config(tmp_path, SMALL_CONFIG.replace(line, value))
         assert main([command, "--config", path]) == 2
         assert message in capsys.readouterr().err
+        assert calls == []
 
 
 class TestDeterminism:

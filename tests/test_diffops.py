@@ -15,7 +15,7 @@ from pxlaplace.diffops import (
     stretched_jacobian_values,
 )
 from pxlaplace.expressions import parse_expression
-from pxlaplace.fields import GridSpec, ScalarField, sample
+from pxlaplace.fields import FieldError, GridSpec, ScalarField, sample
 from pxlaplace.identities import random_polynomial_expression, symbolic_derivative_samples
 
 
@@ -39,23 +39,37 @@ def det2(matrices):
 class TestGradient:
     def test_constant(self):
         grad = gradient(sample(parse_expression("5", 2), unit_square()))
-        assert np.allclose(grad.values, 0.0, atol=1e-14)
+        assert np.allclose(grad, 0.0, atol=1e-14)
 
     def test_linear_exact_everywhere(self):
         grad = gradient(sample(parse_expression("2*x1 - 3*x2", 2), unit_square()))
-        assert np.allclose(grad.values[..., 0], 2.0, atol=1e-12)
-        assert np.allclose(grad.values[..., 1], -3.0, atol=1e-12)
+        assert np.allclose(grad[..., 0], 2.0, atol=1e-12)
+        assert np.allclose(grad[..., 1], -3.0, atol=1e-12)
 
     def test_quadratic_interior_stencil_value(self):
         # v = x1^2 with spacing 0.1: central difference at x1 = 0.5 gives 1 exactly
         grid = GridSpec((0.0, 0.0), (1.0, 1.0), (11, 11))
         grad = gradient(sample(parse_expression("x1^2", 2), grid))
-        assert grad.values[5, 5, 0] == pytest.approx(1.0, abs=1e-14)
+        assert grad[5, 5, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_validity_shrinks_to_interior(self):
-        grad = gradient(sample(parse_expression("x1", 2), unit_square(9)))
-        assert grad.valid.sum() == 7 * 7
-        assert not grad.valid[0].any() and not grad.valid[-1].any()
+        # one vector per node; it is read on the 7 x 7 interior nodes
+        grid = unit_square(9)
+        grad = gradient(sample(parse_expression("x1", 2), grid))
+        assert grad.shape == grid.shape + (2,)
+        interior = grid.interior_mask()
+        assert interior.sum() == 7 * 7
+        assert not interior[0].any() and not interior[-1].any()
+        assert np.array_equal(grad[interior], np.tile([1.0, 0.0], (49, 1)))
+
+    def test_non_finite_derivatives_rejected(self):
+        grid = unit_square(9)
+        jump = ScalarField(grid, np.where(grid.coords()[0] > 0.5, 1.7e308, -1.7e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FieldError, match="gradient contains non-finite"):
+                gradient(jump)
+            with pytest.raises(FieldError, match="Hessian contains non-finite"):
+                hessian(jump)
 
 
 class TestHessian:
@@ -64,24 +78,24 @@ class TestHessian:
         field = sample(parse_expression("0.5*(3*x1^2 + 2*x1*x2 - x2^2)", 2), grid)
         hess = hessian(field)
         expected = np.array([[3.0, 1.0], [1.0, -1.0]])
-        sel = hess.valid
-        assert np.allclose(hess.values[sel] - expected, 0.0, atol=1e-11)
+        sel = grid.interior_mask()
+        assert np.allclose(hess[sel] - expected, 0.0, atol=1e-11)
 
     def test_linear_zero(self):
         hess = hessian(sample(parse_expression("x1 - 4*x2", 2), unit_square()))
-        assert np.allclose(hess.values, 0.0, atol=1e-12)
+        assert np.allclose(hess, 0.0, atol=1e-12)
 
     def test_cubic_diagonal_exact(self):
         # second difference of x1^3 at x1 = 1 with h = 0.01 is exactly 6
         grid = GridSpec((0.0, 0.0), (2.0, 2.0), (201, 201))
         hess = hessian(sample(parse_expression("x1^3", 2), grid))
         idx = int(np.argmin(np.abs(grid.axis(0) - 1.0)))
-        assert hess.values[idx, 100, 0, 0] == pytest.approx(6.0, abs=1e-9)
+        assert hess[idx, 100, 0, 0] == pytest.approx(6.0, abs=1e-9)
 
     def test_symmetric_exactly(self):
         field = sample(parse_expression("sin(3*x1)*cos(2*x2) + x1^3*x2", 2), unit_square())
         hess = hessian(field)
-        assert np.array_equal(hess.values[..., 0, 1], hess.values[..., 1, 0])
+        assert np.array_equal(hess[..., 0, 1], hess[..., 1, 0])
 
 
 class TestComputedOncePerField:
@@ -94,17 +108,16 @@ class TestComputedOncePerField:
         grid = unit_square()
         field = sample(parse_expression("exp(x1)*cos(2*x2)", 2), grid)
         grad, hess = gradient(field), hessian(field)
-        twin = ScalarField(grid, field.values, field.valid)
+        twin = ScalarField(grid, field.values)
         assert gradient(twin) is not grad
-        assert np.array_equal(gradient(twin).values, grad.values)
-        assert np.array_equal(hessian(twin).values, hess.values)
-        assert np.array_equal(hessian(twin).valid, hess.valid)
-        assert not grad.values.flags.writeable and not hess.values.flags.writeable
+        assert np.array_equal(gradient(twin), grad)
+        assert np.array_equal(hessian(twin), hess)
+        assert not grad.flags.writeable and not hess.flags.writeable
 
     def test_threads_racing_to_store_get_equal_results(self):
         grid = unit_square(65)
         expr = parse_expression("sin(3*x1)*x2^2", 2)
-        reference = hessian(sample(expr, grid)).values
+        reference = hessian(sample(expr, grid))
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -113,7 +126,7 @@ class TestComputedOncePerField:
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     futures = [pool.submit(hessian, field) for _ in range(8)]
                     results = [f.result(timeout=60) for f in futures]
-                assert all(np.array_equal(r.values, reference) for r in results)
+                assert all(np.array_equal(r, reference) for r in results)
                 assert hessian(field) is hessian(field)
         finally:
             sys.setswitchinterval(switch)
@@ -133,41 +146,43 @@ class TestSecondOrderConvergence:
             )
             g_exact = g_exact.reshape(grid.shape + (2,))
             h_exact = h_exact.reshape(grid.shape + (2, 2))
-            errors_g[m] = np.abs((grad.values - g_exact))[grad.valid].max()
-            errors_h[m] = np.abs((hess.values - h_exact))[hess.valid].max()
+            interior = grid.interior_mask()
+            errors_g[m] = np.abs((grad - g_exact))[interior].max()
+            errors_h[m] = np.abs((hess - h_exact))[interior].max()
         assert 3.6 <= errors_g[33] / errors_g[65] <= 4.4
         assert 3.6 <= errors_h[33] / errors_h[65] <= 4.4
 
 
 def laplacians(field):
-    """Laplacian and infinity-Laplacian values with their validity masks."""
+    """Laplacian and infinity-Laplacian values, and the interior nodes
+    they are read on."""
     grad, hess = gradient(field), hessian(field)
-    lap = np.trace(hess.values, axis1=-2, axis2=-1)
-    inf = infinity_laplacian_values(grad.values, hess.values)
-    return lap, hess.valid, inf, grad.valid & hess.valid
+    lap = np.trace(hess, axis1=-2, axis2=-1)
+    inf = infinity_laplacian_values(grad, hess)
+    return lap, inf, field.grid.interior_mask()
 
 
 class TestLaplacians:
     def test_half_norm_squared(self):
         grid = unit_square()
         field = sample(parse_expression("0.5*(x1^2 + x2^2)", 2), grid)
-        lap, lap_valid, inf, inf_valid = laplacians(field)
+        lap, inf, interior = laplacians(field)
         coords = grid.coords()
         norm_sq = coords[0] ** 2 + coords[1] ** 2
-        assert np.allclose(lap[lap_valid], 2.0, atol=1e-11)
-        assert np.allclose(inf[inf_valid], norm_sq[inf_valid], atol=1e-10)
+        assert np.allclose(lap[interior], 2.0, atol=1e-11)
+        assert np.allclose(inf[interior], norm_sq[interior], atol=1e-10)
 
     def test_linear_zero(self):
         field = sample(parse_expression("x1 + x2", 2), unit_square())
-        lap, _, inf, _ = laplacians(field)
+        lap, inf, _ = laplacians(field)
         assert np.allclose(lap, 0.0, atol=1e-12)
         assert np.allclose(inf, 0.0, atol=1e-12)
 
     def test_saddle_values(self):
         grid = GridSpec((-1.5, -1.5), (1.5, 1.5), (49, 49))
         field = sample(parse_expression("x1^2 - x2^2", 2), grid)
-        lap, lap_valid, inf, _ = laplacians(field)
-        assert np.allclose(lap[lap_valid], 0.0, atol=1e-10)
+        lap, inf, interior = laplacians(field)
+        assert np.allclose(lap[interior], 0.0, atol=1e-10)
         # at (1, 0): <diag(2,-2)(2,0), (2,0)> = 8
         i = int(np.argmin(np.abs(grid.axis(0) - 1.0)))
         j = int(np.argmin(np.abs(grid.axis(1))))
@@ -193,7 +208,7 @@ class TestStretchedGradient:
         grid = unit_square()
         field = sample(parse_expression("x1", 2), grid)
         params = StretchParams(2.0, 3.0)
-        stretched = stretched_gradient_values(gradient(field).values, params.beta, params.eps)
+        stretched = stretched_gradient_values(gradient(field), params.beta, params.eps)
         assert np.allclose(stretched[..., 0], 4.0, atol=1e-10)
 
 
@@ -228,8 +243,8 @@ class TestStretchedJacobian:
     def test_zero_beta_equals_hessian(self):
         field = sample(parse_expression("sin(2*x1)*x2^2", 2), unit_square())
         hess = hessian(field)
-        dj = stretched_jacobian_values(gradient(field).values, hess.values, 0.0, 0.0)
-        assert np.array_equal(dj, hess.values)
+        dj = stretched_jacobian_values(gradient(field), hess, 0.0, 0.0)
+        assert np.array_equal(dj, hess)
 
     def test_jacobian_of_stretched_gradient_matches_on_cubics(self):
         # both routes are exact on degree-3 polynomials away from the boundary
@@ -237,11 +252,11 @@ class TestStretchedJacobian:
             parse_expression("x1^3 + x1^2*x2 - 2*x2^3 + x1*x2", 2), unit_square()
         )
         grad = gradient(field)
-        stretched = stretched_gradient_values(grad.values, 0.0, 0.0)
+        stretched = stretched_gradient_values(grad, 0.0, 0.0)
         direct = jacobian(stretched, field.grid)
         hess = hessian(field)
         sel = (slice(2, -2),) * 2  # differenced twice: two nodes off the boundary
-        assert np.abs(direct[sel] - hess.values[sel]).max() <= 1e-9
+        assert np.abs(direct[sel] - hess[sel]).max() <= 1e-9
 
 
 class TestMatrixInvariants:
@@ -271,9 +286,9 @@ class TestMatrixInvariants:
         grid = unit_square()
         field = sample(parse_expression("x1^3 - 3*x1*x2^2", 2), grid)
         hess = hessian(field)
-        sel = hess.valid
-        frob = frobenius_sq(hess.values[sel])
-        s2 = sigma2_values(hess.values[sel])
+        sel = grid.interior_mask()
+        frob = frobenius_sq(hess[sel])
+        s2 = sigma2_values(hess[sel])
         assert np.abs(frob - 2.0 * s2).max() <= 1e-9
 
     def test_harmonic_relation_at_second_order_for_smooth_fields(self):
@@ -284,9 +299,9 @@ class TestMatrixInvariants:
             grid = GridSpec((0.0, 0.0), (1.0, 1.0), (m, m))
             field = sample(parse_expression("exp(x1)*sin(x2)", 2), grid)
             hess = hessian(field)
-            sel = hess.valid
-            frob = frobenius_sq(hess.values[sel])
-            s2 = sigma2_values(hess.values[sel])
+            sel = grid.interior_mask()
+            frob = frobenius_sq(hess[sel])
+            s2 = sigma2_values(hess[sel])
             residuals[m] = np.abs(frob - 2.0 * s2).max()
         assert residuals[33] <= 10.0 * (1.0 / 32.0) ** 2 * 10.0
         assert residuals[33] / residuals[65] > 2.5

@@ -12,12 +12,21 @@ from pxlaplace.fields import (
     cutoff,
     mollifier_kernel,
     mollify,
+    require_inside,
     sample,
 )
 
 
 def unit_square(m=33):
     return GridSpec((0.0, 0.0), (1.0, 1.0), (m, m))
+
+
+def kernel_inside(grid, eps):
+    """Nodes whose whole mollifier support lies on the grid."""
+    r = mollifier_kernel(grid.spacing, eps).shape[0] // 2
+    inside = np.zeros(grid.shape, dtype=bool)
+    inside[r:-r, r:-r] = True
+    return inside
 
 
 class TestGridSpec:
@@ -103,22 +112,22 @@ class TestMollify:
     def test_constant_preserved(self):
         field = sample(parse_expression("4", 2), unit_square(33))
         smoothed = mollify(field, 0.2)
-        assert smoothed.valid.any()
-        assert np.allclose(smoothed.values[smoothed.valid], 4.0, atol=1e-13)
+        inside = kernel_inside(field.grid, 0.2)
+        assert inside.any()
+        assert np.allclose(smoothed.values[inside], 4.0, atol=1e-13)
 
     def test_linear_preserved(self):
         field = sample(parse_expression("0.3*x1 - 0.8*x2", 2), unit_square(33))
         smoothed = mollify(field, 0.2)
-        assert np.allclose(
-            smoothed.values[smoothed.valid], field.values[smoothed.valid], atol=1e-13
-        )
+        inside = kernel_inside(field.grid, 0.2)
+        assert np.allclose(smoothed.values[inside], field.values[inside], atol=1e-13)
 
     def test_quadratic_bias_nonnegative_and_below_eps_sq(self):
         grid = unit_square(33)
         eps = 0.1
         field = sample(parse_expression("x1^2", 2), grid)
         smoothed = mollify(field, eps)
-        bias = (smoothed.values - field.values)[smoothed.valid]
+        bias = (smoothed.values - field.values)[kernel_inside(grid, eps)]
         assert np.all(bias >= -1e-14)
         assert np.all(bias <= eps**2)
 
@@ -145,30 +154,20 @@ class TestMollify:
     def test_invalid_band_keeps_raw_values(self):
         field = sample(parse_expression("x1^2", 2), unit_square(33))
         smoothed = mollify(field, 0.1)
-        band = ~smoothed.valid
+        band = ~kernel_inside(field.grid, 0.1)
+        assert band.any()
         assert np.array_equal(smoothed.values[band], field.values[band])
 
-    @pytest.mark.parametrize("holes", [False, True], ids=["all-valid", "invalid-interior"])
-    def test_validity_matches_eroded_reference(self, holes):
-        # reference: the support of every kept node lies inside the grid and
-        # holds only valid input nodes, always checked by erosion
+    def test_values_match_reference_convolution(self):
+        # reference: the convolution where the kernel support lies on the
+        # grid, the raw values elsewhere
         grid = unit_square(33)
         eps = 0.1
-        valid = np.ones(grid.shape, dtype=bool)
-        if holes:
-            valid[16, 16] = valid[9, 20] = False
-        field = ScalarField(grid, sample(parse_expression("sin(3*x1)*x2", 2), grid).values, valid)
-        kernel = mollifier_kernel(grid.spacing, eps)
-        r = kernel.shape[0] // 2
-        full = np.zeros(grid.shape, dtype=bool)
-        full[r:-r, r:-r] = True
-        eroded = ndimage.minimum_filter(valid, footprint=kernel > 0, mode="constant", cval=False)
-        expected_valid = full & eroded
-        conv = ndimage.convolve(field.values, kernel, mode="nearest")
+        field = sample(parse_expression("sin(3*x1)*x2", 2), grid)
+        conv = ndimage.convolve(field.values, mollifier_kernel(grid.spacing, eps), mode="nearest")
         smoothed = mollify(field, eps)
-        assert np.array_equal(smoothed.valid, expected_valid)
-        assert np.array_equal(smoothed.values, np.where(expected_valid, conv, field.values))
-        assert holes == (expected_valid.sum() < full.sum())
+        expected = np.where(kernel_inside(grid, eps), conv, field.values)
+        assert np.array_equal(smoothed.values, expected)
 
     def test_eps_too_small(self):
         field = sample(parse_expression("x1", 2), unit_square(33))
@@ -190,6 +189,15 @@ class TestBallRegion:
         grid = unit_square(33)
         with pytest.raises(FieldError, match="margin"):
             ball_mask(BallRegion((0.5, 0.5), 0.5), grid)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(FieldError, match="positive"):
+            BallRegion((0.5, 0.5), float("nan"))
+
+    @pytest.mark.parametrize("center", [(float("nan"), 0.5), (0.5, float("nan"))])
+    def test_nan_center_leaves_the_margin(self, center):
+        with pytest.raises(FieldError, match="margin"):
+            require_inside(BallRegion(center, 0.2), unit_square(33))
 
     def test_scaled(self):
         ball = BallRegion((0.5, 0.5), 0.4)
@@ -242,24 +250,24 @@ class TestCutoff:
         ball = BallRegion((0.0, 0.0), 1.0)
         phi = cutoff(ball, grid)
         center = (80, 80)
-        assert phi.values[center] == 1.0
+        assert phi[center] == 1.0
         # node on the axis at distance 0.9R: outside the 3/4 ball
         idx9 = int(np.argmin(np.abs(grid.axis(0) - 0.9)))
-        assert phi.values[idx9, 80] == 0.0
+        assert phi[idx9, 80] == 0.0
         # ramp midpoint 0.625R: smoothstep gives exactly 1/2
         idx6 = int(np.argmin(np.abs(grid.axis(0) - 0.625)))
-        assert phi.values[idx6, 80] == pytest.approx(0.5, abs=1e-12)
+        assert phi[idx6, 80] == pytest.approx(0.5, abs=1e-12)
 
     def test_range_and_plateaus(self):
         grid = unit_square(65)
         ball = BallRegion((0.5, 0.5), 0.3)
         phi = cutoff(ball, grid)
-        assert phi.values.min() >= 0.0 and phi.values.max() <= 1.0
+        assert phi.min() >= 0.0 and phi.max() <= 1.0
         dist = np.sqrt(
             (grid.coords()[0] - 0.5) ** 2 + (grid.coords()[1] - 0.5) ** 2
         )
-        assert np.all(phi.values[dist <= 0.15] == 1.0)
-        assert np.all(phi.values[dist >= 0.225] == 0.0)
+        assert np.all(phi[dist <= 0.15] == 1.0)
+        assert np.all(phi[dist >= 0.225] == 0.0)
 
     def test_discrete_gradient_bound(self):
         from pxlaplace.diffops import gradient
@@ -268,7 +276,7 @@ class TestCutoff:
             grid = unit_square(m)
             ball = BallRegion((0.5, 0.5), radius)
             phi = cutoff(ball, grid)
-            slope = np.sqrt((gradient(phi).values ** 2).sum(axis=-1)).max()
+            slope = np.sqrt((gradient(ScalarField(grid, phi)) ** 2).sum(axis=-1)).max()
             h = max(grid.spacing)
             assert slope <= 8.0 / radius + 4.0 * h / radius**2
 
