@@ -8,7 +8,7 @@ command line can configure thread pools before numpy loads):
 - ``diffops``: discrete derivatives and the stretched-gradient calculus
 - ``constants``: explicit estimate constants
 - ``identities``: checkers for the underlying algebraic identities
-- ``solver``: frozen-coefficient Picard solver and eps continuation
+- ``solver``: Newton-type solver and eps continuation
 - ``audits``: pointwise/integral estimate audits and the delta search
 - ``cli``: configuration-driven command line front end
 """

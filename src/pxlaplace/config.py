@@ -111,9 +111,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"bad expression: {err}") from err
 
     schedule = _floats(problem.get("eps_schedule", "0.01"))
-    if not schedule or any(e <= 0 for e in schedule):
+    # written so that a NaN entry fails each check
+    if not schedule or any(not e > 0 for e in schedule):
         raise ConfigError("eps_schedule must list positive values")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+    if any(not b < a for a, b in zip(schedule, schedule[1:])):
         raise ConfigError("eps_schedule must be strictly decreasing")
     try:
         spec = ProblemSpec(

@@ -1,34 +1,39 @@
-"""Frozen-coefficient solver for the regularized Dirichlet problem.
+"""Newton-type solver for the regularized Dirichlet problem.
 
 The discrete problem on a grid box is
 
     -A(x) : D^2 v + v = g      in the interior,
     v = boundary data          on the box boundary,
 
-with ``A = I + (p - 2) Dv (x) Dv / (|Dv|^2 + eps)`` frozen at the current
-iterate.  Each sweep takes the correction step
-``v <- v + theta K^-1 (g - A(v) v)``, where ``K^-1`` solves with an earlier
-frozen operator (a chord iteration).  The residual ``g - A(v) v`` comes
-straight from the 9-point (2-d) or 19-point (3-d) stencil, matrix-free;
-the stencil is assembled into a sparse matrix only when a linear solver
-is built.  In 2-d ``K`` is a sparse LU factor: the stencil pattern is
-structurally symmetric with a diagonal of at least 1, so the factor
-orders by minimum degree on ``A + A^T`` and pivots on the diagonal.  In 3-d, where LU fill
-grows faster than the grid, ``K^-1`` is GMRES on the frozen operator,
-preconditioned by a DST-I fast Poisson solve.  Every solve is checked
-against a 1e-12 normwise backward error, and one that misses it raises
-:class:`SolverError`.
-The solver is kept while every sweep at least halves the nonlinear residual
-and rebuilt from the current ``A(v)`` when one does not; an eps continuation
-hands it on from one level to the next.  With a fresh solver the step is
-the damped Picard step, so the fixed point ``A(v) v = g`` does not depend
-on how often the solver is rebuilt.  A cold solve starts at ``v = 0``,
-where ``A`` is the identity, so its first sweep builds the solver of the
-``p = 2`` operator and takes ``theta`` times the ``p = 2`` solution for
-damping ``theta``; its second sweep rebuilds from ``A(v)``.  Sweeps repeat
-until both the update and the nonlinear residual are tiny.  The right-hand
-data is ``g = f_eps + u0_eps``: sampled coefficient/data fields,
-optionally mollified with a radius tied to ``eps``.
+with ``A = I + (p - 2) Dv (x) Dv / (|Dv|^2 + eps)``.  Each sweep takes the
+correction step ``v <- v + theta J^-1 (g - A(v) v)``, where ``J^-1`` solves
+with the Jacobian ``J`` of the residual at the current or an earlier
+iterate.  The residual ``g - A(v) v`` comes straight from the 9-point (2-d)
+or 19-point (3-d) stencil, matrix-free.  ``J(v) = K(v) - (p - 2) b . D_h``
+is the frozen operator ``K(v) = 1 - A(v) : D^2_h`` plus a first-order term
+on the axis neighbours, so it has the stencil's sparsity pattern; it is
+assembled only when a linear solver is built.  In 2-d the solver is a
+sparse LU factor: the stencil pattern is structurally symmetric with a
+diagonal of at least 1, so the factor orders by minimum degree on
+``J + J^T`` and pivots on the diagonal.  In 3-d, where LU fill grows faster
+than the grid, it is GMRES on ``J``, preconditioned by a DST-I fast Poisson
+solve.  Every solve is checked against a 1e-12 normwise backward error, and
+one that misses it raises :class:`SolverError`.
+
+In 3-d the GMRES solver costs about a millisecond to build, so it is
+rebuilt from ``J(v)`` at every sweep: a damped Newton iteration.  In 2-d an
+LU factor costs about as much as 17 sweeps, so the factor is kept while
+every sweep at least halves the nonlinear residual (``REFACTOR_RATIO``) and
+rebuilt from the current iterate when one does not (a chord-Newton
+iteration), and an eps continuation hands it on from one level to the
+next.  Which ``J`` a sweep solves with changes only the path: the fixed
+point ``A(v) v = g`` stays.  A cold solve starts at ``v = 0``, where ``A`` is
+the identity and ``J`` is the ``p = 2`` operator, so its first sweep takes
+``theta`` times the ``p = 2`` solution for damping ``theta``; its second
+sweep rebuilds from ``J(v)``.  Sweeps repeat until both the update and the
+nonlinear residual are tiny.  The right-hand data is ``g = f_eps +
+u0_eps``: sampled coefficient/data fields, optionally mollified with a
+radius tied to ``eps``.
 """
 
 from __future__ import annotations
@@ -62,9 +67,9 @@ __all__ = [
 ]
 
 
-#: A sweep that leaves the nonlinear residual above this fraction of its
-#: previous value triggers a rebuild of the linear solver from the current
-#: iterate.
+#: In 2-d, a sweep that leaves the nonlinear residual above this fraction
+#: of its previous value triggers a rebuild of the LU factor from the
+#: current iterate.  (The 3-d solver is rebuilt at every sweep.)
 REFACTOR_RATIO = 0.5
 
 
@@ -303,23 +308,20 @@ def _frozen_coefficients(v: np.ndarray, p: np.ndarray, eps: float, spacing: tupl
     return _Coefficients(a, 1.0 + coef * g2, tuple(spacing))
 
 
-def _nonlinear_residual(v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple, rhs: np.ndarray):
-    """``rhs - A(v) v`` (flat) and the coefficients ``A(v)``, with no matrix.
+def _stencil_hessian(v: np.ndarray, spacing: tuple) -> dict:
+    """The stencil Hessian ``D^2_h v`` on the interior nodes.
 
-    Interior rows are ``g - v + A(v) : D^2_h v`` with the 3-point second and
-    4-point cross differences of the assembled stencil; Dirichlet rows are
-    ``boundary - v``.
+    ``hess[i, j]`` (``i <= j``) holds the 3-point second difference along
+    axis ``i`` (``i == j``) or the 4-point cross difference of axes ``i``
+    and ``j``: the differences the assembled stencil applies.
     """
-    coeffs = _frozen_coefficients(v, p, eps, spacing)
     n = v.ndim
     h = spacing
-    r = (rhs - v.ravel()).reshape(v.shape)
-    interior = _shifted(r)  # a view: the updates land in r
     centre = _shifted(v)
+    hess = {}
     for i in range(n):
         second = _shifted(v, {i: 1}) - 2.0 * centre + _shifted(v, {i: -1})
-        interior += coeffs.a[i, i] * (second / h[i] ** 2)
-    for i in range(n):
+        hess[i, i] = second / h[i] ** 2
         for j in range(i + 1, n):
             cross = (
                 _shifted(v, {i: 1, j: 1})
@@ -327,7 +329,21 @@ def _nonlinear_residual(v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple
                 - _shifted(v, {i: 1, j: -1})
                 - _shifted(v, {i: -1, j: 1})
             )
-            interior += coeffs.a[i, j] / (2.0 * h[i] * h[j]) * cross
+            hess[i, j] = cross / (4.0 * h[i] * h[j])
+    return hess
+
+
+def _nonlinear_residual(v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple, rhs: np.ndarray):
+    """``rhs - A(v) v`` (flat) and the coefficients ``A(v)``, with no matrix.
+
+    Interior rows are ``g - v + A(v) : D^2_h v`` with the stencil Hessian;
+    Dirichlet rows are ``boundary - v``.
+    """
+    coeffs = _frozen_coefficients(v, p, eps, spacing)
+    r = (rhs - v.ravel()).reshape(v.shape)
+    interior = _shifted(r)  # a view: the updates land in r
+    for (i, j), block in _stencil_hessian(v, spacing).items():
+        interior += (1.0 if i == j else 2.0) * coeffs.a[i, j] * block
     if not np.isfinite(r).all():
         raise SolverError("sweep needs a finite gradient and Hessian: g - A(v) v overflowed")
     return r.ravel(), coeffs
@@ -371,6 +387,33 @@ def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float)
     return csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size))
 
 
+def _jacobian(v: ScalarField, p: ScalarField, eps: float) -> csr_matrix:
+    """The Jacobian ``J(v)`` of ``A(v) v - g``, on the frozen operator's pattern.
+
+    Differentiating ``A(v) : D^2_h v`` through ``A`` gives
+    ``J(v) w = K(v) w - (p - 2) b . D_h w`` with ``K(v)`` the frozen operator,
+    ``b = 2 H q / d - 2 (q^T H q) q / d^2``, ``q`` the central gradient, ``H``
+    the stencil Hessian of ``v`` and ``d = |q|^2 + eps``.  The central
+    difference ``D_h w`` reads only the axis neighbours, so ``J`` adds
+    ``-/+ (p - 2) b_i / (2 h_i)`` on the ``+/- e_i`` slots of ``K``.
+    """
+    matrix = assemble_frozen_operator(v, p, eps)
+    h = v.grid.spacing
+    n = len(h)
+    q = [_central_difference(v.values, i, h[i]) for i in range(n)]
+    hess = _stencil_hessian(v.values, h)
+    d = sum(qi**2 for qi in q) + eps
+    hq = [sum(hess[min(i, j), max(i, j)] * q[j] for j in range(n)) for i in range(n)]
+    qhq = sum(qi * hqi for qi, hqi in zip(q, hq))
+    scale = (_shifted(p.values) - 2.0) * 2.0 / d
+    slots = _stencil_pattern(v.grid.shape).slots
+    for i in range(n):
+        drift = (scale * (hq[i] - qhq * q[i] / d) / (2.0 * h[i])).ravel()
+        matrix.data[slots[1 + 2 * i]] -= drift
+        matrix.data[slots[2 + 2 * i]] += drift
+    return matrix
+
+
 class _CheckedSolver:
     """A linear solver of one matrix whose every solve is checked.
 
@@ -410,7 +453,7 @@ class _LUFactor(_CheckedSolver):
     The factor uses a symmetric minimum-degree ordering on the pattern of
     ``A + A^T`` and takes every pivot on the diagonal, which keeps the fill
     well below the default column ordering with partial pivoting.  That
-    fits the frozen operator: its stencil pattern is structurally symmetric
+    fits the Jacobian: its stencil pattern is structurally symmetric
     (an interior node couples to an interior neighbour exactly when the
     neighbour couples back; a Dirichlet row is a row of the identity) and
     every diagonal entry is at least 1.  Diagonal pivots are not proven
@@ -449,8 +492,9 @@ class _PoissonGMRES(_CheckedSolver):
 
     The frozen coefficient ``A = I + (p - 2) s e (x) e`` satisfies the Cordes
     condition (in 3-d when its largest eigenvalue is below 4, so for every
-    ``s`` when ``p < 5``), and under it the operator is close to the
-    Laplacian uniformly in ``h`` (Smears and Sueli, SINUM 51 (2013)).  The
+    ``s`` when ``p < 5``), and under it the frozen operator is close to the
+    Laplacian uniformly in ``h`` (Smears and Sueli, SINUM 51 (2013)); the
+    Jacobian adds only a first-order term to it.  The
     preconditioner is the identity on the Dirichlet rows and, on the
     interior block, the exact inverse of the 7-point ``1 - Delta_h`` (the
     ``p = 2`` operator): a diagonal scaling between two DST-I transforms.
@@ -498,7 +542,7 @@ class _PoissonGMRES(_CheckedSolver):
 
 
 def _linear_solver(matrix: csr_matrix, grid: GridSpec) -> _CheckedSolver:
-    """The solver of a frozen operator on ``grid``: GMRES in 3-d, where LU
+    """The solver of a Jacobian on ``grid``: GMRES in 3-d, where LU
     fill grows faster than the grid; sparse LU in 2-d, where it is cheaper."""
     if grid.dimension == 3:
         return _PoissonGMRES(matrix, grid)
@@ -506,7 +550,7 @@ def _linear_solver(matrix: csr_matrix, grid: GridSpec) -> _CheckedSolver:
 
 
 # ---------------------------------------------------------------------------
-# Chord / Picard iteration
+# Newton (3-d) and chord-Newton (2-d) iteration
 # ---------------------------------------------------------------------------
 
 
@@ -515,22 +559,23 @@ def solve_regularized(
     options: Optional[SolveOptions] = None,
     warm_start: Optional[ScalarField] = None,
 ) -> SolveResult:
-    """Damped chord iteration on the frozen-coefficient linearization.
+    """Damped Newton-type iteration on the residual ``g - A(v) v``.
 
-    Each sweep takes ``v <- v + damping * K^-1 (g - A(v) v)``.  ``K^-1``,
-    sparse LU in 2-d and preconditioned GMRES in 3-d, is built from
-    ``A(v)`` at the first sweep and again after any sweep that fails to cut
+    Each sweep takes ``v <- v + damping * J^-1 (g - A(v) v)`` with ``J`` the
+    residual's Jacobian.  In 3-d ``J^-1``, preconditioned GMRES, is rebuilt
+    from ``J(v)`` at every sweep.  In 2-d ``J^-1``, a sparse LU factor, is
+    built at the first sweep and again after any sweep that fails to cut
     the nonlinear residual ``max |g - A(v) v|`` to ``REFACTOR_RATIO`` of its
-    previous value; a sweep right after a rebuild is a damped Picard step.
-    Without ``warm_start`` the sweeps start at ``v = 0``, where ``A`` is the
-    identity, so the first sweep solves the ``p = 2`` problem; with damping
-    ``theta`` the first iterate is ``theta`` times that solution.  That
-    solver ignores ``p``, so the second sweep always rebuilds.  (Within
-    :func:`epsilon_continuation` each later eps level starts from the
-    previous level's solution and linear solver instead.)  Convergence
-    requires both a small relative update and a nonlinear residual below
-    ``10 * tolerance * max(1, |g|_inf)``; on non-convergence the last
-    iterate is returned flagged, residual included.
+    previous value.  Without ``warm_start`` the sweeps start at ``v = 0``,
+    where ``J`` is the ``p = 2`` operator, so the first sweep solves the
+    ``p = 2`` problem; with damping ``theta`` the first iterate is
+    ``theta`` times that solution.  That solver ignores ``p``, so the
+    second sweep always rebuilds.  (Within :func:`epsilon_continuation`
+    each later 2-d eps level starts from the previous level's solution and
+    LU factor instead.)  Convergence requires both a small relative update
+    and a nonlinear residual below ``10 * tolerance * max(1, |g|_inf)``; on
+    non-convergence the last iterate is returned flagged, residual
+    included.
     """
     prob = problem if isinstance(problem, DiscreteProblem) else build_problem(problem)
     return _chord_solve(prob, options or SolveOptions(), warm_start, [None])
@@ -540,7 +585,8 @@ def _chord_solve(prob: DiscreteProblem, opts: SolveOptions, warm_start, held: li
     """The sweeps of :func:`solve_regularized`, from ``warm_start`` (or
     ``v = 0``) with the linear solver in the one-slot list ``held``
     (``[None]``, always so for a cold start: build one at the first sweep).
-    Every linear solver is built here, in the sweep loop.
+    Every linear solver is built here, in the sweep loop, from ``J(v)``:
+    at every sweep in 3-d, under ``REFACTOR_RATIO`` in 2-d.
 
     On return ``held`` holds the last solver.  The slot is emptied before a
     new solver is built, so the caller never keeps an old LU factor alive
@@ -562,23 +608,29 @@ def _chord_solve(prob: DiscreteProblem, opts: SolveOptions, warm_start, held: li
     def nonlinear_residual(v):
         return _nonlinear_residual(v, prob.p.values, prob.eps, grid.spacing, rhs)
 
+    # a GMRES solver costs about a millisecond to build, an LU factor about
+    # as much as 17 sweeps: only 2-d keeps a solver while it contracts well
+    newton = grid.dimension == 3
     r, coeffs = nonlinear_residual(v)
     residual = float(np.abs(r).max())
-    refactor = held[0] is None
+    refactor = newton or held[0] is None
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
         if refactor:
             held[0] = None  # release the old solver before the new one allocates
-            frozen = assemble_frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
-            held[0] = _linear_solver(frozen, grid)
+            held[0] = _linear_solver(_jacobian(ScalarField(grid, v), prob.p, prob.eps), grid)
         step = opts.damping * held[0].solve(r).reshape(grid.shape)
         v = v + step
         delta = float(np.abs(step).max())
         r, coeffs = nonlinear_residual(v)
         previous, residual = residual, float(np.abs(r).max())
-        # the solver of A(0) ignores p, so a cold start rebuilds at sweep 2
-        refactor = residual > REFACTOR_RATIO * previous or (warm_start is None and iterations == 1)
+        # J(0) ignores p, so a cold start rebuilds at sweep 2
+        refactor = (
+            newton
+            or residual > REFACTOR_RATIO * previous
+            or (warm_start is None and iterations == 1)
+        )
         if delta <= opts.tolerance * (1.0 + float(np.abs(v).max())) and residual <= residual_target:
             converged = True
             break
@@ -664,8 +716,8 @@ def epsilon_continuation(
     """Solve along a decreasing eps schedule, warm-starting each solve.
 
     The first level starts cold at ``v = 0``.  Each later level starts from
-    the solution and the last linear solver of the level before, so a
-    solver is rebuilt only where a sweep fails to halve the residual.
+    the solution of the level before and, in 2-d, from its last LU factor,
+    so a factor is rebuilt only where a sweep fails to halve the residual.
 
     The mollification radius follows the schedule (clipped to what the grid
     can resolve).  The interior data field ``u0`` is rebuilt from the
@@ -679,15 +731,16 @@ def epsilon_continuation(
     schedule = tuple(float(e) for e in schedule)
     if not schedule:
         raise SolverError("empty eps schedule")
-    if any(e <= 0 for e in schedule):
+    # written so that a NaN entry fails each check
+    if any(not e > 0 for e in schedule):
         raise SolverError("schedule entries must be positive")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
+    if any(not b < a for a, b in zip(schedule, schedule[1:])):
         raise SolverError("schedule must be strictly decreasing")
     grid = spec.grid
     mask = ball_mask(_default_region(grid).scaled(0.75), grid)
 
     opts = options or SolveOptions()
-    held = [None]  # the linear solver carried from one eps level to the next
+    held = [None]  # the last linear solver, which the next eps level reuses in 2-d
     results = []
     increments = []
     prev = None

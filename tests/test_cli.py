@@ -294,6 +294,7 @@ class TestConfigErrors:
             ("gehring", "seed = 7", "seed = 7\ngehring_r_max = -0.2", "gehring_r_max must be"),
             ("audit", "ball_center = 0.5 0.5", "ball_center = nan 0.5", "leaves the grid margin"),
             ("audit", "ball_radii = 0.15 0.25", "ball_radii = nan", "must be positive, got nan"),
+            ("audit", "eps_schedule = 0.1 0.01 0.001", "eps_schedule = 0.1 nan", "must list positive"),
         ],
         ids=[
             "audit-betas-nan",
@@ -306,6 +307,7 @@ class TestConfigErrors:
             "gehring_r_max-negative",
             "ball_center-nan",
             "ball_radii-nan",
+            "eps_schedule-nan",
         ],
     )
     def test_non_finite_numbers(
@@ -313,7 +315,8 @@ class TestConfigErrors:
     ):
         # nan betas would PASS the delta search, an infinite kappa or c_target
         # would make every verdict pass, an infinite gehring_r_max would
-        # halve forever, and a nan ball would fail only after the solve:
+        # halve forever, and a nan ball would fail only after the solve, a
+        # nan eps level only after the levels before it:
         # config mistakes (2), caught before the solve, not verdicts (0 or 1)
         calls = []
         monkeypatch.setattr(cli, "epsilon_continuation", lambda *args: calls.append(args))

@@ -244,6 +244,52 @@ class TestStencilResidual:
             solve_regularized(spec, warm_start=start)
 
 
+JACOBIAN_CASES = [
+    (unit_square(17), "sin(2*x1)*exp(x2) + x1*x2", "2 + 0.5*sin(3*x1 + x2)"),
+    (PATTERN_GRIDS[2], "sin(2*x1)*exp(x2) + x1*x3 + cos(x3)", "2 + 0.5*sin(3*x1 + x2 - x3)"),
+]
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("grid, v_expr, p_expr", JACOBIAN_CASES, ids=["2d", "3d"])
+    def test_matches_central_difference_of_residual(self, grid, v_expr, p_expr):
+        n = grid.dimension
+        v = sample(parse_expression(v_expr, n), grid)
+        p = sample(parse_expression(p_expr, n), grid)
+        w = np.random.default_rng(2).standard_normal(grid.shape)
+        rhs = np.zeros(w.size)
+        t = 1e-4
+
+        def residual(values):
+            return solver._nonlinear_residual(values, p.values, 1e-2, grid.spacing, rhs)[0]
+
+        dr = (residual(v.values + t * w) - residual(v.values - t * w)) / (2.0 * t)
+        jw = solver._jacobian(v, p, 1e-2) @ w.ravel()
+        assert np.abs(-dr - jw).max() <= 1e-6 * np.abs(jw).max()
+        # the frozen operator alone misses the derivative of A(v)
+        kw = assemble_frozen_operator(v, p, 1e-2) @ w.ravel()
+        assert np.abs(-dr - kw).max() > 1e-3 * np.abs(jw).max()
+
+    def test_3d_newton_converges_superlinearly(self, monkeypatch):
+        # every 3-d sweep solves with J(v): the residual ratio keeps falling
+        # until the residual reaches round-off
+        residuals = []
+        original = solver._nonlinear_residual
+
+        def recording(*args):
+            r, coeffs = original(*args)
+            residuals.append(float(np.abs(r).max()))
+            return r, coeffs
+
+        monkeypatch.setattr(solver, "_nonlinear_residual", recording)
+        result = solve_regularized(cube_spec(13))
+        assert result.converged
+        above_round_off = [r for r in residuals if r > 1e-12]
+        ratios = [b / a for a, b in zip(above_round_off, above_round_off[1:])]
+        assert len(ratios) >= 3
+        assert all(b < a for a, b in zip(ratios, ratios[1:])), ratios
+
+
 def random_operator(grid):
     rng = np.random.default_rng(5)
     v = ScalarField(grid, rng.standard_normal(grid.shape))
@@ -469,10 +515,10 @@ class TestFactorReuse:
         calls = count_splu(monkeypatch)
         assembled = count_assembly(monkeypatch)
         result = epsilon_continuation(fixture_problem(points=33), FIXTURE_SCHEDULE)
-        # one factor of A(0), the p = 2 operator, at the first sweep and one
+        # one factor of J(0), the p = 2 operator, at the first sweep and one
         # at the second; the later eps levels keep halving the residual with it
         assert len(calls) == 2
-        assert [r.iterations for r in result.results] == [8, 6, 6, 5, 5, 5, 4]
+        assert [r.iterations for r in result.results] == [6, 4, 4, 4, 4, 4, 4]
         # the sweeps take their residual from the stencil: a matrix is
         # assembled only for a factor
         assert len(assembled) == 2
@@ -485,7 +531,8 @@ class TestFactorReuse:
         assert all(level.converged for level in result.results)
         assert len(calls) == 0
         assert len(solves) > len(CUBE_SCHEDULE)
-        assert len(assembled) == 2
+        # a GMRES solver is rebuilt from J(v) at every sweep, levels included
+        assert len(assembled) == sum(level.iterations for level in result.results)
 
     def test_standalone_solve_factorizes_at_first_sweep(self, monkeypatch):
         calls = count_splu(monkeypatch)
@@ -555,7 +602,7 @@ class TestLargeExponent:
 
     @pytest.mark.parametrize(
         "p, damping",
-        [("4", 1.0), ("8", 1.0), ("8 + sin(x2)", 1.0), ("20", 0.5)],
+        [("4", 1.0), ("8", 1.0), ("8 + sin(x2)", 1.0), ("20", 0.5), ("20", 1.0)],
     )
     def test_converges_within_residual_budget(self, p, damping):
         result = self.solve(p, damping=damping)
@@ -567,9 +614,19 @@ class TestLargeExponent:
         assert self.solve("8").dominance_violations > 0
 
     def test_undamped_p20_flagged_not_raised(self):
-        result = self.solve("20", max_iterations=50)
+        result = self.solve("20", max_iterations=3)
         assert not result.converged
         assert np.isfinite(result.residual)
+
+    def test_undamped_p20_fixture_continuation_converges(self):
+        # the frozen-coefficient chord raised SolverError on its first level
+        spec = dataclasses.replace(fixture_problem(points=65), p_expr=parse_expression("20", 2))
+        result = epsilon_continuation(spec, FIXTURE_SCHEDULE)
+        assert all(level.converged for level in result.results)
+        # the scheme, not the solver: dominance is read off the frozen A(v)
+        final = result.results[-1]
+        frozen = frozen_coefficients(final.v, final.problem.p, final.problem.eps)
+        assert final.dominance_violations == frozen.dominance_violations == 3248
 
 
 class TestThreeDimensional:
@@ -671,6 +728,8 @@ class TestContinuation:
             epsilon_continuation(spec, (0.01, 0.1))
         with pytest.raises(SolverError, match="positive"):
             epsilon_continuation(spec, (0.1, -0.1))
+        with pytest.raises(SolverError, match="positive"):
+            epsilon_continuation(spec, (0.1, float("nan")))
         with pytest.raises(SolverError, match="empty"):
             epsilon_continuation(spec, ())
 
@@ -708,4 +767,4 @@ class TestContinuationRegressions:
     def test_cube_33_converges_in_the_17_cube_sweeps(self):
         result = epsilon_continuation(cube_spec(33), CUBE_SCHEDULE)
         self.check_levels(result, CUBE_SCHEDULE)
-        assert [level.iterations for level in result.results] == [8, 6, 5]
+        assert [level.iterations for level in result.results] == [4, 3, 3]
