@@ -85,11 +85,6 @@ class GehringResult:
     worst_ratio: float
 
 
-def _derivative_data(v: ScalarField):
-    """Gradient, Hessian and the nodes they are read on: the interior."""
-    return gradient(v), hessian(v), v.grid.interior_mask()
-
-
 def _stretched_fields(v: ScalarField, beta: float, eps: float):
     """The stretched gradient ``F``, ``|DF|^2`` and ``sigma_2(DF)`` per node.
 
@@ -112,14 +107,21 @@ def _stretched_fields(v: ScalarField, beta: float, eps: float):
 
 
 def _worst_location(values: np.ndarray, mask: np.ndarray, grid: GridSpec):
+    """The first node in C order whose value lies within ``1e-12 max(1,
+    |worst|)`` of the masked maximum, so that a round-off change does not
+    move the location between nodes that tie."""
     masked = np.where(mask, values, -np.inf)
-    index = np.unravel_index(int(np.argmax(masked)), grid.shape)
+    first = int(np.argmax(masked))  # a NaN wins here
+    worst = float(masked.flat[first])
+    if np.isfinite(worst):
+        first = int(np.argmax(masked >= worst - 1e-12 * max(1.0, abs(worst))))
+    index = np.unravel_index(first, grid.shape)
     return tuple(float(grid.axis(i)[index[i]]) for i in range(grid.dimension))
 
 
 def equation_residual(v: ScalarField, p: ScalarField, g: ScalarField, eps: float) -> float:
     """Max-norm residual of the discrete regularized equation at interior nodes."""
-    grad, hess, interior = _derivative_data(v)
+    grad, hess, interior = gradient(v), hessian(v), v.grid.interior_mask()
     g2 = np.sum(grad**2, axis=-1)
     lap = np.trace(hess, axis1=-2, axis2=-1)
     inf_lap = infinity_laplacian_values(grad, hess)
@@ -163,7 +165,7 @@ def pointwise_stretch_audit(
             f"(budget {eq_budget:.3e})"
         )
 
-    grad, _, interior = _derivative_data(v)
+    grad, interior = gradient(v), grid.interior_mask()
     _, lhs, s2 = _stretched_fields(v, params.beta, params.eps)
     base = np.sum(grad**2, axis=-1) + params.eps
     data_term = consts.c_tilde_star * base**params.beta * (g.values - v.values) ** 2
@@ -352,12 +354,19 @@ def ball_family(grid: GridSpec, r_max: Optional[float] = None, seed: int = 0) ->
     """
     h = max(grid.spacing)
     r_min = 8.0 * h
-    if r_max is None:
+    default = r_max is None
+    if default:
         r_max = 0.25 * min(grid.extents)
     if not np.isfinite(r_max):
         raise FieldError(f"r_max must be finite, got {r_max}")
     if r_max < r_min:
-        raise FieldError(f"r_max {r_max} below the resolvable radius {r_min}")
+        message = f"r_max {r_max} below the resolvable radius {r_min} (8h)"
+        if default:
+            message = (
+                f"default gehring_{message}: the default is a quarter of the shortest "
+                f"extent; set gehring_r_max >= {r_min} to resolve the balls"
+            )
+        raise FieldError(message)
     center = tuple(0.5 * (a + b) for a, b in zip(grid.lo, grid.hi))
     radii = []
     r = float(r_max)

@@ -1,23 +1,25 @@
 """Discrete differential operators and the stretched-gradient calculus.
 
-Gradients use second-order central differences (one-sided second order at
-the box boundary); Hessians pair the compact 3-point second difference on
-the diagonal with the symmetric 4-point cross stencil off it, so they are
-exact on quadratics.  Both are read-only arrays with the derivative axes
-last, computed once per field and stored on it; callers read them on the
-interior nodes, where every stencil is central.
-The interior central difference alone, which the solver's frozen
-coefficient and the Caccioppoli cutoff slope read, is
-:func:`_central_difference`.  Jacobians of stretched gradients are formed
-with the product rule from the discrete gradient and Hessian, which keeps
-the algebraic sigma_2 identities exact at the node level; ``sigma_2`` and
-the squared Frobenius norm are their matrix invariants.
+Every difference formula of the lab lives here.  On node arrays,
+:func:`_central_difference` and :func:`_stencil_hessian` (the 3-point
+second difference on the diagonal, the 4-point cross difference off it,
+exact on quadratics) return the interior block; the solver's residual and
+Jacobian read them.  :func:`gradient` and :func:`hessian` lay the same
+values out on a field's full grid, derivative axes last, with 0 on the
+Dirichlet nodes, where no central stencil fits: read-only arrays, computed
+once per field, that callers read on the interior nodes.  So the audits
+differentiate with the operator the solver solved.  Jacobians of stretched
+gradients are formed with the product rule from the discrete gradient and
+Hessian, which keeps the algebraic sigma_2 identities exact at the node
+level; ``sigma_2`` and the squared Frobenius norm are their matrix
+invariants.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -68,51 +70,70 @@ def _once_per_field(compute):
     return stored
 
 
+def _shifted(v: np.ndarray, steps: Optional[dict] = None) -> np.ndarray:
+    """The interior block of ``v``, moved ``steps[k]`` (-1 or 1) nodes along
+    each axis ``k`` in ``steps``; a view."""
+    offsets = [(steps or {}).get(k, 0) for k in range(v.ndim)]
+    return v[tuple(slice(1 + o, m - 1 + o) for o, m in zip(offsets, v.shape))]
+
+
+def _central_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """``(v[i+1] - v[i-1]) / 2h`` along ``axis`` on the interior nodes."""
+    return (_shifted(values, {axis: 1}) - _shifted(values, {axis: -1})) / (2.0 * h)
+
+
+def _stencil_hessian(v: np.ndarray, spacing: tuple) -> dict:
+    """The stencil Hessian ``D^2_h v`` on the interior nodes.
+
+    ``hess[i, j]`` (``i <= j``) holds the 3-point second difference along
+    axis ``i`` (``i == j``) or the 4-point cross difference of axes ``i``
+    and ``j``: the differences the solver's stencil applies.
+    """
+    n = v.ndim
+    h = spacing
+    centre = _shifted(v)
+    hess = {}
+    for i in range(n):
+        second = _shifted(v, {i: 1}) - 2.0 * centre + _shifted(v, {i: -1})
+        hess[i, i] = second / h[i] ** 2
+        for j in range(i + 1, n):
+            cross = (
+                _shifted(v, {i: 1, j: 1})
+                + _shifted(v, {i: -1, j: -1})
+                - _shifted(v, {i: 1, j: -1})
+                - _shifted(v, {i: -1, j: 1})
+            )
+            hess[i, j] = cross / (4.0 * h[i] * h[j])
+    return hess
+
+
 @_once_per_field
 def gradient(v: ScalarField) -> np.ndarray:
-    """Central differences inside, one-sided second order on the boundary.
+    """Central differences on the interior nodes, 0 on the Dirichlet nodes.
 
     Shape ``grid.shape + (n,)``; a non-finite entry raises :class:`FieldError`.
     """
     grid = v.grid
-    comps = np.gradient(v.values, *grid.spacing, edge_order=2)
-    return _prepare(np.stack(comps, axis=-1), grid.shape + (grid.dimension,), "gradient")
-
-
-def _central_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """``(v[i+1] - v[i-1]) / 2h`` along ``axis`` on the interior nodes: the
-    interior of ``np.gradient``, bitwise."""
-    ahead = [slice(1, -1)] * values.ndim
-    behind = list(ahead)
-    ahead[axis], behind[axis] = slice(2, None), slice(None, -2)
-    return (values[tuple(ahead)] - values[tuple(behind)]) / (2.0 * h)
-
-
-def _second_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    a = np.moveaxis(values, axis, 0)
-    out = np.empty_like(a)
-    out[1:-1] = (a[2:] - 2.0 * a[1:-1] + a[:-2]) / h**2
-    out[0] = (2.0 * a[0] - 5.0 * a[1] + 4.0 * a[2] - a[3]) / h**2
-    out[-1] = (2.0 * a[-1] - 5.0 * a[-2] + 4.0 * a[-3] - a[-4]) / h**2
-    return np.moveaxis(out, 0, axis)
+    n = grid.dimension
+    out = np.zeros(grid.shape + (n,))
+    for i in range(n):
+        _shifted(out[..., i])[...] = _central_difference(v.values, i, grid.spacing[i])
+    return _prepare(out, grid.shape + (n,), "gradient")
 
 
 @_once_per_field
 def hessian(v: ScalarField) -> np.ndarray:
-    """Symmetric discrete Hessian, exact on quadratics.
+    """The symmetric stencil Hessian on the interior nodes, 0 on the
+    Dirichlet nodes; exact on quadratics.
 
     Shape ``grid.shape + (n, n)``; a non-finite entry raises :class:`FieldError`.
     """
     grid = v.grid
     n = grid.dimension
-    h = grid.spacing
-    out = np.empty(grid.shape + (n, n))
-    for i in range(n):
-        out[..., i, i] = _second_diff(v.values, i, h[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            dj = np.gradient(v.values, h[j], axis=j, edge_order=2)
-            out[..., i, j] = out[..., j, i] = np.gradient(dj, h[i], axis=i, edge_order=2)
+    out = np.zeros(grid.shape + (n, n))
+    for (i, j), block in _stencil_hessian(v.values, grid.spacing).items():
+        _shifted(out[..., i, j])[...] = block
+        _shifted(out[..., j, i])[...] = block
     return _prepare(out, grid.shape + (n, n), "Hessian")
 
 

@@ -321,21 +321,10 @@ def _evaluate(node, coords):
 
 def _constant_value(node):
     """Numeric value of a variable-free subtree, or None."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
+    try:
+        return None if _has_variable(node) else float(_evaluate(node, ()))
+    except DomainError:
         return None
-    if isinstance(node, Neg):
-        inner = _constant_value(node.arg)
-        return None if inner is None else -inner
-    if isinstance(node, (BinOp, Call)):
-        if _has_variable(node):
-            return None
-        try:
-            return float(_evaluate(node, ()))
-        except DomainError:
-            return None
-    return None
 
 
 def _has_variable(node):

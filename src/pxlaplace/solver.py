@@ -9,7 +9,9 @@ with ``A = I + (p - 2) Dv (x) Dv / (|Dv|^2 + eps)``.  Each sweep takes the
 correction step ``v <- v + theta J^-1 (g - A(v) v)``, where ``J^-1`` solves
 with the Jacobian ``J`` of the residual at the current or an earlier
 iterate.  The residual ``g - A(v) v`` comes straight from the 9-point (2-d)
-or 19-point (3-d) stencil, matrix-free.  ``J(v) = K(v) - (p - 2) b . D_h``
+or 19-point (3-d) stencil, matrix-free, with the difference kernels of
+:mod:`pxlaplace.diffops` that the audits read too.
+``J(v) = K(v) - (p - 2) b . D_h``
 is the frozen operator ``K(v) = 1 - A(v) : D^2_h`` plus a first-order term
 on the axis neighbours, so it has the stencil's sparsity pattern; it is
 assembled only when a linear solver is built.  In 2-d the solver is a
@@ -48,7 +50,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .constants import ExponentWindow
-from .diffops import _central_difference, gradient
+from .diffops import _central_difference, _shifted, _stencil_hessian, gradient
 from .expressions import Expression
 from .fields import BallRegion, GridSpec, ScalarField, ball_mask, mollify, sample
 
@@ -245,13 +247,6 @@ def _stencil_pattern(shape: tuple) -> _StencilPattern:
     )
 
 
-def _shifted(v: np.ndarray, steps: Optional[dict] = None) -> np.ndarray:
-    """The interior block of ``v``, moved ``steps[k]`` (-1 or 1) nodes along
-    each axis ``k`` in ``steps``; a view."""
-    offsets = [(steps or {}).get(k, 0) for k in range(v.ndim)]
-    return v[tuple(slice(1 + o, m - 1 + o) for o, m in zip(offsets, v.shape))]
-
-
 @dataclass(frozen=True)
 class _Coefficients:
     """The frozen coefficient ``A(v)`` on the interior nodes.
@@ -287,7 +282,7 @@ class _Coefficients:
 
 def _frozen_coefficients(v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple) -> _Coefficients:
     """``A(v)`` from the central-difference gradient of ``v`` on the interior
-    nodes (bitwise the interior of ``np.gradient``)."""
+    nodes."""
     if eps <= 0:
         raise SolverError("frozen operator needs eps > 0")
     if float(p.min()) <= 1.0:
@@ -306,31 +301,6 @@ def _frozen_coefficients(v: np.ndarray, p: np.ndarray, eps: float, spacing: tupl
         for j in range(i + 1, n):
             a[i, j] = coef * grads[i] * grads[j]
     return _Coefficients(a, 1.0 + coef * g2, tuple(spacing))
-
-
-def _stencil_hessian(v: np.ndarray, spacing: tuple) -> dict:
-    """The stencil Hessian ``D^2_h v`` on the interior nodes.
-
-    ``hess[i, j]`` (``i <= j``) holds the 3-point second difference along
-    axis ``i`` (``i == j``) or the 4-point cross difference of axes ``i``
-    and ``j``: the differences the assembled stencil applies.
-    """
-    n = v.ndim
-    h = spacing
-    centre = _shifted(v)
-    hess = {}
-    for i in range(n):
-        second = _shifted(v, {i: 1}) - 2.0 * centre + _shifted(v, {i: -1})
-        hess[i, i] = second / h[i] ** 2
-        for j in range(i + 1, n):
-            cross = (
-                _shifted(v, {i: 1, j: 1})
-                + _shifted(v, {i: -1, j: -1})
-                - _shifted(v, {i: 1, j: -1})
-                - _shifted(v, {i: -1, j: 1})
-            )
-            hess[i, j] = cross / (4.0 * h[i] * h[j])
-    return hess
 
 
 def _nonlinear_residual(v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple, rhs: np.ndarray):

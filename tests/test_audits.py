@@ -556,6 +556,56 @@ class TestEquationResidual:
         )
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "grid, v_text, p_text",
+        [
+            (GridSpec((0.0, 0.0), (1.0, 1.0), (33, 33)), "sin(3*x1)*x2^2 + x1*x2", "2 + 0.5*sin(x1)"),
+            (
+                GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (13, 13, 13)),
+                "sin(3*x1)*x2^2 + x1*x2*x3",
+                "2.5 + 0.5*cos(x3)",
+            ),
+        ],
+        ids=["2d", "3d"],
+    )
+    def test_equals_the_solver_residual(self, grid, v_text, p_text):
+        # the audit and the solver differentiate with one operator: on a
+        # field that solves nothing, the audit's residual is the solver's
+        # sweep residual read on the interior
+        from pxlaplace.solver import _nonlinear_residual
+
+        n = grid.dimension
+        v = sample(parse_expression(v_text, n), grid)
+        p = sample(parse_expression(p_text, n), grid)
+        g = sample(parse_expression("x1 - x2", n), grid)
+        eps = 1e-2
+        residual, _ = _nonlinear_residual(v.values, p.values, eps, grid.spacing, g.values.ravel())
+        expected = float(np.abs(residual.reshape(grid.shape)[grid.interior_mask()]).max())
+        assert expected > 1.0
+        assert equation_residual(v, p, g, eps) == pytest.approx(expected, rel=1e-12)
+
+
+class TestWorstLocation:
+    @pytest.mark.parametrize("bumped", [(4, 2), (4, 10)])
+    def test_mirror_tie_reports_one_node(self, bumped):
+        # the field is mirror-symmetric in x2 with its maximum at the nodes
+        # (4, 2) and (4, 10); a 1-ulp bump on either of them must not move
+        # the reported location
+        grid = GridSpec((0.0, 0.0), (1.0, 1.0), (13, 13))
+        x1, x2 = grid.coords()
+        bump = np.exp(-50.0 * ((x1 - 1.0 / 3.0) ** 2 + (x2 - 1.0 / 6.0) ** 2))
+        values = bump + bump[:, ::-1]
+        assert values[4, 2] == values[4, 10] == values.max()
+        values[bumped] = np.nextafter(values[bumped], np.inf)
+        location = audits._worst_location(values, grid.interior_mask(), grid)
+        assert location == (float(grid.axis(0)[4]), float(grid.axis(1)[2]))
+
+    def test_non_finite_maximum_reported_where_it_is(self):
+        grid = unit_square(9)
+        values = np.zeros(grid.shape)
+        values[3, 4] = np.nan
+        assert audits._worst_location(values, grid.interior_mask(), grid) == (0.375, 0.5)
+
 
 class TestSigma2Consistency:
     def test_pair_sum_equals_minus_det_on_audited_fields(self, canonical_run):

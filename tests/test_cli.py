@@ -186,6 +186,24 @@ class TestGehringCommand:
         assert "r_max 0.25 below the resolvable radius 0.5" in capsys.readouterr().err
         assert calls == []
 
+    def test_default_r_max_error_names_the_default_and_the_fix(self, tmp_path, capsys):
+        # the config sets no gehring_r_max: the message says where 0.25
+        # comes from and which setting resolves the balls, and that
+        # setting does
+        config = SMALL_CONFIG.replace("dimension = 2", "dimension = 3").replace(
+            "lo = 0 0\nhi = 1 1\npoints = 33 33", "lo = 0 0 0\nhi = 1 1 1\npoints = 17 17 17"
+        ).replace("ball_center = 0.5 0.5", "ball_center = 0.5 0.5 0.5")
+        path, _ = write_config(tmp_path, config)
+        assert main(["gehring", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "default gehring_r_max 0.25" in err
+        assert "a quarter of the shortest extent" in err
+        assert "set gehring_r_max >= 0.5" in err
+        fixed = config.replace("seed = 7", "seed = 7\ngehring_r_max = 0.5")
+        path, outdir = write_config(tmp_path, fixed, name="fixed.cfg")
+        assert main(["gehring", "--config", path]) == 0
+        assert (outdir / "gehring.csv").exists()
+
     def test_runs_and_writes_csv(self, tmp_path):
         path, outdir = write_config(tmp_path, SMALL_CONFIG)
         assert main(["gehring", "--config", path]) == 0

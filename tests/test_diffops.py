@@ -41,10 +41,13 @@ class TestGradient:
         grad = gradient(sample(parse_expression("5", 2), unit_square()))
         assert np.allclose(grad, 0.0, atol=1e-14)
 
-    def test_linear_exact_everywhere(self):
-        grad = gradient(sample(parse_expression("2*x1 - 3*x2", 2), unit_square()))
-        assert np.allclose(grad[..., 0], 2.0, atol=1e-12)
-        assert np.allclose(grad[..., 1], -3.0, atol=1e-12)
+    def test_linear_exact_on_interior(self):
+        grid = unit_square()
+        grad = gradient(sample(parse_expression("2*x1 - 3*x2", 2), grid))
+        interior = grid.interior_mask()
+        assert np.allclose(grad[interior], [2.0, -3.0], atol=1e-12)
+        # no central stencil fits on the Dirichlet nodes: they hold 0
+        assert not grad[~interior].any()
 
     def test_quadratic_interior_stencil_value(self):
         # v = x1^2 with spacing 0.1: central difference at x1 = 0.5 gives 1 exactly
@@ -91,6 +94,12 @@ class TestHessian:
         hess = hessian(sample(parse_expression("x1^3", 2), grid))
         idx = int(np.argmin(np.abs(grid.axis(0) - 1.0)))
         assert hess[idx, 100, 0, 0] == pytest.approx(6.0, abs=1e-9)
+
+    def test_dirichlet_nodes_hold_zero(self):
+        grid = GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (9, 9, 9))
+        hess = hessian(sample(parse_expression("x1^2 + x1*x2*x3", 3), grid))
+        assert hess[grid.interior_mask()].any()
+        assert not hess[~grid.interior_mask()].any()
 
     def test_symmetric_exactly(self):
         field = sample(parse_expression("sin(3*x1)*cos(2*x2) + x1^3*x2", 2), unit_square())
@@ -209,7 +218,9 @@ class TestStretchedGradient:
         field = sample(parse_expression("x1", 2), grid)
         params = StretchParams(2.0, 3.0)
         stretched = stretched_gradient_values(gradient(field), params.beta, params.eps)
-        assert np.allclose(stretched[..., 0], 4.0, atol=1e-10)
+        interior = grid.interior_mask()
+        assert np.allclose(stretched[interior], [4.0, 0.0], atol=1e-10)
+        assert not stretched[~interior].any()  # the zero gradient of the Dirichlet nodes
 
 
 class TestJacobian:
