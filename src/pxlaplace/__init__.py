@@ -1,7 +1,6 @@
 """Numerical verification lab for regularized normalized p(x)-Laplace problems.
 
-Submodules (import them directly; this package root stays import-light so the
-command line can configure thread pools before numpy loads):
+Submodules (import them directly; the package root imports none of them):
 
 - ``expressions``: parsed arithmetic with exact differentiation
 - ``fields``: grids, sampled fields, mollification, balls, cutoffs

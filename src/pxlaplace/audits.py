@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 DISTORTION_FLOOR = 1e-12
+DELTA_RESOLUTION = 1e-3
 
 
 class AuditError(RuntimeError):
@@ -67,7 +68,6 @@ class EstimateReport:
     beta: float
     eps: float
     h: float
-    constants: Optional[ConstantSet]
     worst: float
     worst_location: Optional[tuple]
     tolerance: float
@@ -183,7 +183,6 @@ def pointwise_stretch_audit(
         beta=params.beta,
         eps=params.eps,
         h=hmax,
-        constants=consts,
         worst=worst,
         worst_location=location,
         tolerance=tolerance,
@@ -204,7 +203,6 @@ def pointwise_stretch_audit(
 def quasiregularity_audit(
     u: ScalarField,
     beta: float,
-    region: Optional[BallRegion] = None,
     budget: Optional[float] = None,
     window: Optional[ExponentWindow] = None,
 ) -> EstimateReport:
@@ -218,10 +216,6 @@ def quasiregularity_audit(
         raise AuditError("distortion audit requires a nonnegative stretch exponent")
     grid = u.grid
     nodes = grid.interior_mask()
-    if region is not None:
-        nodes &= ball_mask(region, grid)
-        if not nodes.any():
-            raise AuditError("audit region holds no interior nodes")
     _, lhs, s2 = _stretched_fields(u, beta, 0.0)
 
     norm = np.sqrt(lhs)
@@ -238,14 +232,13 @@ def quasiregularity_audit(
     passed = violations == 0 and (budget is None or sup <= budget)
     return EstimateReport(
         audit="quasiregularity",
-        region="interior" if region is None else _ball_name(region),
+        region="interior",
         n=grid.dimension,
         t_minus=window.t_minus if window else float("nan"),
         t_plus=window.t_plus if window else float("nan"),
         beta=beta,
         eps=0.0,
         h=max(grid.spacing),
-        constants=None,
         worst=sup,
         worst_location=location,
         tolerance=budget if budget is not None else float("inf"),
@@ -270,19 +263,17 @@ def caccioppoli_audit(
     params: StretchParams,
     window: ExponentWindow,
     ball: BallRegion,
-    c: Optional[np.ndarray] = None,
-    constants: Optional[ConstantSet] = None,
 ) -> EstimateReport:
     """Audit the cutoff energy bound on one ball; the pass mark is ratio <= 1.
 
     LHS integrates ``|DF|^2 phi^2``; RHS is ``C#`` times the oscillation of
-    the stretched gradient around ``c`` under ``|Dphi|^2`` plus the data
-    term.  ``c`` defaults to the mean of the stretched gradient over the
-    three-quarter ball, the variance-minimizing choice.
+    the stretched gradient around its mean ``c`` over the three-quarter
+    ball (the variance-minimizing offset) under ``|Dphi|^2``, plus the data
+    term.
     """
     grid = v.grid
     n = grid.dimension
-    consts = constants or constant_set(window, n, params.beta)
+    consts = constant_set(window, n, params.beta)
     three_quarter = ball.scaled(0.75)
     # Every term vanishes off the cutoff's support and its one-node rim.  The
     # box holds the support with two nodes to spare, so its inner nodes
@@ -296,10 +287,7 @@ def caccioppoli_audit(
     grad = gradient(v)
 
     f_vals, df_sq, _ = _stretched_fields(v, params.beta, params.eps)
-    if c is None:
-        mean_mask = ball_mask(three_quarter, grid, box)
-        c = f_vals[box][mean_mask].mean(axis=0)
-    c = np.asarray(c, dtype=float)
+    c = f_vals[box][ball_mask(three_quarter, grid, box)].mean(axis=0)
     dphi = np.stack(
         [_central_difference(phi, axis, h) for axis, h in enumerate(grid.spacing)], axis=-1
     )
@@ -323,7 +311,6 @@ def caccioppoli_audit(
         beta=params.beta,
         eps=params.eps,
         h=max(grid.spacing),
-        constants=consts,
         worst=ratio,
         worst_location=None,
         tolerance=1.0,
@@ -339,7 +326,7 @@ def caccioppoli_audit(
 
 def _ball_name(ball: BallRegion) -> str:
     center = ",".join(f"{c:g}" for c in ball.center)
-    return f"B(({center}),{ball.effective_radius:g})"
+    return f"B(({center}),{ball.radius:g})"
 
 
 def ball_family(grid: GridSpec, r_max: Optional[float] = None, seed: int = 0) -> list:
@@ -445,11 +432,10 @@ def gehring_delta_search(
     beta: float,
     balls,
     c_target: float,
-    resolution: float = 1e-3,
 ) -> GehringResult:
     """Largest delta in [0, 2] whose worst per-ball ratio stays under budget.
 
-    Bisection at the stated resolution; if even delta = 0 misses the budget
+    Bisection down to ``DELTA_RESOLUTION``; if even delta = 0 misses the budget
     the result reports that instead of failing.  A worst ratio that is not
     ``<= c_target``, NaN included, misses it.
     """
@@ -476,7 +462,7 @@ def gehring_delta_search(
     if worst(2.0) <= c_target:
         return result(2.0, True)
     lo, hi = 0.0, 2.0
-    while hi - lo > resolution:
+    while hi - lo > DELTA_RESOLUTION:
         mid = 0.5 * (lo + hi)
         if worst(mid) <= c_target:
             lo = mid

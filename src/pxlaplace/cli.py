@@ -10,19 +10,6 @@ binds tighter than unary minus, so ``-2^2 == -4``.
 
 from __future__ import annotations
 
-import os
-
-
-def _configure_threads():
-    """Honor PXLAPLACE_THREADS before numpy wires up its thread pools."""
-    value = os.environ.get("PXLAPLACE_THREADS")
-    if value:
-        for key in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(key, value)
-
-
-_configure_threads()
-
 import argparse
 import csv
 import itertools
@@ -327,8 +314,7 @@ def main(argv=None) -> int:
         description="Solve regularized p(x)-Laplace problems and audit the "
         "second-order estimates.",
         epilog="Expression convention: ^ is right-associative and binds tighter "
-        "than unary minus, so -2^2 = -4.  PXLAPLACE_THREADS caps the BLAS "
-        "thread pools (default: available parallelism).",
+        "than unary minus, so -2^2 = -4.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

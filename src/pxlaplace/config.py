@@ -17,7 +17,7 @@ from .constants import beta_star
 from .expressions import ExpressionError, parse_expression
 from .fields import BallRegion, FieldError, GridSpec, require_inside, sample
 from .fixtures import REGRESSION_GEHRING_BUDGET
-from .solver import ProblemSpec, SolverError
+from .solver import ProblemSpec, SolverError, _clip_radius
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -68,7 +68,8 @@ def _unquote(text: str) -> str:
 def load_config(path: str) -> RunConfig:
     """Load and validate a run configuration file.
 
-    Expressions must parse, the eps schedule must be strictly decreasing,
+    Expressions must parse, the grid must be fine enough for the
+    continuation to mollify, the eps schedule must be strictly decreasing,
     the audit and stretch exponent lists must not be empty, the stretch
     exponents must be finite, ``kappa``, ``c_target`` and a given
     ``gehring_r_max`` must be positive and finite, every audited stretch
@@ -124,6 +125,7 @@ def load_config(path: str) -> RunConfig:
             boundary_expr=boundary_expr,
             eps=schedule[0],
         )
+        _clip_radius(schedule[0], grid)  # raises where the continuation could not mollify
     except SolverError as err:
         raise ConfigError(str(err)) from err
 

@@ -55,10 +55,8 @@ class ExpressionError(ValueError):
 class ParseError(ExpressionError):
     """Syntax or identifier error, carrying the byte offset into the source."""
 
-    def __init__(self, message: str, source: str, position: int, expected: Sequence[str] = ()):
-        self.source = source
+    def __init__(self, message: str, position: int, expected: Sequence[str] = ()):
         self.position = position
-        self.expected = tuple(expected)
         detail = f"{message} at offset {position}"
         if expected:
             detail += " (expected " + " or ".join(expected) + ")"
@@ -73,7 +71,6 @@ class DomainError(ExpressionError):
     """
 
     def __init__(self, message: str, node: "_Node", mask):
-        self.node = node
         self.mask = np.asarray(mask)
         super().__init__(f"{message} in sub-expression '{node}'")
 
@@ -339,21 +336,6 @@ def _has_variable(node):
     return False
 
 
-def _reject_nonsmooth(node):
-    if isinstance(node, Call):
-        if node.name in _NONSMOOTH:
-            raise NonDifferentiableError(
-                f"cannot differentiate through '{node.name}' in '{node}'"
-            )
-        for a in node.args:
-            _reject_nonsmooth(a)
-    elif isinstance(node, Neg):
-        _reject_nonsmooth(node.arg)
-    elif isinstance(node, BinOp):
-        _reject_nonsmooth(node.left)
-        _reject_nonsmooth(node.right)
-
-
 def _diff(node, index):
     if isinstance(node, Num):
         return Num(0.0)
@@ -383,7 +365,10 @@ def _diff(node, index):
         if cbase is not None and cbase > 0:
             return _mul(_mul(node, Num(math.log(cbase))), dright)
         return _mul(node, _add(_mul(dright, Call("log", (left,))), _div(_mul(right, dleft), left)))
-    # Call (abs/min/max were rejected upfront)
+    # Call: visited before its arguments, so the first nonsmooth call in
+    # pre-order is the one reported
+    if node.name in _NONSMOOTH:
+        raise NonDifferentiableError(f"cannot differentiate through '{node.name}' in '{node}'")
     arg = node.args[0]
     darg = _diff(arg, index)
     name = node.name
@@ -435,7 +420,6 @@ class Expression:
             raise ExpressionError(
                 f"variable index {variable_index} out of range for dimension {self.dimension}"
             )
-        _reject_nonsmooth(self.root)
         return Expression(_diff(self.root, variable_index), self.dimension)
 
     # -- symbolic arithmetic, used to build manufactured right-hand sides ----
@@ -515,7 +499,7 @@ def _tokenize(source):
         if m:
             value = float(m.group())
             if not math.isfinite(value):
-                raise ParseError(f"numeric literal {m.group()!r} overflows", source, i)
+                raise ParseError(f"numeric literal {m.group()!r} overflows", i)
             tokens.append(("num", value, i))
             i = m.end()
             continue
@@ -528,15 +512,14 @@ def _tokenize(source):
             tokens.append(("op", ch, i))
             i += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", source, i)
+        raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", n))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens, source, dimension):
+    def __init__(self, tokens, dimension):
         self.tokens = tokens
-        self.source = source
         self.dimension = dimension
         self.pos = 0
 
@@ -552,7 +535,7 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "op" and value == symbol:
             return self.advance()
-        raise ParseError("unexpected token", self.source, pos, expected=(f"'{symbol}'",))
+        raise ParseError("unexpected token", pos, expected=(f"'{symbol}'",))
 
     def at_op(self, symbols):
         kind, value, _ = self.peek()
@@ -562,7 +545,7 @@ class _Parser:
         node = self.expr()
         kind, _, pos = self.peek()
         if kind != "end":
-            raise ParseError("unexpected token", self.source, pos, expected=("end of input",))
+            raise ParseError("unexpected token", pos, expected=("end of input",))
         return node
 
     def expr(self):
@@ -603,12 +586,10 @@ class _Parser:
                 return self.call(value, pos)
             m = _VAR_RE.match(value)
             if not m:
-                raise ParseError(f"unknown identifier '{value}'", self.source, pos)
+                raise ParseError(f"unknown identifier '{value}'", pos)
             index = int(m.group(1))
             if index > self.dimension:
-                raise ParseError(
-                    f"variable '{value}' exceeds dimension {self.dimension}", self.source, pos
-                )
+                raise ParseError(f"variable '{value}' exceeds dimension {self.dimension}", pos)
             return Var(index - 1)
         if kind == "op" and value == "(":
             self.advance()
@@ -616,15 +597,12 @@ class _Parser:
             self.expect_op(")")
             return node
         raise ParseError(
-            "unexpected token",
-            self.source,
-            pos,
-            expected=("a number", "a variable", "a function", "'('"),
+            "unexpected token", pos, expected=("a number", "a variable", "a function", "'('")
         )
 
     def call(self, name, pos):
         if name not in FUNCTION_ARITY:
-            raise ParseError(f"unknown function '{name}'", self.source, pos)
+            raise ParseError(f"unknown function '{name}'", pos)
         self.expect_op("(")
         args = [self.expr()]
         while self.at_op(","):
@@ -636,7 +614,6 @@ class _Parser:
             raise ParseError(
                 f"function '{name}' takes {arity} argument{'s' if arity > 1 else ''}, "
                 f"got {len(args)}",
-                self.source,
                 pos,
             )
         return Call(name, tuple(args))
@@ -647,6 +624,6 @@ def parse_expression(source: str, dimension: int) -> Expression:
     if dimension not in (2, 3):
         raise ExpressionError(f"dimension must be 2 or 3, got {dimension}")
     if not source or not source.strip():
-        raise ParseError("empty expression", source or "", 0)
+        raise ParseError("empty expression", 0)
     tokens = _tokenize(source)
-    return Expression(_Parser(tokens, source, dimension).parse(), dimension)
+    return Expression(_Parser(tokens, dimension).parse(), dimension)

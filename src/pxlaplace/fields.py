@@ -27,9 +27,6 @@ __all__ = [
     "sample",
 ]
 
-BALL_SCALES = (0.25, 0.5, 0.75, 1.0)
-
-
 class FieldError(ValueError):
     """Invalid grid/field/ball construction or use."""
 
@@ -179,34 +176,27 @@ def mollify(field: ScalarField, eps: float) -> ScalarField:
 
 @dataclass(frozen=True)
 class BallRegion:
-    """The ball ``B(center, scale * radius)`` inside a grid box."""
+    """The ball ``B(center, radius)`` inside a grid box."""
 
     center: tuple
     radius: float
-    scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "scale", float(self.scale))
         if not self.radius > 0:  # NaN fails too
             raise FieldError(f"ball radius must be positive, got {self.radius}")
-        if self.scale not in BALL_SCALES:
-            raise FieldError(f"ball scale must be one of {BALL_SCALES}")
 
-    @property
-    def effective_radius(self) -> float:
-        return self.scale * self.radius
-
-    def scaled(self, scale: float) -> "BallRegion":
-        return BallRegion(self.center, self.radius, scale)
+    def scaled(self, factor: float) -> "BallRegion":
+        """The concentric ball of radius ``factor * radius``."""
+        return BallRegion(self.center, factor * self.radius)
 
 
 def require_inside(ball: BallRegion, grid: GridSpec, margin_nodes: int = 2) -> None:
-    """Check the (scaled) ball sits strictly inside the grid box with a node margin."""
+    """Check the ball sits strictly inside the grid box with a node margin."""
     if len(ball.center) != grid.dimension:
         raise FieldError("ball center dimension does not match grid")
-    r = ball.effective_radius
+    r = ball.radius
     for c, a, b, h in zip(ball.center, grid.lo, grid.hi, grid.spacing):
         if not (a + margin_nodes * h <= c - r and c + r <= b - margin_nodes * h):  # NaN fails
             raise FieldError(
@@ -215,7 +205,7 @@ def require_inside(ball: BallRegion, grid: GridSpec, margin_nodes: int = 2) -> N
 
 
 def ball_box(ball: BallRegion, grid: GridSpec, margin_nodes: int = 2) -> tuple:
-    """Index box around the (scaled) ball, one slice per axis.
+    """Index box around the ball, one slice per axis.
 
     Per axis it holds every node whose offset from the center, computed as
     in the distance of :func:`ball_mask`, is at most the ball's radius (and
@@ -226,7 +216,7 @@ def ball_box(ball: BallRegion, grid: GridSpec, margin_nodes: int = 2) -> tuple:
     the box fits the grid.
     """
     require_inside(ball, grid, margin_nodes)
-    r = ball.effective_radius
+    r = ball.radius
     box = []
     for i, c in enumerate(ball.center):
         offsets = np.sqrt((grid.axis(i) - c) ** 2)
@@ -246,13 +236,13 @@ def _distance(grid: GridSpec, center, box=None) -> np.ndarray:
 
 
 def ball_mask(ball: BallRegion, grid: GridSpec, box=None) -> np.ndarray:
-    """Nodes whose cell centers lie inside the (scaled) ball.
+    """Nodes whose cell centers lie inside the ball.
 
     With an index ``box`` from :func:`ball_box` the mask covers only the
     nodes of that box.
     """
     require_inside(ball, grid)
-    return _distance(grid, ball.center, box) <= ball.effective_radius
+    return _distance(grid, ball.center, box) <= ball.radius
 
 
 def cutoff(ball: BallRegion, grid: GridSpec, box=None) -> np.ndarray:
@@ -264,7 +254,7 @@ def cutoff(ball: BallRegion, grid: GridSpec, box=None) -> np.ndarray:
     from :func:`ball_box`, on that box.
     """
     require_inside(ball.scaled(0.75), grid)
-    radius = ball.effective_radius
+    radius = ball.radius
     r = _distance(grid, ball.center, box)
     t = np.clip((r - 0.5 * radius) / (0.25 * radius), 0.0, 1.0)
     return 1.0 - t * t * (3.0 - 2.0 * t)

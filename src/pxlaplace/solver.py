@@ -673,10 +673,15 @@ def _default_region(grid: GridSpec) -> BallRegion:
 
 
 def _clip_radius(eps: float, grid: GridSpec) -> float:
+    """The mollification radius of level ``eps``: clipped to ``[2h, L/4]``
+    (``L`` the shortest extent), which must not be empty."""
     lo = 2.0 * max(grid.spacing)
     hi = 0.25 * min(grid.extents)
     if lo > hi:
-        raise SolverError("grid too coarse to mollify")
+        raise SolverError(
+            f"grid too coarse to mollify: the radius floor 2h = {lo:g} exceeds "
+            f"a quarter of the shortest extent, {hi:g}"
+        )
     return min(max(eps, lo), hi)
 
 

@@ -107,12 +107,6 @@ class TestQuasiregularityAudit:
         with pytest.raises(AuditError):
             quasiregularity_audit(saddle_field(33), beta=-0.5)
 
-    def test_region_restriction(self):
-        u = saddle_field()
-        ball = BallRegion((0.5, 0.5), 0.2)
-        report = quasiregularity_audit(u, 0.0, region=ball)
-        assert report.worst == pytest.approx(2.0, abs=1e-10)
-
 
 class TestCaccioppoliAudit:
     def test_linear_solution_lhs_zero(self):
@@ -133,10 +127,9 @@ class TestCaccioppoliAudit:
         params = StretchParams(1.0, prob.eps)
         ball = BallRegion((0.5, 0.5), 0.25)
         with_mean = caccioppoli_audit(final.v, prob.p, prob.g, params, prob.window, ball)
-        with_zero = caccioppoli_audit(
-            final.v, prob.p, prob.g, params, prob.window, ball, c=np.zeros(2)
-        )
-        assert with_mean.details["rhs"] <= with_zero.details["rhs"]
+        _, osc, data = full_grid_caccioppoli(final.v, prob.g, params, ball, c=np.zeros(2))
+        with_zero = constant_set(prob.window, 2, params.beta).c_sharp * (osc + data)
+        assert with_mean.details["rhs"] <= with_zero
 
     def test_fixture_balls_ratio_below_one(self, canonical_run):
         continuation, _ = canonical_run
@@ -211,9 +204,8 @@ class TestCaccioppoliMatchesFullGrid:
     the full-grid sums to round-off."""
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
-    @pytest.mark.parametrize("explicit_c", [False, True])
     @pytest.mark.parametrize("case", ["margin-2d", "3d"])
-    def test_terms_and_ratio(self, canonical_run, case, beta, explicit_c):
+    def test_terms_and_ratio(self, canonical_run, case, beta):
         if case == "3d":
             v, g, ball = three_d_fields()
             p = ScalarField(v.grid, np.full(v.grid.shape, 2.0))
@@ -225,9 +217,8 @@ class TestCaccioppoliMatchesFullGrid:
             params = StretchParams(beta, final.problem.eps)
             ball = margin_ball(v.grid)
         n = v.grid.dimension
-        c = np.linspace(-0.3, 0.7, n) if explicit_c else None
-        report = caccioppoli_audit(v, p, g, params, window, ball, c=c)
-        lhs, osc, data = full_grid_caccioppoli(v, g, params, ball, c)
+        report = caccioppoli_audit(v, p, g, params, window, ball)
+        lhs, osc, data = full_grid_caccioppoli(v, g, params, ball)
         rhs = constant_set(window, n, beta).c_sharp * (osc + data)
         got = report.details
         for name, expected in (("lhs", lhs), ("oscillation", osc), ("data_term", data), ("rhs", rhs)):

@@ -265,6 +265,26 @@ class TestConfigErrors:
         assert "leaves the grid margin" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("dimension", [2, 3], ids=["8x8", "8x8x8"])
+    def test_grid_too_coarse_to_mollify(self, tmp_path, capsys, monkeypatch, dimension):
+        # 8 nodes per unit axis pass the grid's own floor, but the mollifier
+        # radius floor 2h = 2/7 exceeds a quarter of the box: the continuation
+        # would fail on its first level
+        calls = []
+        monkeypatch.setattr(cli, "epsilon_continuation", lambda *args: calls.append(args))
+
+        def axes(value):
+            return " ".join([value] * dimension)
+
+        text = SMALL_CONFIG.replace(
+            "dimension = 2\nlo = 0 0\nhi = 1 1\npoints = 33 33",
+            f"dimension = {dimension}\nlo = {axes('0')}\nhi = {axes('1')}\npoints = {axes('8')}",
+        ).replace("ball_center = 0.5 0.5", f"ball_center = {axes('0.5')}")
+        path, _ = write_config(tmp_path, text)
+        assert main(["audit", "--config", path]) == 2
+        assert "grid too coarse to mollify" in capsys.readouterr().err
+        assert calls == []
+
     def test_increasing_schedule(self, tmp_path):
         bad = SMALL_CONFIG.replace("eps_schedule = 0.1 0.01 0.001", "eps_schedule = 0.001 0.01")
         path, _ = write_config(tmp_path, bad)

@@ -345,9 +345,24 @@ class TestDifferentiation:
         assert at(d2, (2.0, 3.0)) == pytest.approx(36.0, abs=1e-12)
 
     def test_nonsmooth_rejected(self):
-        for source in ["abs(x1)", "min(x1, x2)", "max(x1, 0)", "1 + abs(x2)*0"]:
-            with pytest.raises(NonDifferentiableError):
-                parse_expression(source, 2).differentiate(0)
+        # the first nonsmooth call in pre-order is named, wherever it sits:
+        # in a constant subtree, an exponent or inside another call
+        first_call = {
+            "abs(x1)": "abs(x1)",
+            "min(x1, x2)": "min(x1, x2)",
+            "max(x1, 0)": "max(x1, 0.0)",
+            "1 + abs(x2)*0": "abs(x2)",
+            "x1*abs(-2)": "abs(-2.0)",
+            "x1^abs(2)": "abs(2.0)",
+            "sin(max(x1, x2)) + abs(x1)": "max(x1, x2)",
+            "abs(min(x1, x2))": "abs(min(x1, x2))",
+        }
+        for source, call in first_call.items():
+            for index in (0, 1):
+                with pytest.raises(NonDifferentiableError) as err:
+                    parse_expression(source, 2).differentiate(index)
+                name = call.split("(")[0]
+                assert str(err.value) == f"cannot differentiate through '{name}' in '{call}'"
 
     def test_power_with_negative_base_stays_defined(self):
         # the constant-exponent rule must avoid the exp/log rewrite

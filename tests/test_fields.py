@@ -182,8 +182,10 @@ class TestMollify:
 
 class TestBallRegion:
     def test_scale_validated(self):
-        with pytest.raises(FieldError):
-            BallRegion((0.5, 0.5), 0.2, scale=0.3)
+        # a scaled ball is a ball, so its radius check covers the factor
+        for factor in (0.0, -0.5, float("nan")):
+            with pytest.raises(FieldError, match="positive"):
+                BallRegion((0.5, 0.5), 0.2).scaled(factor)
 
     def test_margin_enforced(self):
         grid = unit_square(33)
@@ -201,7 +203,9 @@ class TestBallRegion:
 
     def test_scaled(self):
         ball = BallRegion((0.5, 0.5), 0.4)
-        assert ball.scaled(0.5).effective_radius == pytest.approx(0.2)
+        assert ball.scaled(0.5).radius == 0.2
+        assert ball.scaled(0.5).center == ball.center
+        assert ball.scaled(0.5).scaled(0.5).radius == 0.1  # scalings compose
 
 
 def ball_values(field, ball):
