@@ -9,6 +9,8 @@ Submodules (import them directly; the package root imports none of them):
 - ``identities``: checkers for the underlying algebraic identities
 - ``solver``: Newton-type solver and eps continuation
 - ``audits``: pointwise/integral estimate audits and the delta search
+- ``config``: run configuration files, loaded and validated
+- ``fixtures``: the canonical regression problem and its frozen budget
 - ``cli``: configuration-driven command line front end
 """
 

@@ -17,11 +17,20 @@ from .constants import beta_star
 from .expressions import ExpressionError, parse_expression
 from .fields import BallRegion, FieldError, GridSpec, require_inside, sample
 from .fixtures import REGRESSION_GEHRING_BUDGET
-from .solver import ProblemSpec, SolverError, _clip_radius
+from .solver import ProblemSpec, SolverError, _check_schedule, _clip_radius
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
 KNOWN_AUDITS = ("pointwise", "quasiregularity", "caccioppoli")
+
+#: The sections a configuration may have and the keys each may set.
+KNOWN_KEYS = {
+    "problem": ("dimension", "lo", "hi", "points", "p", "f", "boundary", "eps_schedule"),
+    "audit": (
+        "audits", "betas", "kappa", "ball_center", "ball_radii", "c_target", "gehring_r_max", "seed"
+    ),
+    "output": ("directory",),
+}
 
 
 class ConfigError(ValueError):
@@ -68,8 +77,9 @@ def _unquote(text: str) -> str:
 def load_config(path: str) -> RunConfig:
     """Load and validate a run configuration file.
 
-    Expressions must parse, the grid must be fine enough for the
-    continuation to mollify, the eps schedule must be strictly decreasing,
+    Only the sections and keys of ``KNOWN_KEYS`` may appear.  Expressions
+    must parse, the grid must be fine enough for the continuation to
+    mollify, the eps schedule must be positive and strictly decreasing,
     the audit and stretch exponent lists must not be empty, the stretch
     exponents must be finite, ``kappa``, ``c_target`` and a given
     ``gehring_r_max`` must be positive and finite, every audited stretch
@@ -89,6 +99,15 @@ def load_config(path: str) -> RunConfig:
         parser.read_string(raw_text, source=path)
     except configparser.Error as err:
         raise ConfigError(f"cannot parse config: {err}") from err
+    # a misspelled key would silently fall back to its default; the keys of
+    # a [DEFAULT] section show up in every section and are checked there
+    for name in parser.sections():
+        if name not in KNOWN_KEYS:
+            raise ConfigError(f"unknown section [{name}]; known: {', '.join(KNOWN_KEYS)}")
+        for key in parser[name]:
+            if key not in KNOWN_KEYS[name]:
+                known = ", ".join(KNOWN_KEYS[name])
+                raise ConfigError(f"unknown key {key!r} in [{name}]; known: {known}")
 
     if "problem" not in parser:
         raise ConfigError("missing [problem] section")
@@ -111,13 +130,8 @@ def load_config(path: str) -> RunConfig:
     except ExpressionError as err:
         raise ConfigError(f"bad expression: {err}") from err
 
-    schedule = _floats(problem.get("eps_schedule", "0.01"))
-    # written so that a NaN entry fails each check
-    if not schedule or any(not e > 0 for e in schedule):
-        raise ConfigError("eps_schedule must list positive values")
-    if any(not b < a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigError("eps_schedule must be strictly decreasing")
     try:
+        schedule = _check_schedule(_floats(problem.get("eps_schedule", "0.01")))
         spec = ProblemSpec(
             grid=grid,
             p_expr=p_expr,

@@ -6,9 +6,9 @@ The discrete problem on a grid box is
     v = boundary data          on the box boundary,
 
 with ``A = I + (p - 2) Dv (x) Dv / (|Dv|^2 + eps)``.  Each sweep takes the
-correction step ``v <- v + theta J^-1 (g - A(v) v)``, where ``J^-1`` solves
-with the Jacobian ``J`` of the residual at the current or an earlier
-iterate.  The residual ``g - A(v) v`` comes straight from the 9-point (2-d)
+correction step ``v <- v + J^-1 (g - A(v) v)``, where ``J^-1`` solves with
+the Jacobian ``J`` of the residual at the current or an earlier iterate.
+The residual ``g - A(v) v`` comes straight from the 9-point (2-d)
 or 19-point (3-d) stencil, matrix-free, with the difference kernels of
 :mod:`pxlaplace.diffops` that the audits read too.
 ``J(v) = K(v) - (p - 2) b . D_h``
@@ -22,18 +22,17 @@ than the grid, it is GMRES on ``J``, preconditioned by a DST-I fast Poisson
 solve.  Every solve is checked against a 1e-12 normwise backward error, and
 one that misses it raises :class:`SolverError`.
 
-In 3-d the GMRES solver costs about a millisecond to build, so it is
-rebuilt from ``J(v)`` at every sweep: a damped Newton iteration.  In 2-d an
-LU factor costs about as much as 17 sweeps, so the factor is kept while
-every sweep at least halves the nonlinear residual (``REFACTOR_RATIO``) and
-rebuilt from the current iterate when one does not (a chord-Newton
-iteration), and an eps continuation hands it on from one level to the
-next.  Which ``J`` a sweep solves with changes only the path: the fixed
-point ``A(v) v = g`` stays.  A cold solve starts at ``v = 0``, where ``A`` is
-the identity and ``J`` is the ``p = 2`` operator, so its first sweep takes
-``theta`` times the ``p = 2`` solution for damping ``theta``; its second
-sweep rebuilds from ``J(v)``.  Sweeps repeat until both the update and the
-nonlinear residual are tiny.  The right-hand data is ``g = f_eps +
+Each solver class states, with its build cost, whether the sweep loop
+keeps it.  The 3-d GMRES solver is rebuilt from ``J(v)`` at every sweep: a
+Newton iteration.  The 2-d LU factor is kept while every sweep at least
+halves the nonlinear residual (``REFACTOR_RATIO``) and rebuilt from the
+current iterate when one does not (a chord-Newton iteration), and an eps
+continuation hands it on from one level to the next.  Which ``J`` a sweep
+solves with changes only the path: the fixed point ``A(v) v = g`` stays.
+A cold solve starts at ``v = 0``, where ``A`` is the identity and ``J`` is
+the ``p = 2`` operator, so its first sweep is the ``p = 2`` solve; its
+second sweep rebuilds from ``J(v)``.  Sweeps repeat until both the update
+and the nonlinear residual are tiny.  The right-hand data is ``g = f_eps +
 u0_eps``: sampled coefficient/data fields, optionally mollified with a
 radius tied to ``eps``.
 """
@@ -42,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,9 +69,9 @@ __all__ = [
 ]
 
 
-#: In 2-d, a sweep that leaves the nonlinear residual above this fraction
-#: of its previous value triggers a rebuild of the LU factor from the
-#: current iterate.  (The 3-d solver is rebuilt at every sweep.)
+#: A sweep that leaves the nonlinear residual above this fraction of its
+#: previous value triggers a rebuild of a kept linear solver (the 2-d LU
+#: factor) from the current iterate.
 REFACTOR_RATIO = 0.5
 
 
@@ -104,13 +104,10 @@ class ProblemSpec:
 class SolveOptions:
     tolerance: float = 1e-10
     max_iterations: int = 500
-    damping: float = 1.0
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise SolverError("tolerance must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise SolverError("damping factor must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -194,25 +191,24 @@ def build_problem(spec: ProblemSpec, seed: Optional[ScalarField] = None) -> Disc
 # ---------------------------------------------------------------------------
 
 
-#: ``(si, sj, sign)`` of the four cross-derivative entries ``u(x + si h_i e_i
-#: + sj h_j e_j)`` of the stencil, in assembly order.
-_CROSS_TERMS = ((+1, +1, -1.0), (-1, -1, -1.0), (+1, -1, +1.0), (-1, +1, +1.0))
+def _offset(n: int, *steps) -> tuple:
+    """The neighbour offset ``sum(s e_i)`` over the steps ``(i, s)``, as a tuple."""
+    return tuple(dict(steps).get(i, 0) for i in range(n))
 
 
 @dataclass(frozen=True)
 class _StencilPattern:
     """CSR structure of the frozen operator on one grid shape.
 
-    ``slots[k]`` holds, per interior node, the position in ``data`` of the
-    ``k``-th stencil entry (the centre, the axis neighbours ``+e_i, -e_i``,
-    then the cross terms of each axis pair in ``_CROSS_TERMS`` order);
-    ``boundary_slots`` holds the Dirichlet diagonal.  The arrays are shared
-    by every matrix assembled on the grid shape, so they are read-only.
+    ``slots[offset]`` holds, per interior node, the position in ``data`` of
+    the entry of the neighbour at that :func:`_offset`; ``boundary_slots``
+    holds the Dirichlet diagonal.  The arrays are shared by every matrix
+    assembled on the grid shape, so they are read-only.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    slots: np.ndarray
+    slots: dict
     boundary_slots: np.ndarray
 
 
@@ -224,14 +220,10 @@ def _stencil_pattern(shape: tuple) -> _StencilPattern:
     mesh = np.meshgrid(*(np.arange(1, m - 1) for m in shape), indexing="ij")
     interior = np.ravel_multi_index(tuple(mesh), shape).ravel()
     boundary = np.setdiff1d(np.arange(size), interior, assume_unique=True)
-    offsets = [0]
-    for i in range(n):
-        offsets += [strides[i], -strides[i]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            offsets += [si * strides[i] + sj * strides[j] for si, sj, _ in _CROSS_TERMS]
+    # every neighbour that differs from the centre along at most two axes
+    offsets = [off for off in itertools.product((-1, 0, 1), repeat=n) if n - off.count(0) <= 2]
     rows = np.concatenate([np.tile(interior, len(offsets)), boundary])
-    cols = np.concatenate([interior + off for off in offsets] + [boundary])
+    cols = np.concatenate([interior + np.dot(off, strides) for off in offsets] + [boundary])
     # scipy's own COO -> CSR conversion fixes the entry order; its data
     # carries each entry's stencil-order position along.  No entry repeats.
     order = csr_matrix((np.arange(rows.size), (rows, cols)), shape=(size, size))
@@ -242,7 +234,7 @@ def _stencil_pattern(shape: tuple) -> _StencilPattern:
     return _StencilPattern(
         indptr=order.indptr,
         indices=order.indices,
-        slots=slots[: -boundary.size].reshape(len(offsets), interior.size),
+        slots=dict(zip(offsets, slots[: -boundary.size].reshape(len(offsets), interior.size))),
         boundary_slots=slots[-boundary.size :],
     )
 
@@ -333,25 +325,20 @@ def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float)
     a = {key: block.ravel() for key, block in coeffs.a.items()}
 
     pattern = _stencil_pattern(grid.shape)
+    slots = pattern.slots
     data = np.empty(pattern.indices.size)
-    slots = iter(pattern.slots)
 
-    center = np.ones(pattern.slots.shape[1])
+    center = np.ones(a[0, 0].size)
     for i in range(n):
         center += 2.0 * a[i, i] / h[i] ** 2
-    data[next(slots)] = center
-
-    for i in range(n):
-        coeff = -a[i, i] / h[i] ** 2
-        data[next(slots)] = coeff
-        data[next(slots)] = coeff
-
-    for i in range(n):
+        axis = -a[i, i] / h[i] ** 2
+        for s in (+1, -1):
+            data[slots[_offset(n, (i, s))]] = axis
         for j in range(i + 1, n):
             q = a[i, j] / (2.0 * h[i] * h[j])
-            for _, _, sign in _CROSS_TERMS:
-                data[next(slots)] = sign * q
-
+            for si, sj in itertools.product((+1, -1), repeat=2):
+                data[slots[_offset(n, (i, si), (j, sj))]] = -si * sj * q
+    data[slots[_offset(n)]] = center
     data[pattern.boundary_slots] = 1.0
     size = int(np.prod(grid.shape))
     return csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size))
@@ -379,8 +366,8 @@ def _jacobian(v: ScalarField, p: ScalarField, eps: float) -> csr_matrix:
     slots = _stencil_pattern(v.grid.shape).slots
     for i in range(n):
         drift = (scale * (hq[i] - qhq * q[i] / d) / (2.0 * h[i])).ravel()
-        matrix.data[slots[1 + 2 * i]] -= drift
-        matrix.data[slots[2 + 2 * i]] += drift
+        matrix.data[slots[_offset(n, (i, +1))]] -= drift
+        matrix.data[slots[_offset(n, (i, -1))]] += drift
     return matrix
 
 
@@ -391,7 +378,8 @@ class _CheckedSolver:
     ``|A| |x| + |b|``, in the max norm) of 1e-12 against the matrix, after at
     most one refinement step, or the solve raises :class:`SolverError`; an
     inaccurate or non-finite solution is never used.  Subclasses supply the
-    unchecked solve ``_apply``.
+    unchecked solve ``_apply`` and ``kept``: whether the sweep loop keeps
+    the solver while the sweeps contract or rebuilds it at every sweep.
     """
 
     def __init__(self, matrix: csr_matrix):
@@ -430,6 +418,9 @@ class _LUFactor(_CheckedSolver):
     stable for a nonsymmetric operator, which is one reason every solve is
     checked against the backward-error contract.
     """
+
+    #: A factor costs about as much as 17 sweeps to build: keep it.
+    kept = True
 
     def __init__(self, matrix: csr_matrix):
         super().__init__(matrix)
@@ -471,6 +462,9 @@ class _PoissonGMRES(_CheckedSolver):
     The GMRES iteration count then does not grow as the grid is refined,
     while LU fill in 3-d grows faster than the number of unknowns.
     """
+
+    #: Building one costs about a millisecond: rebuild it at every sweep.
+    kept = False
 
     def __init__(self, matrix: csr_matrix, grid: GridSpec):
         super().__init__(matrix)
@@ -528,45 +522,36 @@ def solve_regularized(
     problem,
     options: Optional[SolveOptions] = None,
     warm_start: Optional[ScalarField] = None,
+    held: Optional[list] = None,
 ) -> SolveResult:
-    """Damped Newton-type iteration on the residual ``g - A(v) v``.
+    """Newton-type iteration on the residual ``g - A(v) v``.
 
-    Each sweep takes ``v <- v + damping * J^-1 (g - A(v) v)`` with ``J`` the
-    residual's Jacobian.  In 3-d ``J^-1``, preconditioned GMRES, is rebuilt
-    from ``J(v)`` at every sweep.  In 2-d ``J^-1``, a sparse LU factor, is
-    built at the first sweep and again after any sweep that fails to cut
-    the nonlinear residual ``max |g - A(v) v|`` to ``REFACTOR_RATIO`` of its
-    previous value.  Without ``warm_start`` the sweeps start at ``v = 0``,
-    where ``J`` is the ``p = 2`` operator, so the first sweep solves the
-    ``p = 2`` problem; with damping ``theta`` the first iterate is
-    ``theta`` times that solution.  That solver ignores ``p``, so the
-    second sweep always rebuilds.  (Within :func:`epsilon_continuation`
-    each later 2-d eps level starts from the previous level's solution and
-    LU factor instead.)  Convergence requires both a small relative update
-    and a nonlinear residual below ``10 * tolerance * max(1, |g|_inf)``; on
-    non-convergence the last iterate is returned flagged, residual
-    included.
+    Each sweep takes ``v <- v + J^-1 (g - A(v) v)`` with ``J`` the
+    residual's Jacobian.  ``J^-1`` is built from ``J(v)`` at the first
+    sweep, unless ``held`` brings a solver that is ``kept`` (the 2-d LU
+    factor), and again at every later sweep when the solver is not kept
+    (3-d GMRES) or the sweep before failed to cut the nonlinear residual
+    ``max |g - A(v) v|`` to ``REFACTOR_RATIO`` of its previous value.
+    Without ``warm_start`` the sweeps start at ``v = 0``, where ``J`` is the
+    ``p = 2`` operator, so the first sweep solves the ``p = 2`` problem;
+    that solver ignores ``p``, so the second sweep always rebuilds.
+    Convergence requires both a small relative update and a nonlinear
+    residual below ``10 * tolerance * max(1, |g|_inf)``; on non-convergence
+    the last iterate is returned flagged, residual included.
+
+    ``held``, by default a fresh ``[None]``, is the one-slot list of the
+    linear solver: :func:`epsilon_continuation` hands the 2-d LU factor on
+    from one eps level to the next in it.  On return it holds the last
+    solver; it is emptied before a new one is built, so no old factor stays
+    alive while ``splu`` allocates the next.
     """
     prob = problem if isinstance(problem, DiscreteProblem) else build_problem(problem)
-    return _chord_solve(prob, options or SolveOptions(), warm_start, [None])
-
-
-def _chord_solve(prob: DiscreteProblem, opts: SolveOptions, warm_start, held: list) -> SolveResult:
-    """The sweeps of :func:`solve_regularized`, from ``warm_start`` (or
-    ``v = 0``) with the linear solver in the one-slot list ``held``
-    (``[None]``, always so for a cold start: build one at the first sweep).
-    Every linear solver is built here, in the sweep loop, from ``J(v)``:
-    at every sweep in 3-d, under ``REFACTOR_RATIO`` in 2-d.
-
-    On return ``held`` holds the last solver.  The slot is emptied before a
-    new solver is built, so the caller never keeps an old LU factor alive
-    while ``splu`` allocates the next one.
-    """
+    opts = options or SolveOptions()
+    held = [None] if held is None else held
     grid = prob.grid
     interior = grid.interior_mask()
     rhs = np.where(interior, prob.g.values, prob.boundary.values).ravel()
-    g_scale = max(1.0, float(np.abs(rhs).max()))
-    residual_target = 10.0 * opts.tolerance * g_scale
+    residual_target = 10.0 * opts.tolerance * max(1.0, float(np.abs(rhs).max()))
 
     if warm_start is not None:
         if warm_start.grid != grid:
@@ -578,26 +563,23 @@ def _chord_solve(prob: DiscreteProblem, opts: SolveOptions, warm_start, held: li
     def nonlinear_residual(v):
         return _nonlinear_residual(v, prob.p.values, prob.eps, grid.spacing, rhs)
 
-    # a GMRES solver costs about a millisecond to build, an LU factor about
-    # as much as 17 sweeps: only 2-d keeps a solver while it contracts well
-    newton = grid.dimension == 3
     r, coeffs = nonlinear_residual(v)
     residual = float(np.abs(r).max())
-    refactor = newton or held[0] is None
+    rebuild = held[0] is None or not held[0].kept
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
-        if refactor:
+        if rebuild:
             held[0] = None  # release the old solver before the new one allocates
             held[0] = _linear_solver(_jacobian(ScalarField(grid, v), prob.p, prob.eps), grid)
-        step = opts.damping * held[0].solve(r).reshape(grid.shape)
+        step = held[0].solve(r).reshape(grid.shape)
         v = v + step
         delta = float(np.abs(step).max())
         r, coeffs = nonlinear_residual(v)
         previous, residual = residual, float(np.abs(r).max())
         # J(0) ignores p, so a cold start rebuilds at sweep 2
-        refactor = (
-            newton
+        rebuild = (
+            not held[0].kept
             or residual > REFACTOR_RATIO * previous
             or (warm_start is None and iterations == 1)
         )
@@ -605,11 +587,10 @@ def _chord_solve(prob: DiscreteProblem, opts: SolveOptions, warm_start, held: li
             converged = True
             break
 
-    vfield = ScalarField(grid, v)
     bvals = prob.boundary.values[~interior]
     data_norm = float(np.abs(prob.g.values).max())
     return SolveResult(
-        v=vfield,
+        v=ScalarField(grid, v),
         iterations=iterations,
         residual=residual,
         ellipticity=coeffs.ellipticity,
@@ -685,9 +666,20 @@ def _clip_radius(eps: float, grid: GridSpec) -> float:
     return min(max(eps, lo), hi)
 
 
-def epsilon_continuation(
-    spec: ProblemSpec, schedule, options: Optional[SolveOptions] = None
-) -> ContinuationResult:
+def _check_schedule(schedule) -> tuple:
+    """The eps schedule as floats: non-empty, positive, strictly decreasing."""
+    schedule = tuple(float(e) for e in schedule)
+    if not schedule:
+        raise SolverError("eps_schedule is empty")
+    # written so that a NaN entry fails each check
+    if any(not e > 0 for e in schedule):
+        raise SolverError("eps_schedule must list positive values")
+    if any(not b < a for a, b in zip(schedule, schedule[1:])):
+        raise SolverError("eps_schedule must be strictly decreasing")
+    return schedule
+
+
+def epsilon_continuation(spec: ProblemSpec, schedule) -> ContinuationResult:
     """Solve along a decreasing eps schedule, warm-starting each solve.
 
     The first level starts cold at ``v = 0``.  Each later level starts from
@@ -703,18 +695,10 @@ def epsilon_continuation(
     every difference is central, are recorded as the convergence evidence;
     the discrete gradient is linear, so no level keeps a gradient of its own.
     """
-    schedule = tuple(float(e) for e in schedule)
-    if not schedule:
-        raise SolverError("empty eps schedule")
-    # written so that a NaN entry fails each check
-    if any(not e > 0 for e in schedule):
-        raise SolverError("schedule entries must be positive")
-    if any(not b < a for a, b in zip(schedule, schedule[1:])):
-        raise SolverError("schedule must be strictly decreasing")
+    schedule = _check_schedule(schedule)
     grid = spec.grid
     mask = ball_mask(_default_region(grid).scaled(0.75), grid)
 
-    opts = options or SolveOptions()
     held = [None]  # the last linear solver, which the next eps level reuses in 2-d
     results = []
     increments = []
@@ -722,7 +706,7 @@ def epsilon_continuation(
     for eps in schedule:
         step_spec = dataclasses.replace(spec, eps=eps, mollify_radius=_clip_radius(eps, grid))
         prob = build_problem(step_spec, seed=prev)
-        result = _chord_solve(prob, opts, prev, held)
+        result = solve_regularized(prob, warm_start=prev, held=held)
         if not result.converged:
             raise SolverError(f"continuation member solve at eps={eps} did not converge")
         if prev is not None:

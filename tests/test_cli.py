@@ -5,7 +5,10 @@ import pytest
 
 from pxlaplace import cli
 from pxlaplace.cli import main, write_field_csv
+from pxlaplace.config import ConfigError, load_config
 from pxlaplace.fields import GridSpec, ScalarField
+from pxlaplace.fixtures import fixture_problem
+from pxlaplace.solver import SolverError, epsilon_continuation
 
 SMALL_CONFIG = """\
 [problem]
@@ -289,6 +292,55 @@ class TestConfigErrors:
         bad = SMALL_CONFIG.replace("eps_schedule = 0.1 0.01 0.001", "eps_schedule = 0.001 0.01")
         path, _ = write_config(tmp_path, bad)
         assert main(["audit", "--config", path]) == 2
+
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ("", "eps_schedule is empty"),
+            ("0.1 -0.1", "eps_schedule must list positive values"),
+            ("0.1 nan", "eps_schedule must list positive values"),
+            ("0.1 0.1", "eps_schedule must be strictly decreasing"),
+            ("0.01 0.1", "eps_schedule must be strictly decreasing"),
+        ],
+        ids=["empty", "negative", "nan", "equal", "increasing"],
+    )
+    def test_config_and_continuation_reject_a_schedule_alike(self, tmp_path, schedule, message):
+        # one rule: the config file and a library caller get the same message
+        bad = SMALL_CONFIG.replace("eps_schedule = 0.1 0.01 0.001", f"eps_schedule = {schedule}")
+        path, _ = write_config(tmp_path, bad)
+        with pytest.raises(ConfigError) as from_config:
+            load_config(path)
+        levels = [float(e) for e in schedule.split()]
+        with pytest.raises(SolverError) as from_solver:
+            epsilon_continuation(fixture_problem(points=33), levels)
+        assert str(from_config.value) == str(from_solver.value) == message
+
+    @pytest.mark.parametrize(
+        "line, value, message",
+        [
+            (
+                "eps_schedule = 0.1 0.01 0.001",
+                "eps_shedule = 0.1 0.01",
+                "unknown key 'eps_shedule' in [problem]",
+            ),
+            ("kappa = 10", "kapa = 5", "unknown key 'kapa' in [audit]"),
+            ("[output]", "[outputs]", "unknown section [outputs]"),
+            ("[problem]", "[DEFAULT]\nseed = 3\n\n[problem]", "unknown key 'seed' in [problem]"),
+        ],
+        ids=["problem-key", "audit-key", "section", "default-section"],
+    )
+    def test_unknown_key_rejected_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, line, value, message
+    ):
+        # a misspelled key used to fall back to its default without a word
+        calls = []
+        monkeypatch.setattr(cli, "epsilon_continuation", lambda *args: calls.append(args))
+        path, _ = write_config(tmp_path, SMALL_CONFIG.replace(line, value))
+        assert main(["solve", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "known: " in err
+        assert calls == []
 
     @pytest.mark.parametrize("command", ["audit", "gehring"])
     def test_empty_betas(self, tmp_path, capsys, command):

@@ -1,0 +1,81 @@
+"""Source hygiene of the package, checked with ``ast`` in place of a linter.
+
+Every name a ``pxlaplace`` module imports is used in it or re-exported
+through its ``__all__``, and every ``__all__`` entry is defined: a deletion
+that leaves an import or an export behind fails here by name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pxlaplace"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def exported(tree):
+    """The string entries of the module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return [element.value for element in node.value.elts]
+    return []
+
+
+def imported(tree):
+    """Each name an import statement binds, anywhere in the module."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def defined(tree):
+    """The names bound at module level."""
+    names = set(imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+    return names
+
+
+def unused_imports(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported(tree) if name not in used | set(exported(tree))]
+
+
+def undefined_exports(tree, submodules=()):
+    names = defined(tree) | set(submodules)
+    return [name for name in exported(tree) if name not in names]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_import_is_used(path):
+    unused = unused_imports(parse(path))
+    assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_export_is_defined(path):
+    # the package's own ``__all__`` lists its submodules
+    submodules = [module.stem for module in MODULES] if path.name == "__init__.py" else []
+    missing = undefined_exports(parse(path), submodules)
+    assert missing == [], f"{path.name} lists {missing} in __all__ but defines none of them"
+
+
+def test_checks_catch_a_dead_import_and_a_stale_export():
+    tree = ast.parse("import os\nfrom math import pi, tau\n__all__ = ['tau', 'gone']\nprint(pi)\n")
+    assert unused_imports(tree) == ["os"]
+    assert undefined_exports(tree) == ["gone"]

@@ -462,13 +462,6 @@ class TestSolve:
         assert not result.converged
         assert np.isfinite(result.residual)
 
-    def test_damping_reaches_same_fixed_point(self):
-        spec = make_spec("x1^2 - x2^2")
-        full = solve_regularized(spec)
-        damped = solve_regularized(spec, SolveOptions(damping=0.7))
-        assert damped.converged
-        assert np.abs(full.v.values - damped.v.values).max() < 1e-8
-
     def test_warm_start_grid_checked(self):
         spec = make_spec("x1")
         other = ScalarField(unit_square(17), np.zeros((17, 17)))
@@ -573,8 +566,7 @@ class TestFactorReuse:
         assert result.converged and result.iterations == 2
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("damping", [1.0, 0.5])
-    def test_first_cold_sweep_is_damped_p2_solve(self, damping):
+    def test_first_cold_sweep_is_p2_solve(self):
         # at v = 0 the frozen coefficient is the identity whatever p is
         prob = build_problem(make_spec("x1^2 - x2^2"))
         grid = prob.grid
@@ -582,8 +574,8 @@ class TestFactorReuse:
         zero = ScalarField(grid, np.zeros(grid.shape))
         p2 = ScalarField(grid, np.full(grid.shape, 2.0))
         matrix = assemble_frozen_operator(zero, p2, prob.eps)
-        expected = damping * spsolve(matrix.tocsc(), rhs)
-        result = solve_regularized(prob, SolveOptions(max_iterations=1, damping=damping))
+        expected = spsolve(matrix.tocsc(), rhs)
+        result = solve_regularized(prob, SolveOptions(max_iterations=1))
         assert result.iterations == 1
         # an M-matrix with row sums >= 1 has |A^-1| <= 1, so the condition
         # number is at most |A|: round-off times |A| |x| bounds the gap
@@ -600,12 +592,9 @@ class TestLargeExponent:
         spec = make_spec("x1^2 - x2^2", p=p, m=65, eps=0.1)
         return solve_regularized(spec, SolveOptions(**options))
 
-    @pytest.mark.parametrize(
-        "p, damping",
-        [("4", 1.0), ("8", 1.0), ("8 + sin(x2)", 1.0), ("20", 0.5), ("20", 1.0)],
-    )
-    def test_converges_within_residual_budget(self, p, damping):
-        result = self.solve(p, damping=damping)
+    @pytest.mark.parametrize("p", ["4", "8", "8 + sin(x2)", "20"])
+    def test_converges_within_residual_budget(self, p):
+        result = self.solve(p)
         g_norm = max(1.0, np.abs(result.problem.g.values).max())
         assert result.converged
         assert result.residual <= 10.0 * SolveOptions().tolerance * g_norm
@@ -679,7 +668,35 @@ class TestManufacturedRhs:
         assert at(rhs, (0.3, 0.8)) == 0.0
 
 
+def count_solves(monkeypatch):
+    """Wrap ``solver.solve_regularized`` the way the benchmark's traced run
+    does, by replacing the module attribute; returns each call's sweeps."""
+    sweeps = []
+    original = solver.solve_regularized
+
+    def counting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        sweeps.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(solver, "solve_regularized", counting)
+    return sweeps
+
+
 class TestContinuation:
+    @pytest.mark.parametrize(
+        "spec, schedule",
+        [(fixture_problem(points=33), FIXTURE_SCHEDULE), (cube_spec(13), CUBE_SCHEDULE)],
+        ids=["fixture-33", "cube-13"],
+    )
+    def test_every_level_solved_through_solve_regularized(self, monkeypatch, spec, schedule):
+        # the one entry to the sweep loop, which a wrapper of it sees
+        sweeps = count_solves(monkeypatch)
+        result = epsilon_continuation(spec, schedule)
+        assert len(sweeps) == len(schedule)
+        assert sweeps == [level.iterations for level in result.results]
+        assert sum(sweeps) > 0
+
     def test_linear_boundary_increments_vanish(self):
         spec = make_spec("0.4*x1 - 0.9*x2")
         result = epsilon_continuation(spec, (0.1, 0.01, 0.001))
