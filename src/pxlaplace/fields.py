@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .expressions import DomainError, Expression
 
@@ -151,7 +151,9 @@ def mollify(field: ScalarField, eps: float) -> ScalarField:
     """Convolve with the normalized bump of radius ``eps``.
 
     Output values equal the raw input wherever the kernel support leaves
-    the grid.
+    the grid.  Elsewhere, on the valid region of the convolution, they come
+    from one real FFT product: a circular convolution of period at least the
+    grid's, which wraps only outside that region, so no padding is needed.
     """
     grid = field.grid
     h = grid.spacing
@@ -163,10 +165,14 @@ def mollify(field: ScalarField, eps: float) -> ScalarField:
         raise FieldError(f"mollification radius {eps} exceeds half the domain width")
     kernel = mollifier_kernel(h, eps)
 
-    full = np.zeros(grid.shape, dtype=bool)
-    full[tuple(slice(r, m - r) for r, m in zip((s // 2 for s in kernel.shape), grid.shape))] = True
-    conv = ndimage.convolve(field.values, kernel, mode="nearest")
-    return ScalarField(grid, np.where(full, conv, field.values))
+    period = tuple(next_fast_len(m, real=True) for m in grid.shape)
+    conv = irfftn(rfftn(field.values, period) * rfftn(kernel, period), period)
+    values = field.values.copy()
+    # the full convolution's index k - 1 + i lands on node i + k // 2
+    values[tuple(slice(k // 2, m - k // 2) for k, m in zip(kernel.shape, grid.shape))] = conv[
+        tuple(slice(k - 1, m) for k, m in zip(kernel.shape, grid.shape))
+    ]
+    return ScalarField(grid, values)
 
 
 # ---------------------------------------------------------------------------

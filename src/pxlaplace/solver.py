@@ -14,13 +14,16 @@ or 19-point (3-d) stencil, matrix-free, with the difference kernels of
 ``J(v) = K(v) - (p - 2) b . D_h``
 is the frozen operator ``K(v) = 1 - A(v) : D^2_h`` plus a first-order term
 on the axis neighbours, so it has the stencil's sparsity pattern; it is
-assembled only when a linear solver is built.  In 2-d the solver is a
+assembled only when a linear solver is built.  At ``v = 0``, where ``A`` is
+the identity whatever ``p`` is, ``J`` is the ``p = 2`` operator
+``1 - Delta_h``, and the solver is a direct fast Poisson solve: two DST-I
+transforms, in 2-d and 3-d alike.  Elsewhere in 2-d the solver is a
 sparse LU factor: the stencil pattern is structurally symmetric with a
 diagonal of at least 1, so the factor orders by minimum degree on
 ``J + J^T`` and pivots on the diagonal.  In 3-d, where LU fill grows faster
-than the grid, it is GMRES on ``J``, preconditioned by a DST-I fast Poisson
-solve.  Every solve is checked against a 1e-12 normwise backward error, and
-one that misses it raises :class:`SolverError`.
+than the grid, it is GMRES on ``J``, preconditioned by the same fast
+Poisson solve.  Every solve is checked against a 1e-12 normwise backward
+error, and one that misses it raises :class:`SolverError`.
 
 Each solver class states, with its build cost, whether the sweep loop
 keeps it.  The 3-d GMRES solver is rebuilt from ``J(v)`` at every sweep: a
@@ -29,9 +32,10 @@ halves the nonlinear residual (``REFACTOR_RATIO``) and rebuilt from the
 current iterate when one does not (a chord-Newton iteration), and an eps
 continuation hands it on from one level to the next.  Which ``J`` a sweep
 solves with changes only the path: the fixed point ``A(v) v = g`` stays.
-A cold solve starts at ``v = 0``, where ``A`` is the identity and ``J`` is
-the ``p = 2`` operator, so its first sweep is the ``p = 2`` solve; its
-second sweep rebuilds from ``J(v)``.  Sweeps repeat until both the update
+A cold solve starts at ``v = 0``, so its first sweep is the fast Poisson
+solve of the ``p = 2`` problem, which is not kept: the second sweep builds
+the solver of ``J(v)``, so a 2-d continuation factorizes once unless a
+sweep fails to halve the residual.  Sweeps repeat until both the update
 and the nonlinear residual are tiny.  The right-hand data is ``g = f_eps +
 u0_eps``: sampled coefficient/data fields, optionally mollified with a
 radius tied to ``eps``.
@@ -46,6 +50,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.fft import dstn, idstn
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
@@ -448,6 +453,57 @@ GMRES_RESTART = 40
 GMRES_MAX_CYCLES = 10
 
 
+def _poisson_inverse(grid: GridSpec):
+    """The exact inverse of the ``p = 2`` operator ``J(0)`` on a residual.
+
+    It is the identity on the Dirichlet rows and, on the interior block,
+    the inverse of the 5-point (2-d) or 7-point (3-d) ``1 - Delta_h``: a
+    diagonal scaling between two DST-I transforms.  So it inverts ``J(0)``
+    exactly on a vector whose Dirichlet rows are 0, where no boundary value
+    couples into the interior rows.
+    """
+    # eigenvalues of the 1-d Dirichlet -D^2_h per axis, summed over an
+    # open mesh onto the 1: the symbol of 1 - Delta_h in the sine basis
+    eigenvalues = [
+        (2.0 - 2.0 * np.cos(np.arange(1, m - 1) * np.pi / (m - 1))) / h**2
+        for m, h in zip(grid.shape, grid.spacing)
+    ]
+    symbol = sum(np.ix_(*eigenvalues), 1.0)
+    inner = tuple(slice(1, -1) for _ in grid.shape)
+
+    def apply(x):
+        y = x.copy()  # the identity on the Dirichlet rows
+        block = y.reshape(grid.shape)
+        block[inner] = idstn(dstn(block[inner], type=1) / symbol, type=1)
+        return y
+
+    return apply
+
+
+class _FastPoisson(_CheckedSolver):
+    """The direct solve of ``J(0)``, the ``p = 2`` operator, by fast Poisson.
+
+    At ``v = 0`` the frozen coefficient is the identity whatever ``p`` is,
+    so ``J(0) = 1 - Delta_h`` on the interior rows.  The solve lifts the
+    Dirichlet rows first: ``x0`` holds the right-hand side on them and 0
+    inside, and ``x0 + M (rhs - J x0)`` with ``M`` the
+    :func:`_poisson_inverse` is the exact solution, with no matrix
+    factorized.
+    """
+
+    #: It solves only ``J(0)``, which the next sweep has left: rebuild it.
+    kept = False
+
+    def __init__(self, matrix: csr_matrix, grid: GridSpec):
+        super().__init__(matrix)
+        self._inverse = _poisson_inverse(grid)
+        self._boundary = ~grid.interior_mask().ravel()
+
+    def _apply(self, rhs: np.ndarray) -> np.ndarray:
+        lifted = np.where(self._boundary, rhs, 0.0)
+        return lifted + self._inverse(rhs - self._matrix @ lifted)
+
+
 class _PoissonGMRES(_CheckedSolver):
     """GMRES on the assembled matrix, preconditioned by a fast Poisson solve.
 
@@ -455,10 +511,8 @@ class _PoissonGMRES(_CheckedSolver):
     condition (in 3-d when its largest eigenvalue is below 4, so for every
     ``s`` when ``p < 5``), and under it the frozen operator is close to the
     Laplacian uniformly in ``h`` (Smears and Sueli, SINUM 51 (2013)); the
-    Jacobian adds only a first-order term to it.  The
-    preconditioner is the identity on the Dirichlet rows and, on the
-    interior block, the exact inverse of the 7-point ``1 - Delta_h`` (the
-    ``p = 2`` operator): a diagonal scaling between two DST-I transforms.
+    Jacobian adds only a first-order term to it.  The preconditioner is
+    :func:`_poisson_inverse`, the exact inverse of the ``p = 2`` operator.
     The GMRES iteration count then does not grow as the grid is refined,
     while LU fill in 3-d grows faster than the number of unknowns.
     """
@@ -468,24 +522,9 @@ class _PoissonGMRES(_CheckedSolver):
 
     def __init__(self, matrix: csr_matrix, grid: GridSpec):
         super().__init__(matrix)
-        from scipy.fft import dstn, idstn  # only the 3-d solver loads scipy.fft
-
-        # eigenvalues of the 1-d Dirichlet -D^2_h per axis, summed over an
-        # open mesh onto the 1: the symbol of 1 - Delta_h in the sine basis
-        eigenvalues = [
-            (2.0 - 2.0 * np.cos(np.arange(1, m - 1) * np.pi / (m - 1))) / h**2
-            for m, h in zip(grid.shape, grid.spacing)
-        ]
-        symbol = sum(np.ix_(*eigenvalues), 1.0)
-        inner = tuple(slice(1, -1) for _ in grid.shape)
-
-        def precondition(x):
-            y = x.copy()  # the identity on the Dirichlet rows
-            block = y.reshape(grid.shape)
-            block[inner] = idstn(dstn(block[inner], type=1) / symbol, type=1)
-            return y
-
-        self._preconditioner = LinearOperator(matrix.shape, matvec=precondition, dtype=float)
+        self._preconditioner = LinearOperator(
+            matrix.shape, matvec=_poisson_inverse(grid), dtype=float
+        )
 
     def _apply(self, rhs: np.ndarray) -> np.ndarray:
         if not np.isfinite(rhs).all():
@@ -505,9 +544,14 @@ class _PoissonGMRES(_CheckedSolver):
         return x
 
 
-def _linear_solver(matrix: csr_matrix, grid: GridSpec) -> _CheckedSolver:
-    """The solver of a Jacobian on ``grid``: GMRES in 3-d, where LU
-    fill grows faster than the grid; sparse LU in 2-d, where it is cheaper."""
+def _linear_solver(matrix: csr_matrix, v: ScalarField) -> _CheckedSolver:
+    """The solver of the Jacobian ``matrix = J(v)``: fast Poisson at
+    ``v = 0``, where ``J`` is the ``p = 2`` operator; else GMRES in 3-d,
+    where LU fill grows faster than the grid, and sparse LU in 2-d, where it
+    is cheaper."""
+    grid = v.grid
+    if not v.values.any():
+        return _FastPoisson(matrix, grid)
     if grid.dimension == 3:
         return _PoissonGMRES(matrix, grid)
     return _LUFactor(matrix)
@@ -530,11 +574,13 @@ def solve_regularized(
     residual's Jacobian.  ``J^-1`` is built from ``J(v)`` at the first
     sweep, unless ``held`` brings a solver that is ``kept`` (the 2-d LU
     factor), and again at every later sweep when the solver is not kept
-    (3-d GMRES) or the sweep before failed to cut the nonlinear residual
-    ``max |g - A(v) v|`` to ``REFACTOR_RATIO`` of its previous value.
-    Without ``warm_start`` the sweeps start at ``v = 0``, where ``J`` is the
-    ``p = 2`` operator, so the first sweep solves the ``p = 2`` problem;
-    that solver ignores ``p``, so the second sweep always rebuilds.
+    (fast Poisson, 3-d GMRES) or the sweep before failed to cut the
+    nonlinear residual ``max |g - A(v) v|`` to ``REFACTOR_RATIO`` of its
+    previous value.  Without ``warm_start`` the sweeps start at ``v = 0``,
+    where ``J`` is the ``p = 2`` operator, so the first sweep is a fast
+    Poisson solve of the ``p = 2`` problem, with no LU factor and no GMRES
+    call; that solver is not kept, so the second sweep builds the solver of
+    ``J(v)``.
     Convergence requires both a small relative update and a nonlinear
     residual below ``10 * tolerance * max(1, |g|_inf)``; on non-convergence
     the last iterate is returned flagged, residual included.
@@ -571,18 +617,14 @@ def solve_regularized(
     for iterations in range(1, opts.max_iterations + 1):
         if rebuild:
             held[0] = None  # release the old solver before the new one allocates
-            held[0] = _linear_solver(_jacobian(ScalarField(grid, v), prob.p, prob.eps), grid)
+            iterate = ScalarField(grid, v)
+            held[0] = _linear_solver(_jacobian(iterate, prob.p, prob.eps), iterate)
         step = held[0].solve(r).reshape(grid.shape)
         v = v + step
         delta = float(np.abs(step).max())
         r, coeffs = nonlinear_residual(v)
         previous, residual = residual, float(np.abs(r).max())
-        # J(0) ignores p, so a cold start rebuilds at sweep 2
-        rebuild = (
-            not held[0].kept
-            or residual > REFACTOR_RATIO * previous
-            or (warm_start is None and iterations == 1)
-        )
+        rebuild = not held[0].kept or residual > REFACTOR_RATIO * previous
         if delta <= opts.tolerance * (1.0 + float(np.abs(v).max())) and residual <= residual_target:
             converged = True
             break

@@ -23,10 +23,24 @@ def unit_square(m=33):
 
 def kernel_inside(grid, eps):
     """Nodes whose whole mollifier support lies on the grid."""
-    r = mollifier_kernel(grid.spacing, eps).shape[0] // 2
+    radii = [k // 2 for k in mollifier_kernel(grid.spacing, eps).shape]
     inside = np.zeros(grid.shape, dtype=bool)
-    inside[r:-r, r:-r] = True
+    inside[tuple(slice(r, m - r) for r, m in zip(radii, grid.shape))] = True
     return inside
+
+
+def check_reference_convolution(field, eps):
+    """``mollify`` against the direct sum: the convolution where the kernel
+    support lies on the grid, to round-off of the FFT's summation order,
+    and the raw values, bit for bit, elsewhere."""
+    grid = field.grid
+    conv = ndimage.convolve(field.values, mollifier_kernel(grid.spacing, eps), mode="nearest")
+    smoothed = mollify(field, eps).values
+    inside = kernel_inside(grid, eps)
+    assert inside.any() and not inside.all()
+    gap = np.abs(smoothed - conv)[inside].max()
+    assert gap <= 1e-14 * np.abs(field.values).max()
+    assert np.array_equal(smoothed[~inside], field.values[~inside])
 
 
 class TestGridSpec:
@@ -159,15 +173,19 @@ class TestMollify:
         assert np.array_equal(smoothed.values[band], field.values[band])
 
     def test_values_match_reference_convolution(self):
-        # reference: the convolution where the kernel support lies on the
-        # grid, the raw values elsewhere
-        grid = unit_square(33)
-        eps = 0.1
-        field = sample(parse_expression("sin(3*x1)*x2", 2), grid)
-        conv = ndimage.convolve(field.values, mollifier_kernel(grid.spacing, eps), mode="nearest")
-        smoothed = mollify(field, eps)
-        expected = np.where(kernel_inside(grid, eps), conv, field.values)
-        assert np.array_equal(smoothed.values, expected)
+        field = sample(parse_expression("sin(3*x1)*x2", 2), unit_square(33))
+        check_reference_convolution(field, 0.1)
+
+    @pytest.mark.parametrize(
+        "shape, eps",
+        [((17, 17, 17), 0.125), ((33, 33, 33), 0.2), ((65, 40), 0.1)],
+        ids=["17^3", "33^3", "65x40"],
+    )
+    def test_values_match_reference_convolution_on_other_grids(self, shape, eps):
+        n = len(shape)
+        grid = GridSpec((0.0,) * n, (1.0,) * n, shape)
+        expr = "sin(3*x1)*x2" + (" + cos(2*x3)*x1" if n == 3 else "")
+        check_reference_convolution(sample(parse_expression(expr, n), grid), eps)
 
     def test_eps_too_small(self):
         field = sample(parse_expression("x1", 2), unit_square(33))

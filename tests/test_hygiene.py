@@ -2,10 +2,14 @@
 
 Every name a ``pxlaplace`` module imports is used in it or re-exported
 through its ``__all__``, and every ``__all__`` entry is defined: a deletion
-that leaves an import or an export behind fails here by name.
+that leaves an import or an export behind fails here by name.  The command
+line module loads no heavy scipy subpackage it does not need.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +83,19 @@ def test_checks_catch_a_dead_import_and_a_stale_export():
     tree = ast.parse("import os\nfrom math import pi, tau\n__all__ = ['tau', 'gone']\nprint(pi)\n")
     assert unused_imports(tree) == ["os"]
     assert undefined_exports(tree) == ["gone"]
+
+
+#: scipy subpackages the lab does not use, each slow to import: scipy.signal
+#: alone takes longer than the rest of ``import pxlaplace.cli``.
+HEAVY_MODULES = ("scipy.ndimage", "scipy.signal")
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    # checked by name in a fresh interpreter, not by a timing
+    probe = f"import sys, pxlaplace.cli; print([m for m in {HEAVY_MODULES!r} if m in sys.modules])"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert done.stdout.strip() == "[]", done.stdout

@@ -290,11 +290,16 @@ class TestJacobian:
         assert all(b < a for a, b in zip(ratios, ratios[1:])), ratios
 
 
-def random_operator(grid):
+def random_state(grid):
+    """A random iterate and exponent field on ``grid``."""
     rng = np.random.default_rng(5)
     v = ScalarField(grid, rng.standard_normal(grid.shape))
     p = ScalarField(grid, 1.5 + 3.0 * rng.random(grid.shape))
-    return assemble_frozen_operator(v, p, 1e-2)
+    return v, p
+
+
+def random_operator(grid):
+    return assemble_frozen_operator(*random_state(grid), 1e-2)
 
 
 def saddle_p20_operator():
@@ -354,7 +359,7 @@ class TestPoissonGMRES:
         for m in (17, 33):
             prob = build_problem(cube_spec(m, p=p, boundary="x1^2 - x2^2 + x3*x1"))
             matrix = assemble_frozen_operator(prob.boundary, prob.p, prob.eps)
-            linear = solver._linear_solver(matrix, prob.grid)
+            linear = solver._linear_solver(matrix, prob.boundary)
             assert isinstance(linear, solver._PoissonGMRES)
             rhs = np.random.default_rng(11).standard_normal(matrix.shape[0])
             calls.clear()
@@ -364,16 +369,49 @@ class TestPoissonGMRES:
         assert abs(iterations[33] - iterations[17]) <= growth, iterations
 
 
+def zero_iterate(grid):
+    return ScalarField(grid, np.zeros(grid.shape))
+
+
+class TestFastPoisson:
+    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=["33x33", "17x9", "9x9x9"])
+    def test_exact_solve_of_the_p2_operator(self, grid, monkeypatch):
+        factors = count_splu(monkeypatch)
+        krylov = count_gmres(monkeypatch)
+        # J(0) ignores p, so a random exponent field still gives 1 - Delta_h
+        zero = zero_iterate(grid)
+        matrix = solver._jacobian(zero, random_state(grid)[1], 1e-2)
+        linear = solver._linear_solver(matrix, zero)
+        assert isinstance(linear, solver._FastPoisson)
+        # non-zero Dirichlet rows, which the solve lifts before inverting
+        rhs = np.random.default_rng(17).standard_normal(matrix.shape[0])
+        x = linear._apply(rhs)  # unchecked: no refinement step is needed
+        assert backward_error(matrix, x, rhs) <= 1e-12
+        expected = spsolve(matrix.tocsc(), rhs)
+        # an M-matrix with row sums >= 1 has |A^-1| <= 1, so the condition
+        # number is at most |A|: round-off times |A| |x| bounds the gap
+        bound = 1e-14 * np.abs(matrix).sum(axis=1).max() * np.abs(expected).max()
+        assert np.abs(linear.solve(rhs) - expected).max() <= bound
+        assert factors == [] and krylov == []
+
+
 class TestContract:
     @pytest.mark.parametrize(
-        "grid, kind",
-        [(unit_square(33), solver._LUFactor), (PATTERN_GRIDS[2], solver._PoissonGMRES)],
-        ids=["lu-2d", "gmres-3d"],
+        "grid, cold, kind",
+        [
+            (unit_square(33), False, solver._LUFactor),
+            (PATTERN_GRIDS[2], False, solver._PoissonGMRES),
+            (unit_square(33), True, solver._FastPoisson),
+        ],
+        ids=["lu-2d", "gmres-3d", "poisson-2d"],
     )
-    def test_non_finite_solution_rejected(self, grid, kind):
+    def test_non_finite_solution_rejected(self, grid, cold, kind):
         # a NaN backward error compares False against any bound
-        matrix = random_operator(grid)
-        linear = solver._linear_solver(matrix, grid)
+        v, p = random_state(grid)
+        if cold:
+            v = zero_iterate(grid)
+        matrix = assemble_frozen_operator(v, p, 1e-2)
+        linear = solver._linear_solver(matrix, v)
         assert isinstance(linear, kind)
         rhs = np.ones(matrix.shape[0])
         rhs[grid.shape[-1] + 1] = np.inf
@@ -385,7 +423,8 @@ class TestContract:
     def test_gmres_not_run_on_non_finite_rhs(self, monkeypatch):
         calls = count_gmres(monkeypatch)
         grid = PATTERN_GRIDS[2]
-        linear = solver._linear_solver(random_operator(grid), grid)
+        v, p = random_state(grid)
+        linear = solver._linear_solver(assemble_frozen_operator(v, p, 1e-2), v)
         rhs = np.ones(grid.shape).ravel()
         rhs[grid.shape[-1] + 1] = np.inf
         with pytest.raises(SolverError, match=r"backward error of nan"):
@@ -478,12 +517,12 @@ class TestSolve:
 
 
 def count_splu(monkeypatch):
-    """Record every factorization the solver makes; returns the record."""
+    """Record every matrix the solver factorizes; returns the record."""
     calls = []
     original = solver.splu
 
     def counting(matrix, **options):
-        calls.append(matrix.shape)
+        calls.append(matrix)
         return original(matrix, **options)
 
     monkeypatch.setattr(solver, "splu", counting)
@@ -508,12 +547,14 @@ class TestFactorReuse:
         calls = count_splu(monkeypatch)
         assembled = count_assembly(monkeypatch)
         result = epsilon_continuation(fixture_problem(points=33), FIXTURE_SCHEDULE)
-        # one factor of J(0), the p = 2 operator, at the first sweep and one
-        # at the second; the later eps levels keep halving the residual with it
-        assert len(calls) == 2
+        # the first sweep solves J(0), the p = 2 operator, by fast Poisson;
+        # the one factor, of J(v) at the second sweep, keeps halving the
+        # residual through every later eps level
+        assert len(calls) == 1
         assert [r.iterations for r in result.results] == [6, 4, 4, 4, 4, 4, 4]
         # the sweeps take their residual from the stencil: a matrix is
-        # assembled only for a factor
+        # assembled only for a linear solver, J(0) included, which the fast
+        # Poisson solve's backward-error check reads
         assert len(assembled) == 2
 
     def test_cube_continuation_makes_no_factorization(self, monkeypatch):
@@ -560,11 +601,25 @@ class TestFactorReuse:
 
     def test_cold_start_rebuilds_at_second_sweep(self, monkeypatch):
         # linear data: the p = 2 sweep already more than halves the residual,
-        # yet the second sweep runs on a factor of A(v), not of A(0)
+        # yet the second sweep runs on a factor of J(v), not of J(0)
         calls = count_splu(monkeypatch)
-        result = solve_regularized(make_spec("0.3*x1 - 0.7*x2"))
+        spec = make_spec("0.3*x1 - 0.7*x2")
+        result = solve_regularized(spec)
         assert result.converged and result.iterations == 2
-        assert len(calls) == 2
+        assert len(calls) == 1
+        # the first sweep alone is the fast Poisson solve, with no factor
+        first = solve_regularized(spec, SolveOptions(max_iterations=1))
+        assert len(calls) == 1
+        prob = first.problem
+        factored = calls[0]
+        assert (factored != solver._jacobian(first.v, prob.p, prob.eps)).nnz == 0
+        assert (factored != solver._jacobian(zero_iterate(prob.grid), prob.p, prob.eps)).nnz > 0
+
+    def test_cold_3d_sweep_makes_no_gmres_call(self, monkeypatch):
+        calls = count_gmres(monkeypatch)
+        result = solve_regularized(cube_spec(13), SolveOptions(max_iterations=1))
+        assert result.iterations == 1
+        assert calls == []
 
     def test_first_cold_sweep_is_p2_solve(self):
         # at v = 0 the frozen coefficient is the identity whatever p is
@@ -771,10 +826,10 @@ class TestContinuationRegressions:
             assert level.converged
             assert level.residual <= 10.0 * SolveOptions().tolerance * g_norm
 
-    def test_fixture_257_converges_with_two_factorizations(self, monkeypatch):
+    def test_fixture_257_converges_with_one_factorization(self, monkeypatch):
         calls = count_splu(monkeypatch)
         self.check_levels(epsilon_continuation(fixture_problem(points=257), FIXTURE_SCHEDULE))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("p", ["1.2", "4"])
     def test_fixture_65_constant_exponent_converges(self, p):
