@@ -296,7 +296,7 @@ def cmd_gehring(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    reports = run_identity_suite(seed=args.seed, count=args.count, tolerance=args.tolerance)
+    reports = run_identity_suite(seed=args.seed, count=args.count)
     ok = True
     for report in reports:
         status = "PASS" if report.passed else "FAIL"
@@ -339,7 +339,6 @@ def main(argv=None) -> int:
     )
     p_identities.add_argument("--seed", type=int, default=0)
     p_identities.add_argument("--count", type=int, default=100)
-    p_identities.add_argument("--tolerance", type=float, default=1e-9)
     p_identities.set_defaults(func=cmd_identities)
 
     args = parser.parse_args(argv)
@@ -347,6 +346,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ExpressionError, AdmissibilityError, ValueError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except OSError as err:  # the output directory, or a file in it, cannot be written
+        print(f"configuration error: cannot write the output: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (SolverError, AuditError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -29,16 +29,6 @@ __all__ = [
     "parse_expression",
 ]
 
-FUNCTION_ARITY = {
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "min": 2,
-    "max": 2,
-}
 _NONSMOOTH = ("abs", "min", "max")
 
 _PREC_ADD = 1
@@ -87,9 +77,6 @@ class NonDifferentiableError(ExpressionError):
 class _Node:
     precedence = _PREC_ATOM
 
-    def __str__(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Num(_Node):
@@ -108,8 +95,6 @@ class Num(_Node):
 @dataclass(frozen=True)
 class Var(_Node):
     index: int  # zero-based
-
-    precedence = _PREC_ATOM
 
     def __str__(self):
         return f"x{self.index + 1}"
@@ -158,10 +143,16 @@ class Call(_Node):
     name: str
     args: tuple
 
-    precedence = _PREC_ATOM
-
     def __str__(self):
         return self.name + "(" + ", ".join(str(a) for a in self.args) + ")"
+
+
+def _children(node: _Node) -> tuple:
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    return node.args if isinstance(node, Call) else ()
 
 
 def _child(node: _Node, minimum: int) -> str:
@@ -257,6 +248,7 @@ _BINARY = {
     "/": operator.truediv,
     "^": operator.pow,
 }
+#: The functions of the language; a ufunc's ``nin`` is its arity.
 _FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -325,15 +317,7 @@ def _constant_value(node):
 
 
 def _has_variable(node):
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Neg):
-        return _has_variable(node.arg)
-    if isinstance(node, BinOp):
-        return _has_variable(node.left) or _has_variable(node.right)
-    if isinstance(node, Call):
-        return any(_has_variable(a) for a in node.args)
-    return False
+    return isinstance(node, Var) or any(_has_variable(c) for c in _children(node))
 
 
 def _diff(node, index):
@@ -444,26 +428,14 @@ class Expression:
     def __add__(self, other):
         return Expression(_add(self.root, self._coerce(other)), self.dimension)
 
-    def __radd__(self, other):
-        return Expression(_add(self._coerce(other), self.root), self.dimension)
-
     def __sub__(self, other):
         return Expression(_sub(self.root, self._coerce(other)), self.dimension)
-
-    def __rsub__(self, other):
-        return Expression(_sub(self._coerce(other), self.root), self.dimension)
 
     def __mul__(self, other):
         return Expression(_mul(self.root, self._coerce(other)), self.dimension)
 
-    def __rmul__(self, other):
-        return Expression(_mul(self._coerce(other), self.root), self.dimension)
-
     def __truediv__(self, other):
         return Expression(_div(self.root, self._coerce(other)), self.dimension)
-
-    def __rtruediv__(self, other):
-        return Expression(_div(self._coerce(other), self.root), self.dimension)
 
     def __pow__(self, other):
         return Expression(_pow(self.root, self._coerce(other)), self.dimension)
@@ -485,6 +457,18 @@ class Expression:
 _NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _VAR_RE = re.compile(r"x([1-9][0-9]*)$")
+
+#: The most levels an expression may nest, parentheses included: parsing and
+#: every walk of the tree recurse per level, and must not exhaust the stack.
+MAX_DEPTH = 100
+
+
+def _height(root: _Node) -> int:
+    """The number of levels of the tree under ``root``, found without recursion."""
+    height, level = 0, [root]
+    while level:
+        height, level = height + 1, [c for node in level for c in _children(node)]
+    return height
 
 
 def _tokenize(source):
@@ -522,6 +506,7 @@ class _Parser:
         self.tokens = tokens
         self.dimension = dimension
         self.pos = 0
+        self.nesting = 0  # open unary() calls: parentheses, arguments, signs, exponents
 
     def peek(self):
         return self.tokens[self.pos]
@@ -546,6 +531,9 @@ class _Parser:
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("unexpected token", pos, expected=("end of input",))
+        # a long sum or product nests its tree without nesting the parser
+        if _height(node) > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
         return node
 
     def expr(self):
@@ -563,10 +551,16 @@ class _Parser:
         return node
 
     def unary(self):
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", self.peek()[2])
         if self.at_op("-"):
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -601,7 +595,7 @@ class _Parser:
         )
 
     def call(self, name, pos):
-        if name not in FUNCTION_ARITY:
+        if name not in _FUNCTIONS:
             raise ParseError(f"unknown function '{name}'", pos)
         self.expect_op("(")
         args = [self.expr()]
@@ -609,7 +603,7 @@ class _Parser:
             self.advance()
             args.append(self.expr())
         self.expect_op(")")
-        arity = FUNCTION_ARITY[name]
+        arity = _FUNCTIONS[name].nin
         if len(args) != arity:
             raise ParseError(
                 f"function '{name}' takes {arity} argument{'s' if arity > 1 else ''}, "
@@ -620,7 +614,11 @@ class _Parser:
 
 
 def parse_expression(source: str, dimension: int) -> Expression:
-    """Parse ``source`` into an :class:`Expression` over ``dimension`` variables."""
+    """Parse ``source`` into an :class:`Expression` over ``dimension`` variables.
+
+    An expression that nests deeper than :data:`MAX_DEPTH` levels raises
+    :class:`ParseError`.
+    """
     if dimension not in (2, 3):
         raise ExpressionError(f"dimension must be 2 or 3, got {dimension}")
     if not source or not source.strip():

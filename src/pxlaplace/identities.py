@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 
+#: Every check passes when its worst residual is within this bound.
+TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class CheckReport:
     name: str
@@ -138,20 +142,18 @@ def symbolic_derivative_samples(expr: Expression, points) -> tuple:
     return grad, hess
 
 
-def run_identity_suite(seed: int = 0, count: int = 100, tolerance: float = 1e-9) -> list:
+def run_identity_suite(seed: int = 0, count: int = 100) -> list:
     """Check the structural identities on random cubics with exact derivatives.
 
     ``count`` polynomials (alternating between 2-d and 3-d) feed the sigma_2
     structure residual with random ``beta`` in (-0.9, 3) and ``eps`` in
     (0.1, 2); the 2-d cases also exercise the trace identity.  The 3-d trace
-    inequality is sampled at ten thousand further points.  A ``count``
-    below 1, or a tolerance that is not positive and finite, would let the
+    inequality is sampled at ten thousand further points.  Each check
+    passes within :data:`TOLERANCE`.  A ``count`` below 1 would let the
     checks pass over nothing and raises :class:`ValueError`.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if not (tolerance > 0 and np.isfinite(tolerance)):  # NaN fails too
-        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     rng = np.random.default_rng(seed)
     points_per_poly = 120
     worst_structure = 0.0
@@ -180,16 +182,12 @@ def run_identity_suite(seed: int = 0, count: int = 100, tolerance: float = 1e-9)
         grad, hess = symbolic_derivative_samples(expr, pts)
         worst_slack = min(worst_slack, float(trace_inequality_slack_3d(grad, hess).min()))
 
+    checks = (  # name, samples, worst value, and the value that must not pass TOLERANCE
+        ("sigma2-structure", count * points_per_poly, worst_structure, worst_structure),
+        ("trace-identity-2d", trace_count, worst_trace, worst_trace),
+        ("trace-inequality-3d", slack_points, worst_slack, -worst_slack),
+    )
     return [
-        CheckReport(
-            "sigma2-structure", count * points_per_poly, worst_structure, tolerance,
-            worst_structure <= tolerance,
-        ),
-        CheckReport(
-            "trace-identity-2d", trace_count, worst_trace, tolerance, worst_trace <= tolerance
-        ),
-        CheckReport(
-            "trace-inequality-3d", slack_points, worst_slack, tolerance,
-            worst_slack >= -tolerance,
-        ),
+        CheckReport(name, samples, worst, TOLERANCE, excess <= TOLERANCE)
+        for name, samples, worst, excess in checks
     ]

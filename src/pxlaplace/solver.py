@@ -11,18 +11,19 @@ the Jacobian ``J`` of the residual at the current or an earlier iterate.
 The residual ``g - A(v) v`` comes straight from the 9-point (2-d)
 or 19-point (3-d) stencil, matrix-free, with the difference kernels of
 :mod:`pxlaplace.diffops` that the audits read too.
-``J(v) = K(v) - (p - 2) b . D_h``
-is the frozen operator ``K(v) = 1 - A(v) : D^2_h`` plus a first-order term
-on the axis neighbours, so it has the stencil's sparsity pattern; it is
-assembled only when a linear solver is built.  At ``v = 0``, where ``A`` is
-the identity whatever ``p`` is, ``J`` is the ``p = 2`` operator
-``1 - Delta_h``, and the solver is a direct fast Poisson solve: two DST-I
-transforms, in 2-d and 3-d alike.  Elsewhere in 2-d the solver is a
-sparse LU factor: the stencil pattern is structurally symmetric with a
-diagonal of at least 1, so the factor orders by minimum degree on
-``J + J^T`` and pivots on the diagonal.  In 3-d, where LU fill grows faster
-than the grid, it is GMRES on ``J``, preconditioned by the same fast
-Poisson solve.  Every solve is checked against a 1e-12 normwise backward
+``J(v) = K(v) - (p - 2) b . D_h`` is the frozen operator
+``K(v) = 1 - A(v) : D^2_h`` plus a first-order term on the axis neighbours,
+so it has the stencil's sparsity pattern; it is assembled only when a
+linear solver is built.  Each iterate is differentiated once: its residual,
+``A(v)`` and ``J(v)`` read one central gradient and one stencil Hessian.
+At ``v = 0``, where ``A`` is the identity whatever ``p`` is, ``J`` is the
+``p = 2`` operator ``1 - Delta_h``, and the solver is a direct fast Poisson
+solve: two DST-I transforms, in 2-d and 3-d alike.  Elsewhere in 2-d the
+solver is a sparse LU factor: the stencil pattern is structurally
+symmetric with a diagonal of at least 1, so the factor orders by minimum
+degree on ``J + J^T`` and pivots on the diagonal.  In 3-d, where LU fill
+grows faster than the grid, it is GMRES on ``J``, preconditioned by the
+same fast Poisson solve.  Every solve is checked against a 1e-12 normwise backward
 error, and one that misses it raises :class:`SolverError`.
 
 Each solver class states, with its build cost, whether the sweep loop
@@ -246,16 +247,22 @@ def _stencil_pattern(shape: tuple) -> _StencilPattern:
 
 @dataclass(frozen=True)
 class _Coefficients:
-    """The frozen coefficient ``A(v)`` on the interior nodes.
+    """One iterate's stencil data on the interior nodes, and ``A(v)``.
 
-    ``a[i, j]`` (``i <= j``) holds ``delta_ij + coef Dv_i Dv_j`` with
-    ``coef = (p - 2) / (|Dv|^2 + eps)``; ``lam`` holds ``1 + coef |Dv|^2``,
-    the eigenvalue of ``A`` along ``Dv`` (the others are 1).  All arrays
-    have the shape of the interior block.
+    ``q`` is the central gradient, ``hess[i, j]`` (``i <= j``) the stencil
+    Hessian, ``d = |q|^2 + eps`` and ``coef = (p - 2) / d``; ``a[i, j]``
+    holds ``delta_ij + coef q_i q_j`` and ``lam`` ``1 + coef |q|^2``, the
+    eigenvalue of ``A`` along ``q`` (the others are 1).  ``shape`` is the
+    grid's; every array has the shape of its interior block.
     """
 
+    q: list
+    hess: dict
+    d: np.ndarray
+    coef: np.ndarray
     a: dict
     lam: np.ndarray
+    shape: tuple
     spacing: tuple
 
     @property
@@ -278,30 +285,30 @@ class _Coefficients:
 
 
 def _frozen_coefficients(v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple) -> _Coefficients:
-    """``A(v)`` from the central-difference gradient of ``v`` on the interior
-    nodes."""
+    """The stencil data of ``v``: its central gradient and stencil Hessian on
+    the interior nodes, and ``A(v)`` from them."""
     if eps <= 0:
         raise SolverError("frozen operator needs eps > 0")
     if float(p.min()) <= 1.0:
         raise SolverError("exponent field leaves the ellipticity window (p <= 1 somewhere)")
     n = v.ndim
-    grads = [_central_difference(v, i, spacing[i]) for i in range(n)]
-    g2 = grads[0] ** 2
-    for grad in grads[1:]:
-        g2 = g2 + grad**2
+    q = [_central_difference(v, i, spacing[i]) for i in range(n)]
+    g2 = sum(qi**2 for qi in q)
     if not np.isfinite(g2).all():  # a gradient component overflowed, or its square
         raise SolverError("frozen operator needs a finite gradient: |Dv|^2 overflowed")
-    coef = (_shifted(p) - 2.0) / (g2 + eps)
+    d = g2 + eps
+    coef = (_shifted(p) - 2.0) / d
     a = {}
     for i in range(n):
-        a[i, i] = 1.0 + coef * grads[i] * grads[i]
+        a[i, i] = 1.0 + coef * q[i] * q[i]
         for j in range(i + 1, n):
-            a[i, j] = coef * grads[i] * grads[j]
-    return _Coefficients(a, 1.0 + coef * g2, tuple(spacing))
+            a[i, j] = coef * q[i] * q[j]
+    hess = _stencil_hessian(v, spacing)
+    return _Coefficients(q, hess, d, coef, a, 1.0 + coef * g2, v.shape, tuple(spacing))
 
 
 def _nonlinear_residual(v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple, rhs: np.ndarray):
-    """``rhs - A(v) v`` (flat) and the coefficients ``A(v)``, with no matrix.
+    """``rhs - A(v) v`` (flat) and the stencil data of ``v``, with no matrix.
 
     Interior rows are ``g - v + A(v) : D^2_h v`` with the stencil Hessian;
     Dirichlet rows are ``boundary - v``.
@@ -309,27 +316,25 @@ def _nonlinear_residual(v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple
     coeffs = _frozen_coefficients(v, p, eps, spacing)
     r = (rhs - v.ravel()).reshape(v.shape)
     interior = _shifted(r)  # a view: the updates land in r
-    for (i, j), block in _stencil_hessian(v, spacing).items():
+    for (i, j), block in coeffs.hess.items():
         interior += (1.0 if i == j else 2.0) * coeffs.a[i, j] * block
     if not np.isfinite(r).all():
         raise SolverError("sweep needs a finite gradient and Hessian: g - A(v) v overflowed")
     return r.ravel(), coeffs
 
 
-def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float) -> csr_matrix:
-    """Assemble ``-A(x):D^2 + 1`` with coefficients frozen at ``v_current``.
+def assemble_frozen_operator(coeffs: _Coefficients) -> csr_matrix:
+    """Assemble ``-A(x):D^2 + 1`` with the coefficients ``A(v)`` of one iterate.
 
     Interior rows carry the 9-point (2-d) / 19-point (3-d) stencil; boundary
     rows are Dirichlet identities.  The sparsity pattern is built once per
     grid shape; each call only fills in the coefficients.
     """
-    grid = v_current.grid
-    n = grid.dimension
-    h = grid.spacing
-    coeffs = _frozen_coefficients(v_current.values, p.values, eps, h)
+    h = coeffs.spacing
+    n = len(h)
     a = {key: block.ravel() for key, block in coeffs.a.items()}
 
-    pattern = _stencil_pattern(grid.shape)
+    pattern = _stencil_pattern(coeffs.shape)
     slots = pattern.slots
     data = np.empty(pattern.indices.size)
 
@@ -345,11 +350,11 @@ def assemble_frozen_operator(v_current: ScalarField, p: ScalarField, eps: float)
                 data[slots[_offset(n, (i, si), (j, sj))]] = -si * sj * q
     data[slots[_offset(n)]] = center
     data[pattern.boundary_slots] = 1.0
-    size = int(np.prod(grid.shape))
+    size = int(np.prod(coeffs.shape))
     return csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size))
 
 
-def _jacobian(v: ScalarField, p: ScalarField, eps: float) -> csr_matrix:
+def _jacobian(coeffs: _Coefficients) -> csr_matrix:
     """The Jacobian ``J(v)`` of ``A(v) v - g``, on the frozen operator's pattern.
 
     Differentiating ``A(v) : D^2_h v`` through ``A`` gives
@@ -359,16 +364,13 @@ def _jacobian(v: ScalarField, p: ScalarField, eps: float) -> csr_matrix:
     difference ``D_h w`` reads only the axis neighbours, so ``J`` adds
     ``-/+ (p - 2) b_i / (2 h_i)`` on the ``+/- e_i`` slots of ``K``.
     """
-    matrix = assemble_frozen_operator(v, p, eps)
-    h = v.grid.spacing
+    matrix = assemble_frozen_operator(coeffs)
+    q, hess, d, h = coeffs.q, coeffs.hess, coeffs.d, coeffs.spacing
     n = len(h)
-    q = [_central_difference(v.values, i, h[i]) for i in range(n)]
-    hess = _stencil_hessian(v.values, h)
-    d = sum(qi**2 for qi in q) + eps
     hq = [sum(hess[min(i, j), max(i, j)] * q[j] for j in range(n)) for i in range(n)]
     qhq = sum(qi * hqi for qi, hqi in zip(q, hq))
-    scale = (_shifted(p.values) - 2.0) * 2.0 / d
-    slots = _stencil_pattern(v.grid.shape).slots
+    scale = 2.0 * coeffs.coef
+    slots = _stencil_pattern(coeffs.shape).slots
     for i in range(n):
         drift = (scale * (hq[i] - qhq * q[i] / d) / (2.0 * h[i])).ravel()
         matrix.data[slots[_offset(n, (i, +1))]] -= drift
@@ -544,13 +546,11 @@ class _PoissonGMRES(_CheckedSolver):
         return x
 
 
-def _linear_solver(matrix: csr_matrix, v: ScalarField) -> _CheckedSolver:
-    """The solver of the Jacobian ``matrix = J(v)``: fast Poisson at
-    ``v = 0``, where ``J`` is the ``p = 2`` operator; else GMRES in 3-d,
-    where LU fill grows faster than the grid, and sparse LU in 2-d, where it
-    is cheaper."""
-    grid = v.grid
-    if not v.values.any():
+def _linear_solver(matrix: csr_matrix, v: np.ndarray, grid: GridSpec) -> _CheckedSolver:
+    """The solver of ``matrix = J(v)`` on ``grid``: fast Poisson at ``v = 0``,
+    where ``J`` is the ``p = 2`` operator; else GMRES in 3-d, where LU fill
+    grows faster than the grid, and sparse LU in 2-d, where it is cheaper."""
+    if not v.any():
         return _FastPoisson(matrix, grid)
     if grid.dimension == 3:
         return _PoissonGMRES(matrix, grid)
@@ -617,8 +617,7 @@ def solve_regularized(
     for iterations in range(1, opts.max_iterations + 1):
         if rebuild:
             held[0] = None  # release the old solver before the new one allocates
-            iterate = ScalarField(grid, v)
-            held[0] = _linear_solver(_jacobian(iterate, prob.p, prob.eps), iterate)
+            held[0] = _linear_solver(_jacobian(coeffs), v, grid)
         step = held[0].solve(r).reshape(grid.shape)
         v = v + step
         delta = float(np.abs(step).max())

@@ -1,11 +1,13 @@
 import csv
+import functools
 
 import numpy as np
 import pytest
 
-from pxlaplace import cli
+from pxlaplace import cli, solver
 from pxlaplace.cli import main, write_field_csv
 from pxlaplace.config import ConfigError, load_config
+from pxlaplace.expressions import MAX_DEPTH
 from pxlaplace.fields import GridSpec, ScalarField
 from pxlaplace.fixtures import fixture_problem
 from pxlaplace.solver import SolverError, epsilon_continuation
@@ -102,14 +104,10 @@ class TestIdentitiesCommand:
         "option, value, message",
         [
             ("--count", "0", "count must be at least 1"),
-            ("--tolerance", "inf", "tolerance must be positive and finite"),
-            ("--tolerance", "nan", "tolerance must be positive and finite"),
-            ("--tolerance", "0", "tolerance must be positive and finite"),
         ],
     )
     def test_checks_that_pass_over_nothing_rejected(self, capsys, option, value, message):
-        # no samples, or a tolerance every residual meets: a usage error (2),
-        # not a PASS
+        # no samples: a usage error (2), not a PASS
         assert main(["identities", option, value]) == 2
         captured = capsys.readouterr()
         assert message in captured.err
@@ -414,6 +412,53 @@ class TestConfigErrors:
         assert main([command, "--config", path]) == 2
         assert message in capsys.readouterr().err
         assert calls == []
+
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["(" * 1200 + "2" + ")" * 1200, " + ".join(["x1"] * 3000)],
+        ids=["nested-parentheses", "long-sum"],
+    )
+    def test_deep_expression_rejected_before_the_solve(
+        self, tmp_path, capsys, monkeypatch, expression
+    ):
+        # the parser, or the evaluation of a long sum, would otherwise
+        # exhaust the interpreter's stack
+        calls = []
+        monkeypatch.setattr(cli, "epsilon_continuation", lambda *args: calls.append(args))
+        path, _ = write_config(tmp_path, SMALL_CONFIG.replace('f = "0"', f'f = "{expression}"'))
+        assert main(["solve", "--config", path]) == 2
+        assert f"expression nests deeper than {MAX_DEPTH} levels" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["solve", "audit", "gehring"])
+    def test_output_directory_that_is_a_file(self, tmp_path, capsys, command):
+        path, outdir = write_config(tmp_path, SMALL_CONFIG)
+        outdir.write_text("not a directory")
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write the output" in err and str(outdir) in err
+
+    def test_output_file_that_is_a_directory(self, tmp_path, capsys):
+        path, outdir = write_config(tmp_path, LINEAR_CONFIG)
+        (outdir / "solution.csv").mkdir(parents=True)
+        assert main(["solve", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write the output" in err and str(outdir / "solution.csv") in err
+
+
+class TestNumericalFailure:
+    def test_level_that_does_not_converge_exits_3(self, tmp_path, capsys, monkeypatch):
+        # one sweep per eps level cannot converge on the fixture
+        monkeypatch.setattr(
+            solver, "SolveOptions", functools.partial(solver.SolveOptions, max_iterations=1)
+        )
+        path, outdir = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["audit", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "continuation member solve at eps=0.1 did not converge" in err
+        assert not (outdir / "reports.csv").exists()
 
 
 class TestDeterminism:

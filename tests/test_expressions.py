@@ -11,6 +11,7 @@ from pxlaplace.expressions import (
     BinOp,
     Call,
     DomainError,
+    MAX_DEPTH,
     ExpressionError,
     Neg,
     NonDifferentiableError,
@@ -195,6 +196,22 @@ class TestParsing:
             literal = source[err.value.position :]
             assert literal.startswith(("1e999", "3e400"))
         assert at(parse_expression("1e-999", 2), (0.0, 0.0)) == 0.0
+
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda k: "(" * (k - 1) + "x1" + ")" * (k - 1),  # k calls deep in the parser
+            lambda k: " + ".join(["x1"] * k),  # a tree k levels deep
+            lambda k: "-" * (k - 1) + "x1",
+            lambda k: "1^" * (k - 1) + "x1",
+        ],
+        ids=["parentheses", "sum", "signs", "powers"],
+    )
+    def test_depth_bound(self, nest):
+        # the deepest accepted expression still evaluates
+        assert np.isfinite(at(parse_expression(nest(MAX_DEPTH), 2), (1.0, 0.0)))
+        with pytest.raises(ParseError, match=f"nests deeper than {MAX_DEPTH} levels"):
+            parse_expression(nest(MAX_DEPTH + 1), 2)
 
     def test_empty_source(self):
         with pytest.raises(ParseError):

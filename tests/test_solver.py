@@ -79,8 +79,19 @@ class TestProblemSpec:
 
 
 def frozen_coefficients(v, p, eps):
-    """The frozen coefficient ``A(v)`` the assembly and the sweeps share."""
+    """The stencil data of ``v``, with ``A(v)``, that the sweeps, the
+    assembly and the Jacobian share."""
     return solver._frozen_coefficients(v.values, p.values, eps, v.grid.spacing)
+
+
+def frozen_operator(v, p, eps):
+    """The frozen operator ``K(v)``, assembled from the stencil data of ``v``."""
+    return assemble_frozen_operator(frozen_coefficients(v, p, eps))
+
+
+def jacobian(v, p, eps):
+    """The Jacobian ``J(v)``, built from the stencil data of ``v``."""
+    return solver._jacobian(frozen_coefficients(v, p, eps))
 
 
 class TestAssembly:
@@ -112,7 +123,7 @@ class TestAssembly:
         v = ScalarField(grid, np.zeros(grid.shape))
         bad = ScalarField(grid, np.full(grid.shape, 0.9))
         with pytest.raises(SolverError, match="window"):
-            assemble_frozen_operator(v, bad, 1e-2)
+            frozen_coefficients(v, bad, 1e-2)
 
     def test_dominance_loss_detected_and_reported(self):
         # steep skewed gradient with large p breaks the 9-point positivity
@@ -133,7 +144,7 @@ class TestAssembly:
             values = np.zeros(grid.shape)
             values[4, 3], values[4, 5] = spike
             with np.errstate(over="ignore"), pytest.raises(SolverError, match="finite gradient"):
-                assemble_frozen_operator(ScalarField(grid, values), p3, 1e-2)
+                frozen_coefficients(ScalarField(grid, values), p3, 1e-2)
 
 
 def reference_assembly(v, p, eps):
@@ -205,7 +216,7 @@ class TestAssemblyPattern:
         for grid in PATTERN_GRIDS + PATTERN_GRIDS:
             v = ScalarField(grid, rng.standard_normal(grid.shape))
             p = ScalarField(grid, 1.5 + 3.0 * rng.random(grid.shape))
-            assembled = assemble_frozen_operator(v, p, 1e-2)
+            assembled = frozen_operator(v, p, 1e-2)
             matrix, ellipticity, dominance = reference_assembly(v, p, 1e-2)
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(assembled, name), getattr(matrix, name)), name
@@ -225,7 +236,7 @@ class TestStencilResidual:
             v = ScalarField(grid, rng.standard_normal(grid.shape))
             p = ScalarField(grid, 1.5 + 3.0 * rng.random(grid.shape))
             rhs = rng.standard_normal(v.values.size)
-            matrix = assemble_frozen_operator(v, p, 1e-2)
+            matrix = frozen_operator(v, p, 1e-2)
             r, coeffs = solver._nonlinear_residual(v.values, p.values, 1e-2, grid.spacing, rhs)
             norm = np.abs(matrix).sum(axis=1).max()
             scale = norm * np.abs(v.values).max() + np.abs(rhs).max()
@@ -264,10 +275,10 @@ class TestJacobian:
             return solver._nonlinear_residual(values, p.values, 1e-2, grid.spacing, rhs)[0]
 
         dr = (residual(v.values + t * w) - residual(v.values - t * w)) / (2.0 * t)
-        jw = solver._jacobian(v, p, 1e-2) @ w.ravel()
+        jw = jacobian(v, p, 1e-2) @ w.ravel()
         assert np.abs(-dr - jw).max() <= 1e-6 * np.abs(jw).max()
         # the frozen operator alone misses the derivative of A(v)
-        kw = assemble_frozen_operator(v, p, 1e-2) @ w.ravel()
+        kw = frozen_operator(v, p, 1e-2) @ w.ravel()
         assert np.abs(-dr - kw).max() > 1e-3 * np.abs(jw).max()
 
     def test_3d_newton_converges_superlinearly(self, monkeypatch):
@@ -290,6 +301,28 @@ class TestJacobian:
         assert all(b < a for a, b in zip(ratios, ratios[1:])), ratios
 
 
+class TestDifferentiatedOnce:
+    @pytest.mark.parametrize("spec", [fixture_problem(points=33), cube_spec(13)], ids=["2d", "3d"])
+    def test_one_stencil_pass_per_iterate(self, monkeypatch, spec):
+        # the residual, A(v) and the Jacobian of an iterate read one central
+        # gradient per axis and one stencil Hessian, when a sweep rebuilds
+        # the linear solver too
+        calls = dict.fromkeys(["_central_difference", "_stencil_hessian", "_jacobian"], 0)
+        for name in calls:
+
+            def counting(*args, name=name, original=getattr(solver, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(solver, name, counting)
+        result = solve_regularized(spec)
+        assert result.converged
+        assert calls["_jacobian"] >= 2
+        iterates = result.iterations + 1  # the start, then one per sweep
+        assert calls["_central_difference"] == spec.grid.dimension * iterates
+        assert calls["_stencil_hessian"] == iterates
+
+
 def random_state(grid):
     """A random iterate and exponent field on ``grid``."""
     rng = np.random.default_rng(5)
@@ -299,7 +332,7 @@ def random_state(grid):
 
 
 def random_operator(grid):
-    return assemble_frozen_operator(*random_state(grid), 1e-2)
+    return frozen_operator(*random_state(grid), 1e-2)
 
 
 def saddle_p20_operator():
@@ -307,7 +340,7 @@ def saddle_p20_operator():
     # diagonal dominance, so the stencil is far from monotone
     prob = build_problem(make_spec("x1^2 - x2^2", p="20", m=65, eps=0.1))
     assert frozen_coefficients(prob.boundary, prob.p, prob.eps).dominance_violations > 1000
-    return assemble_frozen_operator(prob.boundary, prob.p, prob.eps)
+    return frozen_operator(prob.boundary, prob.p, prob.eps)
 
 
 def backward_error(matrix, x, rhs):
@@ -358,8 +391,8 @@ class TestPoissonGMRES:
         iterations = {}
         for m in (17, 33):
             prob = build_problem(cube_spec(m, p=p, boundary="x1^2 - x2^2 + x3*x1"))
-            matrix = assemble_frozen_operator(prob.boundary, prob.p, prob.eps)
-            linear = solver._linear_solver(matrix, prob.boundary)
+            matrix = frozen_operator(prob.boundary, prob.p, prob.eps)
+            linear = solver._linear_solver(matrix, prob.boundary.values, prob.grid)
             assert isinstance(linear, solver._PoissonGMRES)
             rhs = np.random.default_rng(11).standard_normal(matrix.shape[0])
             calls.clear()
@@ -380,8 +413,8 @@ class TestFastPoisson:
         krylov = count_gmres(monkeypatch)
         # J(0) ignores p, so a random exponent field still gives 1 - Delta_h
         zero = zero_iterate(grid)
-        matrix = solver._jacobian(zero, random_state(grid)[1], 1e-2)
-        linear = solver._linear_solver(matrix, zero)
+        matrix = jacobian(zero, random_state(grid)[1], 1e-2)
+        linear = solver._linear_solver(matrix, zero.values, grid)
         assert isinstance(linear, solver._FastPoisson)
         # non-zero Dirichlet rows, which the solve lifts before inverting
         rhs = np.random.default_rng(17).standard_normal(matrix.shape[0])
@@ -410,8 +443,8 @@ class TestContract:
         v, p = random_state(grid)
         if cold:
             v = zero_iterate(grid)
-        matrix = assemble_frozen_operator(v, p, 1e-2)
-        linear = solver._linear_solver(matrix, v)
+        matrix = frozen_operator(v, p, 1e-2)
+        linear = solver._linear_solver(matrix, v.values, grid)
         assert isinstance(linear, kind)
         rhs = np.ones(matrix.shape[0])
         rhs[grid.shape[-1] + 1] = np.inf
@@ -424,7 +457,7 @@ class TestContract:
         calls = count_gmres(monkeypatch)
         grid = PATTERN_GRIDS[2]
         v, p = random_state(grid)
-        linear = solver._linear_solver(assemble_frozen_operator(v, p, 1e-2), v)
+        linear = solver._linear_solver(frozen_operator(v, p, 1e-2), v.values, grid)
         rhs = np.ones(grid.shape).ravel()
         rhs[grid.shape[-1] + 1] = np.inf
         with pytest.raises(SolverError, match=r"backward error of nan"):
@@ -535,7 +568,7 @@ def count_assembly(monkeypatch):
     original = solver.assemble_frozen_operator
 
     def counting(*args):
-        calls.append(args[0].grid.shape)
+        calls.append(args[0].shape)
         return original(*args)
 
     monkeypatch.setattr(solver, "assemble_frozen_operator", counting)
@@ -588,7 +621,7 @@ class TestFactorReuse:
         rhs = np.where(grid.interior_mask(), prob.g.values, prob.boundary.values).ravel()
         v = prob.boundary.values.copy()
         for _ in range(200):
-            matrix = assemble_frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
+            matrix = frozen_operator(ScalarField(grid, v), prob.p, prob.eps)
             vnew = spsolve(matrix.tocsc(), rhs).reshape(grid.shape)
             delta = np.abs(vnew - v).max()
             v = vnew
@@ -612,8 +645,8 @@ class TestFactorReuse:
         assert len(calls) == 1
         prob = first.problem
         factored = calls[0]
-        assert (factored != solver._jacobian(first.v, prob.p, prob.eps)).nnz == 0
-        assert (factored != solver._jacobian(zero_iterate(prob.grid), prob.p, prob.eps)).nnz > 0
+        assert (factored != jacobian(first.v, prob.p, prob.eps)).nnz == 0
+        assert (factored != jacobian(zero_iterate(prob.grid), prob.p, prob.eps)).nnz > 0
 
     def test_cold_3d_sweep_makes_no_gmres_call(self, monkeypatch):
         calls = count_gmres(monkeypatch)
@@ -628,7 +661,7 @@ class TestFactorReuse:
         rhs = np.where(grid.interior_mask(), prob.g.values, prob.boundary.values).ravel()
         zero = ScalarField(grid, np.zeros(grid.shape))
         p2 = ScalarField(grid, np.full(grid.shape, 2.0))
-        matrix = assemble_frozen_operator(zero, p2, prob.eps)
+        matrix = frozen_operator(zero, p2, prob.eps)
         expected = spsolve(matrix.tocsc(), rhs)
         result = solve_regularized(prob, SolveOptions(max_iterations=1))
         assert result.iterations == 1
