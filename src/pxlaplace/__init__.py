@@ -2,11 +2,12 @@
 
 Submodules (import them directly; the package root imports none of them):
 
-- ``expressions``: parsed arithmetic with exact differentiation
+- ``expressions``: parsed arithmetic expressions and their vectorized evaluation
 - ``fields``: grids, sampled fields, mollification, balls, cutoffs
 - ``diffops``: discrete derivatives and the stretched-gradient calculus
 - ``constants``: explicit estimate constants
-- ``identities``: checkers for the underlying algebraic identities
+- ``identities``: checkers for the underlying algebraic identities, fed
+  power-rule derivatives of random polynomials
 - ``solver``: Newton-type solver and eps continuation
 - ``audits``: pointwise/integral estimate audits and the delta search
 - ``config``: run configuration files, loaded and validated

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import ConstantSet, ExponentWindow, constant_set
+from .constants import ExponentWindow, constant_set
 from .diffops import (
     StretchParams,
     _central_difference,
@@ -141,7 +141,6 @@ def pointwise_stretch_audit(
     params: StretchParams,
     window: ExponentWindow,
     kappa: float = 10.0,
-    constants: Optional[ConstantSet] = None,
 ) -> EstimateReport:
     """Audit ``|DF|^2 <= C* sigma_2(DF) + C~* (|Dv|^2+eps)^beta (g-v)^2`` per node.
 
@@ -154,7 +153,7 @@ def pointwise_stretch_audit(
     grid = v.grid
     n = grid.dimension
     hmax = max(grid.spacing)
-    consts = constants or constant_set(window, n, params.beta)
+    consts = constant_set(window, n, params.beta)
     tolerance = kappa * hmax**2
 
     eq_res = equation_residual(v, p, g, params.eps)

@@ -53,18 +53,24 @@ class RunConfig:
     raw_text: str
 
 
-def _floats(text: str) -> tuple:
+def _numbers(section, key: str, default: str, kind=float) -> tuple:
+    """The whitespace-separated values of ``key``, each parsed by ``kind``."""
+    text = section.get(key, default)
     try:
-        return tuple(float(part) for part in text.split())
+        return tuple(kind(part) for part in text.split())
     except ValueError as err:
-        raise ConfigError(f"expected numbers, got {text!r}") from err
+        noun = "integers" if kind is int else "numbers"
+        raise ConfigError(f"{key} must list {noun}, got {text!r}") from err
 
 
-def _ints(text: str) -> tuple:
+def _number(section, key: str, default: str, kind=float):
+    """The one value of ``key``, parsed by ``kind``."""
+    text = section.get(key, default)
     try:
-        return tuple(int(part) for part in text.split())
+        return kind(text)
     except ValueError as err:
-        raise ConfigError(f"expected integers, got {text!r}") from err
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {text!r}") from err
 
 
 def _unquote(text: str) -> str:
@@ -112,11 +118,11 @@ def load_config(path: str) -> RunConfig:
     if "problem" not in parser:
         raise ConfigError("missing [problem] section")
     problem = parser["problem"]
+    dimension = _number(problem, "dimension", "2", int)
+    lo = _numbers(problem, "lo", "0 " * dimension)
+    hi = _numbers(problem, "hi", "1 " * dimension)
+    points = _numbers(problem, "points", "65 " * dimension, int)
     try:
-        dimension = int(problem.get("dimension", "2"))
-        lo = _floats(problem.get("lo", "0 " * dimension))
-        hi = _floats(problem.get("hi", "1 " * dimension))
-        points = _ints(problem.get("points", "65 " * dimension))
         grid = GridSpec(lo=lo, hi=hi, shape=points)
     except (FieldError, ValueError) as err:
         raise ConfigError(f"bad grid: {err}") from err
@@ -131,7 +137,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"bad expression: {err}") from err
 
     try:
-        schedule = _check_schedule(_floats(problem.get("eps_schedule", "0.01")))
+        schedule = _check_schedule(_numbers(problem, "eps_schedule", "0.01"))
         spec = ProblemSpec(
             grid=grid,
             p_expr=p_expr,
@@ -150,14 +156,14 @@ def load_config(path: str) -> RunConfig:
     for name in audits:
         if name not in KNOWN_AUDITS:
             raise ConfigError(f"unknown audit {name!r}; known: {', '.join(KNOWN_AUDITS)}")
-    betas = _floats(audit.get("betas", "0"))
+    betas = _numbers(audit, "betas", "0")
     if not betas:
         raise ConfigError("betas must list at least one stretch exponent")
     if not all(math.isfinite(beta) for beta in betas):
         raise ConfigError(f"betas must be finite, got {' '.join(map(str, betas))}")
-    kappa = float(audit.get("kappa", "10"))
-    ball_center = _floats(audit.get("ball_center", " ".join("0.5" for _ in range(dimension))))
-    ball_radii = _floats(audit.get("ball_radii", "0.2"))
+    kappa = _number(audit, "kappa", "10")
+    ball_center = _numbers(audit, "ball_center", " ".join("0.5" for _ in range(dimension)))
+    ball_radii = _numbers(audit, "ball_radii", "0.2")
     if "caccioppoli" in audits:
         if not ball_radii:
             raise ConfigError("ball_radii must list at least one radius for the caccioppoli audit")
@@ -166,16 +172,17 @@ def load_config(path: str) -> RunConfig:
                 require_inside(BallRegion(ball_center, radius).scaled(0.75), grid)
         except FieldError as err:
             raise ConfigError(f"bad Caccioppoli ball: {err}") from err
-    c_target = float(audit.get("c_target", str(REGRESSION_GEHRING_BUDGET)))
-    r_max_text = audit.get("gehring_r_max", "")
-    gehring_r_max = float(r_max_text) if r_max_text else None
+    c_target = _number(audit, "c_target", str(REGRESSION_GEHRING_BUDGET))
+    gehring_r_max = _number(audit, "gehring_r_max", "") if audit.get("gehring_r_max") else None
     positive = [("kappa", kappa), ("c_target", c_target)]
     if gehring_r_max is not None:
         positive.append(("gehring_r_max", gehring_r_max))
     for name, value in positive:
         if not (value > 0 and math.isfinite(value)):  # NaN fails too
             raise ConfigError(f"{name} must be positive and finite, got {value}")
-    seed = int(audit.get("seed", "0"))
+    seed = _number(audit, "seed", "0", int)
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
 
     # admissibility of every audited stretch exponent, checked up front
     # against the window of the sampled coefficient

@@ -1,4 +1,4 @@
-"""Arithmetic expressions in spatial coordinates with exact differentiation.
+"""Arithmetic expressions in spatial coordinates: parsed, printed, evaluated.
 
 The little language understood here covers numeric literals, the variables
 ``x1 .. xn`` (n <= 3), the binary operators ``+ - * / ^``, unary minus,
@@ -6,8 +6,8 @@ parentheses and the functions ``sin cos exp log sqrt abs min max``.
 ``^`` is right-associative and binds tighter than unary minus, so
 ``-2^2 == -4`` (the usual written-math convention).
 
-Expression trees are immutable; evaluation and differentiation never mutate
-them, so instances can be shared freely across threads.
+Expression trees are immutable; evaluation never mutates them, so instances
+can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -24,12 +24,9 @@ __all__ = [
     "DomainError",
     "Expression",
     "ExpressionError",
-    "NonDifferentiableError",
     "ParseError",
     "parse_expression",
 ]
-
-_NONSMOOTH = ("abs", "min", "max")
 
 _PREC_ADD = 1
 _PREC_MUL = 2
@@ -63,10 +60,6 @@ class DomainError(ExpressionError):
     def __init__(self, message: str, node: "_Node", mask):
         self.mask = np.asarray(mask)
         super().__init__(f"{message} in sub-expression '{node}'")
-
-
-class NonDifferentiableError(ExpressionError):
-    """Differentiation requested through abs/min/max."""
 
 
 # ---------------------------------------------------------------------------
@@ -163,80 +156,6 @@ def _child(node: _Node, minimum: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Folding constructors (used by differentiation; the parser builds raw nodes)
-# ---------------------------------------------------------------------------
-
-
-def _is_num(node, value=None):
-    return isinstance(node, Num) and (value is None or node.value == value)
-
-
-def _add(a, b):
-    if _is_num(a) and _is_num(b):
-        return Num(a.value + b.value)
-    if _is_num(a, 0.0):
-        return b
-    if _is_num(b, 0.0):
-        return a
-    return BinOp("+", a, b)
-
-
-def _sub(a, b):
-    if _is_num(a) and _is_num(b):
-        return Num(a.value - b.value)
-    if _is_num(b, 0.0):
-        return a
-    if _is_num(a, 0.0):
-        return _neg(b)
-    return BinOp("-", a, b)
-
-
-def _mul(a, b):
-    if _is_num(a) and _is_num(b):
-        return Num(a.value * b.value)
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return Num(0.0)
-    if _is_num(a, 1.0):
-        return b
-    if _is_num(b, 1.0):
-        return a
-    return BinOp("*", a, b)
-
-
-def _div(a, b):
-    if _is_num(a) and _is_num(b) and b.value != 0:
-        return Num(a.value / b.value)
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(a, 0.0):
-        # best-effort fold; widens the domain of derivative trees at poles
-        return Num(0.0)
-    return BinOp("/", a, b)
-
-
-def _pow(a, b):
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(b, 0.0):
-        return Num(1.0)
-    if _is_num(a) and _is_num(b):
-        try:
-            value = math.pow(a.value, b.value)
-        except (ValueError, OverflowError):
-            return BinOp("^", a, b)
-        return Num(value)
-    return BinOp("^", a, b)
-
-
-def _neg(a):
-    if _is_num(a):
-        return Num(-a.value)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
@@ -304,71 +223,6 @@ def _evaluate(node, coords):
 
 
 # ---------------------------------------------------------------------------
-# Differentiation
-# ---------------------------------------------------------------------------
-
-
-def _constant_value(node):
-    """Numeric value of a variable-free subtree, or None."""
-    try:
-        return None if _has_variable(node) else float(_evaluate(node, ()))
-    except DomainError:
-        return None
-
-
-def _has_variable(node):
-    return isinstance(node, Var) or any(_has_variable(c) for c in _children(node))
-
-
-def _diff(node, index):
-    if isinstance(node, Num):
-        return Num(0.0)
-    if isinstance(node, Var):
-        return Num(1.0 if node.index == index else 0.0)
-    if isinstance(node, Neg):
-        return _neg(_diff(node.arg, index))
-    if isinstance(node, BinOp):
-        left, right = node.left, node.right
-        dleft = _diff(left, index)
-        dright = _diff(right, index)
-        op = node.op
-        if op == "+":
-            return _add(dleft, dright)
-        if op == "-":
-            return _sub(dleft, dright)
-        if op == "*":
-            return _add(_mul(dleft, right), _mul(left, dright))
-        if op == "/":
-            return _div(_sub(_mul(dleft, right), _mul(left, dright)), _mul(right, right))
-        # power: prefer the constant-exponent rule, which stays defined for
-        # negative bases; fall back to the exp/log form for variable exponents
-        cexp = _constant_value(right)
-        if cexp is not None:
-            return _mul(_mul(Num(cexp), _pow(left, Num(cexp - 1.0))), dleft)
-        cbase = _constant_value(left)
-        if cbase is not None and cbase > 0:
-            return _mul(_mul(node, Num(math.log(cbase))), dright)
-        return _mul(node, _add(_mul(dright, Call("log", (left,))), _div(_mul(right, dleft), left)))
-    # Call: visited before its arguments, so the first nonsmooth call in
-    # pre-order is the one reported
-    if node.name in _NONSMOOTH:
-        raise NonDifferentiableError(f"cannot differentiate through '{node.name}' in '{node}'")
-    arg = node.args[0]
-    darg = _diff(arg, index)
-    name = node.name
-    if name == "sin":
-        return _mul(Call("cos", (arg,)), darg)
-    if name == "cos":
-        return _neg(_mul(Call("sin", (arg,)), darg))
-    if name == "exp":
-        return _mul(node, darg)
-    if name == "log":
-        return _div(darg, arg)
-    # sqrt
-    return _div(darg, _mul(Num(2.0), node))
-
-
-# ---------------------------------------------------------------------------
 # Public wrapper
 # ---------------------------------------------------------------------------
 
@@ -397,51 +251,6 @@ class Expression:
         out = _evaluate(self.root, arrays)
         shape = np.broadcast_shapes(*(a.shape for a in arrays))
         return np.broadcast_to(out, shape).astype(float, copy=True) if out.shape != shape else out
-
-    def differentiate(self, variable_index: int) -> "Expression":
-        """Exact partial derivative with respect to ``x{variable_index+1}``."""
-        if not 0 <= variable_index < self.dimension:
-            raise ExpressionError(
-                f"variable index {variable_index} out of range for dimension {self.dimension}"
-            )
-        return Expression(_diff(self.root, variable_index), self.dimension)
-
-    # -- symbolic arithmetic, used to build manufactured right-hand sides ----
-
-    @staticmethod
-    def constant(value: float, dimension: int) -> "Expression":
-        return Expression(Num(float(value)), dimension)
-
-    @staticmethod
-    def variable(index: int, dimension: int) -> "Expression":
-        if not 0 <= index < dimension:
-            raise ExpressionError(f"variable index {index} out of range")
-        return Expression(Var(index), dimension)
-
-    def _coerce(self, other) -> _Node:
-        if isinstance(other, Expression):
-            if other.dimension != self.dimension:
-                raise ExpressionError("cannot combine expressions of different dimensions")
-            return other.root
-        return Num(float(other))
-
-    def __add__(self, other):
-        return Expression(_add(self.root, self._coerce(other)), self.dimension)
-
-    def __sub__(self, other):
-        return Expression(_sub(self.root, self._coerce(other)), self.dimension)
-
-    def __mul__(self, other):
-        return Expression(_mul(self.root, self._coerce(other)), self.dimension)
-
-    def __truediv__(self, other):
-        return Expression(_div(self.root, self._coerce(other)), self.dimension)
-
-    def __pow__(self, other):
-        return Expression(_pow(self.root, self._coerce(other)), self.dimension)
-
-    def __neg__(self):
-        return Expression(_neg(self.root), self.dimension)
 
 
 # ---------------------------------------------------------------------------

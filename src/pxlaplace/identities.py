@@ -7,7 +7,7 @@ Two facts carry the second-order bounds and are checked here numerically:
 * the trace contraction relating ``[|H|^2 - (tr H)^2] |g|^2`` to ``|Hg|^2``
   and ``<Hg, g> tr H`` (an identity in 2-d, a one-sided bound in 3-d).
 
-Each check works on raw gradient/Hessian values, so exact symbolic
+Each check works on raw gradient/Hessian values, so exact power-rule
 derivatives of random polynomials can be fed in as the oracle, and so can
 the values of :func:`pxlaplace.diffops.gradient` and
 :func:`pxlaplace.diffops.hessian` of a sampled field.
@@ -16,19 +16,19 @@ the values of :func:`pxlaplace.diffops.gradient` and
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diffops import infinity_laplacian_values, sigma2_values, stretched_jacobian_values
-from .expressions import Expression
 
 __all__ = [
     "CheckReport",
-    "random_polynomial_expression",
+    "polynomial_derivative_samples",
+    "random_polynomial",
     "run_identity_suite",
     "sigma2_structure_residual",
-    "symbolic_derivative_samples",
     "trace_identity_residual_2d",
     "trace_inequality_slack_3d",
 ]
@@ -97,48 +97,54 @@ def trace_inequality_slack_3d(grad, hess) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Random-polynomial suite (exact symbolic derivatives as the oracle)
+# Random-polynomial suite (power-rule derivatives as the oracle)
 # ---------------------------------------------------------------------------
 
 
-def random_polynomial_expression(rng, dimension: int, degree: int = 3) -> Expression:
+def random_polynomial(rng, dimension: int, degree: int = 3) -> tuple:
     """Dense random polynomial with coefficient mass <= 1.
 
-    The scaling keeps the identity terms at unit magnitude, so round-off in
-    the residuals stays far below the 1e-9 acceptance tolerance.
+    Returns the exponents ``(K, dimension)`` of its monomials, all with total
+    degree at most ``degree``, and their coefficients ``(K,)``.  The scaling
+    keeps the identity terms at unit magnitude, so round-off in the residuals
+    stays far below the 1e-9 acceptance tolerance.
     """
-    exponents = [
-        alpha
-        for alpha in itertools.product(range(degree + 1), repeat=dimension)
-        if sum(alpha) <= degree
-    ]
+    exponents = np.array(
+        [
+            alpha
+            for alpha in itertools.product(range(degree + 1), repeat=dimension)
+            if sum(alpha) <= degree
+        ]
+    )
     coefficients = rng.uniform(-1.0, 1.0, len(exponents)) / len(exponents)
-    expr = Expression.constant(0.0, dimension)
-    for coefficient, alpha in zip(coefficients, exponents):
-        term = Expression.constant(float(coefficient), dimension)
-        for i, power in enumerate(alpha):
-            if power:
-                term = term * Expression.variable(i, dimension) ** int(power)
-        expr = expr + term
-    return expr
+    return exponents, coefficients
 
 
-def symbolic_derivative_samples(expr: Expression, points) -> tuple:
-    """Exact gradient/Hessian values of ``expr`` at sample points.
+def polynomial_derivative_samples(exponents, coefficients, points) -> tuple:
+    """Exact gradient/Hessian values of ``sum_k c_k x^alpha_k`` at sample points.
 
-    Returns arrays of shapes ``(N, n)`` and ``(N, n, n)`` built from the
-    symbolic first and second partials.
+    Takes the power rule on every monomial at once: returns arrays of shapes
+    ``(N, n)`` and ``(N, n, n)`` for ``N`` points in ``n`` dimensions.
     """
+    exponents = np.asarray(exponents)
     pts = np.asarray(points, dtype=float)
-    n = expr.dimension
-    coords = [pts[:, i] for i in range(n)]
-    grads = [expr.differentiate(i) for i in range(n)]
-    grad = np.stack([g.evaluate_array(coords) for g in grads], axis=-1)
-    rows = [
-        np.stack([grads[i].differentiate(j).evaluate_array(coords) for j in range(n)], axis=-1)
-        for i in range(n)
-    ]
-    hess = np.stack(rows, axis=1)
+    n = pts.shape[-1]
+    unit = np.eye(n, dtype=int)
+    # powers[N, i, k] = x_i^k for every power a derivative can need
+    powers = pts[:, :, None] ** np.arange(exponents.max() + 1.0)
+
+    def partial(order):
+        # d^order x^alpha = perm(alpha, order) x^(alpha - order); perm is 0
+        # where order exceeds alpha, which also zeroes the clipped power
+        factors = [math.prod(map(math.perm, alpha, order)) for alpha in exponents.tolist()]
+        monomials = np.prod(powers[:, np.arange(n), np.maximum(exponents - order, 0)], axis=-1)
+        return np.sum(monomials * (coefficients * np.array(factors)), axis=-1)
+
+    grad = np.stack([partial(unit[i]) for i in range(n)], axis=-1)
+    hess = np.empty(grad.shape + (n,))
+    for i in range(n):
+        for j in range(i, n):
+            hess[:, i, j] = hess[:, j, i] = partial(unit[i] + unit[j])
     return grad, hess
 
 
@@ -161,11 +167,11 @@ def run_identity_suite(seed: int = 0, count: int = 100) -> list:
     trace_count = 0
     for k in range(count):
         dimension = 2 if k % 2 == 0 else 3
-        expr = random_polynomial_expression(rng, dimension)
+        polynomial = random_polynomial(rng, dimension)
         beta = float(rng.uniform(-0.9, 3.0))
         eps = float(rng.uniform(0.1, 2.0))
         pts = rng.uniform(-1.0, 1.0, size=(points_per_poly, dimension))
-        grad, hess = symbolic_derivative_samples(expr, pts)
+        grad, hess = polynomial_derivative_samples(*polynomial, pts)
         residual = sigma2_structure_residual(grad, hess, beta, eps)
         worst_structure = max(worst_structure, float(np.abs(residual).max()))
         if dimension == 2:
@@ -177,9 +183,9 @@ def run_identity_suite(seed: int = 0, count: int = 100) -> list:
     batch = 500
     worst_slack = np.inf
     for _ in range(slack_points // batch):
-        expr = random_polynomial_expression(rng, 3)
+        polynomial = random_polynomial(rng, 3)
         pts = rng.uniform(-1.0, 1.0, size=(batch, 3))
-        grad, hess = symbolic_derivative_samples(expr, pts)
+        grad, hess = polynomial_derivative_samples(*polynomial, pts)
         worst_slack = min(worst_slack, float(trace_inequality_slack_3d(grad, hess).min()))
 
     checks = (  # name, samples, worst value, and the value that must not pass TOLERANCE

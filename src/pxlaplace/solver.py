@@ -70,7 +70,6 @@ __all__ = [
     "assemble_frozen_operator",
     "build_problem",
     "epsilon_continuation",
-    "manufactured_rhs",
     "solve_regularized",
 ]
 
@@ -126,7 +125,6 @@ class DiscreteProblem:
     g: ScalarField
     boundary: ScalarField
     eps: float
-    rho: float
     window: ExponentWindow
 
 
@@ -187,7 +185,6 @@ def build_problem(spec: ProblemSpec, seed: Optional[ScalarField] = None) -> Disc
         g=g,
         boundary=boundary,
         eps=spec.eps,
-        rho=spec.mollify_radius,
         window=ExponentWindow(t_minus, t_plus),
     )
 
@@ -641,42 +638,6 @@ def solve_regularized(
         principle_range=(float(bvals.min()) - data_norm, float(bvals.max()) + data_norm),
         problem=prob,
     )
-
-
-# ---------------------------------------------------------------------------
-# Manufactured right-hand sides
-# ---------------------------------------------------------------------------
-
-
-def manufactured_rhs(
-    u_expr: Expression, p_expr: Expression, eps: float, include_reaction: bool = False
-) -> Expression:
-    """Symbolic ``-lap(u) - (p-2) inf_lap(u)/(|Du|^2 + eps)``, optionally ``+ u``.
-
-    Built from exact symbolic derivatives, so a solve with this data admits
-    ``u`` as the exact continuum solution (``include_reaction=True`` targets
-    the zeroth-order form actually solved by :func:`solve_regularized` via
-    ``g = rhs``).
-    """
-    if u_expr.dimension != p_expr.dimension:
-        raise SolverError("solution and exponent expressions disagree in dimension")
-    n = u_expr.dimension
-    grads = [u_expr.differentiate(i) for i in range(n)]
-    hess = [[grads[i].differentiate(j) for j in range(n)] for i in range(n)]
-    lap = hess[0][0]
-    for i in range(1, n):
-        lap = lap + hess[i][i]
-    g2 = grads[0] * grads[0]
-    for i in range(1, n):
-        g2 = g2 + grads[i] * grads[i]
-    inf_lap = Expression.constant(0.0, n)
-    for i in range(n):
-        for j in range(n):
-            inf_lap = inf_lap + hess[i][j] * grads[i] * grads[j]
-    rhs = -lap - (p_expr - 2.0) * inf_lap / (g2 + eps)
-    if include_reaction:
-        rhs = rhs + u_expr
-    return rhs
 
 
 # ---------------------------------------------------------------------------

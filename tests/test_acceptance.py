@@ -26,7 +26,9 @@ from pxlaplace.fixtures import (
     caccioppoli_balls,
 )
 from pxlaplace.identities import run_identity_suite
-from pxlaplace.solver import ProblemSpec, manufactured_rhs, solve_regularized
+from pxlaplace.solver import ProblemSpec, solve_regularized
+
+from manufactured import manufactured_rhs
 
 
 def _report(number, name, passed, detail):
@@ -88,20 +90,20 @@ def test_criterion_3_solver_order():
     # ratio is measured on the smooth manufactured solution
     u_quad = parse_expression("x1^2", 2)
     p2 = parse_expression("2", 2)
-    g_quad = manufactured_rhs(u_quad, p2, 1e-2, include_reaction=True)
+    f_quad = manufactured_rhs(u_quad, p2, 1e-2)
     quad_errors = {}
     for m in (33, 65):
-        spec = ProblemSpec(GridSpec((0, 0), (1, 1), (m, m)), p2, g_quad - u_quad, u_quad, eps=1e-2)
+        spec = ProblemSpec(GridSpec((0, 0), (1, 1), (m, m)), p2, f_quad, u_quad, eps=1e-2)
         result = solve_regularized(spec)
         quad_errors[m] = float(np.abs(result.v.values - sample(u_quad, spec.grid).values).max())
     quad_ok = max(quad_errors.values()) < 1e-8
 
     u = parse_expression("sin(x1)*cos(x2)", 2)
     p = parse_expression("2 + 0.5*sin(x1)", 2)
-    g = manufactured_rhs(u, p, 1e-2, include_reaction=True)
+    f = manufactured_rhs(u, p, 1e-2)
     errors = {}
     for m in (33, 65):
-        spec = ProblemSpec(GridSpec((0, 0), (1, 1), (m, m)), p, g - u, u, eps=1e-2)
+        spec = ProblemSpec(GridSpec((0, 0), (1, 1), (m, m)), p, f, u, eps=1e-2)
         result = solve_regularized(spec)
         errors[m] = float(np.abs(result.v.values - sample(u, spec.grid).values).max())
     ratio = errors[33] / errors[65]

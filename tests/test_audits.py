@@ -28,6 +28,8 @@ from pxlaplace.expressions import parse_expression
 from pxlaplace.fields import BallRegion, FieldError, GridSpec, ScalarField, ball_mask, cutoff, sample
 from pxlaplace.fixtures import REGRESSION_GEHRING_BUDGET, caccioppoli_balls
 
+from manufactured import manufactured_rhs
+
 
 def unit_square(m=65):
     return GridSpec((0.0, 0.0), (1.0, 1.0), (m, m))
@@ -520,8 +522,6 @@ class TestEquationResidual:
     def test_sampled_exact_solution_residual_second_order(self):
         # the audit precondition quantity carries the stencil truncation: it
         # shrinks at second order when the exact solution is sampled
-        from pxlaplace.solver import manufactured_rhs
-
         u = parse_expression("sin(x1)*cos(x2)", 2)
         p_expr = parse_expression("2 + 0.5*sin(x1)", 2)
         g_expr = manufactured_rhs(u, p_expr, 1e-2, include_reaction=True)
@@ -534,8 +534,6 @@ class TestEquationResidual:
         assert 3.0 <= residuals[33] / residuals[65] <= 5.0
 
     def test_pointwise_audit_accepts_sampled_exact_solution(self):
-        from pxlaplace.solver import manufactured_rhs
-
         u = parse_expression("sin(x1)*cos(x2)", 2)
         p_expr = parse_expression("2 + 0.5*sin(x1)", 2)
         g_expr = manufactured_rhs(u, p_expr, 1e-2, include_reaction=True)

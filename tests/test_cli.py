@@ -67,6 +67,9 @@ directory = {outdir}
 """
 
 
+PROBLEM_SECTION = SMALL_CONFIG[: SMALL_CONFIG.index("[audit]")]
+
+
 def write_config(tmp_path, template, name="run.cfg"):
     outdir = tmp_path / "out"
     path = tmp_path / name
@@ -413,6 +416,77 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
         assert calls == []
 
+
+    @pytest.mark.parametrize(
+        "command, line, value, message",
+        [
+            ("audit", "kappa = 10", "kappa = abc", "kappa must be a number, got 'abc'"),
+            ("gehring", "c_target = 3.36", "c_target = 3,36", "c_target must be a number"),
+            (
+                "gehring",
+                "seed = 7",
+                "seed = 7\ngehring_r_max = half",
+                "gehring_r_max must be a number, got 'half'",
+            ),
+            ("gehring", "seed = 7", "seed = 1.5", "seed must be an integer, got '1.5'"),
+            ("audit", "seed = 7", "seed = -1", "seed must be a non-negative integer, got -1"),
+            ("audit", "lo = 0 0", "lo = 0 zero", "lo must list numbers, got '0 zero'"),
+            ("solve", "points = 33 33", "points = 33 33.5", "points must list integers"),
+            ("solve", "dimension = 2", "dimension = two", "dimension must be an integer"),
+            (
+                "solve",
+                "lo = 0 0\nhi = 1 1\npoints = 33 33",
+                "lo = 0 0 0\nhi = 1 1 1\npoints = 17 17 17",
+                "grid shape does not match the declared dimension",
+            ),
+            ("solve", PROBLEM_SECTION, "", "missing [problem] section"),
+            ("solve", "[problem]", "dimension = 2\n[problem]", "cannot parse config"),
+            (
+                "audit",
+                "audits = pointwise quasiregularity caccioppoli",
+                "audits = pointwise hessian",
+                "unknown audit 'hessian'",
+            ),
+            ("audit", '"2 + 0.5*sin(x1)"', '"1 + 0.5*sin(x1)"', "(min p <= 1)"),
+            ("audit", "betas = 0 1", "betas = -0.5", "the distortion audit needs beta >= 0"),
+            (
+                "gehring",
+                "audits = pointwise quasiregularity caccioppoli\nbetas = 0 1",
+                "audits = pointwise\nbetas = -0.5",
+                "the delta search stretches with eps = 0 and needs beta >= 0",
+            ),
+        ],
+        ids=[
+            "kappa-text",
+            "c_target-text",
+            "gehring_r_max-text",
+            "seed-fraction",
+            "seed-negative",
+            "lo-text",
+            "points-fraction",
+            "dimension-text",
+            "points-dimension",
+            "no-problem-section",
+            "no-section-header",
+            "unknown-audit",
+            "p-at-one",
+            "distortion-negative-beta",
+            "gehring-negative-beta",
+        ],
+    )
+    def test_config_fault_named_before_any_output(
+        self, tmp_path, capsys, monkeypatch, command, line, value, message
+    ):
+        # each fault is a config mistake (2) named in its message, found
+        # before the solve and before the output directory is made
+        calls = []
+        monkeypatch.setattr(cli, "epsilon_continuation", lambda *args: calls.append(args))
+        assert line in SMALL_CONFIG
+        path, outdir = write_config(tmp_path, SMALL_CONFIG.replace(line, value))
+        assert main([command, "--config", path]) == 2
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not outdir.exists()
 
     @pytest.mark.parametrize(
         "expression",

@@ -16,7 +16,7 @@ from pxlaplace.diffops import (
 )
 from pxlaplace.expressions import parse_expression
 from pxlaplace.fields import FieldError, GridSpec, ScalarField, sample
-from pxlaplace.identities import random_polynomial_expression, symbolic_derivative_samples
+from pxlaplace.identities import polynomial_derivative_samples, random_polynomial
 
 
 def unit_square(m=33):
@@ -150,8 +150,10 @@ class TestSecondOrderConvergence:
             field = sample(expr, grid)
             grad = gradient(field)
             hess = hessian(field)
-            g_exact, h_exact = symbolic_derivative_samples(
-                expr, np.stack([c.ravel() for c in grid.coords()], axis=-1)
+            g_exact, h_exact = polynomial_derivative_samples(  # expr as a table
+                [[4, 0], [2, 2], [0, 4]],
+                [1.0, -2.0, 0.5],
+                np.stack([c.ravel() for c in grid.coords()], axis=-1),
             )
             g_exact = g_exact.reshape(grid.shape + (2,))
             h_exact = h_exact.reshape(grid.shape + (2, 2))
@@ -320,9 +322,9 @@ class TestMatrixInvariants:
 
 def test_stretched_jacobian_values_match_symbolic_oracle():
     rng = np.random.default_rng(17)
-    expr = random_polynomial_expression(rng, 2, degree=3)
+    polynomial = random_polynomial(rng, 2, degree=3)
     pts = rng.uniform(-1.0, 1.0, size=(50, 2))
-    grad, hess = symbolic_derivative_samples(expr, pts)
+    grad, hess = polynomial_derivative_samples(*polynomial, pts)
     beta, eps = 1.3, 0.4
     dj = stretched_jacobian_values(grad, hess, beta, eps)
     # finite-difference oracle on the map g -> (|g|^2+eps)^(beta/2) g with

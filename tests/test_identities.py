@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy
 
 from pxlaplace.diffops import (
     StretchParams,
@@ -12,10 +13,10 @@ from pxlaplace.diffops import (
 from pxlaplace.expressions import parse_expression
 from pxlaplace.fields import BallRegion, GridSpec, ScalarField, ball_mask, cutoff, sample
 from pxlaplace.identities import (
-    random_polynomial_expression,
+    polynomial_derivative_samples,
+    random_polynomial,
     run_identity_suite,
     sigma2_structure_residual,
-    symbolic_derivative_samples,
     trace_identity_residual_2d,
     trace_inequality_slack_3d,
 )
@@ -83,9 +84,9 @@ class TestSigma2Structure:
         rng = np.random.default_rng(41)
         for _ in range(20):
             dim = int(rng.integers(2, 4))
-            expr = random_polynomial_expression(rng, dim, degree=3)
+            polynomial = random_polynomial(rng, dim, degree=3)
             pts = rng.uniform(-1.0, 1.0, size=(200, dim))
-            grad, hess = symbolic_derivative_samples(expr, pts)
+            grad, hess = polynomial_derivative_samples(*polynomial, pts)
             beta = float(rng.uniform(-0.9, 3.0))
             eps = float(rng.uniform(0.1, 2.0))
             residual = sigma2_structure_residual(grad, hess, beta, eps)
@@ -99,9 +100,8 @@ class TestSigma2Structure:
 class TestTraceIdentity:
     def test_hand_case_product(self):
         # v = x1 x2: both sides equal 2(x1^2 + x2^2)
-        expr = parse_expression("x1*x2", 2)
         pts = np.array([[0.3, -0.7], [1.0, 2.0], [0.5, 0.25]])
-        grad, hess = symbolic_derivative_samples(expr, pts)
+        grad, hess = polynomial_derivative_samples([[1, 1]], [1.0], pts)
         residual = trace_identity_residual_2d(grad, hess)
         assert np.abs(residual).max() <= 1e-14
         g2 = (grad**2).sum(-1)
@@ -120,9 +120,9 @@ class TestTraceIdentity:
         total = 0
         worst = np.inf
         while total < 10_000:
-            expr = random_polynomial_expression(rng, 3, degree=3)
+            polynomial = random_polynomial(rng, 3, degree=3)
             pts = rng.uniform(-1.0, 1.0, size=(500, 3))
-            grad, hess = symbolic_derivative_samples(expr, pts)
+            grad, hess = polynomial_derivative_samples(*polynomial, pts)
             worst = min(worst, float(trace_inequality_slack_3d(grad, hess).min()))
             total += 500
         assert worst >= -1e-10
@@ -165,6 +165,31 @@ class TestDivergenceStructure:
             gaps[m] = abs(lhs - rhs)
         assert 3.0 <= gaps[33] / gaps[65] <= 5.5
         assert 3.0 <= gaps[65] / gaps[129] <= 5.5
+
+
+def test_power_rule_matches_sympy_derivatives():
+    # the suite's oracle against sympy's exact derivatives of the same table
+    rng = np.random.default_rng(29)
+    for dim in (2, 3, 2, 3):
+        exponents, coefficients = random_polynomial(rng, dim, degree=4)
+        pts = rng.uniform(-1.0, 1.0, size=(40, dim))
+        grad, hess = polynomial_derivative_samples(exponents, coefficients, pts)
+        x = sympy.symbols(f"x1:{dim + 1}")
+        poly = sum(
+            sympy.Float(c) * sympy.prod([xi**a for xi, a in zip(x, alpha)])
+            for c, alpha in zip(coefficients, exponents.tolist())
+        )
+
+        def at_points(expr):
+            return np.broadcast_to(sympy.lambdify(x, expr, "numpy")(*pts.T), len(pts))
+
+        exact_grad = np.stack([at_points(sympy.diff(poly, xi)) for xi in x], axis=-1)
+        exact_hess = np.stack(
+            [np.stack([at_points(sympy.diff(poly, xi, xj)) for xj in x], axis=-1) for xi in x],
+            axis=1,
+        )
+        assert np.abs(grad - exact_grad).max() <= 1e-14
+        assert np.abs(hess - exact_hess).max() <= 1e-14
 
 
 class TestSuite:

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import spsolve
 from pxlaplace import solver
 from pxlaplace.diffops import gradient
 from pxlaplace.expressions import parse_expression
-from pxlaplace.fields import GridSpec, ScalarField, sample
+from pxlaplace.fields import GridSpec, ScalarField, mollify, sample
 from pxlaplace.fixtures import FIXTURE_SCHEDULE, fixture_problem
 from pxlaplace.solver import (
     ProblemSpec,
@@ -18,9 +18,10 @@ from pxlaplace.solver import (
     assemble_frozen_operator,
     build_problem,
     epsilon_continuation,
-    manufactured_rhs,
     solve_regularized,
 )
+
+from manufactured import manufactured_rhs
 
 
 def at(expr, point):
@@ -478,13 +479,12 @@ class TestSolve:
             assert np.abs(result.v.values - exact.values).max() < 1e-10
 
     def test_manufactured_quadratic_with_constant_p_is_exact(self):
-        # g = -2 + x1^2, the classical manufactured quadratic: second-order
+        # f = -2, the classical manufactured quadratic: second-order
         # stencils reproduce it to round-off
         u = parse_expression("x1^2", 2)
         p2 = parse_expression("2", 2)
-        g = manufactured_rhs(u, p2, 1e-2, include_reaction=True)
-        assert str(g) == "-2.0 + x1^2.0"
-        spec = ProblemSpec(unit_square(33), p2, g - u, u, eps=1e-2)
+        f = manufactured_rhs(u, p2, 1e-2)
+        spec = ProblemSpec(unit_square(33), p2, f, u, eps=1e-2)
         result = solve_regularized(spec)
         exact = sample(u, spec.grid)
         assert np.abs(result.v.values - exact.values).max() < 1e-9
@@ -492,8 +492,8 @@ class TestSolve:
     def test_manufactured_harmonic_saddle_is_exact(self):
         u = parse_expression("x1^2 - x2^2", 2)
         p2 = parse_expression("2", 2)
-        g = manufactured_rhs(u, p2, 1e-2, include_reaction=True)
-        spec = ProblemSpec(unit_square(33), p2, g - u, u, eps=1e-2)
+        f = manufactured_rhs(u, p2, 1e-2)
+        spec = ProblemSpec(unit_square(33), p2, f, u, eps=1e-2)
         result = solve_regularized(spec)
         exact = sample(u, spec.grid)
         assert np.abs(result.v.values - exact.values).max() < 1e-9
@@ -501,10 +501,10 @@ class TestSolve:
     def test_manufactured_smooth_solution_second_order(self):
         u = parse_expression("sin(x1)*cos(x2)", 2)
         p = parse_expression(P_VARIABLE, 2)
-        g = manufactured_rhs(u, p, 1e-2, include_reaction=True)
+        f = manufactured_rhs(u, p, 1e-2)
         errors = {}
         for m in (33, 65):
-            spec = ProblemSpec(unit_square(m), p, g - u, u, eps=1e-2)
+            spec = ProblemSpec(unit_square(m), p, f, u, eps=1e-2)
             result = solve_regularized(spec)
             exact = sample(u, spec.grid)
             errors[m] = np.abs(result.v.values - exact.values).max()
@@ -725,8 +725,8 @@ class TestThreeDimensional:
         grid = GridSpec((0, 0, 0), (1, 1, 1), (13, 13, 13))
         u = parse_expression("x1^2 - 0.5*x2^2 + x3^2 - 0.5*x1*x3", 3)
         p2 = parse_expression("2", 3)
-        g = manufactured_rhs(u, p2, 1e-2, include_reaction=True)
-        result = solve_regularized(ProblemSpec(grid, p2, g - u, u, eps=1e-2))
+        f = manufactured_rhs(u, p2, 1e-2)
+        result = solve_regularized(ProblemSpec(grid, p2, f, u, eps=1e-2))
         assert np.abs(result.v.values - sample(u, grid).values).max() < 1e-9
 
 
@@ -838,13 +838,19 @@ class TestContinuation:
         with pytest.raises(SolverError, match="empty"):
             epsilon_continuation(spec, ())
 
-    def test_mollification_radius_tracks_schedule(self):
-        spec = make_spec("x1^2 - x2^2")
-        result = epsilon_continuation(spec, (0.1, 0.01))
-        rhos = [r.problem.rho for r in result.results]
-        assert rhos[0] == pytest.approx(0.1)
+    def test_mollification_radius_tracks_schedule(self, monkeypatch):
+        # each level mollifies p, f and u0 with one radius
+        radii = []
+
+        def recording_mollify(field, radius):
+            radii.append(radius)
+            return mollify(field, radius)
+
+        monkeypatch.setattr(solver, "mollify", recording_mollify)
+        epsilon_continuation(make_spec("x1^2 - x2^2"), (0.1, 0.01))
+        assert radii[:3] == [pytest.approx(0.1)] * 3
         # clipped up to the resolvable radius 2 h
-        assert rhos[1] == pytest.approx(2.0 / 32.0)
+        assert radii[3:] == [pytest.approx(2.0 / 32.0)] * 3
 
 
 class TestContinuationRegressions:
