@@ -153,11 +153,12 @@ def write_gehring_csv(result: GehringResult, path: Path) -> None:
 
 def _report_line(report: EstimateReport) -> str:
     status = "PASS" if report.passed else "FAIL"
+    violations = report.details.get("violations", 0)
     return (
         f"[{status}] {report.audit} region={report.region} n={report.n} "
         f"t=[{report.t_minus:g},{report.t_plus:g}] beta={report.beta:g} "
         f"eps={report.eps:g} h={report.h:g} worst={report.worst:.6e} "
-        f"tol={report.tolerance:.6e}"
+        f"tol={report.tolerance:.6e}" + (f" violations={violations}" if violations > 0 else "")
     )
 
 
@@ -296,6 +297,8 @@ def cmd_gehring(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
     reports = run_identity_suite(seed=args.seed, count=args.count)
     ok = True
     for report in reports:

@@ -15,6 +15,7 @@ instantiation stays visible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -39,8 +40,11 @@ class ExponentWindow:
     t_plus: float
 
     def __post_init__(self):
-        object.__setattr__(self, "t_minus", float(self.t_minus))
-        object.__setattr__(self, "t_plus", float(self.t_plus))
+        for name in ("t_minus", "t_plus"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not self.t_minus > 1.0:
             raise ValueError(f"t_minus must exceed 1, got {self.t_minus}")
         if not self.t_minus <= self.t_plus:
@@ -106,6 +110,8 @@ def constant_set(window: ExponentWindow, n: int, beta: float) -> ConstantSet:
     ``c_tilde_star`` its zeroth-order data term, and ``c_sharp`` the
     right-hand side of the cutoff energy (Caccioppoli) bound.
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     critical = beta_star(n, window.t_plus)
     eta = eta_star(window, n, beta)
     m_beta = (1.0 + abs(beta)) ** 2

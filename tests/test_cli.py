@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from pxlaplace import cli, solver
+from pxlaplace.audits import quasiregularity_audit
 from pxlaplace.cli import main, write_field_csv
 from pxlaplace.config import ConfigError, load_config
-from pxlaplace.expressions import MAX_DEPTH
-from pxlaplace.fields import GridSpec, ScalarField
+from pxlaplace.expressions import MAX_DEPTH, parse_expression
+from pxlaplace.fields import GridSpec, ScalarField, sample
 from pxlaplace.fixtures import fixture_problem
 from pxlaplace.solver import SolverError, epsilon_continuation
 
@@ -96,6 +97,15 @@ class TestConstantsCommand:
             )
             assert code == 2
 
+    @pytest.mark.parametrize(
+        "tminus, tplus, beta, name",
+        [("2", "inf", "0", "t_plus"), ("inf", "inf", "0", "t_minus"), ("2", "3", "inf", "beta")],
+    )
+    def test_non_finite_argument_named(self, capsys, tminus, tplus, beta, name):
+        code = main(["constants", "--n", "2", "--tminus", tminus, "--tplus", tplus, "--beta", beta])
+        assert code == 2
+        assert f"{name} must be finite, got inf" in capsys.readouterr().err
+
 
 class TestIdentitiesCommand:
     def test_exit_zero(self, capsys):
@@ -115,6 +125,10 @@ class TestIdentitiesCommand:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "[PASS]" not in captured.out
+
+    def test_negative_seed_named(self, capsys):
+        assert main(["identities", "--seed", "-1"]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -175,6 +189,18 @@ class TestAuditCommand:
         assert rows
         distortion = float(rows[0][9])
         assert distortion == pytest.approx(2.0, abs=1e-9)
+
+    def test_failing_line_counts_violations(self):
+        # sigma_2 <= 0 at every audited node of a concave paraboloid, so the
+        # distortion sup stays 0 and only the count explains the FAIL
+        grid = GridSpec((0.0, 0.0), (1.0, 1.0), (33, 33))
+        bowl = sample(parse_expression("-((x1 - 0.5)^2 + (x2 - 0.5)^2)", 2), grid)
+        line = cli._report_line(quasiregularity_audit(bowl, 0.0, budget=20.0))
+        assert line.startswith("[FAIL]") and "worst=0.000000e+00" in line
+        assert line.endswith(" violations=961")
+        saddle = sample(parse_expression("x1^2 - x2^2", 2), grid)
+        line = cli._report_line(quasiregularity_audit(saddle, 0.0, budget=20.0))
+        assert line.startswith("[PASS]") and "violations" not in line
 
 
 class TestGehringCommand:

@@ -29,6 +29,16 @@ def polynomial_source(exponents, coefficients):
     )
 
 
+#: Sources nesting ``k`` levels deep: ``k - 1`` parentheses around the top
+#: level, or a tree ``k`` levels high.
+DEPTH_SHAPES = {
+    "parentheses": lambda k: "(" * (k - 1) + "x1" + ")" * (k - 1),
+    "sum": lambda k: " + ".join(["x1"] * k),
+    "signs": lambda k: "-" * (k - 1) + "x1",
+    "powers": lambda k: "1^" * (k - 1) + "x1",
+}
+
+
 # ---------------------------------------------------------------------------
 # A sympy oracle over generated expression trees.  A tree is a nested tuple:
 # ("var", i), ("num", value), ("neg", t), ("bin", op, t, t) or
@@ -168,16 +178,7 @@ class TestParsing:
             assert literal.startswith(("1e999", "3e400"))
         assert at(parse_expression("1e-999", 2), (0.0, 0.0)) == 0.0
 
-    @pytest.mark.parametrize(
-        "nest",
-        [
-            lambda k: "(" * (k - 1) + "x1" + ")" * (k - 1),  # k calls deep in the parser
-            lambda k: " + ".join(["x1"] * k),  # a tree k levels deep
-            lambda k: "-" * (k - 1) + "x1",
-            lambda k: "1^" * (k - 1) + "x1",
-        ],
-        ids=["parentheses", "sum", "signs", "powers"],
-    )
+    @pytest.mark.parametrize("nest", DEPTH_SHAPES.values(), ids=DEPTH_SHAPES.keys())
     def test_depth_bound(self, nest):
         # the deepest accepted expression still evaluates
         assert np.isfinite(at(parse_expression(nest(MAX_DEPTH), 2), (1.0, 0.0)))
@@ -208,7 +209,71 @@ class TestParsing:
     def test_parsing_deterministic(self):
         a = parse_expression("sin(x1)*exp(x2) - 3/x1", 2)
         b = parse_expression("sin(x1)*exp(x2) - 3/x1", 2)
-        assert a.root == b.root
+        assert a == b
+
+
+#: The parser's verdict on sources near the edges of the language, pinned at
+#: the point (x1, x2) = (0.7, 0.3): an accepted source with its value, bit
+#: for bit, and a rejected one with its error class and offset.
+PARITY_POINT = (0.7, 0.3)
+PARITY = [
+    ("01", 1.0),
+    ("007*x1", 4.8999999999999995),
+    (" x1", 0.7),
+    ("x1\n+1", 1.7),
+    ("-2^2", -4.0),
+    ("2^-x1", 0.6155722066724582),
+    ("3 - -2^2", 7.0),
+    ("x1^2 - x2^2", 0.3999999999999999),
+    ("-x1^2", -0.48999999999999994),
+    ("2 + 3*x1 - x2/4", 4.0249999999999995),
+    ("sin(x1)*cos(x2) + exp(x1*x2)", 1.8491227235150167),
+    ("min(x1, max(x2, 0.5))", 0.5),
+    ("-(x1 + x2)^3", -1.0),
+    ("1/(1 + x1^2)", 0.6711409395973155),
+    *(
+        pytest.param(shape(MAX_DEPTH), value, id=f"{name}-{MAX_DEPTH}")
+        for (name, shape), value in zip(DEPTH_SHAPES.items(), (0.7, 70.00000000000013, -0.7, 1.0))
+    ),
+    # 50 parentheses and a tree 51 levels high: within both bounds
+    pytest.param("-(" * 50 + "x1" + ")" * 50, 0.7, id="signs-in-parentheses-50"),
+    ("x1**2", (ParseError, 3)),
+    ("+x1", (ParseError, 0)),
+    ("0x10", (ParseError, 1)),
+    ("1_0", (ParseError, 1)),
+    ("1j", (ParseError, 1)),
+    ("True", (ParseError, 0)),
+    ("x1 if x2 else 1", (ParseError, 3)),
+    ("not x1", (ParseError, 0)),
+    ("x1 and x2", (ParseError, 3)),
+    ("x1 is x2", (ParseError, 3)),
+    ("max(x1, x2,)", (ParseError, 11)),
+    ("x1.real", (ParseError, 2)),
+    ("x1 # c", (ParseError, 3)),
+    ("\uff581", (ParseError, 0)),  # a full-width x
+    ("x1 (2)", (ParseError, 0)),
+    ("sin()", (ParseError, 4)),
+    ("()", (ParseError, 1)),
+    ("2 +", (ParseError, 3)),
+    ("x1^^2", (ParseError, 3)),
+    *(
+        pytest.param(shape(MAX_DEPTH + 1), (ParseError, offset), id=f"{name}-{MAX_DEPTH + 1}")
+        for (name, shape), offset in zip(DEPTH_SHAPES.items(), (100, 0, 100, 198))
+    ),
+    pytest.param(" + ".join(["x1"] * 5000), (ParseError, 0), id="sum-5000"),
+    pytest.param("-" * 100000 + "x1", (ParseError, 0), id="signs-100000"),
+]
+
+
+@pytest.mark.parametrize("source, outcome", PARITY)
+def test_parser_parity(source, outcome):
+    if isinstance(outcome, float):
+        assert at(parse_expression(source, 2), PARITY_POINT) == outcome
+        return
+    kind, offset = outcome
+    with pytest.raises(kind) as err:
+        parse_expression(source, 2)
+    assert err.value.position == offset
 
 
 class TestEvaluation:

@@ -2,9 +2,9 @@
 
 Every name a ``pxlaplace`` module imports is used in it or re-exported
 through its ``__all__``, and every ``__all__`` entry is defined: a deletion
-that leaves an import or an export behind fails here by name.  The command
-line module loads no heavy scipy subpackage it does not need, and not
-sympy.
+that leaves an import or an export behind fails here by name.  No module
+calls a builtin that runs text as code.  The command line module loads no
+heavy scipy subpackage it does not need, and not sympy.
 """
 
 import ast
@@ -78,6 +78,33 @@ def test_every_export_is_defined(path):
     submodules = [module.stem for module in MODULES] if path.name == "__init__.py" else []
     missing = undefined_exports(parse(path), submodules)
     assert missing == [], f"{path.name} lists {missing} in __all__ but defines none of them"
+
+
+#: Builtins that run text as code.  User expressions are parsed through
+#: ``ast`` and evaluated by walking the tree: they must never be executed.
+EXECUTING = ("eval", "exec", "compile", "__import__")
+
+
+def executing_calls(tree):
+    """The calls in the module to a builtin of :data:`EXECUTING`, by name."""
+    return [
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in EXECUTING
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_module_runs_text_as_code(path):
+    calls = executing_calls(parse(path))
+    assert calls == [], f"{path.name} calls {calls}"
+
+
+def test_check_catches_a_call_that_runs_text():
+    # re.compile is a method, not the builtin
+    assert executing_calls(ast.parse("eval(s)\nre.compile(s)\nexec(s)\n")) == ["eval", "exec"]
 
 
 def test_checks_catch_a_dead_import_and_a_stale_export():
