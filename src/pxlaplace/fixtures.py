@@ -13,6 +13,7 @@ from .fields import BallRegion, GridSpec
 from .solver import ProblemSpec
 
 __all__ = [
+    "FIXTURE_BALL_SEED",
     "FIXTURE_SCHEDULE",
     "REGRESSION_GEHRING_BUDGET",
     "caccioppoli_balls",

@@ -1,14 +1,17 @@
 """Source hygiene of the package, checked with ``ast`` in place of a linter.
 
 Every name a ``pxlaplace`` module imports is used in it or re-exported
-through its ``__all__``, and every ``__all__`` entry is defined: a deletion
-that leaves an import or an export behind fails here by name.  No module
-calls a builtin that runs text as code.  The command line module loads no
-heavy scipy subpackage it does not need, and not sympy.
+through its ``__all__``, every ``__all__`` entry is defined, and every
+module-level UPPER_CASE constant is read somewhere in the package or
+exported: a deletion that leaves an import, an export or a replaced
+constant behind fails here by name.  No module calls a builtin that runs
+text as code.  The command line module loads no heavy scipy subpackage it
+does not need, and not sympy.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +81,36 @@ def test_every_export_is_defined(path):
     submodules = [module.stem for module in MODULES] if path.name == "__init__.py" else []
     missing = undefined_exports(parse(path), submodules)
     assert missing == [], f"{path.name} lists {missing} in __all__ but defines none of them"
+
+
+def constants(tree):
+    """The UPPER_CASE names bound at module level, sorted."""
+    return sorted(name for name in defined(tree) if re.fullmatch(r"[A-Z][A-Z0-9_]*", name))
+
+
+def read_names(tree):
+    """Every name the module reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)
+    }
+
+
+def unread_constants(tree, read):
+    return [name for name in constants(tree) if name not in read | set(exported(tree))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_constant_is_read_or_exported(path):
+    read = set().union(*(read_names(parse(module)) for module in MODULES))
+    unread = unread_constants(parse(path), read)
+    assert unread == [], f"{path.name} defines {unread}, which no module reads or exports"
+
+
+def test_check_catches_an_unread_constant():
+    tree = ast.parse("LIMIT = 3\nSTALE = 1e-11\nSHOWN = 2\n__all__ = ['SHOWN']\nprint(mod.LIMIT)\n")
+    assert unread_constants(tree, read_names(tree)) == ["STALE"]
 
 
 #: Builtins that run text as code.  User expressions are parsed through

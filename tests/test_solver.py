@@ -465,6 +465,70 @@ class TestContract:
             linear.solve(rhs)
         assert sum(calls) == 0
 
+    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=["33x33", "17x9", "9x9x9"])
+    def test_norm_is_the_largest_absolute_row_sum(self, grid):
+        # read off the CSR data in place of a copy of |J|
+        matrix = jacobian(*random_state(grid), 1e-2)
+        expected = np.abs(matrix).sum(axis=1).max()
+        assert abs(solver._CheckedSolver(matrix)._norm - expected) <= 4e-16 * expected
+
+
+class TestInexactNewton:
+    """3-d Newton steps solved to a forcing term, not to round-off."""
+
+    def test_every_step_meets_its_forcing_term(self, monkeypatch):
+        # each step's bound, and its backward error measured here
+        steps = []
+        original = solver._PoissonGMRES.solve
+
+        def recording(self, rhs, bound=solver.CONTRACT_BOUND):
+            x = original(self, rhs, bound)
+            steps.append((bound, backward_error(self._matrix, x, rhs)))
+            return x
+
+        monkeypatch.setattr(solver._PoissonGMRES, "solve", recording)
+        result = epsilon_continuation(cube_spec(13), CUBE_SCHEDULE)
+        assert all(level.converged for level in result.results)
+        assert steps
+        for bound, error in steps:
+            assert solver.CONTRACT_BOUND < bound <= solver.FORCING_MAX
+            assert error <= bound
+
+    def test_missed_forcing_term_names_the_bound(self, monkeypatch):
+        bounds = []
+        forcing_term = solver._forcing_term
+
+        def recording(*args):
+            bounds.append(forcing_term(*args))
+            return bounds[-1]
+
+        monkeypatch.setattr(solver, "_forcing_term", recording)
+        monkeypatch.setattr(solver, "gmres", lambda matrix, rhs, **options: (np.zeros_like(rhs), 0))
+        with pytest.raises(SolverError) as raised:
+            solve_regularized(cube_spec(13))
+        # the cold sweep is the fast Poisson solve; the second, GMRES, fails
+        assert len(bounds) == 1 and bounds[0] > solver.CONTRACT_BOUND
+        assert f"above the {bounds[0]:.3g} bound" in str(raised.value)
+
+    def test_cube_continuation_one_call_per_gmres_sweep(self, monkeypatch):
+        calls = count_gmres(monkeypatch)
+        result = epsilon_continuation(cube_spec(13), CUBE_SCHEDULE)
+        sweeps = [level.iterations for level in result.results]
+        assert sweeps == [4, 3, 3]
+        # every sweep but the cold first one is a GMRES step, with no
+        # refinement call after it
+        assert len(calls) == sum(sweeps) - 1
+        assert sum(calls) <= 55
+
+    def test_p9_cube_iterations_well_below_restart(self, monkeypatch):
+        # exact solves sat near the restart of 40 here (33-39 per call)
+        calls = count_gmres(monkeypatch)
+        spec = cube_spec(17, p="9")
+        result = epsilon_continuation(spec, (0.1, 0.03, 0.01, 0.003, 0.001))
+        assert [level.iterations for level in result.results] == [6, 4, 3, 3, 3]
+        assert len(calls) == sum(level.iterations for level in result.results) - 1
+        assert max(calls) < 20, calls
+
 
 class TestSolve:
     def test_linear_boundary_reproduced_to_roundoff(self):
