@@ -20,29 +20,28 @@ At ``v = 0``, where ``A`` is the identity whatever ``p`` is, ``J`` is the
 ``p = 2`` operator ``1 - Delta_h``, and the solver is a direct fast Poisson
 solve: two DST-I transforms, in 2-d and 3-d alike.  Elsewhere in 2-d the
 solver is a sparse LU factor: the stencil pattern is structurally
-symmetric with a diagonal of at least 1, so the factor orders by minimum
-degree on ``J + J^T`` and pivots on the diagonal.  In 3-d, where LU fill
-grows faster than the grid, it is GMRES on ``J``, preconditioned by the
-same fast Poisson solve.  Every solve is checked against a measured normwise
-backward error, and one that misses its bound raises :class:`SolverError`
-naming the bound.  Every 2-d solve, and a solve given no bound, is held to
-``CONTRACT_BOUND = 1e-12``.  A 3-d Newton step is inexact: GMRES stops at the
-sweep's forcing term ``eta_k`` (Eisenstat and Walker's choice 2 with
-Kelley's terminal floor, at most ``FORCING_MAX = 1e-5``), and the step is
-checked against ``eta_k``.
+symmetric with a diagonal of at least 1, so the factor eliminates the
+nodes in a geometric nested-dissection order, built once per grid shape,
+and pivots on the diagonal.  In 3-d, where LU fill grows faster than the
+grid, it is GMRES on ``J``, preconditioned by the same fast Poisson solve.
+Every solve is checked against a measured normwise backward error, and one
+that misses its bound raises :class:`SolverError` naming the bound.  Every
+2-d solve, and a solve given no bound, is held to
+``CONTRACT_BOUND = 1e-12``.  A 3-d Newton step is inexact: GMRES stops at
+the forcing term ``FORCING_MAX = 1e-5``, and the step is checked against it.
 
 Each solver class states, with its build cost, whether the sweep loop
 keeps it.  The 3-d GMRES solver is rebuilt from ``J(v)`` at every sweep: a
-Newton iteration.  The 2-d LU factor is kept while every sweep at least
-halves the nonlinear residual (``REFACTOR_RATIO``) and rebuilt from the
-current iterate when one does not (a chord-Newton iteration), and an eps
-continuation hands it on from one level to the next.  Which ``J`` a sweep
-solves with, and how exactly, changes only the path: the fixed point
-``A(v) v = g`` stays.
+Newton iteration.  The 2-d LU factor is kept while every sweep cuts the
+nonlinear residual to at most ``REFACTOR_RATIO`` of its previous value and
+rebuilt from the current iterate when one does not (a chord-Newton
+iteration), and an eps continuation hands it on from one level to the
+next.  Which ``J`` a sweep solves with, and how exactly, changes only the
+path: the fixed point ``A(v) v = g`` stays.
 A cold solve starts at ``v = 0``, so its first sweep is the fast Poisson
 solve of the ``p = 2`` problem, which is not kept: the second sweep builds
 the solver of ``J(v)``, so a 2-d continuation factorizes once unless a
-sweep fails to halve the residual.  Sweeps repeat until both the update
+sweep contracts the residual less.  Sweeps repeat until both the update
 and the nonlinear residual are tiny.  The right-hand data is ``g = f_eps +
 u0_eps``: sampled coefficient/data fields, optionally mollified with a
 radius tied to ``eps``.
@@ -53,6 +52,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,16 +82,24 @@ __all__ = [
 
 #: A sweep that leaves the nonlinear residual above this fraction of its
 #: previous value triggers a rebuild of a kept linear solver (the 2-d LU
-#: factor) from the current iterate.
-REFACTOR_RATIO = 0.5
+#: factor) from the current iterate.  A fresh factor at 65^2 costs about 9
+#: sweeps (10 at 129^2, 14 at 257^2) and brings the contraction from the
+#: 0.4-0.5 of a stale one to under 0.1, so it pays back within the level.
+#: 0.2 and 0.3 were both measured: on the fixture data at 65^2 the
+#: exponents p = 1.2, 3 + sin(x2) and 4 take 45, 53 and 52 sweeps at 0.2,
+#: 68, 70 and 66 at 0.3 and 107, 99 and 121 at 0.5, and 0.2 was the
+#: fastest.  The fixture itself keeps one factor at 33^2 to 257^2.
+REFACTOR_RATIO = 0.2
 
 #: The normwise backward error a linear solve meets unless a sweep asks for
 #: an inexact Newton step.
 CONTRACT_BOUND = 1e-12
 
-#: The loosest forcing term of an inexact Newton step.  It binds on most
-#: 3-d sweeps.  A looser cap adds a sweep to the fixture's first eps level:
-#: 1e-4 at 17^3 and 33^3, 1e-2 at 13^3 and 33^3.
+#: The forcing term of every inexact Newton step (every 3-d sweep past the
+#: cold one).  A looser one adds a sweep to the fixture's first eps level:
+#: 1e-4 at 17^3 and 33^3, 1e-2 at 13^3 and 33^3.  Tighter terms where the
+#: residual contracts fast (Eisenstat and Walker's choice 2) saved no sweep
+#: on the fixture data or at p = 4, 6 and 9, at 17^3 or 33^3.
 FORCING_MAX = 1e-5
 
 
@@ -175,29 +183,38 @@ def build_problem(spec: ProblemSpec, seed: Optional[ScalarField] = None) -> Disc
     expression).  Nodes where the mollifier lacks full support keep their raw
     values.
     """
-    grid = spec.grid
-    boundary = sample(spec.boundary_expr, grid)
-    p_raw = sample(spec.p_expr, grid)
-    f_raw = sample(spec.f_expr, grid)
-    u0_raw = boundary if seed is None else seed
-    if seed is not None and seed.grid != grid:
+    boundary, p_raw, f_raw = _sampled(spec)
+    if seed is not None and seed.grid != spec.grid:
         raise SolverError("seed field lives on a different grid")
-    if spec.mollify_radius > 0.0:
-        p_used = mollify(p_raw, spec.mollify_radius)
-        f_used = mollify(f_raw, spec.mollify_radius)
-        u0_used = mollify(u0_raw, spec.mollify_radius)
-    else:
-        p_used, f_used, u0_used = p_raw, f_raw, u0_raw
-    t_minus = float(p_used.values.min())
-    t_plus = float(p_used.values.max())
+    p, f = _mollified(spec.mollify_radius, p_raw, f_raw)
+    return _discretized(spec, boundary, p, f, boundary if seed is None else seed)
+
+
+def _sampled(spec: ProblemSpec) -> tuple:
+    """The boundary, ``p`` and ``f`` expressions of ``spec`` sampled on its grid."""
+    grid = spec.grid
+    return sample(spec.boundary_expr, grid), sample(spec.p_expr, grid), sample(spec.f_expr, grid)
+
+
+def _mollified(radius: float, *fields) -> tuple:
+    """Each field mollified with ``radius``, or as it is when the radius is 0."""
+    return tuple(mollify(field, radius) if radius > 0.0 else field for field in fields)
+
+
+def _discretized(spec: ProblemSpec, boundary, p, f, u0_raw) -> DiscreteProblem:
+    """The problem of ``spec`` from its sampled ``boundary``, its ``p`` and
+    ``f`` already mollified with ``spec.mollify_radius``, and the data field
+    ``u0_raw``, which is mollified here."""
+    (u0,) = _mollified(spec.mollify_radius, u0_raw)
+    t_minus = float(p.values.min())
+    t_plus = float(p.values.max())
     if t_minus <= 1.0:
         raise SolverError(f"exponent field leaves the ellipticity window: min p = {t_minus} <= 1")
-    g = ScalarField(grid, f_used.values + u0_used.values)
     return DiscreteProblem(
-        grid=grid,
-        p=p_used,
-        f=f_used,
-        g=g,
+        grid=spec.grid,
+        p=p,
+        f=f,
+        g=ScalarField(spec.grid, f.values + u0.values),
         boundary=boundary,
         eps=spec.eps,
         window=ExponentWindow(t_minus, t_plus),
@@ -255,6 +272,64 @@ def _stencil_pattern(shape: tuple) -> _StencilPattern:
         slots=dict(zip(offsets, slots[: -boundary.size].reshape(len(offsets), interior.size))),
         boundary_slots=slots[-boundary.size :],
     )
+
+
+#: A box of at most this many nodes is not dissected further.
+DISSECTION_LEAF = 16
+
+
+def _bisect(box: tuple) -> tuple:
+    """The two halves of a box of grid nodes and the separator between them.
+
+    A box is one ``range`` of node indices per axis.  Its longest axis (the
+    first, on a tie) is cut at its middle line, which is the separator: the
+    stencil couples nodes at most one step apart per axis, so no entry of
+    the operator joins the two halves.  Returns ``(low, high, separator)``.
+    """
+    axis = max(range(len(box)), key=lambda i: len(box[i]))
+    cut = box[axis]
+    mid = cut.start + len(cut) // 2
+
+    def along(part):
+        return box[:axis] + (part,) + box[axis + 1 :]
+
+    return along(range(cut.start, mid)), along(range(mid + 1, cut.stop)), along(range(mid, mid + 1))
+
+
+@functools.lru_cache(maxsize=8)
+def _dissection_order(shape: tuple) -> np.ndarray:
+    """A geometric nested-dissection order of the nodes of one grid shape.
+
+    The Dirichlet nodes come first: their rows are rows of the identity, so
+    eliminating them makes no fill.  The interior box is then :func:`_bisect`-ed
+    recursively, each box ordered as its low half, its high half and last
+    its separator (George, SIAM J. Numer. Anal. 10 (1973) 345-363); a
+    separator, and a box of at most :data:`DISSECTION_LEAF` nodes, keep
+    their natural order.  ``order[k]`` is the node eliminated k-th.  The
+    array is shared by every factor on the grid shape, so it is read-only.
+    """
+    nodes = np.arange(int(np.prod(shape))).reshape(shape)
+    inner = tuple(slice(1, m - 1) for m in shape)
+    dirichlet = np.ones(shape, dtype=bool)
+    dirichlet[inner] = False
+    pieces = [nodes[dirichlet]]
+
+    def block(box):
+        return nodes[tuple(slice(r.start, r.stop) for r in box)].ravel()
+
+    def dissect(box):
+        if math.prod(len(r) for r in box) <= DISSECTION_LEAF:
+            pieces.append(block(box))
+            return
+        low, high, separator = _bisect(box)
+        dissect(low)
+        dissect(high)
+        pieces.append(block(separator))
+
+    dissect(tuple(range(1, m - 1) for m in shape))
+    order = np.concatenate(pieces)
+    order.setflags(write=False)
+    return order
 
 
 @dataclass(frozen=True)
@@ -404,7 +479,7 @@ class _CheckedSolver:
     solver while the sweeps contract or rebuilds it at every sweep.
     """
 
-    #: Whether a sweep may stop the solve at a forcing term above the
+    #: Whether a sweep stops the solve at :data:`FORCING_MAX`, above the
     #: contract bound (an inexact Newton step).
     inexact = False
 
@@ -437,26 +512,31 @@ class _CheckedSolver:
 class _LUFactor(_CheckedSolver):
     """Sparse LU factor of one matrix, reused for any number of solves.
 
-    The factor uses a symmetric minimum-degree ordering on the pattern of
-    ``A + A^T`` and takes every pivot on the diagonal, which keeps the fill
-    well below the default column ordering with partial pivoting.  That
-    fits the Jacobian: its stencil pattern is structurally symmetric
-    (an interior node couples to an interior neighbour exactly when the
-    neighbour couples back; a Dirichlet row is a row of the identity) and
-    every diagonal entry is at least 1.  Diagonal pivots are not proven
-    stable for a nonsymmetric operator, which is one reason every solve is
-    checked against the backward-error contract.
+    It factors ``P A P^T``, with ``P`` the :func:`_dissection_order` of the
+    grid shape, in that order (``permc_spec="NATURAL"``) and with every
+    pivot on the diagonal (``diag_pivot_thresh=0`` in ``SymmetricMode``),
+    so the row and column permutations stay ``P``.  That fits the Jacobian:
+    its stencil pattern is structurally symmetric (an interior node couples
+    to an interior neighbour exactly when the neighbour couples back; a
+    Dirichlet row is a row of the identity) and every diagonal entry is at
+    least 1.  On the fixture's 129^2 Jacobian the order holds 1,065,847
+    nonzeros against 1,153,652 for minimum degree on ``A + A^T``, and
+    a factor is built in about three quarters of the time.  Diagonal pivots are
+    not proven stable for a nonsymmetric operator, which is one reason
+    every solve is checked against the backward-error contract.
     """
 
-    #: A factor costs about as much as 17 sweeps to build: keep it.
+    #: A factor costs about as much as 9 sweeps to build at 65^2, 10 at
+    #: 129^2: keep it while the sweeps contract (:data:`REFACTOR_RATIO`).
     kept = True
 
-    def __init__(self, matrix: csr_matrix):
+    def __init__(self, matrix: csr_matrix, shape: tuple):
         super().__init__(matrix)
+        self._order = _dissection_order(shape)
         try:
             self._lu = splu(
-                matrix.tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
+                matrix[self._order][:, self._order].tocsc(),
+                permc_spec="NATURAL",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
             )
@@ -464,7 +544,9 @@ class _LUFactor(_CheckedSolver):
             raise SolverError(f"linear solve breakdown: {err}") from err
 
     def _apply(self, rhs: np.ndarray, bound: float = CONTRACT_BOUND) -> np.ndarray:
-        return self._lu.solve(rhs)
+        x = np.empty_like(rhs)
+        x[self._order] = self._lu.solve(rhs[self._order])
+        return x
 
 
 #: Krylov vectors GMRES keeps before it restarts.
@@ -538,7 +620,7 @@ class _PoissonGMRES(_CheckedSolver):
 
     GMRES stops once its residual is ``bound`` times the right-hand side's
     (2-norms), with ``bound`` the contract's 1e-12 for a direct call and
-    the forcing term of :func:`_forcing_term` for a Newton step; the check
+    :data:`FORCING_MAX` for a Newton step; the check
     then measures the backward error against the same bound.  Measured at
     17^3 and 33^3, a Newton step takes 5-6 iterations for the fixture
     exponent and 15-20 at ``p = 9``, where solves to 1e-12 took 10-12 and
@@ -547,7 +629,7 @@ class _PoissonGMRES(_CheckedSolver):
 
     #: Building one costs about a millisecond: rebuild it at every sweep.
     kept = False
-    #: A Newton step stops GMRES at the sweep's forcing term.
+    #: A Newton step stops GMRES at the forcing term.
     inexact = True
 
     def __init__(self, matrix: csr_matrix, grid: GridSpec):
@@ -582,26 +664,12 @@ def _linear_solver(matrix: csr_matrix, v: np.ndarray, grid: GridSpec) -> _Checke
         return _FastPoisson(matrix, grid)
     if grid.dimension == 3:
         return _PoissonGMRES(matrix, grid)
-    return _LUFactor(matrix)
+    return _LUFactor(matrix, grid.shape)
 
 
 # ---------------------------------------------------------------------------
 # Newton (3-d) and chord-Newton (2-d) iteration
 # ---------------------------------------------------------------------------
-
-
-def _forcing_term(residual: float, previous: Optional[float], target: float) -> float:
-    """The bound of an inexact Newton step at the nonlinear residual ``residual``.
-
-    Eisenstat and Walker's choice 2 (SISC 17 (1996) 16-32),
-    ``0.9 (residual / previous)^2``, raised to Kelley's terminal floor
-    ``0.5 target / residual`` (no step need solve past the residual target)
-    and capped at :data:`FORCING_MAX`, which the first step of a solve takes.
-    """
-    if previous is None or residual == 0.0:
-        return FORCING_MAX
-    eta = 0.9 * (residual / previous) ** 2
-    return min(FORCING_MAX, max(eta, 0.5 * target / residual))
 
 
 def solve_regularized(
@@ -622,9 +690,8 @@ def solve_regularized(
     where ``J`` is the ``p = 2`` operator, so the first sweep is a fast
     Poisson solve of the ``p = 2`` problem, with no LU factor and no GMRES
     call; that solver is not kept, so the second sweep builds the solver of
-    ``J(v)``.  An ``inexact`` solver (3-d GMRES) solves each step to the
-    :func:`_forcing_term` of the residuals before and after the last sweep;
-    the others solve to :data:`CONTRACT_BOUND`.
+    ``J(v)``.  An ``inexact`` solver (3-d GMRES) solves each step to
+    :data:`FORCING_MAX`; the others solve to :data:`CONTRACT_BOUND`.
     Convergence requires both a small relative update and a nonlinear
     residual below ``10 * tolerance * max(1, |g|_inf)``; on non-convergence
     the last iterate is returned flagged, residual included.
@@ -654,7 +721,7 @@ def solve_regularized(
         return _nonlinear_residual(v, prob.p.values, prob.eps, grid.spacing, rhs)
 
     r, coeffs = nonlinear_residual(v)
-    previous, residual = None, float(np.abs(r).max())
+    residual = float(np.abs(r).max())
     rebuild = held[0] is None or not held[0].kept
     converged = False
     iterations = 0
@@ -662,10 +729,7 @@ def solve_regularized(
         if rebuild:
             held[0] = None  # release the old solver before the new one allocates
             held[0] = _linear_solver(_jacobian(coeffs), v, grid)
-        if held[0].inexact:
-            bound = _forcing_term(residual, previous, residual_target)
-        else:
-            bound = CONTRACT_BOUND
+        bound = FORCING_MAX if held[0].inexact else CONTRACT_BOUND
         step = held[0].solve(r, bound).reshape(grid.shape)
         v = v + step
         delta = float(np.abs(step).max())
@@ -737,31 +801,44 @@ def epsilon_continuation(spec: ProblemSpec, schedule) -> ContinuationResult:
 
     The first level starts cold at ``v = 0``.  Each later level starts from
     the solution of the level before and, in 2-d, from its last LU factor,
-    so a factor is rebuilt only where a sweep fails to halve the residual.
+    so a factor is rebuilt only where a sweep contracts the residual by
+    less than :data:`REFACTOR_RATIO`.
 
     The mollification radius follows the schedule (clipped to what the grid
     can resolve).  The interior data field ``u0`` is rebuilt from the
     previous solution each step, so the data term
     ``g - v = f_eps + u0_eps - v`` contracts along the schedule and the final
-    iterate approximates the unregularized problem.  The Cauchy increments
-    ``max |D(v_k - v_{k-1})|`` over a ball two nodes inside the grid, where
-    every difference is central, are recorded as the convergence evidence;
-    the discrete gradient is linear, so no level keeps a gradient of its own.
+    iterate approximates the unregularized problem.  Only ``u0`` changes
+    from level to level: the boundary, ``p`` and ``f`` are sampled once, and
+    ``p`` and ``f`` mollified once per distinct radius, so every level's
+    problem is bitwise the one :func:`build_problem` builds for it.  The
+    Cauchy increments ``max |D(v_k - v_{k-1})|`` over a ball two nodes
+    inside the grid, where every difference is central, are recorded as the
+    convergence evidence; the discrete gradient is linear, so no level keeps
+    a gradient of its own.
     """
     schedule = _check_schedule(schedule)
     grid = spec.grid
     mask = ball_mask(_default_region(grid).scaled(0.75), grid)
+    steps = [
+        dataclasses.replace(spec, eps=eps, mollify_radius=_clip_radius(eps, grid))
+        for eps in schedule
+    ]
+    boundary, p_raw, f_raw = _sampled(spec)
 
     held = [None]  # the last linear solver, which the next eps level reuses in 2-d
     results = []
     increments = []
     prev = None
-    for eps in schedule:
-        step_spec = dataclasses.replace(spec, eps=eps, mollify_radius=_clip_radius(eps, grid))
-        prob = build_problem(step_spec, seed=prev)
+    radius = None
+    for step in steps:
+        if step.mollify_radius != radius:  # radii only shrink, so a repeat is the last
+            radius = step.mollify_radius
+            p, f = _mollified(radius, p_raw, f_raw)
+        prob = _discretized(step, boundary, p, f, boundary if prev is None else prev)
         result = solve_regularized(prob, warm_start=prev, held=held)
         if not result.converged:
-            raise SolverError(f"continuation member solve at eps={eps} did not converge")
+            raise SolverError(f"continuation member solve at eps={step.eps} did not converge")
         if prev is not None:
             diff = gradient(ScalarField(grid, result.v.values - prev.values))
             increments.append(float(np.linalg.norm(diff, axis=-1)[mask].max()))
