@@ -207,21 +207,24 @@ def quasiregularity_audit(
 ) -> EstimateReport:
     """Distortion ``K = |DF|^2 / sigma_2(DF)`` of the stretched-gradient map.
 
-    Nodes where ``|DF|`` sits below the relative floor are excluded (0/0
-    territory); nodes above it with ``sigma_2 <= 0`` are counted as
-    violations.  In dimension 2 ``sigma_2`` is exactly ``-det``.
+    Nodes where ``|DF|`` sits below the relative floor, taken from the
+    largest finite ``|DF|``, are excluded (0/0 territory); nodes above it
+    with ``sigma_2 <= 0``, and nodes where ``|DF|^2`` or ``sigma_2`` is not
+    finite (an overflow), are counted as violations.  In dimension 2
+    ``sigma_2`` is exactly ``-det``.
     """
     if beta < 0:
         raise AuditError("distortion audit requires a nonnegative stretch exponent")
     grid = u.grid
-    nodes = grid.interior_mask()
+    interior = grid.interior_mask()
     _, lhs, s2 = _stretched_fields(u, beta, 0.0)
+    finite = interior & np.isfinite(lhs) & np.isfinite(s2)
 
     norm = np.sqrt(lhs)
-    floor = DISTORTION_FLOOR * float(norm[nodes].max())
-    audited = nodes & (norm > floor)
+    floor = DISTORTION_FLOOR * float(norm[finite].max()) if finite.any() else 0.0
+    audited = finite & (norm > floor)
     positive = audited & (s2 > 0.0)
-    violations = int(np.sum(audited & (s2 <= 0.0)))
+    violations = int(np.sum(audited & (s2 <= 0.0))) + int(np.sum(interior & ~finite))
 
     distortion = np.zeros_like(lhs)
     np.divide(lhs, s2, out=distortion, where=positive)
@@ -255,6 +258,25 @@ def quasiregularity_audit(
 # ---------------------------------------------------------------------------
 
 
+def _cutoff_box(ball: BallRegion, grid: GridSpec) -> tuple:
+    """The index box of ``ball``'s three-quarter scaling, two nodes wider on
+    each side, and the cutoff of ``ball`` on it.
+
+    The box checks the grid margin first.  A ball with no node strictly
+    inside its three-quarter scaling has a cutoff of 0 at every node, which
+    makes every Caccioppoli term 0 and the verdict a pass over nothing: it
+    raises :class:`AuditError`.
+    """
+    box = ball_box(ball.scaled(0.75), grid, margin_nodes=2)
+    phi = cutoff(ball, grid, box)
+    if not phi.any():
+        raise AuditError(
+            f"no node lies inside the three-quarter ball of {_ball_name(ball)}, "
+            "so its cutoff is 0 at every node"
+        )
+    return box, phi
+
+
 def caccioppoli_audit(
     v: ScalarField,
     p: ScalarField,
@@ -273,20 +295,17 @@ def caccioppoli_audit(
     grid = v.grid
     n = grid.dimension
     consts = constant_set(window, n, params.beta)
-    three_quarter = ball.scaled(0.75)
     # Every term vanishes off the cutoff's support and its one-node rim.  The
     # box holds the support with two nodes to spare, so its inner nodes
     # (``core``) are interior nodes that hold every nonzero term, and their
-    # central differences of phi are the full-grid gradient's.  It checks
-    # the margin first.
-    box = ball_box(three_quarter, grid, margin_nodes=2)
+    # central differences of phi are the full-grid gradient's.
+    box, phi = _cutoff_box(ball, grid)
     core = tuple(slice(part.start + 1, part.stop - 1) for part in box)
     inner = (slice(1, -1),) * n
-    phi = cutoff(ball, grid, box)
     grad = gradient(v)
 
     f_vals, df_sq, _ = _stretched_fields(v, params.beta, params.eps)
-    c = f_vals[box][ball_mask(three_quarter, grid, box)].mean(axis=0)
+    c = f_vals[box][ball_mask(ball.scaled(0.75), grid, box)].mean(axis=0)
     dphi = np.stack(
         [_central_difference(phi, axis, h) for axis, h in enumerate(grid.spacing)], axis=-1
     )

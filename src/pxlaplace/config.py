@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .audits import AuditError, _cutoff_box
 from .constants import beta_star
 from .expressions import ExpressionError, parse_expression
-from .fields import BallRegion, FieldError, GridSpec, require_inside, sample
+from .fields import BallRegion, FieldError, GridSpec, sample
 from .fixtures import REGRESSION_GEHRING_BUDGET
 from .solver import ProblemSpec, SolverError, _check_schedule, _clip_radius
 
@@ -92,7 +93,8 @@ def load_config(path: str) -> RunConfig:
     exponent must clear the critical exponent of the sampled coefficient
     window, and with the Caccioppoli audit listed ``ball_radii`` must not be
     empty and every ball's three-quarter scaling must sit inside the grid
-    margin; violations raise :class:`ConfigError`.
+    margin and hold a node strictly inside; violations raise
+    :class:`ConfigError`.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
@@ -169,8 +171,8 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("ball_radii must list at least one radius for the caccioppoli audit")
         try:
             for radius in ball_radii:
-                require_inside(BallRegion(ball_center, radius).scaled(0.75), grid)
-        except FieldError as err:
+                _cutoff_box(BallRegion(ball_center, radius), grid)
+        except (FieldError, AuditError) as err:
             raise ConfigError(f"bad Caccioppoli ball: {err}") from err
     c_target = _number(audit, "c_target", str(REGRESSION_GEHRING_BUDGET))
     gehring_r_max = _number(audit, "gehring_r_max", "") if audit.get("gehring_r_max") else None

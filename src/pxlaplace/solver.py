@@ -58,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import dstn, idstn
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, get_index_dtype
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .constants import ExponentWindow
@@ -231,69 +231,42 @@ def _offset(n: int, *steps) -> tuple:
     return tuple(dict(steps).get(i, 0) for i in range(n))
 
 
-@dataclass(frozen=True)
-class _StencilPattern:
-    """CSR structure of the frozen operator on one grid shape.
-
-    ``slots[offset]`` holds, per interior node, the position in ``data`` of
-    the entry of the neighbour at that :func:`_offset`; ``boundary_slots``
-    holds the Dirichlet diagonal.  The arrays are shared by every matrix
-    assembled on the grid shape, so they are read-only.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    slots: dict
-    boundary_slots: np.ndarray
-
-
 @functools.lru_cache(maxsize=8)
-def _stencil_pattern(shape: tuple) -> _StencilPattern:
-    n = len(shape)
-    size = int(np.prod(shape))
-    strides = [int(np.prod(shape[i + 1 :])) for i in range(n)]
-    mesh = np.meshgrid(*(np.arange(1, m - 1) for m in shape), indexing="ij")
-    interior = np.ravel_multi_index(tuple(mesh), shape).ravel()
-    boundary = np.setdiff1d(np.arange(size), interior, assume_unique=True)
-    # every neighbour that differs from the centre along at most two axes
-    offsets = [off for off in itertools.product((-1, 0, 1), repeat=n) if n - off.count(0) <= 2]
-    rows = np.concatenate([np.tile(interior, len(offsets)), boundary])
-    cols = np.concatenate([interior + np.dot(off, strides) for off in offsets] + [boundary])
-    # scipy's own COO -> CSR conversion fixes the entry order; its data
-    # carries each entry's stencil-order position along.  No entry repeats.
-    order = csr_matrix((np.arange(rows.size), (rows, cols)), shape=(size, size))
-    slots = np.empty(rows.size, dtype=np.intp)
-    slots[order.data] = np.arange(rows.size)
-    for array in (order.indptr, order.indices, slots):
-        array.setflags(write=False)
-    return _StencilPattern(
-        indptr=order.indptr,
-        indices=order.indices,
-        slots=dict(zip(offsets, slots[: -boundary.size].reshape(len(offsets), interior.size))),
-        boundary_slots=slots[-boundary.size :],
-    )
+def _stencil_pattern(shape: tuple) -> tuple:
+    """The CSR structure ``(indptr, indices, slots)`` of the stencil on one grid shape.
 
-
-#: A box of at most this many nodes is not dissected further.
-DISSECTION_LEAF = 16
-
-
-def _bisect(box: tuple) -> tuple:
-    """The two halves of a box of grid nodes and the separator between them.
-
-    A box is one ``range`` of node indices per axis.  Its longest axis (the
-    first, on a tie) is cut at its middle line, which is the separator: the
-    stencil couples nodes at most one step apart per axis, so no entry of
-    the operator joins the two halves.  Returns ``(low, high, separator)``.
+    A Dirichlet row holds its diagonal alone.  An interior row holds each
+    neighbour that differs from the node along at most two axes, in the
+    lexicographic order of the offsets, which is the column order: every
+    axis has at least 3 nodes, so a stride exceeds twice the sum of the
+    smaller ones.  ``slots[offset]`` holds, per interior node, the position
+    in ``data`` of the entry of the neighbour at that :func:`_offset`.  The
+    arrays are shared by every matrix assembled on the grid shape, so they
+    are read-only.
     """
-    axis = max(range(len(box)), key=lambda i: len(box[i]))
-    cut = box[axis]
-    mid = cut.start + len(cut) // 2
+    n = len(shape)
+    nodes = np.arange(math.prod(shape)).reshape(shape)
+    interior = _shifted(nodes).ravel()
+    offsets = [off for off in itertools.product((-1, 0, 1), repeat=n) if n - off.count(0) <= 2]
+    width = np.ones(nodes.size, dtype=np.intp)
+    width[interior] = len(offsets)
+    indptr = np.concatenate([[0], np.cumsum(width)])
+    indices = np.repeat(nodes.ravel(), width)
+    strides = np.array(nodes.strides) // nodes.itemsize
+    slots = {}
+    for k, off in enumerate(offsets):
+        slots[off] = indptr[interior] + k
+        indices[slots[off]] = interior + np.dot(off, strides)
+    # the index type scipy gives the matrix, so no assembly converts them
+    index = get_index_dtype(maxval=indptr[-1])
+    indptr, indices = indptr.astype(index), indices.astype(index)
+    for array in (indptr, indices, *slots.values()):
+        array.setflags(write=False)
+    return indptr, indices, slots
 
-    def along(part):
-        return box[:axis] + (part,) + box[axis + 1 :]
 
-    return along(range(cut.start, mid)), along(range(mid + 1, cut.stop)), along(range(mid, mid + 1))
+#: A block of at most this many nodes is not dissected further.
+DISSECTION_LEAF = 16
 
 
 @functools.lru_cache(maxsize=8)
@@ -301,33 +274,31 @@ def _dissection_order(shape: tuple) -> np.ndarray:
     """A geometric nested-dissection order of the nodes of one grid shape.
 
     The Dirichlet nodes come first: their rows are rows of the identity, so
-    eliminating them makes no fill.  The interior box is then :func:`_bisect`-ed
-    recursively, each box ordered as its low half, its high half and last
-    its separator (George, SIAM J. Numer. Anal. 10 (1973) 345-363); a
-    separator, and a box of at most :data:`DISSECTION_LEAF` nodes, keep
-    their natural order.  ``order[k]`` is the node eliminated k-th.  The
-    array is shared by every factor on the grid shape, so it is read-only.
+    eliminating them makes no fill.  The interior block of node indices is
+    then split recursively (George, SIAM J. Numer. Anal. 10 (1973)
+    345-363): its longest axis (the first, on a tie) is cut at its middle
+    line, the separator, into a low and a high half.  The stencil couples
+    nodes at most one step apart per axis, so no entry of the operator
+    joins the halves.  Each block is ordered as its low half, its high half
+    and last its separator; a separator, and a block of at most
+    :data:`DISSECTION_LEAF` nodes, keep their natural order.  ``order[k]``
+    is the node eliminated k-th.  The array is shared by every factor on
+    the grid shape, so it is read-only.
     """
-    nodes = np.arange(int(np.prod(shape))).reshape(shape)
-    inner = tuple(slice(1, m - 1) for m in shape)
+    nodes = np.arange(math.prod(shape)).reshape(shape)
     dirichlet = np.ones(shape, dtype=bool)
-    dirichlet[inner] = False
-    pieces = [nodes[dirichlet]]
+    _shifted(dirichlet)[...] = False
 
-    def block(box):
-        return nodes[tuple(slice(r.start, r.stop) for r in box)].ravel()
+    def dissect(block):
+        if block.size <= DISSECTION_LEAF:
+            return [block.ravel()]
+        axis = max(range(block.ndim), key=block.shape.__getitem__)  # the first longest
+        mid = block.shape[axis] // 2
+        cut = (slice(None),) * axis  # every index of the axes before it
+        low, high = block[cut + (slice(mid),)], block[cut + (slice(mid + 1, None),)]
+        return dissect(low) + dissect(high) + [block[cut + (mid,)].ravel()]
 
-    def dissect(box):
-        if math.prod(len(r) for r in box) <= DISSECTION_LEAF:
-            pieces.append(block(box))
-            return
-        low, high, separator = _bisect(box)
-        dissect(low)
-        dissect(high)
-        pieces.append(block(separator))
-
-    dissect(tuple(range(1, m - 1) for m in shape))
-    order = np.concatenate(pieces)
+    order = np.concatenate([nodes[dirichlet]] + dissect(_shifted(nodes)))
     order.setflags(write=False)
     return order
 
@@ -421,9 +392,8 @@ def assemble_frozen_operator(coeffs: _Coefficients) -> csr_matrix:
     n = len(h)
     a = {key: block.ravel() for key, block in coeffs.a.items()}
 
-    pattern = _stencil_pattern(coeffs.shape)
-    slots = pattern.slots
-    data = np.empty(pattern.indices.size)
+    indptr, indices, slots = _stencil_pattern(coeffs.shape)
+    data = np.ones(indices.size)  # the Dirichlet rows keep their 1
 
     center = np.ones(a[0, 0].size)
     for i in range(n):
@@ -436,9 +406,8 @@ def assemble_frozen_operator(coeffs: _Coefficients) -> csr_matrix:
             for si, sj in itertools.product((+1, -1), repeat=2):
                 data[slots[_offset(n, (i, si), (j, sj))]] = -si * sj * q
     data[slots[_offset(n)]] = center
-    data[pattern.boundary_slots] = 1.0
     size = int(np.prod(coeffs.shape))
-    return csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size))
+    return csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def _jacobian(coeffs: _Coefficients) -> csr_matrix:
@@ -457,7 +426,7 @@ def _jacobian(coeffs: _Coefficients) -> csr_matrix:
     hq = [sum(hess[min(i, j), max(i, j)] * q[j] for j in range(n)) for i in range(n)]
     qhq = sum(qi * hqi for qi, hqi in zip(q, hq))
     scale = 2.0 * coeffs.coef
-    slots = _stencil_pattern(coeffs.shape).slots
+    slots = _stencil_pattern(coeffs.shape)[2]
     for i in range(n):
         drift = (scale * (hq[i] - qhq * q[i] / d) / (2.0 * h[i])).ravel()
         matrix.data[slots[_offset(n, (i, +1))]] -= drift

@@ -167,6 +167,18 @@ class TestCaccioppoliAudit:
                 BallRegion((0.5, 0.5), 0.64),
             )
 
+    def test_ball_with_no_node_inside_rejected(self):
+        # the nearest node is 0.0099 from the center, outside the 0.00075
+        # three-quarter ball: the cutoff, and every term, would be 0
+        grid = unit_square(33)
+        v = sample(parse_expression("x1^2 - x2^2", 2), grid)
+        p = ScalarField(grid, np.full(grid.shape, 2.0))
+        with pytest.raises(AuditError, match=r"B\(\(0\.507,0\.507\),0\.001\).*0 at every node"):
+            caccioppoli_audit(
+                v, p, v, StretchParams(0.0, 1e-2), ExponentWindow(2.0, 2.0),
+                BallRegion((0.507, 0.507), 0.001),
+            )
+
 
 def full_grid_caccioppoli(v, g, params, ball, c=None):
     """Lhs, oscillation and data term of the cutoff energy bound, each

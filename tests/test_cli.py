@@ -4,7 +4,7 @@ import functools
 import numpy as np
 import pytest
 
-from pxlaplace import cli, solver
+from pxlaplace import audits, cli, solver
 from pxlaplace.audits import quasiregularity_audit
 from pxlaplace.cli import main, write_field_csv
 from pxlaplace.config import ConfigError, load_config
@@ -202,6 +202,21 @@ class TestAuditCommand:
         line = cli._report_line(quasiregularity_audit(saddle, 0.0, budget=20.0))
         assert line.startswith("[PASS]") and "violations" not in line
 
+    def test_overflowed_fields_fail_with_violations(self):
+        # at beta = 2000, |DF|^2 overflows at most nodes: each such node is
+        # a violation, and the floor comes from the finite ones
+        grid = GridSpec((0.0, 0.0), (1.0, 1.0), (33, 33))
+        saddle = sample(parse_expression("x1^2 - x2^2", 2), grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = quasiregularity_audit(saddle, 2000.0, budget=20.0)
+            _, df_sq, s2 = audits._stretched_fields(saddle, 2000.0, 0.0)
+        overflowed = grid.interior_mask() & ~(np.isfinite(df_sq) & np.isfinite(s2))
+        assert overflowed.sum() > 600
+        assert report.details["violations"] == overflowed.sum()
+        assert np.isfinite(report.details["floor"]) and report.details["audited_nodes"] > 0
+        assert cli._report_line(report).startswith("[FAIL]")
+        assert cli._report_line(report).endswith(f" violations={overflowed.sum()}")
+
 
 class TestGehringCommand:
     def test_unresolvable_ball_family_is_a_config_error(self, tmp_path, capsys, monkeypatch):
@@ -293,6 +308,21 @@ class TestConfigErrors:
         path, _ = write_config(tmp_path, SMALL_CONFIG.replace(line, value))
         assert main([command, "--config", path]) == 2
         assert "leaves the grid margin" in capsys.readouterr().err
+        assert calls == []
+
+    def test_ball_with_no_node_inside_rejected_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # no node lies within 0.00075 of the center, so the cutoff is 0 at
+        # every node and every Caccioppoli term with it: a pass over nothing
+        calls = []
+        monkeypatch.setattr(cli, "epsilon_continuation", lambda *args: calls.append(args))
+        bad = SMALL_CONFIG.replace("ball_center = 0.5 0.5", "ball_center = 0.507 0.507").replace(
+            "ball_radii = 0.15 0.25", "ball_radii = 0.001 0.2"
+        )
+        path, _ = write_config(tmp_path, bad)
+        assert main(["audit", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "three-quarter ball of B((0.507,0.507),0.001)" in err
+        assert "cutoff is 0 at every node" in err
         assert calls == []
 
     @pytest.mark.parametrize("dimension", [2, 3], ids=["8x8", "8x8x8"])

@@ -1,11 +1,13 @@
 """Source hygiene of the package, checked with ``ast`` in place of a linter.
 
 Every name a ``pxlaplace`` module imports is used in it or re-exported
-through its ``__all__``, every ``__all__`` entry is defined, and every
+through its ``__all__``, and every ``__all__`` entry is defined.  Every
 module-level UPPER_CASE constant is read somewhere in the package or
-exported: a deletion that leaves an import, an export or a replaced
-constant behind fails here by name.  No module calls a builtin that runs
-text as code.  The command line module loads no heavy scipy subpackage it
+exported, and every module-level function or class whose name starts with
+``_`` is read somewhere in the package.  So a deletion that leaves an
+import, an export, a replaced constant or a helper that only the tests
+call behind fails here by name.  No module calls a builtin that runs text
+as code.  The command line module loads no heavy scipy subpackage it
 does not need, and not sympy.
 """
 
@@ -111,6 +113,35 @@ def test_every_constant_is_read_or_exported(path):
 def test_check_catches_an_unread_constant():
     tree = ast.parse("LIMIT = 3\nSTALE = 1e-11\nSHOWN = 2\n__all__ = ['SHOWN']\nprint(mod.LIMIT)\n")
     assert unread_constants(tree, read_names(tree)) == ["STALE"]
+
+
+def private_definitions(tree):
+    """The module-level functions and classes whose names start with ``_``."""
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+
+
+def unread_private(tree, read):
+    return [name for name in private_definitions(tree) if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_private_helper_is_read_by_the_package(path):
+    # a private helper that only the tests read is a test-only wrapper
+    read = set().union(*(read_names(parse(module)) for module in MODULES))
+    unread = unread_private(parse(path), read)
+    assert unread == [], f"{path.name} defines {unread}, which no module of the package reads"
+
+
+def test_check_catches_a_helper_only_the_tests_read():
+    tree = ast.parse(
+        "def _used():\n    pass\n\ndef _stale():\n    pass\n\nclass _Kept:\n    pass\n\n"
+        "def shown():\n    pass\n\nprint(_used(), mod._Kept)\n"
+    )
+    assert unread_private(tree, read_names(tree)) == ["_stale"]
 
 
 #: Builtins that run text as code.  User expressions are parsed through

@@ -227,6 +227,17 @@ class TestAssemblyPattern:
             violations += dominance
         assert violations > 0
 
+    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=["33x33", "17x9", "9x9x9"])
+    def test_cached_pattern_is_read_only(self, grid):
+        # every matrix assembled on the grid shape shares these arrays
+        indptr, indices, slots = solver._stencil_pattern(grid.shape)
+        assert solver._stencil_pattern(grid.shape)[2] is slots
+        assert len(slots) == (9 if grid.dimension == 2 else 19)
+        for array in (indptr, indices, *slots.values()):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
 
 class TestStencilResidual:
     def test_matches_assembled_operator(self):
@@ -349,11 +360,22 @@ def backward_error(matrix, x, rhs):
     return np.abs(rhs - matrix @ x).max() / scale
 
 
+def bisect(box):
+    """The low and high halves of a box (one ``range`` of node indices per
+    axis) and the middle line of its longest axis (the first, on a tie)
+    between them."""
+    axis = max(range(len(box)), key=lambda i: len(box[i]))
+    cut = box[axis]
+    mid = cut.start + len(cut) // 2
+    parts = range(cut.start, mid), range(mid + 1, cut.stop), range(mid, mid + 1)
+    return [box[:axis] + (part,) + box[axis + 1 :] for part in parts]
+
+
 def dissection_boxes(box):
     """Every box the nested dissection of ``box`` splits, with its parts."""
     if np.prod([len(r) for r in box]) <= solver.DISSECTION_LEAF:
         return []
-    low, high, separator = solver._bisect(box)
+    low, high, separator = bisect(box)
     return [(box, low, high, separator)] + dissection_boxes(low) + dissection_boxes(high)
 
 
@@ -373,9 +395,8 @@ class TestDissectionOrder:
         position = np.empty_like(order)
         position[order] = np.arange(order.size)
         # the stencil graph: an edge per off-diagonal entry of the pattern
-        pattern = solver._stencil_pattern(shape)
-        rows = np.repeat(np.arange(order.size), np.diff(pattern.indptr))
-        cols = pattern.indices
+        indptr, cols, _ = solver._stencil_pattern(shape)
+        rows = np.repeat(np.arange(order.size), np.diff(indptr))
         interior = tuple(range(1, m - 1) for m in shape)
         splits = dissection_boxes(interior)
         assert splits
@@ -383,9 +404,10 @@ class TestDissectionOrder:
             nodes, low, high, separator = (box_nodes(shape, b) for b in (box, low, high, separator))
             assert np.array_equal(np.sort(np.concatenate([low, high, separator])), np.sort(nodes))
             assert low.size and high.size and separator.size
-            # each box is eliminated as one block, its separator last
+            # each box is eliminated as one block: low half, high half, separator
             assert np.ptp(position[nodes]) == nodes.size - 1
-            assert position[separator].min() > max(position[low].max(), position[high].max())
+            assert position[low].max() < position[high].min()
+            assert position[separator].min() > position[high].max()
             assert np.all(np.diff(position[separator]) == 1)  # in natural order
             # no stencil entry joins the two halves
             side = np.zeros(order.size, dtype=np.int8)
