@@ -91,10 +91,11 @@ def load_config(path: str) -> RunConfig:
     exponents must be finite, ``kappa``, ``c_target`` and a given
     ``gehring_r_max`` must be positive and finite, every audited stretch
     exponent must clear the critical exponent of the sampled coefficient
-    window, and with the Caccioppoli audit listed ``ball_radii`` must not be
-    empty and every ball's three-quarter scaling must sit inside the grid
-    margin and hold a node strictly inside; violations raise
-    :class:`ConfigError`.
+    window, with the distortion audit listed the stretch exponents must be
+    nonnegative and the sampled ``f`` must be 0 at every node, and with the
+    Caccioppoli audit listed ``ball_radii`` must not be empty and every
+    ball's three-quarter scaling must sit inside the grid margin and hold a
+    node strictly inside; violations raise :class:`ConfigError`.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
@@ -204,6 +205,18 @@ def load_config(path: str) -> RunConfig:
             )
         if beta < 0 and "quasiregularity" in audits:
             raise ConfigError("the distortion audit needs beta >= 0")
+    if "quasiregularity" in audits:
+        # for constant p and f, u = -f |x - x0|^2 / (2 (n + p - 2)) solves the
+        # equation, and sigma_2(D^2 u) < 0 at every node once f != 0
+        try:
+            f_field = sample(f_expr, grid)
+        except FieldError as err:
+            raise ConfigError(f"cannot sample f: {err}") from err
+        if f_field.values.any():
+            raise ConfigError(
+                "the distortion audit needs f = 0 at every node: its bound "
+                "|DF|^2 <= C* sigma_2(DF) fails on exact solutions where f != 0"
+            )
 
     output = parser["output"] if "output" in parser else {}
     directory = output.get("directory", "out")

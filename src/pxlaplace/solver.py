@@ -43,13 +43,12 @@ solve of the ``p = 2`` problem, which is not kept: the second sweep builds
 the solver of ``J(v)``, so a 2-d continuation factorizes once unless a
 sweep contracts the residual less.  Sweeps repeat until both the update
 and the nonlinear residual are tiny.  The right-hand data is ``g = f_eps +
-u0_eps``: sampled coefficient/data fields, optionally mollified with a
-radius tied to ``eps``.
+u0_eps``: :func:`build_problem` samples the fields, and an eps continuation
+mollifies them with a radius tied to ``eps``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -116,13 +115,10 @@ class ProblemSpec:
     f_expr: Expression
     boundary_expr: Expression
     eps: float
-    mollify_radius: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise SolverError(f"regularization eps must lie in (0, 1), got {self.eps}")
-        if self.mollify_radius < 0.0:
-            raise SolverError("mollification radius must be nonnegative")
         for name, expr in (("p", self.p_expr), ("f", self.f_expr), ("boundary", self.boundary_expr)):
             if expr.dimension != self.grid.dimension:
                 raise SolverError(f"{name} expression dimension does not match the grid")
@@ -130,17 +126,15 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """The stopping constants of :func:`solve_regularized`."""
+
     tolerance: float = 1e-10
     max_iterations: int = 500
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise SolverError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
 class DiscreteProblem:
-    """Sampled (and possibly mollified) problem data on a grid."""
+    """Sampled (and, on an eps continuation level, mollified) problem data on a grid."""
 
     grid: GridSpec
     p: ScalarField
@@ -175,49 +169,32 @@ class ContinuationResult:
 # ---------------------------------------------------------------------------
 
 
-def build_problem(spec: ProblemSpec, seed: Optional[ScalarField] = None) -> DiscreteProblem:
-    """Sample the problem data; mollify it when a radius is set.
+def build_problem(spec: ProblemSpec) -> DiscreteProblem:
+    """The problem of ``spec`` with its boundary, ``p`` and ``f`` sampled on
+    its grid, unmollified; the sampled boundary is the data field ``u0`` too.
 
-    ``seed`` replaces the sampled boundary expression as the interior data
-    field ``u0`` (the Dirichlet trace always comes from the boundary
-    expression).  Nodes where the mollifier lacks full support keep their raw
-    values.
+    :func:`epsilon_continuation` builds each level from this one by
+    mollifying ``p``, ``f`` and ``u0``.
     """
-    boundary, p_raw, f_raw = _sampled(spec)
-    if seed is not None and seed.grid != spec.grid:
-        raise SolverError("seed field lives on a different grid")
-    p, f = _mollified(spec.mollify_radius, p_raw, f_raw)
-    return _discretized(spec, boundary, p, f, boundary if seed is None else seed)
+    exprs = (spec.boundary_expr, spec.p_expr, spec.f_expr)
+    boundary, p, f = (sample(expr, spec.grid) for expr in exprs)
+    return _discretized(spec.eps, boundary, p, f, u0=boundary)
 
 
-def _sampled(spec: ProblemSpec) -> tuple:
-    """The boundary, ``p`` and ``f`` expressions of ``spec`` sampled on its grid."""
-    grid = spec.grid
-    return sample(spec.boundary_expr, grid), sample(spec.p_expr, grid), sample(spec.f_expr, grid)
-
-
-def _mollified(radius: float, *fields) -> tuple:
-    """Each field mollified with ``radius``, or as it is when the radius is 0."""
-    return tuple(mollify(field, radius) if radius > 0.0 else field for field in fields)
-
-
-def _discretized(spec: ProblemSpec, boundary, p, f, u0_raw) -> DiscreteProblem:
-    """The problem of ``spec`` from its sampled ``boundary``, its ``p`` and
-    ``f`` already mollified with ``spec.mollify_radius``, and the data field
-    ``u0_raw``, which is mollified here."""
-    (u0,) = _mollified(spec.mollify_radius, u0_raw)
+def _discretized(eps: float, boundary, p, f, u0) -> DiscreteProblem:
+    """The problem at ``eps`` from the sampled ``boundary`` and the fields
+    ``p``, ``f`` and ``u0`` as they are, mollified or not: ``g = f + u0``."""
     t_minus = float(p.values.min())
-    t_plus = float(p.values.max())
     if t_minus <= 1.0:
         raise SolverError(f"exponent field leaves the ellipticity window: min p = {t_minus} <= 1")
     return DiscreteProblem(
-        grid=spec.grid,
+        grid=boundary.grid,
         p=p,
         f=f,
-        g=ScalarField(spec.grid, f.values + u0.values),
+        g=ScalarField(boundary.grid, f.values + u0.values),
         boundary=boundary,
-        eps=spec.eps,
-        window=ExponentWindow(t_minus, t_plus),
+        eps=eps,
+        window=ExponentWindow(t_minus, float(p.values.max())),
     )
 
 
@@ -642,8 +619,7 @@ def _linear_solver(matrix: csr_matrix, v: np.ndarray, grid: GridSpec) -> _Checke
 
 
 def solve_regularized(
-    problem,
-    options: Optional[SolveOptions] = None,
+    prob: DiscreteProblem,
     warm_start: Optional[ScalarField] = None,
     held: Optional[list] = None,
 ) -> SolveResult:
@@ -662,8 +638,9 @@ def solve_regularized(
     ``J(v)``.  An ``inexact`` solver (3-d GMRES) solves each step to
     :data:`FORCING_MAX`; the others solve to :data:`CONTRACT_BOUND`.
     Convergence requires both a small relative update and a nonlinear
-    residual below ``10 * tolerance * max(1, |g|_inf)``; on non-convergence
-    the last iterate is returned flagged, residual included.
+    residual below ``10 * tolerance * max(1, |g|_inf)``, within
+    ``max_iterations`` sweeps (the constants of :class:`SolveOptions`); on
+    non-convergence the last iterate is returned flagged, residual included.
 
     ``held``, by default a fresh ``[None]``, is the one-slot list of the
     linear solver: :func:`epsilon_continuation` hands the 2-d LU factor on
@@ -671,8 +648,7 @@ def solve_regularized(
     solver; it is emptied before a new one is built, so no old factor stays
     alive while ``splu`` allocates the next.
     """
-    prob = problem if isinstance(problem, DiscreteProblem) else build_problem(problem)
-    opts = options or SolveOptions()
+    opts = SolveOptions()
     held = [None] if held is None else held
     grid = prob.grid
     interior = grid.interior_mask()
@@ -753,7 +729,7 @@ def _clip_radius(eps: float, grid: GridSpec) -> float:
 
 
 def _check_schedule(schedule) -> tuple:
-    """The eps schedule as floats: non-empty, positive, strictly decreasing."""
+    """The eps schedule as floats: non-empty, positive, strictly decreasing, below 1."""
     schedule = tuple(float(e) for e in schedule)
     if not schedule:
         raise SolverError("eps_schedule is empty")
@@ -762,6 +738,8 @@ def _check_schedule(schedule) -> tuple:
         raise SolverError("eps_schedule must list positive values")
     if any(not b < a for a, b in zip(schedule, schedule[1:])):
         raise SolverError("eps_schedule must be strictly decreasing")
+    if not schedule[0] < 1.0:
+        raise SolverError(f"regularization eps must lie in (0, 1), got {schedule[0]}")
     return schedule
 
 
@@ -773,41 +751,37 @@ def epsilon_continuation(spec: ProblemSpec, schedule) -> ContinuationResult:
     so a factor is rebuilt only where a sweep contracts the residual by
     less than :data:`REFACTOR_RATIO`.
 
-    The mollification radius follows the schedule (clipped to what the grid
-    can resolve).  The interior data field ``u0`` is rebuilt from the
-    previous solution each step, so the data term
+    :func:`build_problem` samples the boundary, ``p`` and ``f`` once, and
+    its raw ``p`` must exceed 1.  Each level mollifies ``p`` and ``f`` (once
+    per distinct radius) and the interior data field ``u0``, the previous
+    solution or at the first level the boundary, with a radius that follows
+    the schedule, clipped to what the grid can resolve.  So the data term
     ``g - v = f_eps + u0_eps - v`` contracts along the schedule and the final
-    iterate approximates the unregularized problem.  Only ``u0`` changes
-    from level to level: the boundary, ``p`` and ``f`` are sampled once, and
-    ``p`` and ``f`` mollified once per distinct radius, so every level's
-    problem is bitwise the one :func:`build_problem` builds for it.  The
-    Cauchy increments ``max |D(v_k - v_{k-1})|`` over a ball two nodes
-    inside the grid, where every difference is central, are recorded as the
-    convergence evidence; the discrete gradient is linear, so no level keeps
-    a gradient of its own.
+    iterate approximates the unregularized problem.  The Cauchy increments
+    ``max |D(v_k - v_{k-1})|`` over a ball two nodes inside the grid, where
+    every difference is central, are recorded as the convergence evidence;
+    the discrete gradient is linear, so no level keeps a gradient of its own.
     """
     schedule = _check_schedule(schedule)
     grid = spec.grid
     mask = ball_mask(_default_region(grid).scaled(0.75), grid)
-    steps = [
-        dataclasses.replace(spec, eps=eps, mollify_radius=_clip_radius(eps, grid))
-        for eps in schedule
-    ]
-    boundary, p_raw, f_raw = _sampled(spec)
+    radii = [_clip_radius(eps, grid) for eps in schedule]
+    data = build_problem(spec)
 
     held = [None]  # the last linear solver, which the next eps level reuses in 2-d
     results = []
     increments = []
     prev = None
-    radius = None
-    for step in steps:
-        if step.mollify_radius != radius:  # radii only shrink, so a repeat is the last
-            radius = step.mollify_radius
-            p, f = _mollified(radius, p_raw, f_raw)
-        prob = _discretized(step, boundary, p, f, boundary if prev is None else prev)
+    mollified_at = None
+    for eps, radius in zip(schedule, radii):
+        if radius != mollified_at:  # radii only shrink, so a repeat is the last
+            mollified_at = radius
+            p, f = mollify(data.p, radius), mollify(data.f, radius)
+        u0 = mollify(data.boundary if prev is None else prev, radius)
+        prob = _discretized(eps, data.boundary, p, f, u0)
         result = solve_regularized(prob, warm_start=prev, held=held)
         if not result.converged:
-            raise SolverError(f"continuation member solve at eps={step.eps} did not converge")
+            raise SolverError(f"continuation member solve at eps={eps} did not converge")
         if prev is not None:
             diff = gradient(ScalarField(grid, result.v.values - prev.values))
             increments.append(float(np.linalg.norm(diff, axis=-1)[mask].max()))

@@ -26,7 +26,7 @@ from pxlaplace.fixtures import (
     caccioppoli_balls,
 )
 from pxlaplace.identities import run_identity_suite
-from pxlaplace.solver import ProblemSpec, solve_regularized
+from pxlaplace.solver import ProblemSpec, build_problem, solve_regularized
 
 from manufactured import manufactured_rhs
 
@@ -94,7 +94,7 @@ def test_criterion_3_solver_order():
     quad_errors = {}
     for m in (33, 65):
         spec = ProblemSpec(GridSpec((0, 0), (1, 1), (m, m)), p2, f_quad, u_quad, eps=1e-2)
-        result = solve_regularized(spec)
+        result = solve_regularized(build_problem(spec))
         quad_errors[m] = float(np.abs(result.v.values - sample(u_quad, spec.grid).values).max())
     quad_ok = max(quad_errors.values()) < 1e-8
 
@@ -104,7 +104,7 @@ def test_criterion_3_solver_order():
     errors = {}
     for m in (33, 65):
         spec = ProblemSpec(GridSpec((0, 0), (1, 1), (m, m)), p, f, u, eps=1e-2)
-        result = solve_regularized(spec)
+        result = solve_regularized(build_problem(spec))
         errors[m] = float(np.abs(result.v.values - sample(u, spec.grid).values).max())
     ratio = errors[33] / errors[65]
     elapsed = time.monotonic() - start
@@ -128,7 +128,7 @@ def test_criterion_4_linear_exactness():
         a = rng.uniform(-2.0, 2.0, 2)
         boundary = parse_expression(f"{float(a[0])!r}*x1 + {float(a[1])!r}*x2", 2)
         spec = ProblemSpec(GridSpec((0, 0), (1, 1), (33, 33)), p, f0, boundary, eps=1e-2)
-        result = solve_regularized(spec)
+        result = solve_regularized(build_problem(spec))
         worst = max(worst, float(np.abs(result.v.values - sample(boundary, spec.grid).values).max()))
     elapsed = time.monotonic() - start
     ok = worst < 1e-10 and elapsed < 10.0

@@ -624,7 +624,7 @@ class TestSigma2Consistency:
 
 class TestAdmissibleBetaRange:
     def test_negative_beta_pointwise_and_caccioppoli(self):
-        from pxlaplace.solver import ProblemSpec, solve_regularized
+        from pxlaplace.solver import ProblemSpec, build_problem, solve_regularized
 
         grid = unit_square(33)
         spec = ProblemSpec(
@@ -634,7 +634,7 @@ class TestAdmissibleBetaRange:
             parse_expression("x1^2 - x2^2", 2),
             eps=1e-2,
         )
-        result = solve_regularized(spec)
+        result = solve_regularized(build_problem(spec))
         prob = result.problem
         for beta in (-0.9, -0.5, 3.0):
             params = StretchParams(beta, prob.eps)
@@ -649,7 +649,7 @@ class TestAdmissibleBetaRange:
         # p = 5 in 3-d puts the critical exponent at exactly 0; beta = 1/2 is
         # admissible and the audit still closes at the discrete fixed point
         from pxlaplace.constants import beta_star
-        from pxlaplace.solver import ProblemSpec, solve_regularized
+        from pxlaplace.solver import ProblemSpec, build_problem, solve_regularized
 
         assert beta_star(3, 5.0) == 0.0
         grid = GridSpec((0, 0, 0), (1, 1, 1), (13, 13, 13))
@@ -660,7 +660,7 @@ class TestAdmissibleBetaRange:
             parse_expression("x1^2 - 0.5*x2^2 - 0.5*x3^2 + x1*x2", 3),
             eps=1e-2,
         )
-        result = solve_regularized(spec)
+        result = solve_regularized(build_problem(spec))
         assert result.converged
         # strongly anisotropic coefficients: dominance loss is reported,
         # not fatal

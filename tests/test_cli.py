@@ -68,6 +68,26 @@ directory = {outdir}
 """
 
 
+#: f = 1 with p = 4: u = -|x - x0|^2 / 8 solves the equation at eps = 0,
+#: and the boundary data are u's.
+RADIAL_CONFIG = """\
+[problem]
+dimension = 2
+points = 33 33
+p = "4"
+f = "1"
+boundary = "-((x1 - 0.5)^2 + (x2 - 0.5)^2)/8"
+eps_schedule = 0.1 0.01 0.001
+
+[audit]
+audits = pointwise quasiregularity caccioppoli
+betas = 0 1
+
+[output]
+directory = {outdir}
+"""
+
+
 PROBLEM_SECTION = SMALL_CONFIG[: SMALL_CONFIG.index("[audit]")]
 
 
@@ -189,6 +209,23 @@ class TestAuditCommand:
         assert rows
         distortion = float(rows[0][9])
         assert distortion == pytest.approx(2.0, abs=1e-9)
+
+    def test_inhomogeneous_data_audited_without_the_distortion_audit(self, tmp_path, capsys):
+        # sigma_2 < 0 at every node of the exact radial solution, so the
+        # distortion audit is refused on it; the others run and pass
+        path, outdir = write_config(tmp_path, RADIAL_CONFIG)
+        assert main(["audit", "--config", path]) == 2
+        assert "the distortion audit needs f = 0" in capsys.readouterr().err
+        assert not outdir.exists()
+        text = RADIAL_CONFIG.replace("audits = pointwise quasiregularity", "audits = pointwise")
+        path, outdir = write_config(tmp_path, text)
+        assert main(["audit", "--config", path]) == 0
+        summary = (outdir / "audit_summary.txt").read_text()
+        assert summary.count("[PASS]") == 4 and "[FAIL]" not in summary
+        assert main(["solve", "--config", path]) == 0
+        solution = np.loadtxt(outdir / "solution.csv", delimiter=",", skiprows=1)
+        x1, x2, value = solution.T
+        assert np.abs(value + ((x1 - 0.5) ** 2 + (x2 - 0.5) ** 2) / 8).max() < 1e-2
 
     def test_failing_line_counts_violations(self):
         # sigma_2 <= 0 at every audited node of a concave paraboloid, so the
@@ -358,8 +395,9 @@ class TestConfigErrors:
             ("0.1 nan", "eps_schedule must list positive values"),
             ("0.1 0.1", "eps_schedule must be strictly decreasing"),
             ("0.01 0.1", "eps_schedule must be strictly decreasing"),
+            ("1 0.1", "regularization eps must lie in (0, 1), got 1.0"),
         ],
-        ids=["empty", "negative", "nan", "equal", "increasing"],
+        ids=["empty", "negative", "nan", "equal", "increasing", "eps-one"],
     )
     def test_config_and_continuation_reject_a_schedule_alike(self, tmp_path, schedule, message):
         # one rule: the config file and a library caller get the same message
@@ -505,6 +543,8 @@ class TestConfigErrors:
             ),
             ("audit", '"2 + 0.5*sin(x1)"', '"1 + 0.5*sin(x1)"', "(min p <= 1)"),
             ("audit", "betas = 0 1", "betas = -0.5", "the distortion audit needs beta >= 0"),
+            ("audit", 'f = "0"', 'f = "1"', "the distortion audit needs f = 0 at every node"),
+            ("audit", 'f = "0"', 'f = "log(x1)"', "cannot sample f: expression domain error"),
             (
                 "gehring",
                 "audits = pointwise quasiregularity caccioppoli\nbetas = 0 1",
@@ -527,6 +567,8 @@ class TestConfigErrors:
             "unknown-audit",
             "p-at-one",
             "distortion-negative-beta",
+            "distortion-inhomogeneous",
+            "distortion-f-domain",
             "gehring-negative-beta",
         ],
     )

@@ -3,12 +3,13 @@
 Every name a ``pxlaplace`` module imports is used in it or re-exported
 through its ``__all__``, and every ``__all__`` entry is defined.  Every
 module-level UPPER_CASE constant is read somewhere in the package or
-exported, and every module-level function or class whose name starts with
-``_`` is read somewhere in the package.  So a deletion that leaves an
-import, an export, a replaced constant or a helper that only the tests
-call behind fails here by name.  No module calls a builtin that runs text
-as code.  The command line module loads no heavy scipy subpackage it
-does not need, and not sympy.
+exported, every module-level function or class whose name starts with
+``_`` is read somewhere in the package, and every field of a dataclass is
+read as an attribute somewhere in the package.  So a deletion that leaves
+an import, an export, a replaced constant, a helper that only the tests
+call or a field that only the tests set behind fails here by name.  No
+module calls a builtin that runs text as code.  The command line module
+loads no heavy scipy subpackage it does not need, and not sympy.
 """
 
 import ast
@@ -142,6 +143,53 @@ def test_check_catches_a_helper_only_the_tests_read():
         "def shown():\n    pass\n\nprint(_used(), mod._Kept)\n"
     )
     assert unread_private(tree, read_names(tree)) == ["_stale"]
+
+
+def dataclass_fields(tree):
+    """The ``(class, field)`` names of each annotated field of a module-level
+    class decorated with ``dataclass``, bare or called."""
+    fields = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            fields += [
+                (node.name, stmt.target.id)
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+    return fields
+
+
+def loaded_attributes(tree):
+    """Every attribute name the module reads (not one it only assigns)."""
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread_fields(tree, read):
+    return [f"{cls}.{name}" for cls, name in dataclass_fields(tree) if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_dataclass_field_is_read_by_the_package(path):
+    # a field that no module reads is a knob only the tests turn, or dead
+    read = set().union(*(loaded_attributes(parse(module)) for module in MODULES))
+    unread = unread_fields(parse(path), read)
+    assert unread == [], f"{path.name} defines {unread}, which no module of the package reads"
+
+
+def test_check_catches_a_field_no_module_reads():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\nclass Spec:\n    grid: int\n    radius: float = 0.0\n\n"
+        "@dataclass\nclass Result:\n    value: float\n\nclass Plain:\n    ignored: int\n\n"
+        "def use(spec, result):\n    spec.radius = 1.0\n    return spec.grid + result.value\n"
+    )
+    assert unread_fields(tree, loaded_attributes(tree)) == ["Spec.radius"]
 
 
 #: Builtins that run text as code.  User expressions are parsed through

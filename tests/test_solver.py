@@ -7,6 +7,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu, spsolve
 
 from pxlaplace import solver
+from pxlaplace.audits import quasiregularity_audit
 from pxlaplace.diffops import gradient
 from pxlaplace.expressions import parse_expression
 from pxlaplace.fields import GridSpec, ScalarField, mollify, sample
@@ -36,15 +37,20 @@ def unit_square(m=33):
 P_VARIABLE = "2 + 0.5*sin(x1)"
 
 
-def make_spec(boundary, p=P_VARIABLE, f="0", m=33, eps=1e-2, rho=0.0):
+def make_spec(boundary, p=P_VARIABLE, f="0", m=33, eps=1e-2):
     return ProblemSpec(
         grid=unit_square(m),
         p_expr=parse_expression(p, 2),
         f_expr=parse_expression(f, 2),
         boundary_expr=parse_expression(boundary, 2),
         eps=eps,
-        mollify_radius=rho,
     )
+
+
+def set_stopping(monkeypatch, **constants):
+    """Every later solve stops by ``constants`` in place of the defaults of
+    :class:`SolveOptions`, which it reads from the module."""
+    monkeypatch.setattr(solver, "SolveOptions", functools.partial(SolveOptions, **constants))
 
 
 CUBE_SCHEDULE = (0.1, 0.01, 0.001)
@@ -264,7 +270,7 @@ class TestStencilResidual:
         ramp = 1e308 * np.linspace(-1.0, 1.0, spec.grid.shape[0])[:, None]
         start = ScalarField(spec.grid, np.broadcast_to(ramp, spec.grid.shape))
         with np.errstate(over="ignore"), pytest.raises(SolverError, match="finite gradient"):
-            solve_regularized(spec, warm_start=start)
+            solve_regularized(build_problem(spec), warm_start=start)
 
 
 JACOBIAN_CASES = [
@@ -305,7 +311,7 @@ class TestJacobian:
             return r, coeffs
 
         monkeypatch.setattr(solver, "_nonlinear_residual", recording)
-        result = solve_regularized(cube_spec(13))
+        result = solve_regularized(build_problem(cube_spec(13)))
         assert result.converged
         above_round_off = [r for r in residuals if r > 1e-12]
         ratios = [b / a for a, b in zip(above_round_off, above_round_off[1:])]
@@ -327,7 +333,7 @@ class TestDifferentiatedOnce:
                 return original(*args)
 
             monkeypatch.setattr(solver, name, counting)
-        result = solve_regularized(spec)
+        result = solve_regularized(build_problem(spec))
         assert result.converged
         assert calls["_jacobian"] >= 2
         iterates = result.iterations + 1  # the start, then one per sweep
@@ -624,7 +630,7 @@ class TestInexactNewton:
         monkeypatch.setattr(solver._PoissonGMRES, "solve", recording)
         monkeypatch.setattr(solver, "gmres", lambda matrix, rhs, **options: (np.zeros_like(rhs), 0))
         with pytest.raises(SolverError) as raised:
-            solve_regularized(cube_spec(13))
+            solve_regularized(build_problem(cube_spec(13)))
         # the cold sweep is the fast Poisson solve; the second, GMRES, fails
         assert bounds == [solver.FORCING_MAX]
         assert "above the 1e-05 bound" in str(raised.value)
@@ -656,7 +662,7 @@ class TestSolve:
             a = rng.uniform(-2.0, 2.0, 2)
             boundary = f"{float(a[0])!r}*x1 + {float(a[1])!r}*x2"
             spec = make_spec(boundary)
-            result = solve_regularized(spec)
+            result = solve_regularized(build_problem(spec))
             exact = sample(spec.boundary_expr, spec.grid)
             assert result.converged
             assert np.abs(result.v.values - exact.values).max() < 1e-10
@@ -668,7 +674,7 @@ class TestSolve:
         p2 = parse_expression("2", 2)
         f = manufactured_rhs(u, p2, 1e-2)
         spec = ProblemSpec(unit_square(33), p2, f, u, eps=1e-2)
-        result = solve_regularized(spec)
+        result = solve_regularized(build_problem(spec))
         exact = sample(u, spec.grid)
         assert np.abs(result.v.values - exact.values).max() < 1e-9
 
@@ -677,7 +683,7 @@ class TestSolve:
         p2 = parse_expression("2", 2)
         f = manufactured_rhs(u, p2, 1e-2)
         spec = ProblemSpec(unit_square(33), p2, f, u, eps=1e-2)
-        result = solve_regularized(spec)
+        result = solve_regularized(build_problem(spec))
         exact = sample(u, spec.grid)
         assert np.abs(result.v.values - exact.values).max() < 1e-9
 
@@ -688,44 +694,41 @@ class TestSolve:
         errors = {}
         for m in (33, 65):
             spec = ProblemSpec(unit_square(m), p, f, u, eps=1e-2)
-            result = solve_regularized(spec)
+            result = solve_regularized(build_problem(spec))
             exact = sample(u, spec.grid)
             errors[m] = np.abs(result.v.values - exact.values).max()
         assert 3.2 <= errors[33] / errors[65] <= 4.8
 
     def test_residual_meets_contract(self):
-        spec = make_spec("x1^2 - x2^2")
-        opts = SolveOptions()
-        result = solve_regularized(spec, opts)
+        result = solve_regularized(build_problem(make_spec("x1^2 - x2^2")))
         g_norm = max(1.0, np.abs(result.problem.g.values).max())
         assert result.converged
-        assert result.residual <= 10.0 * opts.tolerance * g_norm
+        assert result.residual <= 10.0 * SolveOptions().tolerance * g_norm
 
     def test_maximum_principle_surrogate_for_constant_p(self):
         # f = 0, p constant, boundary data attaining its extremes on the
         # boundary: the solution stays inside the boundary range
         spec = make_spec("x1^2 - x2^2", p="2.5")
-        result = solve_regularized(spec)
+        result = solve_regularized(build_problem(spec))
         interior = spec.grid.interior_mask()
         bvals = result.problem.boundary.values[~interior]
         assert result.v.values.min() >= bvals.min() - 1e-8
         assert result.v.values.max() <= bvals.max() + 1e-8
 
-    def test_nonconvergence_flagged_not_raised(self):
-        spec = make_spec("x1^2 - x2^2")
-        result = solve_regularized(spec, SolveOptions(tolerance=1e-14, max_iterations=2))
+    def test_nonconvergence_flagged_not_raised(self, monkeypatch):
+        set_stopping(monkeypatch, tolerance=1e-14, max_iterations=2)
+        result = solve_regularized(build_problem(make_spec("x1^2 - x2^2")))
         assert not result.converged
         assert np.isfinite(result.residual)
 
     def test_warm_start_grid_checked(self):
-        spec = make_spec("x1")
+        prob = build_problem(make_spec("x1"))
         other = ScalarField(unit_square(17), np.zeros((17, 17)))
         with pytest.raises(SolverError, match="different grid"):
-            solve_regularized(spec, warm_start=other)
+            solve_regularized(prob, warm_start=other)
 
     def test_observed_ellipticity_inside_theoretical_window(self):
-        spec = make_spec("x1^2 - x2^2")
-        result = solve_regularized(spec)
+        result = solve_regularized(build_problem(make_spec("x1^2 - x2^2")))
         window = result.problem.window
         lo, hi = result.ellipticity
         assert lo >= min(1.0, window.t_minus - 1.0) - 1e-12
@@ -790,10 +793,11 @@ class TestFactorReuse:
         first = solve_regularized(prob)
         assert first.converged
         calls.clear()
+        set_stopping(monkeypatch, max_iterations=1)
         # a warm-started call starts with an empty solver slot, so its one
         # sweep can only run on a factor it built itself
         for _ in range(2):
-            solve_regularized(prob, SolveOptions(max_iterations=1), warm_start=first.v)
+            solve_regularized(prob, warm_start=first.v)
             assert len(calls) == 1
             calls.clear()
 
@@ -819,14 +823,14 @@ class TestFactorReuse:
         # linear data: the p = 2 sweep already more than halves the residual,
         # yet the second sweep runs on a factor of J(v), not of J(0)
         calls = count_splu(monkeypatch)
-        spec = make_spec("0.3*x1 - 0.7*x2")
-        result = solve_regularized(spec)
+        prob = build_problem(make_spec("0.3*x1 - 0.7*x2"))
+        result = solve_regularized(prob)
         assert result.converged and result.iterations == 2
         assert len(calls) == 1
         # the first sweep alone is the fast Poisson solve, with no factor
-        first = solve_regularized(spec, SolveOptions(max_iterations=1))
+        set_stopping(monkeypatch, max_iterations=1)
+        first = solve_regularized(prob)
         assert len(calls) == 1
-        prob = first.problem
         # splu factors P J P^T, with P the grid shape's dissection order
         order = solver._dissection_order(prob.grid.shape)
         factored = calls[0]
@@ -836,11 +840,12 @@ class TestFactorReuse:
 
     def test_cold_3d_sweep_makes_no_gmres_call(self, monkeypatch):
         calls = count_gmres(monkeypatch)
-        result = solve_regularized(cube_spec(13), SolveOptions(max_iterations=1))
+        set_stopping(monkeypatch, max_iterations=1)
+        result = solve_regularized(build_problem(cube_spec(13)))
         assert result.iterations == 1
         assert calls == []
 
-    def test_first_cold_sweep_is_p2_solve(self):
+    def test_first_cold_sweep_is_p2_solve(self, monkeypatch):
         # at v = 0 the frozen coefficient is the identity whatever p is
         prob = build_problem(make_spec("x1^2 - x2^2"))
         grid = prob.grid
@@ -849,7 +854,8 @@ class TestFactorReuse:
         p2 = ScalarField(grid, np.full(grid.shape, 2.0))
         matrix = frozen_operator(zero, p2, prob.eps)
         expected = spsolve(matrix.tocsc(), rhs)
-        result = solve_regularized(prob, SolveOptions(max_iterations=1))
+        set_stopping(monkeypatch, max_iterations=1)
+        result = solve_regularized(prob)
         assert result.iterations == 1
         # an M-matrix with row sums >= 1 has |A^-1| <= 1, so the condition
         # number is at most |A|: round-off times |A| |x| bounds the gap
@@ -862,9 +868,8 @@ class TestLargeExponent:
     round-off or drift for 500 sweeps."""
 
     @staticmethod
-    def solve(p, **options):
-        spec = make_spec("x1^2 - x2^2", p=p, m=65, eps=0.1)
-        return solve_regularized(spec, SolveOptions(**options))
+    def solve(p):
+        return solve_regularized(build_problem(make_spec("x1^2 - x2^2", p=p, m=65, eps=0.1)))
 
     @pytest.mark.parametrize("p", ["4", "8", "8 + sin(x2)", "20"])
     def test_converges_within_residual_budget(self, p):
@@ -876,8 +881,9 @@ class TestLargeExponent:
     def test_dominance_loss_still_reported(self):
         assert self.solve("8").dominance_violations > 0
 
-    def test_undamped_p20_flagged_not_raised(self):
-        result = self.solve("20", max_iterations=3)
+    def test_undamped_p20_flagged_not_raised(self, monkeypatch):
+        set_stopping(monkeypatch, max_iterations=3)
+        result = self.solve("20")
         assert not result.converged
         assert np.isfinite(result.residual)
 
@@ -902,7 +908,7 @@ class TestThreeDimensional:
             parse_expression("0.5*x1 - x2 + 0.25*x3", 3),
             eps=1e-2,
         )
-        result = solve_regularized(spec)
+        result = solve_regularized(build_problem(spec))
         exact = sample(spec.boundary_expr, grid)
         assert result.converged
         assert np.abs(result.v.values - exact.values).max() < 1e-10
@@ -912,7 +918,7 @@ class TestThreeDimensional:
         u = parse_expression("x1^2 - 0.5*x2^2 + x3^2 - 0.5*x1*x3", 3)
         p2 = parse_expression("2", 3)
         f = manufactured_rhs(u, p2, 1e-2)
-        result = solve_regularized(ProblemSpec(grid, p2, f, u, eps=1e-2))
+        result = solve_regularized(build_problem(ProblemSpec(grid, p2, f, u, eps=1e-2)))
         assert np.abs(result.v.values - sample(u, grid).values).max() < 1e-9
 
 
@@ -1060,18 +1066,84 @@ class TestContinuation:
         assert len(sampled) == 3
         assert len(mollified) == 2 * len(set(radii)) + len(FIXTURE_SCHEDULE)
         monkeypatch.undo()
-        seed = None
+        # each level mollifies the raw data of build_problem with its radius
+        raw = build_problem(spec)
+        u0 = raw.boundary
         for eps, radius, level in zip(FIXTURE_SCHEDULE, radii, result.results):
-            expected = build_problem(
-                dataclasses.replace(spec, eps=eps, mollify_radius=radius), seed=seed
-            )
-            for name in ("p", "f", "g", "boundary"):
-                got, want = getattr(level.problem, name), getattr(expected, name)
-                assert np.array_equal(got.values, want.values), name
-            assert level.problem.grid == expected.grid
-            assert level.problem.eps == expected.eps
-            assert level.problem.window == expected.window
-            seed = level.v
+            p, f = mollify(raw.p, radius), mollify(raw.f, radius)
+            expected = {
+                "p": p.values,
+                "f": f.values,
+                "g": f.values + mollify(u0, radius).values,
+                "boundary": raw.boundary.values,
+            }
+            for name, want in expected.items():
+                assert np.array_equal(getattr(level.problem, name).values, want), name
+            assert level.problem.grid == grid
+            assert level.problem.eps == eps
+            window = level.problem.window
+            assert (window.t_minus, window.t_plus) == (p.values.min(), p.values.max())
+            u0 = level.v
+
+    def test_level_data_built_from_one_build_problem(self, monkeypatch):
+        calls = []
+        original = solver.build_problem
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(solver, "build_problem", counting)
+        spec = make_spec("x1^2 - x2^2")
+        epsilon_continuation(spec, (0.1, 0.01, 0.001))
+        assert calls == [spec]
+
+    def test_first_eps_bounded_as_in_problem_spec(self):
+        with pytest.raises(SolverError, match=r"eps must lie in \(0, 1\), got 1.0"):
+            epsilon_continuation(make_spec("x1"), (1.0, 0.1))
+
+    def test_raw_exponent_checked(self):
+        # p dips to 0.98 in a narrow well at the centre: the p mollified
+        # with the level's radius clears 1 at every node, the sampled one
+        # does not
+        spec = make_spec("x1", p="2 - 1.02*exp(-1000*((x1 - 0.5)^2 + (x2 - 0.5)^2))")
+        assert mollify(sample(spec.p_expr, spec.grid), 0.1).values.min() > 1.0
+        with pytest.raises(SolverError, match="min p = 0.98"):
+            epsilon_continuation(spec, (0.1,))
+
+
+SYMMETRY_SCHEDULE = (0.1, 0.01, 0.001)
+
+
+class TestSymmetry:
+    """The 65^2 fixture under the unit square's symmetries: reflecting
+    ``x1 -> 1 - x1``, or swapping ``x1`` and ``x2``, in ``p`` and the
+    boundary data maps the solution by the same symmetry, to round-off, and
+    leaves the distortion sup ``K`` as it is."""
+
+    @pytest.fixture(scope="class")
+    def fixture_solution(self):
+        return epsilon_continuation(fixture_problem(points=65), SYMMETRY_SCHEDULE).results[-1].v
+
+    @pytest.mark.parametrize(
+        "p, boundary, image",
+        [
+            ("2 + 0.5*sin(1 - x1)", "(1 - x1)^2 - x2^2", lambda v: v[::-1, :]),
+            ("2 + 0.5*sin(x2)", "x2^2 - x1^2", lambda v: v.T),
+        ],
+        ids=["reflected", "transposed"],
+    )
+    def test_solution_and_distortion_follow_it(self, fixture_solution, p, boundary, image):
+        spec = dataclasses.replace(
+            fixture_problem(points=65),
+            p_expr=parse_expression(p, 2),
+            boundary_expr=parse_expression(boundary, 2),
+        )
+        w = epsilon_continuation(spec, SYMMETRY_SCHEDULE).results[-1].v
+        assert np.abs(w.values - image(fixture_solution.values)).max() <= 1e-13
+        for beta in (0.0, 1.0):
+            expected = quasiregularity_audit(fixture_solution, beta).worst
+            assert quasiregularity_audit(w, beta).worst == pytest.approx(expected, rel=1e-12)
 
 
 class TestContinuationRegressions:
