@@ -30,7 +30,7 @@ from .config import ConfigError, RunConfig, load_config
 from .constants import AdmissibilityError, constant_set, ExponentWindow
 from .diffops import StretchParams
 from .expressions import ExpressionError
-from .fields import BallRegion, ScalarField
+from .fields import BallRegion, ScalarField, sample
 from .identities import run_identity_suite
 from .solver import SolverError, epsilon_continuation
 
@@ -250,6 +250,16 @@ def cmd_solve(args) -> int:
 
 def cmd_audit(args) -> int:
     cfg = load_config(args.config)
+    if "quasiregularity" in cfg.audits:
+        if any(beta < 0 for beta in cfg.betas):
+            raise ConfigError("the distortion audit needs beta >= 0")
+        # for constant p and f, u = -f |x - x0|^2 / (2 (n + p - 2)) solves the
+        # equation, and sigma_2(D^2 u) < 0 at every node once f != 0
+        if sample(cfg.problem.f_expr, cfg.problem.grid).values.any():
+            raise ConfigError(
+                "the distortion audit needs f = 0 at every node: its bound "
+                "|DF|^2 <= C* sigma_2(DF) fails on exact solutions where f != 0"
+            )
     outdir = Path(cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     continuation = epsilon_continuation(cfg.problem, cfg.schedule)

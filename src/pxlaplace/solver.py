@@ -18,30 +18,35 @@ linear solver is built.  Each iterate is differentiated once: its residual,
 ``A(v)`` and ``J(v)`` read one central gradient and one stencil Hessian.
 At ``v = 0``, where ``A`` is the identity whatever ``p`` is, ``J`` is the
 ``p = 2`` operator ``1 - Delta_h``, and the solver is a direct fast Poisson
-solve: two DST-I transforms, in 2-d and 3-d alike.  Elsewhere in 2-d the
-solver is a sparse LU factor: the stencil pattern is structurally
-symmetric with a diagonal of at least 1, so the factor eliminates the
-nodes in a geometric nested-dissection order, built once per grid shape,
-and pivots on the diagonal.  In 3-d, where LU fill grows faster than the
-grid, it is GMRES on ``J``, preconditioned by the same fast Poisson solve.
+solve: two DST-I transforms, in 2-d and 3-d alike.  A cold solve starts
+there, and the sweep loop keeps that solver while it contracts: each later
+sweep solves ``J(0) x = gamma r``, with ``gamma = tr A / |A|^2`` per interior
+node (1 on the Dirichlet rows), which renormalizes the nondivergence
+operator so that the Laplacian preconditions it under the Cordes condition
+(Smears and Sueli, SIAM J. Numer. Anal. 51 (2013) 2088-2106).  Where a
+Poisson sweep contracts too little, the loop builds the solver of ``J(v)``:
+in 2-d a sparse LU factor (the stencil pattern is structurally symmetric
+with a diagonal of at least 1, so the factor eliminates the nodes in a
+geometric nested-dissection order, built once per grid shape, and pivots on
+the diagonal); in 3-d, where LU fill grows faster than the grid, GMRES on
+``J``, preconditioned by the same fast Poisson solve.
 Every solve is checked against a measured normwise backward error, and one
 that misses its bound raises :class:`SolverError` naming the bound.  Every
 2-d solve, and a solve given no bound, is held to
 ``CONTRACT_BOUND = 1e-12``.  A 3-d Newton step is inexact: GMRES stops at
 the forcing term ``FORCING_MAX = 1e-5``, and the step is checked against it.
 
-Each solver class states, with its build cost, whether the sweep loop
-keeps it.  The 3-d GMRES solver is rebuilt from ``J(v)`` at every sweep: a
-Newton iteration.  The 2-d LU factor is kept while every sweep cuts the
-nonlinear residual to at most ``REFACTOR_RATIO`` of its previous value and
-rebuilt from the current iterate when one does not (a chord-Newton
-iteration), and an eps continuation hands it on from one level to the
-next.  Which ``J`` a sweep solves with, and how exactly, changes only the
-path: the fixed point ``A(v) v = g`` stays.
-A cold solve starts at ``v = 0``, so its first sweep is the fast Poisson
-solve of the ``p = 2`` problem, which is not kept: the second sweep builds
-the solver of ``J(v)``, so a 2-d continuation factorizes once unless a
-sweep contracts the residual less.  Sweeps repeat until both the update
+Each solver class states, with its build cost, its ``keep_ratio``: the
+sweep loop keeps the solver while every sweep cuts the nonlinear residual
+to at most that fraction of its previous value, and builds the solver of
+``J(v)`` at the current iterate when one does not.  The fast Poisson solve
+is kept below ``POISSON_KEEP_RATIO``, the 2-d LU factor below
+``REFACTOR_RATIO`` (a chord-Newton iteration), and the 3-d GMRES solver,
+with a ratio of 0, is rebuilt at every sweep (a Newton iteration).  The
+cold sweep is not judged: its ratio measures the data, not a contraction.
+An eps continuation hands the kept solver on from one level to the next.
+Which ``J`` a sweep solves with, and how exactly, changes only the path:
+the fixed point ``A(v) v = g`` stays.  Sweeps repeat until both the update
 and the nonlinear residual are tiny.  The right-hand data is ``g = f_eps +
 u0_eps``: :func:`build_problem` samples the fields, and an eps continuation
 mollifies them with a radius tied to ``eps``.
@@ -79,16 +84,26 @@ __all__ = [
 ]
 
 
-#: A sweep that leaves the nonlinear residual above this fraction of its
-#: previous value triggers a rebuild of a kept linear solver (the 2-d LU
-#: factor) from the current iterate.  A fresh factor at 65^2 costs about 9
+#: A sweep on the 2-d LU factor that leaves the nonlinear residual above
+#: this fraction of its previous value makes the loop refactor at the
+#: current iterate.  A fresh factor at 65^2 costs about 9
 #: sweeps (10 at 129^2, 14 at 257^2) and brings the contraction from the
 #: 0.4-0.5 of a stale one to under 0.1, so it pays back within the level.
 #: 0.2 and 0.3 were both measured: on the fixture data at 65^2 the
 #: exponents p = 1.2, 3 + sin(x2) and 4 take 45, 53 and 52 sweeps at 0.2,
 #: 68, 70 and 66 at 0.3 and 107, 99 and 121 at 0.5, and 0.2 was the
-#: fastest.  The fixture itself keeps one factor at 33^2 to 257^2.
+#: fastest.
 REFACTOR_RATIO = 0.2
+
+#: A renormalized fast Poisson sweep that leaves the nonlinear residual
+#: above this fraction of its previous value makes the loop build the solver
+#: of ``J(v)``.  On the fixture data (7-level eps schedule) the median
+#: per-sweep ratio is 0.14-0.18 at every grid from 33^2 to 513^2, and the
+#: largest one-sweep ratio 0.16, 0.17, 0.24, 0.31 and 0.39 at 33^2, 65^2,
+#: 129^2, 257^2 and 513^2, so the fixture is solved with no LU factor.  The
+#: exponents p = 1.2, 3 + sin(x2) and 4 on the same data at 65^2 read 0.65,
+#: 0.40-0.50 and 0.52 and fall back to LU within a few sweeps.
+POISSON_KEEP_RATIO = 0.5
 
 #: The normwise backward error a linear solve meets unless a sweep asks for
 #: an inexact Newton step.
@@ -421,13 +436,12 @@ class _CheckedSolver:
     solution is never used.  The bound is :data:`CONTRACT_BOUND` unless the
     caller passes a looser one.  Subclasses supply the unchecked solve
     ``_apply(rhs, bound)``, which a direct solver solves to round-off
-    whatever the bound, and ``kept``: whether the sweep loop keeps the
-    solver while the sweeps contract or rebuilds it at every sweep.
+    whatever the bound, and state their policy in their own class body:
+    ``keep_ratio``, the largest residual contraction per sweep under which
+    the sweep loop keeps the solver (0: rebuild it at every sweep), and
+    ``inexact``, whether a sweep stops the solve at :data:`FORCING_MAX`,
+    above the contract bound (an inexact Newton step).
     """
-
-    #: Whether a sweep stops the solve at :data:`FORCING_MAX`, above the
-    #: contract bound (an inexact Newton step).
-    inexact = False
 
     def __init__(self, matrix: csr_matrix):
         self._matrix = matrix
@@ -454,6 +468,11 @@ class _CheckedSolver:
                 )
         return x
 
+    def step(self, r: np.ndarray, coeffs: _Coefficients) -> np.ndarray:
+        """The sweep's correction for the nonlinear residual ``r`` at the
+        iterate of stencil data ``coeffs``: the checked solve of ``r``."""
+        return self.solve(r, FORCING_MAX if self.inexact else CONTRACT_BOUND)
+
 
 class _LUFactor(_CheckedSolver):
     """Sparse LU factor of one matrix, reused for any number of solves.
@@ -473,8 +492,9 @@ class _LUFactor(_CheckedSolver):
     """
 
     #: A factor costs about as much as 9 sweeps to build at 65^2, 10 at
-    #: 129^2: keep it while the sweeps contract (:data:`REFACTOR_RATIO`).
-    kept = True
+    #: 129^2: keep it while the sweeps contract.
+    keep_ratio = REFACTOR_RATIO
+    inexact = False
 
     def __init__(self, matrix: csr_matrix, shape: tuple):
         super().__init__(matrix)
@@ -532,15 +552,26 @@ class _FastPoisson(_CheckedSolver):
     """The direct solve of ``J(0)``, the ``p = 2`` operator, by fast Poisson.
 
     At ``v = 0`` the frozen coefficient is the identity whatever ``p`` is,
-    so ``J(0) = 1 - Delta_h`` on the interior rows.  The solve lifts the
-    Dirichlet rows first: ``x0`` holds the right-hand side on them and 0
-    inside, and ``x0 + M (rhs - J x0)`` with ``M`` the
+    so ``J(0) = 1 - Delta_h`` on the interior rows.  The solve lifts
+    non-zero Dirichlet rows first: ``x0`` holds the right-hand side on them
+    and 0 inside, and ``x0 + M (rhs - J x0)`` with ``M`` the
     :func:`_poisson_inverse` is the exact solution, with no matrix
-    factorized.
+    factorized.  Past the cold sweep the residual's Dirichlet rows are 0,
+    so the solve is ``M rhs`` alone.
+
+    Away from ``v = 0`` a sweep's step solves ``J(0) x = gamma r``: the
+    renormalization ``gamma = tr A / |A|^2`` of Smears and Sueli makes
+    ``gamma A`` close to the identity in the Cordes sense, so ``J(0)``
+    approximates ``gamma J(v)`` and the sweeps contract where the exponent
+    stays near 2.  With ``lam`` the eigenvalue of ``A`` along ``q`` and the
+    ``n - 1`` others equal to 1, ``gamma = (n - 1 + lam) / (n - 1 + lam^2)``;
+    at ``v = 0``, where ``lam = 1``, it is exactly 1.
     """
 
-    #: It solves only ``J(0)``, which the next sweep has left: rebuild it.
-    kept = False
+    #: It costs no factor, only two DST-I transforms per solve: keep it
+    #: while each sweep contracts by :data:`POISSON_KEEP_RATIO`.
+    keep_ratio = POISSON_KEEP_RATIO
+    inexact = False
 
     def __init__(self, matrix: csr_matrix, grid: GridSpec):
         super().__init__(matrix)
@@ -548,8 +579,16 @@ class _FastPoisson(_CheckedSolver):
         self._boundary = ~grid.interior_mask().ravel()
 
     def _apply(self, rhs: np.ndarray, bound: float = CONTRACT_BOUND) -> np.ndarray:
+        if not rhs[self._boundary].any():
+            return self._inverse(rhs)
         lifted = np.where(self._boundary, rhs, 0.0)
         return lifted + self._inverse(rhs - self._matrix @ lifted)
+
+    def step(self, r: np.ndarray, coeffs: _Coefficients) -> np.ndarray:
+        scaled = r.reshape(coeffs.shape).copy()
+        others = len(coeffs.shape) - 1
+        _shifted(scaled)[...] *= (others + coeffs.lam) / (others + coeffs.lam**2)
+        return super().step(scaled.ravel(), coeffs)
 
 
 class _PoissonGMRES(_CheckedSolver):
@@ -574,7 +613,7 @@ class _PoissonGMRES(_CheckedSolver):
     """
 
     #: Building one costs about a millisecond: rebuild it at every sweep.
-    kept = False
+    keep_ratio = 0.0
     #: A Newton step stops GMRES at the forcing term.
     inexact = True
 
@@ -626,24 +665,27 @@ def solve_regularized(
     """Newton-type iteration on the residual ``g - A(v) v``.
 
     Each sweep takes ``v <- v + J^-1 (g - A(v) v)`` with ``J`` the
-    residual's Jacobian.  ``J^-1`` is built from ``J(v)`` at the first
-    sweep, unless ``held`` brings a solver that is ``kept`` (the 2-d LU
-    factor), and again at every later sweep when the solver is not kept
-    (fast Poisson, 3-d GMRES) or the sweep before failed to cut the
-    nonlinear residual ``max |g - A(v) v|`` to ``REFACTOR_RATIO`` of its
-    previous value.  Without ``warm_start`` the sweeps start at ``v = 0``,
-    where ``J`` is the ``p = 2`` operator, so the first sweep is a fast
-    Poisson solve of the ``p = 2`` problem, with no LU factor and no GMRES
-    call; that solver is not kept, so the second sweep builds the solver of
-    ``J(v)``.  An ``inexact`` solver (3-d GMRES) solves each step to
-    :data:`FORCING_MAX`; the others solve to :data:`CONTRACT_BOUND`.
+    residual's Jacobian or, while the fast Poisson solve is kept, the step
+    ``J(0)^-1 (gamma (g - A(v) v))`` of :class:`_FastPoisson`.  Without
+    ``warm_start`` the sweeps start at ``v = 0``, where ``J`` is the
+    ``p = 2`` operator, so the first sweep, the cold one, is a fast Poisson
+    solve of the ``p = 2`` problem, with no LU factor and no GMRES call.
+    The loop keeps its linear solver, the cold sweep's or the one ``held``
+    brings, while every later sweep cuts the nonlinear residual
+    ``max |g - A(v) v|`` to at most the solver's ``keep_ratio`` of its
+    previous value; it builds the solver of ``J(v)`` at the current iterate
+    after a sweep that does not, at the first sweep when ``held`` brings
+    none or one with a ratio of 0, and never after the cold sweep, whose
+    ratio measures the data rather than a contraction.  An ``inexact``
+    solver (3-d GMRES) solves each step to :data:`FORCING_MAX`; the others
+    solve to :data:`CONTRACT_BOUND`.
     Convergence requires both a small relative update and a nonlinear
     residual below ``10 * tolerance * max(1, |g|_inf)``, within
     ``max_iterations`` sweeps (the constants of :class:`SolveOptions`); on
     non-convergence the last iterate is returned flagged, residual included.
 
     ``held``, by default a fresh ``[None]``, is the one-slot list of the
-    linear solver: :func:`epsilon_continuation` hands the 2-d LU factor on
+    linear solver: :func:`epsilon_continuation` hands the kept solver on
     from one eps level to the next in it.  On return it holds the last
     solver; it is emptied before a new one is built, so no old factor stays
     alive while ``splu`` allocates the next.
@@ -667,20 +709,20 @@ def solve_regularized(
 
     r, coeffs = nonlinear_residual(v)
     residual = float(np.abs(r).max())
-    rebuild = held[0] is None or not held[0].kept
+    rebuild = held[0] is None or not held[0].keep_ratio
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iterations + 1):
         if rebuild:
             held[0] = None  # release the old solver before the new one allocates
             held[0] = _linear_solver(_jacobian(coeffs), v, grid)
-        bound = FORCING_MAX if held[0].inexact else CONTRACT_BOUND
-        step = held[0].solve(r, bound).reshape(grid.shape)
+        judged = v.any()  # the cold sweep, from v = 0, is not
+        step = held[0].step(r, coeffs).reshape(grid.shape)
         v = v + step
         delta = float(np.abs(step).max())
         r, coeffs = nonlinear_residual(v)
         previous, residual = residual, float(np.abs(r).max())
-        rebuild = not held[0].kept or residual > REFACTOR_RATIO * previous
+        rebuild = judged and residual > held[0].keep_ratio * previous
         if delta <= opts.tolerance * (1.0 + float(np.abs(v).max())) and residual <= residual_target:
             converged = True
             break
@@ -747,9 +789,10 @@ def epsilon_continuation(spec: ProblemSpec, schedule) -> ContinuationResult:
     """Solve along a decreasing eps schedule, warm-starting each solve.
 
     The first level starts cold at ``v = 0``.  Each later level starts from
-    the solution of the level before and, in 2-d, from its last LU factor,
-    so a factor is rebuilt only where a sweep contracts the residual by
-    less than :data:`REFACTOR_RATIO`.
+    the solution of the level before and from its last linear solver, the
+    fast Poisson solve or the 2-d LU factor, so a solver is built only
+    where a sweep contracts the residual by less than the held solver's
+    ``keep_ratio``.
 
     :func:`build_problem` samples the boundary, ``p`` and ``f`` once, and
     its raw ``p`` must exceed 1.  Each level mollifies ``p`` and ``f`` (once
@@ -768,7 +811,7 @@ def epsilon_continuation(spec: ProblemSpec, schedule) -> ContinuationResult:
     radii = [_clip_radius(eps, grid) for eps in schedule]
     data = build_problem(spec)
 
-    held = [None]  # the last linear solver, which the next eps level reuses in 2-d
+    held = [None]  # the last linear solver, which the next eps level reuses
     results = []
     increments = []
     prev = None

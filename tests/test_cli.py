@@ -227,6 +227,15 @@ class TestAuditCommand:
         x1, x2, value = solution.T
         assert np.abs(value + ((x1 - 0.5) ** 2 + (x2 - 0.5) ** 2) / 8).max() < 1e-2
 
+    @pytest.mark.parametrize("command, code", [("solve", 0), ("gehring", 0), ("audit", 2)])
+    def test_distortion_rules_refuse_only_the_audit(self, tmp_path, capsys, command, code):
+        # f = 1 breaks a rule of the distortion audit, which only `audit` runs
+        path, outdir = write_config(tmp_path, RADIAL_CONFIG.replace("33 33", "65 65"))
+        assert main([command, "--config", path]) == code
+        refused = "the distortion audit needs f = 0" in capsys.readouterr().err
+        assert refused == (code == 2)
+        assert outdir.exists() != refused
+
     def test_failing_line_counts_violations(self):
         # sigma_2 <= 0 at every audited node of a concave paraboloid, so the
         # distortion sup stays 0 and only the count explains the FAIL
@@ -545,6 +554,7 @@ class TestConfigErrors:
             ("audit", "betas = 0 1", "betas = -0.5", "the distortion audit needs beta >= 0"),
             ("audit", 'f = "0"', 'f = "1"', "the distortion audit needs f = 0 at every node"),
             ("audit", 'f = "0"', 'f = "log(x1)"', "cannot sample f: expression domain error"),
+            ("solve", 'f = "0"', 'f = "log(x1)"', "cannot sample f: expression domain error"),
             (
                 "gehring",
                 "audits = pointwise quasiregularity caccioppoli\nbetas = 0 1",
@@ -569,6 +579,7 @@ class TestConfigErrors:
             "distortion-negative-beta",
             "distortion-inhomogeneous",
             "distortion-f-domain",
+            "solve-f-domain",
             "gehring-negative-beta",
         ],
     )

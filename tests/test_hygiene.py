@@ -7,8 +7,9 @@ exported, every module-level function or class whose name starts with
 ``_`` is read somewhere in the package, and every field of a dataclass is
 read as an attribute somewhere in the package.  So a deletion that leaves
 an import, an export, a replaced constant, a helper that only the tests
-call or a field that only the tests set behind fails here by name.  No
-module calls a builtin that runs text as code.  The command line module
+call or a field that only the tests set behind fails here by name.  Every
+linear solver class of the sweep loop states its policy in its own class
+body.  No module calls a builtin that runs text as code.  The command line module
 loads no heavy scipy subpackage it does not need, and not sympy.
 """
 
@@ -190,6 +191,66 @@ def test_check_catches_a_field_no_module_reads():
         "def use(spec, result):\n    spec.radius = 1.0\n    return spec.grid + result.value\n"
     )
     assert unread_fields(tree, loaded_attributes(tree)) == ["Spec.radius"]
+
+
+#: The policy every linear solver of the sweep loop states for itself: the
+#: contraction under which the loop keeps it, and whether its Newton steps
+#: are inexact.
+SOLVER_POLICY = ("keep_ratio", "inexact")
+
+
+def solver_policies(tree, base="_CheckedSolver"):
+    """Each class of the module derived from ``base``, directly or through
+    another such class, with the names its own class body assigns."""
+    policies = {}
+    for node in tree.body:  # a class is defined before its subclasses
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+        if bases & ({base} | set(policies)):
+            policies[node.name] = {
+                target.id
+                for stmt in node.body
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+                if isinstance(target, ast.Name)
+            }
+    return policies
+
+
+def policy_gaps(tree):
+    """``class.name`` for each :data:`SOLVER_POLICY` name a solver class
+    leaves to its base."""
+    return [
+        f"{cls}.{name}"
+        for cls, assigned in solver_policies(tree).items()
+        for name in SOLVER_POLICY
+        if name not in assigned
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_solver_class_states_its_policy(path):
+    gaps = policy_gaps(parse(path))
+    assert gaps == [], f"{path.name}: {gaps} are inherited, not stated in the class body"
+
+
+def test_solver_module_has_solver_classes():
+    # the check above reads nothing if the base class is renamed
+    assert len(solver_policies(parse(PACKAGE / "solver.py"))) >= 3
+
+
+def test_check_catches_a_solver_that_inherits_its_policy():
+    tree = ast.parse(
+        "class _CheckedSolver:\n    inexact = False\n\n"
+        "class Stated(_CheckedSolver):\n    keep_ratio = 0.5\n    inexact = False\n\n"
+        "class Inherits(Stated):\n    keep_ratio = 0.0\n\n"
+        "class InInit(_CheckedSolver):\n    inexact = True\n\n"
+        "    def __init__(self):\n        self.keep_ratio = 0.2\n\n"
+        "class Other:\n    pass\n"
+    )
+    assert sorted(solver_policies(tree)) == ["InInit", "Inherits", "Stated"]
+    assert policy_gaps(tree) == ["Inherits.inexact", "InInit.keep_ratio"]
 
 
 #: Builtins that run text as code.  User expressions are parsed through
