@@ -8,6 +8,7 @@ central, so a field is its grid and its node values and nothing more.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,18 @@ def mollifier_kernel(spacing, eps: float) -> np.ndarray:
     return weights / total
 
 
+@functools.lru_cache(maxsize=8)
+def _kernel_transform(spacing: tuple, eps: float, period: tuple) -> tuple:
+    """The shape of :func:`mollifier_kernel` and its real transform of
+    ``period``, built once per spacing, radius and period.  The transform is
+    shared by every field mollified with them (an eps continuation
+    mollifies ``p``, ``f`` and ``u0`` at each radius), so it is read-only."""
+    kernel = mollifier_kernel(spacing, eps)
+    transform = rfftn(kernel, period)
+    transform.setflags(write=False)
+    return kernel.shape, transform
+
+
 def mollify(field: ScalarField, eps: float) -> ScalarField:
     """Convolve with the normalized bump of radius ``eps``.
 
@@ -163,14 +176,13 @@ def mollify(field: ScalarField, eps: float) -> ScalarField:
         raise FieldError(f"mollification radius {eps} too small for grid spacing {max(h)}")
     if eps > 0.5 * min(grid.extents):
         raise FieldError(f"mollification radius {eps} exceeds half the domain width")
-    kernel = mollifier_kernel(h, eps)
-
     period = tuple(next_fast_len(m, real=True) for m in grid.shape)
-    conv = irfftn(rfftn(field.values, period) * rfftn(kernel, period), period)
+    shape, transform = _kernel_transform(h, eps, period)
+    conv = irfftn(rfftn(field.values, period) * transform, period)
     values = field.values.copy()
     # the full convolution's index k - 1 + i lands on node i + k // 2
-    values[tuple(slice(k // 2, m - k // 2) for k, m in zip(kernel.shape, grid.shape))] = conv[
-        tuple(slice(k - 1, m) for k, m in zip(kernel.shape, grid.shape))
+    values[tuple(slice(k // 2, m - k // 2) for k, m in zip(shape, grid.shape))] = conv[
+        tuple(slice(k - 1, m) for k, m in zip(shape, grid.shape))
     ]
     return ScalarField(grid, values)
 

@@ -13,12 +13,16 @@ or 19-point (3-d) stencil, matrix-free, with the difference kernels of
 :mod:`pxlaplace.diffops` that the audits read too.
 ``J(v) = K(v) - (p - 2) b . D_h`` is the frozen operator
 ``K(v) = 1 - A(v) : D^2_h`` plus a first-order term on the axis neighbours,
-so it has the stencil's sparsity pattern; it is assembled only when a
-linear solver is built.  Each iterate is differentiated once: its residual,
-``A(v)`` and ``J(v)`` read one central gradient and one stencil Hessian.
-At ``v = 0``, where ``A`` is the identity whatever ``p`` is, ``J`` is the
-``p = 2`` operator ``1 - Delta_h``, and the solver is a direct fast Poisson
-solve: two DST-I transforms, in 2-d and 3-d alike.  A cold solve starts
+so it has the stencil's sparsity pattern; it is assembled only when the
+LU or GMRES solver of ``J(v)``, ``v != 0``, is built.  Each iterate is
+differentiated once: its residual, ``A(v)`` and ``J(v)`` read one central
+gradient and one stencil Hessian.  At ``v = 0``, where ``A`` is the
+identity whatever ``p`` is, ``J`` is the ``p = 2`` operator
+``1 - Delta_h``, and the solver is a direct fast Poisson solve: two DST-I
+transforms, in 2-d and 3-d alike.  That path assembles nothing: its
+backward-error check applies ``J(0)`` from the 5-point (2-d) or 7-point
+(3-d) stencil.  So ``scipy.sparse`` is imported only when a run first
+builds an LU factor (2-d) or a GMRES solver (3-d).  A cold solve starts
 there, and the sweep loop keeps that solver while it contracts: each later
 sweep solves ``J(0) x = gamma r``, with ``gamma = tr A / |A|^2`` per interior
 node (1 on the Dirichlet rows), which renormalizes the nondivergence
@@ -58,17 +62,18 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from scipy.fft import dstn, idstn
-from scipy.sparse import csr_matrix, get_index_dtype
-from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .constants import ExponentWindow
 from .diffops import _central_difference, _shifted, _stencil_hessian, gradient
 from .expressions import Expression
 from .fields import BallRegion, GridSpec, ScalarField, ball_mask, mollify, sample
+
+if TYPE_CHECKING:  # scipy.sparse loads only with an LU or GMRES solver
+    from scipy.sparse import csr_matrix
 
 __all__ = [
     "ContinuationResult",
@@ -236,6 +241,8 @@ def _stencil_pattern(shape: tuple) -> tuple:
     arrays are shared by every matrix assembled on the grid shape, so they
     are read-only.
     """
+    from scipy.sparse import get_index_dtype
+
     n = len(shape)
     nodes = np.arange(math.prod(shape)).reshape(shape)
     interior = _shifted(nodes).ravel()
@@ -380,6 +387,8 @@ def assemble_frozen_operator(coeffs: _Coefficients) -> csr_matrix:
     rows are Dirichlet identities.  The sparsity pattern is built once per
     grid shape; each call only fills in the coefficients.
     """
+    from scipy.sparse import csr_matrix
+
     h = coeffs.spacing
     n = len(h)
     a = {key: block.ravel() for key, block in coeffs.a.items()}
@@ -426,16 +435,26 @@ def _jacobian(coeffs: _Coefficients) -> csr_matrix:
     return matrix
 
 
-class _CheckedSolver:
-    """A linear solver of one matrix whose every solve is checked.
+def _row_sum_norm(matrix: csr_matrix) -> float:
+    """``|matrix|_inf``, the largest absolute row sum, with no copy of the
+    matrix; every row of a stencil matrix holds its diagonal, so none is
+    empty."""
+    return float(np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]).max())
 
-    A solution meets a normwise backward error (residual relative to
-    ``|A| |x| + |b|``, in the max norm) of ``bound`` against the matrix,
-    after at most one refinement step, or the solve raises
-    :class:`SolverError` naming the bound; an inaccurate or non-finite
-    solution is never used.  The bound is :data:`CONTRACT_BOUND` unless the
-    caller passes a looser one.  Subclasses supply the unchecked solve
-    ``_apply(rhs, bound)``, which a direct solver solves to round-off
+
+class _CheckedSolver:
+    """A linear solver of one operator whose every solve is checked.
+
+    The operator comes as its action ``product`` and its max norm ``norm``:
+    the assembled matrix of ``J(v)`` for the LU and GMRES solvers, the
+    stencil of ``J(0)`` and its closed-form norm for the fast Poisson solve,
+    which assembles nothing.  A solution meets a normwise backward error
+    (residual relative to ``|A| |x| + |b|``, in the max norm) of ``bound``
+    against the operator, after at most one refinement step, or the solve
+    raises :class:`SolverError` naming the bound; an inaccurate or
+    non-finite solution is never used.  The bound is :data:`CONTRACT_BOUND`
+    unless the caller passes a looser one.  Subclasses supply the unchecked
+    solve ``_apply(rhs, bound)``, which a direct solver solves to round-off
     whatever the bound, and state their policy in their own class body:
     ``keep_ratio``, the largest residual contraction per sweep under which
     the sweep loop keeps the solver (0: rebuild it at every sweep), and
@@ -443,15 +462,12 @@ class _CheckedSolver:
     above the contract bound (an inexact Newton step).
     """
 
-    def __init__(self, matrix: csr_matrix):
-        self._matrix = matrix
-        # the largest absolute row sum, |matrix|_inf, with no copy of the
-        # matrix; every row holds its diagonal, so none is empty
-        row_sums = np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1])
-        self._norm = float(row_sums.max())
+    def __init__(self, product, norm: float):
+        self._product = product
+        self._norm = norm
 
     def _backward_error(self, rhs: np.ndarray, x: np.ndarray):
-        r = rhs - self._matrix @ x
+        r = rhs - self._product(x)
         scale = self._norm * float(np.abs(x).max()) + float(np.abs(rhs).max()) + 1e-300
         return float(np.abs(r).max()) / scale, r
 
@@ -472,6 +488,20 @@ class _CheckedSolver:
         """The sweep's correction for the nonlinear residual ``r`` at the
         iterate of stencil data ``coeffs``: the checked solve of ``r``."""
         return self.solve(r, FORCING_MAX if self.inexact else CONTRACT_BOUND)
+
+
+def splu(matrix: csr_matrix, **options):
+    """:func:`scipy.sparse.linalg.splu`, imported at the first factor."""
+    from scipy.sparse.linalg import splu as factor
+
+    return factor(matrix, **options)
+
+
+def gmres(matrix: csr_matrix, rhs: np.ndarray, **options):
+    """:func:`scipy.sparse.linalg.gmres`, imported at the first call."""
+    from scipy.sparse.linalg import gmres as krylov
+
+    return krylov(matrix, rhs, **options)
 
 
 class _LUFactor(_CheckedSolver):
@@ -497,7 +527,7 @@ class _LUFactor(_CheckedSolver):
     inexact = False
 
     def __init__(self, matrix: csr_matrix, shape: tuple):
-        super().__init__(matrix)
+        super().__init__(matrix.dot, _row_sum_norm(matrix))
         self._order = _dissection_order(shape)
         try:
             self._lu = splu(
@@ -548,6 +578,36 @@ def _poisson_inverse(grid: GridSpec):
     return apply
 
 
+def _poisson_operator(grid: GridSpec):
+    """The action of the ``p = 2`` operator ``J(0)``, with no matrix.
+
+    It is the identity on the Dirichlet rows and the 5-point (2-d) or
+    7-point (3-d) ``1 - Delta_h`` on the interior rows, the rows
+    :func:`_jacobian` assembles at ``v = 0``.  Each interior row adds its
+    terms to 0 in the column order of the assembled row, the lower axis
+    neighbours, the node, the upper ones, as the CSR product does, so the
+    product is bitwise the assembled one's on finite vectors.
+    """
+    axes = list(enumerate(-1.0 / h**2 for h in grid.spacing))  # the axis entries
+    center = sum((2.0 / h**2 for h in grid.spacing), 1.0)
+    terms = (
+        [(weight, {i: -1}) for i, weight in axes]
+        + [(center, None)]
+        + [(weight, {i: +1}) for i, weight in reversed(axes)]
+    )
+
+    def apply(x):
+        x = x.reshape(grid.shape)
+        y = x.copy()  # the identity on the Dirichlet rows
+        rows = _shifted(y)  # a view: the sums land in y
+        rows[...] = 0.0
+        for weight, steps in terms:
+            rows += weight * _shifted(x, steps)
+        return y.ravel()
+
+    return apply
+
+
 class _FastPoisson(_CheckedSolver):
     """The direct solve of ``J(0)``, the ``p = 2`` operator, by fast Poisson.
 
@@ -557,7 +617,10 @@ class _FastPoisson(_CheckedSolver):
     and 0 inside, and ``x0 + M (rhs - J x0)`` with ``M`` the
     :func:`_poisson_inverse` is the exact solution, with no matrix
     factorized.  Past the cold sweep the residual's Dirichlet rows are 0,
-    so the solve is ``M rhs`` alone.
+    so the solve is ``M rhs`` alone.  No matrix is assembled either:
+    ``J x0`` and the backward-error check apply ``J(0)`` from its stencil
+    (:func:`_poisson_operator`), and its max norm is the closed form
+    ``1 + 4 sum_i h_i^-2`` of an interior row.
 
     Away from ``v = 0`` a sweep's step solves ``J(0) x = gamma r``: the
     renormalization ``gamma = tr A / |A|^2`` of Smears and Sueli makes
@@ -573,8 +636,8 @@ class _FastPoisson(_CheckedSolver):
     keep_ratio = POISSON_KEEP_RATIO
     inexact = False
 
-    def __init__(self, matrix: csr_matrix, grid: GridSpec):
-        super().__init__(matrix)
+    def __init__(self, grid: GridSpec):
+        super().__init__(_poisson_operator(grid), 1.0 + sum(4.0 / h**2 for h in grid.spacing))
         self._inverse = _poisson_inverse(grid)
         self._boundary = ~grid.interior_mask().ravel()
 
@@ -582,7 +645,7 @@ class _FastPoisson(_CheckedSolver):
         if not rhs[self._boundary].any():
             return self._inverse(rhs)
         lifted = np.where(self._boundary, rhs, 0.0)
-        return lifted + self._inverse(rhs - self._matrix @ lifted)
+        return lifted + self._inverse(rhs - self._product(lifted))
 
     def step(self, r: np.ndarray, coeffs: _Coefficients) -> np.ndarray:
         scaled = r.reshape(coeffs.shape).copy()
@@ -618,7 +681,10 @@ class _PoissonGMRES(_CheckedSolver):
     inexact = True
 
     def __init__(self, matrix: csr_matrix, grid: GridSpec):
-        super().__init__(matrix)
+        from scipy.sparse.linalg import LinearOperator
+
+        super().__init__(matrix.dot, _row_sum_norm(matrix))
+        self._matrix = matrix
         self._preconditioner = LinearOperator(
             matrix.shape, matvec=_poisson_inverse(grid), dtype=float
         )
@@ -641,15 +707,17 @@ class _PoissonGMRES(_CheckedSolver):
         return x
 
 
-def _linear_solver(matrix: csr_matrix, v: np.ndarray, grid: GridSpec) -> _CheckedSolver:
-    """The solver of ``matrix = J(v)`` on ``grid``: fast Poisson at ``v = 0``,
-    where ``J`` is the ``p = 2`` operator; else GMRES in 3-d, where LU fill
-    grows faster than the grid, and sparse LU in 2-d, where it is cheaper."""
+def _linear_solver(coeffs: _Coefficients, v: np.ndarray, grid: GridSpec) -> _CheckedSolver:
+    """The solver of ``J(v)`` on ``grid``, from the stencil data ``coeffs``
+    of ``v``: fast Poisson at ``v = 0``, where ``J`` is the ``p = 2``
+    operator and nothing is assembled; else, on the assembled
+    :func:`_jacobian`, GMRES in 3-d, where LU fill grows faster than the
+    grid, and sparse LU in 2-d, where it is cheaper."""
     if not v.any():
-        return _FastPoisson(matrix, grid)
+        return _FastPoisson(grid)
     if grid.dimension == 3:
-        return _PoissonGMRES(matrix, grid)
-    return _LUFactor(matrix, grid.shape)
+        return _PoissonGMRES(_jacobian(coeffs), grid)
+    return _LUFactor(_jacobian(coeffs), grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +783,7 @@ def solve_regularized(
     for iterations in range(1, opts.max_iterations + 1):
         if rebuild:
             held[0] = None  # release the old solver before the new one allocates
-            held[0] = _linear_solver(_jacobian(coeffs), v, grid)
+            held[0] = _linear_solver(coeffs, v, grid)
         judged = v.any()  # the cold sweep, from v = 0, is not
         step = held[0].step(r, coeffs).reshape(grid.shape)
         v = v + step

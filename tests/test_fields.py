@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 from scipy import ndimage
+from scipy.fft import irfftn, next_fast_len, rfftn
 
+from pxlaplace import fields
 from pxlaplace.expressions import parse_expression
 from pxlaplace.fields import (
     BallRegion,
@@ -15,6 +17,8 @@ from pxlaplace.fields import (
     require_inside,
     sample,
 )
+from pxlaplace.fixtures import FIXTURE_SCHEDULE, fixture_problem
+from pxlaplace.solver import _clip_radius, build_problem
 
 
 def unit_square(m=33):
@@ -41,6 +45,20 @@ def check_reference_convolution(field, eps):
     gap = np.abs(smoothed - conv)[inside].max()
     assert gap <= 1e-14 * np.abs(field.values).max()
     assert np.array_equal(smoothed[~inside], field.values[~inside])
+
+
+def fresh_kernel_mollify(field, eps):
+    """``mollify``'s values with the kernel built and transformed afresh,
+    as before its transform was cached."""
+    grid = field.grid
+    kernel = mollifier_kernel(grid.spacing, eps)
+    period = tuple(next_fast_len(m, real=True) for m in grid.shape)
+    conv = irfftn(rfftn(field.values, period) * rfftn(kernel, period), period)
+    values = field.values.copy()
+    values[tuple(slice(k // 2, m - k // 2) for k, m in zip(kernel.shape, grid.shape))] = conv[
+        tuple(slice(k - 1, m) for k, m in zip(kernel.shape, grid.shape))
+    ]
+    return values
 
 
 class TestGridSpec:
@@ -186,6 +204,27 @@ class TestMollify:
         grid = GridSpec((0.0,) * n, (1.0,) * n, shape)
         expr = "sin(3*x1)*x2" + (" + cos(2*x3)*x1" if n == 3 else "")
         check_reference_convolution(sample(parse_expression(expr, n), grid), eps)
+
+    def test_cached_transform_bitwise_on_the_fixture_levels(self):
+        # the 129^2 fixture continuation mollifies p, f and u0 at 3 radii
+        data = build_problem(fixture_problem(points=129))
+        grid = data.grid
+        radii = sorted({_clip_radius(eps, grid) for eps in FIXTURE_SCHEDULE}, reverse=True)
+        assert len(radii) == 3
+        noise = ScalarField(grid, np.random.default_rng(29).standard_normal(grid.shape))
+        for radius in radii:
+            for field in (data.p, data.f, data.boundary, noise):
+                assert mollify(field, radius).values.tobytes() == fresh_kernel_mollify(field, radius).tobytes()
+
+    def test_kernel_transform_built_once_and_read_only(self):
+        grid = unit_square(33)
+        period = tuple(next_fast_len(m, real=True) for m in grid.shape)
+        shape, transform = fields._kernel_transform(grid.spacing, 0.1, period)
+        assert fields._kernel_transform(grid.spacing, 0.1, period)[1] is transform
+        assert shape == mollifier_kernel(grid.spacing, 0.1).shape
+        assert not transform.flags.writeable
+        with pytest.raises(ValueError):
+            transform[0, 0] = 0.0
 
     def test_eps_too_small(self):
         field = sample(parse_expression("x1", 2), unit_square(33))

@@ -10,10 +10,12 @@ an import, an export, a replaced constant, a helper that only the tests
 call or a field that only the tests set behind fails here by name.  Every
 linear solver class of the sweep loop states its policy in its own class
 body.  No module calls a builtin that runs text as code.  The command line module
-loads no heavy scipy subpackage it does not need, and not sympy.
+loads no heavy scipy subpackage it does not need, and not sympy, and a run
+loads ``scipy.sparse`` only when it builds an LU factor or a GMRES solver.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -291,13 +293,83 @@ def test_checks_catch_a_dead_import_and_a_stale_export():
 #: the tests' oracle, never the lab's.
 HEAVY_MODULES = ("scipy.ndimage", "scipy.signal", "sympy")
 
+#: Loaded only when a run builds an LU factor (2-d) or a GMRES solver
+#: (3-d): the fast Poisson path assembles no matrix.
+DEFERRED_MODULES = ("scipy.sparse", "scipy.sparse.linalg")
 
-def test_cli_import_loads_no_heavy_scipy_subpackage():
-    # checked by name in a fresh interpreter, not by a timing
-    probe = f"import sys, pxlaplace.cli; print([m for m in {HEAVY_MODULES!r} if m in sys.modules])"
+#: An audit config for ``pxlaplace audit``: the fixture's boundary data
+#: with exponent ``p`` on ``points`` nodes per axis.
+AUDIT_CONFIG = """\
+[problem]
+dimension = {dimension}
+points = {points}
+p = "{p}"
+boundary = "x1^2 - x2^2"
+eps_schedule = {schedule}
+[audit]
+audits = pointwise quasiregularity
+[output]
+directory = {outdir}
+"""
+
+#: Run in a fresh interpreter: import the command line module, then run
+#: each audit config of ``sys.argv`` through ``cli.main``, with
+#: ``solver.splu`` counted.  Prints, as JSON, the watched modules loaded
+#: after the import and, per config, its exit code, the watched modules
+#: loaded after it and the factors built so far.
+PROBE = """\
+import json, sys
+import pxlaplace.cli as cli
+from pxlaplace import solver
+
+watched = {watched!r}
+factors = []
+original = solver.splu
+
+def counting(*args, **options):
+    factors.append(1)
+    return original(*args, **options)
+
+solver.splu = counting
+record = {{"import": [m for m in watched if m in sys.modules]}}
+for path in sys.argv[1:]:
+    code = cli.main(["audit", "--config", path])
+    record[path] = [code, [m for m in watched if m in sys.modules], len(factors)]
+print(json.dumps(record))
+"""
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage(tmp_path):
+    # checked by name in a fresh interpreter, not by a timing.  The fixture
+    # runs in 2-d and 3-d keep their fast Poisson solve, so they load no
+    # scipy.sparse; p = 1.2 falls back to LU, which loads it and factors
+    schedule = "0.1 0.03 0.01 0.003 0.001 0.0003 0.0001"
+    runs = {
+        "fixture-33": (2, "33 33", "2 + 0.5*sin(x1)", schedule),
+        "cube-9": (3, "9 9 9", "2 + 0.5*sin(x1)", "0.1 0.01 0.001"),
+        "p1.2-33": (2, "33 33", "1.2", schedule),
+    }
+    paths = []
+    for name, (dimension, points, p, eps) in runs.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(
+            AUDIT_CONFIG.format(dimension=dimension, points=points, p=p, schedule=eps, outdir=tmp_path / name)
+        )
+        paths.append(str(path))
+    probe = PROBE.format(watched=HEAVY_MODULES + DEFERRED_MODULES)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+        [sys.executable, "-c", probe, *paths],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
     )
-    assert done.stdout.strip() == "[]", done.stdout
+    record = json.loads(done.stdout.strip().splitlines()[-1])
+    assert record["import"] == [], record
+    fixture, cube, lu = (record[path] for path in paths)
+    assert fixture == [0, [], 0], fixture
+    assert cube == [0, [], 0], cube
+    assert lu[0] == 0 and lu[1] == list(DEFERRED_MODULES) and lu[2] > 0, lu

@@ -334,7 +334,8 @@ class TestDifferentiatedOnce:
         # the residual, A(v) and the Jacobian of an iterate read one central
         # gradient per axis and one stencil Hessian, when a sweep rebuilds
         # the linear solver too: at p = 20 (2-d) and p = 9 (3-d) the loop
-        # builds the solver of J(v) at least twice after the cold sweep
+        # builds the solver of J(v) at least three times after the cold
+        # sweep, whose fast Poisson solve builds no Jacobian
         calls = dict.fromkeys(["_central_difference", "_stencil_hessian", "_jacobian"], 0)
         for name in calls:
 
@@ -522,8 +523,7 @@ class TestPoissonGMRES:
         for m in (17, 33):
             prob = build_problem(cube_spec(m, p=p, boundary="x1^2 - x2^2 + x3*x1"))
             matrix = frozen_operator(prob.boundary, prob.p, prob.eps)
-            linear = solver._linear_solver(matrix, prob.boundary.values, prob.grid)
-            assert isinstance(linear, solver._PoissonGMRES)
+            linear = solver._PoissonGMRES(matrix, prob.grid)
             rhs = np.random.default_rng(11).standard_normal(matrix.shape[0])
             calls.clear()
             x = linear.solve(rhs)
@@ -541,11 +541,14 @@ class TestFastPoisson:
     def test_exact_solve_of_the_p2_operator(self, grid, monkeypatch):
         factors = count_splu(monkeypatch)
         krylov = count_gmres(monkeypatch)
+        assembled = count_assembly(monkeypatch)
         # J(0) ignores p, so a random exponent field still gives 1 - Delta_h
         zero = zero_iterate(grid)
-        matrix = jacobian(zero, random_state(grid)[1], 1e-2)
-        linear = solver._linear_solver(matrix, zero.values, grid)
+        coeffs = frozen_coefficients(zero, random_state(grid)[1], 1e-2)
+        linear = solver._linear_solver(coeffs, zero.values, grid)
         assert isinstance(linear, solver._FastPoisson)
+        assert assembled == []  # the solver reads the stencil, not a matrix
+        matrix = solver._jacobian(coeffs)
         # non-zero Dirichlet rows, which the solve lifts before inverting
         rhs = np.random.default_rng(17).standard_normal(matrix.shape[0])
         x = linear._apply(rhs)  # unchecked: no refinement step is needed
@@ -556,6 +559,25 @@ class TestFastPoisson:
         bound = 1e-14 * np.abs(matrix).sum(axis=1).max() * np.abs(expected).max()
         assert np.abs(linear.solve(rhs) - expected).max() <= bound
         assert factors == [] and krylov == []
+
+    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=["33x33", "17x9", "9x9x9"])
+    def test_stencil_action_is_the_assembled_p2_operator(self, grid):
+        # bitwise the CSR product of J(0) = K(0): each row sums its terms in
+        # the assembled row's column order
+        zero = zero_iterate(grid)
+        coeffs = frozen_coefficients(zero, random_state(grid)[1], 1e-2)
+        linear = solver._linear_solver(coeffs, zero.values, grid)
+        x = np.random.default_rng(23).standard_normal(zero.values.size)
+        for matrix in (assemble_frozen_operator(coeffs), solver._jacobian(coeffs)):
+            assert linear._product(x).tobytes() == (matrix @ x).tobytes()
+
+    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=["33x33", "17x9", "9x9x9"])
+    def test_norm_is_the_assembled_row_sum_norm(self, grid):
+        # the closed form 1 + 4 sum h_i^-2 of an interior row of J(0)
+        zero = zero_iterate(grid)
+        matrix = jacobian(zero, random_state(grid)[1], 1e-2)
+        expected = solver._row_sum_norm(matrix)
+        assert abs(solver._FastPoisson(grid)._norm - expected) <= 4e-16 * expected
 
 
 class TestContract:
@@ -573,10 +595,9 @@ class TestContract:
         v, p = random_state(grid)
         if cold:
             v = zero_iterate(grid)
-        matrix = frozen_operator(v, p, 1e-2)
-        linear = solver._linear_solver(matrix, v.values, grid)
+        linear = solver._linear_solver(frozen_coefficients(v, p, 1e-2), v.values, grid)
         assert isinstance(linear, kind)
-        rhs = np.ones(matrix.shape[0])
+        rhs = np.ones(v.values.size)
         rhs[grid.shape[-1] + 1] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(
             SolverError, match=r"backward error of nan, above the 1e-12 bound"
@@ -587,7 +608,7 @@ class TestContract:
         calls = count_gmres(monkeypatch)
         grid = PATTERN_GRIDS[2]
         v, p = random_state(grid)
-        linear = solver._linear_solver(frozen_operator(v, p, 1e-2), v.values, grid)
+        linear = solver._linear_solver(frozen_coefficients(v, p, 1e-2), v.values, grid)
         rhs = np.ones(grid.shape).ravel()
         rhs[grid.shape[-1] + 1] = np.inf
         with pytest.raises(SolverError, match=r"backward error of nan"):
@@ -599,7 +620,7 @@ class TestContract:
         # read off the CSR data in place of a copy of |J|
         matrix = jacobian(*random_state(grid), 1e-2)
         expected = np.abs(matrix).sum(axis=1).max()
-        assert abs(solver._CheckedSolver(matrix)._norm - expected) <= 4e-16 * expected
+        assert abs(solver._row_sum_norm(matrix) - expected) <= 4e-16 * expected
 
 
 class TestInexactNewton:
@@ -777,10 +798,9 @@ class TestFactorReuse:
         # every later eps level, so no factor is built
         assert len(calls) == 0
         assert [r.iterations for r in result.results] == [12, 9, 9, 8, 7, 7, 6]
-        # the sweeps take their residual from the stencil: a matrix is
-        # assembled only for a linear solver, here J(0) alone, which the
-        # fast Poisson solve's backward-error check reads
-        assert len(assembled) == 1
+        # the sweeps take their residual from the stencil, and the fast
+        # Poisson solve applies J(0) from it too: no matrix is assembled
+        assert assembled == []
 
     def test_cube_continuation_makes_no_factorization(self, monkeypatch):
         calls = count_splu(monkeypatch)
@@ -791,8 +811,9 @@ class TestFactorReuse:
         assert len(calls) == 0
         assert len(solves) > len(CUBE_SCHEDULE)
         # a GMRES solver is rebuilt from J(v) at every sweep, levels
-        # included, after the cold sweep's J(0) and one kept Poisson sweep
-        assert len(assembled) == sum(level.iterations for level in result.results) - 1
+        # included, after the cold sweep and one kept Poisson sweep, which
+        # assemble nothing
+        assert len(assembled) == sum(level.iterations for level in result.results) - 2
 
     def test_standalone_solve_factorizes_at_first_sweep(self, monkeypatch):
         calls = count_splu(monkeypatch)
@@ -959,11 +980,11 @@ class TestKeptPoisson:
         zero = np.zeros(grid.shape)
         r, coeffs = solver._nonlinear_residual(zero, prob.p.values, prob.eps, grid.spacing, rhs)
         assert np.array_equal((1.0 + coeffs.lam) / (1.0 + coeffs.lam**2), np.ones_like(coeffs.lam))
-        matrix = solver._jacobian(coeffs)
         boundary = ~grid.interior_mask().ravel()
         assert r[boundary].any()
         lifted = np.where(boundary, r, 0.0)
-        x = lifted + solver._poisson_inverse(grid)(r - matrix @ lifted)
+        # J(0) applied from its stencil, bitwise the assembled product
+        x = lifted + solver._poisson_inverse(grid)(r - solver._poisson_operator(grid)(lifted))
         expected = zero + x.reshape(grid.shape)
         set_stopping(monkeypatch, max_iterations=1)
         assert solve_regularized(prob).v.values.tobytes() == expected.tobytes()
@@ -973,11 +994,12 @@ class TestSkippedLift:
     def test_zero_dirichlet_rows_read_no_matrix(self):
         grid = unit_square(33)
         zero = zero_iterate(grid)
-        matrix = jacobian(zero, random_state(grid)[1], 1e-2)
-        linear = solver._linear_solver(matrix, zero.values, grid)
+        coeffs = frozen_coefficients(zero, random_state(grid)[1], 1e-2)
+        linear = solver._linear_solver(coeffs, zero.values, grid)
+        matrix = solver._jacobian(coeffs)
         rhs = np.random.default_rng(19).standard_normal(matrix.shape[0])
         rhs[~grid.interior_mask().ravel()] = 0.0
-        linear._matrix = None  # the lift's matrix product would fail on it
+        linear._product = None  # the lift's operator product would fail on it
         assert backward_error(matrix, linear._apply(rhs), rhs) <= 1e-12
 
     def test_final_solution_bitwise_as_with_the_lift(self, monkeypatch):
@@ -987,7 +1009,7 @@ class TestSkippedLift:
 
         def always_lifted(self, rhs, bound=solver.CONTRACT_BOUND):
             lifted = np.where(self._boundary, rhs, 0.0)
-            return lifted + self._inverse(rhs - self._matrix @ lifted)
+            return lifted + self._inverse(rhs - self._product(lifted))
 
         monkeypatch.setattr(solver._FastPoisson, "_apply", always_lifted)
         lifted = epsilon_continuation(spec, FIXTURE_SCHEDULE).results[-1].v.values
