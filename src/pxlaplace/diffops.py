@@ -1,25 +1,33 @@
 """Discrete differential operators and the stretched-gradient calculus.
 
-Every difference formula of the lab lives here.  On node arrays,
-:func:`_central_difference` and :func:`_stencil_hessian` (the 3-point
-second difference on the diagonal, the 4-point cross difference off it,
-exact on quadratics) return the interior block; the solver's residual and
-Jacobian read them.  :func:`gradient` and :func:`hessian` lay the same
-values out on a field's full grid, derivative axes last, with 0 on the
-Dirichlet nodes, where no central stencil fits: read-only arrays, computed
-once per field, that callers read on the interior nodes.  So the audits
-differentiate with the operator the solver solved.  Jacobians of stretched
-gradients are formed with the product rule from the discrete gradient and
-Hessian, which keeps the algebraic sigma_2 identities exact at the node
-level; ``sigma_2`` and the squared Frobenius norm are their matrix
-invariants.
+Every difference formula of the lab lives here.  :func:`_central_difference`
+and :func:`_stencil_hessian` (the 3-point second difference on the
+diagonal, the 4-point cross difference off it, exact on quadratics) read
+a node array through a ``shifted`` accessor, in one of two layouts.
+:func:`_shifted`, the default, gives the interior block as a strided view;
+the field derivatives and the Caccioppoli cutoff slope read that.  The
+solver's sweeps read :func:`_stencil_derivatives`, the same formulas on the
+*flat range* of the raveled grid (:func:`_flat_range`): the positions
+``[s, N - s)``, with ``s`` the sum of the strides, hold every interior node,
+and each neighbour is the same range moved by a fixed flat offset, a
+contiguous slice.  The range also holds Dirichlet positions, where the
+offsets wrap across a boundary row; the kernels set their differences to 0.
+:func:`gradient` and :func:`hessian` lay the values out on a field's full
+grid, derivative axes last, with 0 on the Dirichlet nodes, where no central
+stencil fits: read-only arrays, computed once per field, that callers read
+on the interior nodes.  So the audits differentiate with the operator the
+solver solved.  Jacobians of stretched gradients are formed with the
+product rule from the discrete gradient and Hessian, which keeps the
+algebraic sigma_2 identities exact at the node level; ``sigma_2`` and the
+squared Frobenius norm are their matrix invariants.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -77,34 +85,114 @@ def _shifted(v: np.ndarray, steps: Optional[dict] = None) -> np.ndarray:
     return v[tuple(slice(1 + o, m - 1 + o) for o, m in zip(offsets, v.shape))]
 
 
-def _central_difference(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """``(v[i+1] - v[i-1]) / 2h`` along ``axis`` on the interior nodes."""
-    return (_shifted(values, {axis: 1}) - _shifted(values, {axis: -1})) / (2.0 * h)
+class _FlatRange(NamedTuple):
+    """The flat range ``[start, stop)`` of one grid shape's raveled nodes.
+
+    ``start = sum(strides)`` is the flat index of the first interior node
+    and ``stop = N - start`` one past the last, so the range holds every
+    interior node, and a neighbour at most one step away along each axis
+    stays inside ``[0, N)``.  ``dirichlet`` holds the positions in the
+    range (counted from ``start``) of the Dirichlet nodes inside it.
+    """
+
+    shape: tuple
+    strides: tuple
+    start: int
+    stop: int
+    dirichlet: np.ndarray
+
+    def shifted(self, flat: np.ndarray, steps: Optional[dict] = None) -> np.ndarray:
+        """The range of the raveled array ``flat``, moved ``steps[k]`` (-1 or
+        1) nodes along each axis ``k`` in ``steps``; a contiguous view."""
+        offset = 0
+        for k, s in (steps or {}).items():
+            offset += s * self.strides[k]
+        return flat[self.start + offset : self.stop + offset]
+
+    def interior(self, values: np.ndarray) -> np.ndarray:
+        """The interior block of ``values``, a contiguous array over the
+        range, as a read-only view.
+
+        The interior node ``(i_0, ..., i_{n-1})`` sits at the position
+        ``sum_k (i_k - 1) strides[k]``; the last one, at ``stop - start - 1``.
+        """
+        return np.lib.stride_tricks.as_strided(
+            values,
+            tuple(m - 2 for m in self.shape),
+            tuple(s * values.itemsize for s in self.strides),
+            writeable=False,
+        )
 
 
-def _stencil_hessian(v: np.ndarray, spacing: tuple) -> dict:
-    """The stencil Hessian ``D^2_h v`` on the interior nodes.
+@functools.lru_cache(maxsize=8)
+def _flat_range(shape: tuple) -> _FlatRange:
+    """The :class:`_FlatRange` of ``shape``; its ``dirichlet`` array is
+    shared by every sweep on the grid shape, so it is read-only."""
+    strides = tuple(math.prod(shape[k + 1 :]) for k in range(len(shape)))
+    start = sum(strides)
+    stop = math.prod(shape) - start
+    boundary = np.ones(shape, dtype=bool)
+    _shifted(boundary)[...] = False
+    dirichlet = np.flatnonzero(boundary.ravel()[start:stop])
+    dirichlet.setflags(write=False)
+    return _FlatRange(shape, strides, start, stop, dirichlet)
+
+
+def _central_difference(values: np.ndarray, axis: int, h: float, shifted=_shifted) -> np.ndarray:
+    """``(v[i+1] - v[i-1]) / 2h`` along ``axis`` on the nodes ``shifted`` reads.
+
+    Here and in :func:`_stencil_hessian` each operation of the formula
+    writes into the array of the one before it, in the formula's order, so
+    the values are the formula's, bitwise, with fewer arrays allocated.
+    """
+    out = np.subtract(shifted(values, {axis: 1}), shifted(values, {axis: -1}))
+    out /= 2.0 * h
+    return out
+
+
+def _stencil_hessian(v: np.ndarray, spacing: tuple, shifted=_shifted) -> dict:
+    """The stencil Hessian ``D^2_h v`` on the nodes ``shifted`` reads.
 
     ``hess[i, j]`` (``i <= j``) holds the 3-point second difference along
     axis ``i`` (``i == j``) or the 4-point cross difference of axes ``i``
     and ``j``: the differences the solver's stencil applies.
     """
-    n = v.ndim
+    n = len(spacing)
     h = spacing
-    centre = _shifted(v)
+    centre = shifted(v)
     hess = {}
     for i in range(n):
-        second = _shifted(v, {i: 1}) - 2.0 * centre + _shifted(v, {i: -1})
-        hess[i, i] = second / h[i] ** 2
+        # (v[+1] - 2 v) + v[-1], over h^2
+        second = np.multiply(2.0, centre)
+        np.subtract(shifted(v, {i: 1}), second, out=second)
+        second += shifted(v, {i: -1})
+        second /= h[i] ** 2
+        hess[i, i] = second
         for j in range(i + 1, n):
-            cross = (
-                _shifted(v, {i: 1, j: 1})
-                + _shifted(v, {i: -1, j: -1})
-                - _shifted(v, {i: 1, j: -1})
-                - _shifted(v, {i: -1, j: 1})
-            )
-            hess[i, j] = cross / (4.0 * h[i] * h[j])
+            # v[+1, +1] + v[-1, -1] - v[+1, -1] - v[-1, +1], over 4 h_i h_j
+            cross = np.add(shifted(v, {i: 1, j: 1}), shifted(v, {i: -1, j: -1}))
+            cross -= shifted(v, {i: 1, j: -1})
+            cross -= shifted(v, {i: -1, j: 1})
+            cross /= 4.0 * h[i] * h[j]
+            hess[i, j] = cross
     return hess
+
+
+def _stencil_derivatives(v: np.ndarray, spacing: tuple) -> tuple:
+    """The central gradient ``q`` (one array per axis) and the stencil
+    Hessian ``hess`` of the node array ``v`` on its flat range.
+
+    Each node's value is the interior kernels' value, bitwise; at the
+    Dirichlet positions of the range every entry is 0, so a check over the
+    range sees the interior nodes' values only.
+    """
+    table = _flat_range(v.shape)
+    flat = v.ravel()
+    q = [_central_difference(flat, i, h, table.shifted) for i, h in enumerate(spacing)]
+    hess = _stencil_hessian(flat, spacing, table.shifted)
+    for block in (*q, *hess.values()):
+        block[table.dirichlet] = 0.0
+    return q, hess
 
 
 @_once_per_field

@@ -9,14 +9,23 @@ with ``A = I + (p - 2) Dv (x) Dv / (|Dv|^2 + eps)``.  Each sweep takes the
 correction step ``v <- v + J^-1 (g - A(v) v)``, where ``J^-1`` solves with
 the Jacobian ``J`` of the residual at the current or an earlier iterate.
 The residual ``g - A(v) v`` comes straight from the 9-point (2-d)
-or 19-point (3-d) stencil, matrix-free, with the difference kernels of
-:mod:`pxlaplace.diffops` that the audits read too.
+or 19-point (3-d) stencil, matrix-free, with the difference formulas of
+:mod:`pxlaplace.diffops` that the audits read too.  Every stencil pass of
+a sweep (the derivatives, ``A(v)``, the residual, the Poisson step's
+renormalization and its ``J(0)`` product) runs on the grid's flat range
+(:func:`pxlaplace.diffops._flat_range`): 1-d contiguous slices of the
+raveled grid at fixed offsets, one value per position from the first
+interior node to the last.  The Dirichlet positions inside that range get
+zero differences, so ``A`` is the identity there, and the residual and
+the product give those rows back their own values: no check reads them.
 ``J(v) = K(v) - (p - 2) b . D_h`` is the frozen operator
 ``K(v) = 1 - A(v) : D^2_h`` plus a first-order term on the axis neighbours,
 so it has the stencil's sparsity pattern; it is assembled only when the
-LU or GMRES solver of ``J(v)``, ``v != 0``, is built.  Each iterate is
-differentiated once: its residual, ``A(v)`` and ``J(v)`` read one central
-gradient and one stencil Hessian.  At ``v = 0``, where ``A`` is the
+LU or GMRES solver of ``J(v)``, ``v != 0``, is built, from the interior
+positions of the range.  Each iterate is differentiated once: its
+residual, ``A(v)`` and ``J(v)`` read one pass of
+:func:`pxlaplace.diffops._stencil_derivatives`, and ``p - 2`` is taken
+once per solve.  At ``v = 0``, where ``A`` is the
 identity whatever ``p`` is, ``J`` is the ``p = 2`` operator
 ``1 - Delta_h``, and the solver is a direct fast Poisson solve: two DST-I
 transforms, in 2-d and 3-d alike.  That path assembles nothing: its
@@ -68,7 +77,7 @@ import numpy as np
 from scipy.fft import dstn, idstn
 
 from .constants import ExponentWindow
-from .diffops import _central_difference, _shifted, _stencil_hessian, gradient
+from .diffops import _flat_range, _shifted, _stencil_derivatives, gradient
 from .expressions import Expression
 from .fields import BallRegion, GridSpec, ScalarField, ball_mask, mollify, sample
 
@@ -304,13 +313,18 @@ def _dissection_order(shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Coefficients:
-    """One iterate's stencil data on the interior nodes, and ``A(v)``.
+    """One iterate's stencil data on the flat range, and ``A(v)``.
 
     ``q`` is the central gradient, ``hess[i, j]`` (``i <= j``) the stencil
     Hessian, ``d = |q|^2 + eps`` and ``coef = (p - 2) / d``; ``a[i, j]``
     holds ``delta_ij + coef q_i q_j`` and ``lam`` ``1 + coef |q|^2``, the
     eigenvalue of ``A`` along ``q`` (the others are 1).  ``shape`` is the
-    grid's; every array has the shape of its interior block.
+    grid's; every array is 1-d and holds one value per position of the
+    grid's flat range (:func:`pxlaplace.diffops._flat_range`).  At its
+    Dirichlet positions ``q`` and ``hess`` are 0, so ``A`` is the identity
+    and ``lam`` is 1 there: the range's minimum, maximum and dominance
+    count are its interior nodes', and the assembly reads the interior
+    positions alone.
     """
 
     q: list
@@ -341,43 +355,78 @@ class _Coefficients:
         return int(violations.sum())
 
 
-def _frozen_coefficients(v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple) -> _Coefficients:
-    """The stencil data of ``v``: its central gradient and stencil Hessian on
-    the interior nodes, and ``A(v)`` from them."""
-    if eps <= 0:
-        raise SolverError("frozen operator needs eps > 0")
+def _exponent_offset(p: np.ndarray) -> np.ndarray:
+    """``p - 2`` on the flat range of the exponent's node values ``p``,
+    which must exceed 1 at every node."""
     if float(p.min()) <= 1.0:
         raise SolverError("exponent field leaves the ellipticity window (p <= 1 somewhere)")
+    return _flat_range(p.shape).shifted(p.ravel()) - 2.0
+
+
+def _frozen_coefficients(
+    v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple, offset: Optional[np.ndarray] = None
+) -> _Coefficients:
+    """The stencil data of ``v``: its central gradient and stencil Hessian on
+    the flat range, and ``A(v)`` from them.  ``offset`` is the
+    :func:`_exponent_offset` of ``p``; the sweep loop takes it once per
+    solve and passes it."""
+    if eps <= 0:
+        raise SolverError("frozen operator needs eps > 0")
+    if offset is None:
+        offset = _exponent_offset(p)
     n = v.ndim
-    q = [_central_difference(v, i, spacing[i]) for i in range(n)]
-    g2 = sum(qi**2 for qi in q)
+    q, hess = _stencil_derivatives(v, spacing)
+    # each operation below writes into the array of the one before it, in
+    # the order of the formulas of _Coefficients, so the values are theirs
+    g2 = q[0] ** 2
+    for qi in q[1:]:
+        g2 += qi**2
     if not np.isfinite(g2).all():  # a gradient component overflowed, or its square
         raise SolverError("frozen operator needs a finite gradient: |Dv|^2 overflowed")
     d = g2 + eps
-    coef = (_shifted(p) - 2.0) / d
+    coef = offset / d
     a = {}
     for i in range(n):
-        a[i, i] = 1.0 + coef * q[i] * q[i]
-        for j in range(i + 1, n):
-            a[i, j] = coef * q[i] * q[j]
-    hess = _stencil_hessian(v, spacing)
-    return _Coefficients(q, hess, d, coef, a, 1.0 + coef * g2, v.shape, tuple(spacing))
+        for j in range(i, n):
+            a[i, j] = coef * q[i]
+            a[i, j] *= q[j]
+        a[i, i] += 1.0
+    lam = np.multiply(coef, g2, out=g2)
+    lam += 1.0
+    return _Coefficients(q, hess, d, coef, a, lam, v.shape, tuple(spacing))
 
 
-def _nonlinear_residual(v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple, rhs: np.ndarray):
+def _nonlinear_residual(
+    v: np.ndarray,
+    p: np.ndarray,
+    eps: float,
+    spacing: tuple,
+    rhs: np.ndarray,
+    offset: Optional[np.ndarray] = None,
+):
     """``rhs - A(v) v`` (flat) and the stencil data of ``v``, with no matrix.
 
     Interior rows are ``g - v + A(v) : D^2_h v`` with the stencil Hessian;
-    Dirichlet rows are ``boundary - v``.
+    Dirichlet rows are ``boundary - v``.  ``offset`` is passed on to
+    :func:`_frozen_coefficients`.
     """
-    coeffs = _frozen_coefficients(v, p, eps, spacing)
-    r = (rhs - v.ravel()).reshape(v.shape)
-    interior = _shifted(r)  # a view: the updates land in r
+    coeffs = _frozen_coefficients(v, p, eps, spacing, offset)
+    table = _flat_range(v.shape)
+    r = rhs - v.ravel()
+    rows = table.shifted(r)  # a view: the updates land in r
+    dirichlet = rows[table.dirichlet]  # the updates must leave these rows as they are
+    term = np.empty_like(rows)
     for (i, j), block in coeffs.hess.items():
-        interior += (1.0 if i == j else 2.0) * coeffs.a[i, j] * block
+        if i == j:  # the factor 1 is left out: 1 * x is x, bitwise
+            np.multiply(coeffs.a[i, j], block, out=term)
+        else:
+            np.multiply(2.0, coeffs.a[i, j], out=term)
+            term *= block
+        rows += term
+    rows[table.dirichlet] = dirichlet
     if not np.isfinite(r).all():
         raise SolverError("sweep needs a finite gradient and Hessian: g - A(v) v overflowed")
-    return r.ravel(), coeffs
+    return r, coeffs
 
 
 def assemble_frozen_operator(coeffs: _Coefficients) -> csr_matrix:
@@ -391,7 +440,8 @@ def assemble_frozen_operator(coeffs: _Coefficients) -> csr_matrix:
 
     h = coeffs.spacing
     n = len(h)
-    a = {key: block.ravel() for key, block in coeffs.a.items()}
+    interior = _flat_range(coeffs.shape).interior
+    a = {key: interior(block).ravel() for key, block in coeffs.a.items()}
 
     indptr, indices, slots = _stencil_pattern(coeffs.shape)
     data = np.ones(indices.size)  # the Dirichlet rows keep their 1
@@ -428,8 +478,9 @@ def _jacobian(coeffs: _Coefficients) -> csr_matrix:
     qhq = sum(qi * hqi for qi, hqi in zip(q, hq))
     scale = 2.0 * coeffs.coef
     slots = _stencil_pattern(coeffs.shape)[2]
+    interior = _flat_range(coeffs.shape).interior
     for i in range(n):
-        drift = (scale * (hq[i] - qhq * q[i] / d) / (2.0 * h[i])).ravel()
+        drift = interior(scale * (hq[i] - qhq * q[i] / d) / (2.0 * h[i])).ravel()
         matrix.data[slots[_offset(n, (i, +1))]] -= drift
         matrix.data[slots[_offset(n, (i, -1))]] += drift
     return matrix
@@ -586,7 +637,9 @@ def _poisson_operator(grid: GridSpec):
     :func:`_jacobian` assembles at ``v = 0``.  Each interior row adds its
     terms to 0 in the column order of the assembled row, the lower axis
     neighbours, the node, the upper ones, as the CSR product does, so the
-    product is bitwise the assembled one's on finite vectors.
+    product is bitwise the assembled one's on finite vectors.  The rows are
+    summed over the grid's flat range, whose Dirichlet positions then take
+    their identity rows back.
     """
     axes = list(enumerate(-1.0 / h**2 for h in grid.spacing))  # the axis entries
     center = sum((2.0 / h**2 for h in grid.spacing), 1.0)
@@ -596,14 +649,18 @@ def _poisson_operator(grid: GridSpec):
         + [(weight, {i: +1}) for i, weight in reversed(axes)]
     )
 
+    table = _flat_range(grid.shape)
+
     def apply(x):
-        x = x.reshape(grid.shape)
+        x = x.ravel()
         y = x.copy()  # the identity on the Dirichlet rows
-        rows = _shifted(y)  # a view: the sums land in y
+        rows = table.shifted(y)  # a view: the sums land in y
         rows[...] = 0.0
+        term = np.empty_like(rows)
         for weight, steps in terms:
-            rows += weight * _shifted(x, steps)
-        return y.ravel()
+            rows += np.multiply(weight, table.shifted(x, steps), out=term)
+        rows[table.dirichlet] = table.shifted(x)[table.dirichlet]
+        return y
 
     return apply
 
@@ -648,10 +705,13 @@ class _FastPoisson(_CheckedSolver):
         return lifted + self._inverse(rhs - self._product(lifted))
 
     def step(self, r: np.ndarray, coeffs: _Coefficients) -> np.ndarray:
-        scaled = r.reshape(coeffs.shape).copy()
+        # gamma is 1 exactly at the range's Dirichlet positions, where lam is 1
         others = len(coeffs.shape) - 1
-        _shifted(scaled)[...] *= (others + coeffs.lam) / (others + coeffs.lam**2)
-        return super().step(scaled.ravel(), coeffs)
+        gamma = coeffs.lam + others
+        gamma /= coeffs.lam**2 + others
+        scaled = r.copy()
+        _flat_range(coeffs.shape).shifted(scaled)[...] *= gamma
+        return super().step(scaled, coeffs)
 
 
 class _PoissonGMRES(_CheckedSolver):
@@ -772,8 +832,10 @@ def solve_regularized(
     else:
         v = np.zeros(grid.shape)  # A(0) = I whatever p is: sweep 1 is the p = 2 solve
 
+    offset = _exponent_offset(prob.p.values)  # once per level, not per sweep
+
     def nonlinear_residual(v):
-        return _nonlinear_residual(v, prob.p.values, prob.eps, grid.spacing, rhs)
+        return _nonlinear_residual(v, prob.p.values, prob.eps, grid.spacing, rhs, offset)
 
     r, coeffs = nonlinear_residual(v)
     residual = float(np.abs(r).max())

@@ -585,6 +585,37 @@ class TestEquationResidual:
         assert expected > 1.0
         assert equation_residual(v, p, g, eps) == pytest.approx(expected, rel=1e-12)
 
+    def test_stored_once_per_data(self, monkeypatch):
+        # the pointwise audit of each stretch exponent reads one stored
+        # value; another p or g object, or another eps, recomputes it
+        calls = []
+
+        def counting(*args, original=audits.infinity_laplacian_values):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(audits, "infinity_laplacian_values", counting)
+        grid = unit_square(33)
+        v = sample(parse_expression("sin(3*x1)*x2^2 + x1*x2", 2), grid)
+        p = sample(parse_expression("2 + 0.5*sin(x1)", 2), grid)
+        g = sample(parse_expression("x1 - x2", 2), grid)
+        first = equation_residual(v, p, g, 1e-2)
+        assert equation_residual(v, p, g, 1e-2) == first
+        assert len(calls) == 1
+        same_p, same_g = ScalarField(grid, p.values), ScalarField(grid, g.values)
+        assert equation_residual(v, same_p, g, 1e-2) == first
+        assert equation_residual(v, p, same_g, 1e-2) == first
+        assert len(calls) == 3
+        fresh = ScalarField(grid, v.values)
+        assert equation_residual(v, p, g, 1e-3) == equation_residual(fresh, p, g, 1e-3) != first
+        assert len(calls) == 5
+        window = ExponentWindow(float(p.values.min()), float(p.values.max()))
+        calls.clear()
+        for beta in (0.0, 1.0):  # v solves nothing: each audit stops at its residual
+            with pytest.raises(AuditError, match="equation residual"):
+                pointwise_stretch_audit(v, p, g, StretchParams(beta, 1e-4), window)
+        assert len(calls) == 1
+
 
 class TestWorstLocation:
     @pytest.mark.parametrize("bumped", [(4, 2), (4, 10)])

@@ -1,12 +1,14 @@
 import dataclasses
 import functools
+import math
+import types
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu, spsolve
 
-from pxlaplace import solver
+from pxlaplace import diffops, solver
 from pxlaplace.audits import quasiregularity_audit
 from pxlaplace.diffops import gradient
 from pxlaplace.expressions import parse_expression
@@ -331,25 +333,154 @@ class TestDifferentiatedOnce:
         ids=["2d", "3d"],
     )
     def test_one_stencil_pass_per_iterate(self, monkeypatch, spec):
-        # the residual, A(v) and the Jacobian of an iterate read one central
-        # gradient per axis and one stencil Hessian, when a sweep rebuilds
-        # the linear solver too: at p = 20 (2-d) and p = 9 (3-d) the loop
-        # builds the solver of J(v) at least three times after the cold
-        # sweep, whose fast Poisson solve builds no Jacobian
-        calls = dict.fromkeys(["_central_difference", "_stencil_hessian", "_jacobian"], 0)
-        for name in calls:
+        # the residual, A(v) and the Jacobian of an iterate read one pass of
+        # the flat-range kernel (central gradient and stencil Hessian), when
+        # a sweep rebuilds the linear solver too: at p = 20 (2-d) and p = 9
+        # (3-d) the loop builds the solver of J(v) at least three times
+        # after the cold sweep, whose fast Poisson solve builds no Jacobian
+        passes, read = [], []
 
-            def counting(*args, name=name, original=getattr(solver, name)):
-                calls[name] += 1
-                return original(*args)
+        def differentiating(*args, original=solver._stencil_derivatives):
+            passes.append(original(*args))
+            return passes[-1]
 
-            monkeypatch.setattr(solver, name, counting)
+        def building(coeffs, original=solver._jacobian):
+            read.append(coeffs)
+            return original(coeffs)
+
+        monkeypatch.setattr(solver, "_stencil_derivatives", differentiating)
+        monkeypatch.setattr(solver, "_jacobian", building)
         result = solve_regularized(build_problem(spec))
         assert result.converged
-        assert calls["_jacobian"] >= 3
-        iterates = result.iterations + 1  # the start, then one per sweep
-        assert calls["_central_difference"] == spec.grid.dimension * iterates
-        assert calls["_stencil_hessian"] == iterates
+        assert len(read) >= 3
+        assert len(passes) == result.iterations + 1  # the start, then one per sweep
+        # each Jacobian reads a pass its iterate's residual made
+        for coeffs in read:
+            assert any(coeffs.q is q and coeffs.hess is hess for q, hess in passes)
+
+
+def strided(v, steps=None):
+    """The interior block of ``v`` moved by ``steps``, a strided view."""
+    offsets = [(steps or {}).get(k, 0) for k in range(v.ndim)]
+    return v[tuple(slice(1 + o, m - 1 + o) for o, m in zip(offsets, v.shape))]
+
+
+def strided_sweep_data(v, p, eps, spacing, rhs):
+    """The sweep's stencil data and residual by the strided interior-block
+    formulas, as a reference: each array of the interior block, raveled,
+    and the residual on the whole grid."""
+    n = v.ndim
+    h = spacing
+    q = [(strided(v, {i: 1}) - strided(v, {i: -1})) / (2.0 * h[i]) for i in range(n)]
+    g2 = sum(qi**2 for qi in q)
+    d = g2 + eps
+    coef = (strided(p) - 2.0) / d
+    a, hess = {}, {}
+    for i in range(n):
+        a[i, i] = 1.0 + coef * q[i] * q[i]
+        second = strided(v, {i: 1}) - 2.0 * strided(v) + strided(v, {i: -1})
+        hess[i, i] = second / h[i] ** 2
+        for j in range(i + 1, n):
+            a[i, j] = coef * q[i] * q[j]
+            cross = (
+                strided(v, {i: 1, j: 1})
+                + strided(v, {i: -1, j: -1})
+                - strided(v, {i: 1, j: -1})
+                - strided(v, {i: -1, j: 1})
+            )
+            hess[i, j] = cross / (4.0 * h[i] * h[j])
+    r = (rhs - v.ravel()).reshape(v.shape)
+    for key in hess:  # in the order (0, 0), (0, 1), ..., the sweep's
+        strided(r)[...] += (1.0 if key[0] == key[1] else 2.0) * a[key] * hess[key]
+    data = {"d": d, "coef": coef, "lam": 1.0 + coef * g2}
+    data.update({("q", i): qi for i, qi in enumerate(q)})
+    data.update({("a",) + key: block for key, block in a.items()})
+    data.update({("hess",) + key: block for key, block in hess.items()})
+    return {key: block.ravel() for key, block in data.items()}, r.ravel()
+
+
+def strided_poisson_product(x, shape, spacing):
+    """``J(0) x`` summed on strided interior blocks, as a reference."""
+    axes = list(enumerate(-1.0 / h**2 for h in spacing))
+    center = sum((2.0 / h**2 for h in spacing), 1.0)
+    terms = (
+        [(weight, {i: -1}) for i, weight in axes]
+        + [(center, None)]
+        + [(weight, {i: +1}) for i, weight in reversed(axes)]
+    )
+    x = x.reshape(shape)
+    y = x.copy()
+    strided(y)[...] = 0.0
+    for weight, steps in terms:
+        strided(y)[...] += weight * strided(x, steps)
+    return y.ravel()
+
+
+def flat_sweep_data(coeffs):
+    data = {"d": coeffs.d, "coef": coeffs.coef, "lam": coeffs.lam}
+    data.update({("q", i): qi for i, qi in enumerate(coeffs.q)})
+    data.update({("a",) + key: block for key, block in coeffs.a.items()})
+    data.update({("hess",) + key: block for key, block in coeffs.hess.items()})
+    return data
+
+
+#: Grid shapes with their spacings: the pattern grids, and the thinnest
+#: ones, whose flat range holds no Dirichlet position.
+FLAT_SHAPES = [(grid.shape, grid.spacing) for grid in PATTERN_GRIDS] + [
+    ((3, 3), (0.5, 0.5)),
+    ((3, 5), (0.5, 0.25)),
+    ((3, 3, 3), (0.5, 0.5, 0.5)),
+]
+FLAT_IDS = ["33x33", "17x9", "9x9x9", "3x3", "3x5", "3x3x3"]
+
+
+class TestFlatRange:
+    @pytest.mark.parametrize("shape, spacing", FLAT_SHAPES, ids=FLAT_IDS)
+    def test_bitwise_the_strided_formulas(self, shape, spacing):
+        rng = np.random.default_rng(29)
+        v = rng.standard_normal(shape)
+        p = 1.5 + 3.0 * rng.random(shape)
+        rhs = rng.standard_normal(v.size)
+        # -0.0 - 0.0 on some Dirichlet rows: the residual keeps their sign
+        dirichlet = np.ones(shape, dtype=bool)
+        strided(dirichlet)[...] = False
+        zeros = np.flatnonzero(dirichlet)[::2]
+        v.ravel()[zeros], rhs[zeros] = 0.0, -0.0
+        r, coeffs = solver._nonlinear_residual(v, p, 1e-2, spacing, rhs)
+        expected, expected_r = strided_sweep_data(v, p, 1e-2, spacing, rhs)
+        assert r.tobytes() == expected_r.tobytes()
+        table = diffops._flat_range(shape)
+        for key, block in flat_sweep_data(coeffs).items():
+            assert table.interior(block).tobytes() == expected[key].tobytes(), key
+        # the Dirichlet positions of the range: no difference, A = I
+        at = table.dirichlet
+        assert not any(block[at].any() for block in (*coeffs.q, *coeffs.hess.values()))
+        for (i, j), block in coeffs.a.items():
+            assert (block[at] == (1.0 if i == j else 0.0)).all()
+        assert (coeffs.lam[at] == 1.0).all()
+        x = rng.standard_normal(v.size)
+        grid = types.SimpleNamespace(shape=shape, spacing=spacing)
+        product = solver._poisson_operator(grid)(x)
+        assert product.tobytes() == strided_poisson_product(x, shape, spacing).tobytes()
+
+    @pytest.mark.parametrize("shape, spacing", FLAT_SHAPES, ids=FLAT_IDS)
+    def test_cached_table_is_read_only(self, shape, spacing):
+        # every sweep on the grid shape shares the table
+        table = diffops._flat_range(shape)
+        assert diffops._flat_range(shape) is table
+        assert table.strides == tuple(s // 8 for s in np.zeros(shape).strides)
+        assert table.start == sum(table.strides) == math.prod(shape) - table.stop
+        interior = np.zeros(shape, dtype=bool)
+        strided(interior)[...] = True
+        positions = np.arange(table.start, table.stop)
+        # the interior view lists the interior nodes in C order, the
+        # Dirichlet positions every other node of the range
+        assert np.array_equal(table.interior(positions).ravel(), np.flatnonzero(interior))
+        assert np.array_equal(np.flatnonzero(~interior.ravel()[table.start : table.stop]), table.dirichlet)
+        for array in (table.dirichlet, table.interior(positions)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
 
 
 def random_state(grid):
