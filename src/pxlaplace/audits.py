@@ -19,6 +19,8 @@ from .constants import ExponentWindow, constant_set
 from .diffops import (
     StretchParams,
     _central_difference,
+    _norm_sq,
+    _sum_sq,
     frobenius_sq,
     gradient,
     hessian,
@@ -35,6 +37,7 @@ from .fields import (
     ball_box,
     ball_mask,
     cutoff,
+    node_distance,
     require_inside,
 )
 
@@ -131,8 +134,10 @@ def equation_residual(v: ScalarField, p: ScalarField, g: ScalarField, eps: float
     if stored is not None and stored[0] is p and stored[1] is g and stored[2] == eps:
         return stored[3]
     grad, hess, interior = gradient(v), hessian(v), v.grid.interior_mask()
-    g2 = np.sum(grad**2, axis=-1)
-    lap = np.trace(hess, axis1=-2, axis2=-1)
+    g2 = _norm_sq(grad)
+    lap = hess[..., 0, 0].copy()
+    for i in range(1, grad.shape[-1]):
+        lap += hess[..., i, i]
     inf_lap = infinity_laplacian_values(grad, hess)
     res = -lap - (p.values - 2.0) * inf_lap / (g2 + eps) + v.values - g.values
     value = float(np.abs(res[interior]).max())
@@ -177,7 +182,7 @@ def pointwise_stretch_audit(
 
     grad, interior = gradient(v), grid.interior_mask()
     _, lhs, s2 = _stretched_fields(v, params.beta, params.eps)
-    base = np.sum(grad**2, axis=-1) + params.eps
+    base = _norm_sq(grad) + params.eps
     data_term = consts.c_tilde_star * base**params.beta * (g.values - v.values) ** 2
     residual = lhs - consts.c_star * s2 - data_term
     normalized = residual / (lhs + 1.0)
@@ -271,7 +276,8 @@ def quasiregularity_audit(
 
 def _cutoff_box(ball: BallRegion, grid: GridSpec) -> tuple:
     """The index box of ``ball``'s three-quarter scaling, two nodes wider on
-    each side, and the cutoff of ``ball`` on it.
+    each side, the distance of its nodes from the center and the cutoff of
+    ``ball`` on it.
 
     The box checks the grid margin first.  A ball with no node strictly
     inside its three-quarter scaling has a cutoff of 0 at every node, which
@@ -279,13 +285,14 @@ def _cutoff_box(ball: BallRegion, grid: GridSpec) -> tuple:
     raises :class:`AuditError`.
     """
     box = ball_box(ball.scaled(0.75), grid, margin_nodes=2)
-    phi = cutoff(ball, grid, box)
+    distance = node_distance(grid, ball.center, box)
+    phi = cutoff(ball, grid, distance)
     if not phi.any():
         raise AuditError(
             f"no node lies inside the three-quarter ball of {_ball_name(ball)}, "
             "so its cutoff is 0 at every node"
         )
-    return box, phi
+    return box, distance, phi
 
 
 def caccioppoli_audit(
@@ -310,23 +317,21 @@ def caccioppoli_audit(
     # box holds the support with two nodes to spare, so its inner nodes
     # (``core``) are interior nodes that hold every nonzero term, and their
     # central differences of phi are the full-grid gradient's.
-    box, phi = _cutoff_box(ball, grid)
+    box, distance, phi = _cutoff_box(ball, grid)
     core = tuple(slice(part.start + 1, part.stop - 1) for part in box)
     inner = (slice(1, -1),) * n
     grad = gradient(v)
 
     f_vals, df_sq, _ = _stretched_fields(v, params.beta, params.eps)
-    c = f_vals[box][ball_mask(ball.scaled(0.75), grid, box)].mean(axis=0)
-    dphi = np.stack(
-        [_central_difference(phi, axis, h) for axis, h in enumerate(grid.spacing)], axis=-1
-    )
+    c = f_vals[box][ball_mask(ball.scaled(0.75), grid, distance)].mean(axis=0)
+    dphi_sq = _sum_sq(_central_difference(phi, axis, h) for axis, h in enumerate(grid.spacing))
     phi_sq = phi[inner] ** 2
 
     vol = grid.cell_volume
-    base = np.sum(grad[core] ** 2, axis=-1) + params.eps
+    base = _norm_sq(grad[core]) + params.eps
     gap = g.values[core] - v.values[core]
     lhs = float(np.sum(df_sq[core] * phi_sq) * vol)
-    osc = float(np.sum(np.sum((f_vals[core] - c) ** 2, axis=-1) * np.sum(dphi**2, axis=-1)) * vol)
+    osc = float(np.sum(_norm_sq(f_vals[core] - c) * dphi_sq) * vol)
     data = float(np.sum(base**params.beta * gap**2 * phi_sq) * vol)
     rhs = consts.c_sharp * (osc + data)
     ratio = 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
@@ -438,19 +443,20 @@ def _holder_data(u: ScalarField, f: Optional[ScalarField], beta: float, balls):
     dfnorm = np.sqrt(df_sq)
     fweight = None
     if f is not None and float(np.abs(f.values).max()) > 0.0:
-        gnorm = np.sqrt(np.sum(grad**2, axis=-1))
+        gnorm = np.sqrt(_norm_sq(grad))
         fweight = gnorm**beta * np.abs(f.values)
     ball_data = []
     for ball in balls:
         three_quarter = ball.scaled(0.75)
         box = ball_box(three_quarter, grid, margin_nodes=0)
-        m3 = ball_mask(three_quarter, grid, box)
-        mq = ball_mask(ball.scaled(0.25), grid, box)
+        distance = node_distance(grid, ball.center, box)
+        m3 = ball_mask(three_quarter, grid, distance)
+        mq = ball_mask(ball.scaled(0.25), grid, distance)
         if not mq.any():
             raise AuditError(f"quarter ball of {_ball_name(ball)} contains no nodes")
         f3 = fvals[box][m3]
         cbar = f3.mean(axis=0)
-        osc = np.sqrt(float(np.mean(np.sum((f3 - cbar) ** 2, axis=-1)))) / ball.radius
+        osc = np.sqrt(float(np.mean(_norm_sq(f3 - cbar)))) / ball.radius
         ball_data.append((dfnorm[box][mq], osc, None if fweight is None else fweight[box][m3]))
     return ball_data
 

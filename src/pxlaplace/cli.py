@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import operator
 import sys
 from pathlib import Path
 
@@ -83,17 +84,22 @@ def _writer(handle):
 def write_field_csv(field: ScalarField, path: Path) -> None:
     """Plot-ready CSV with one node per row: x, y[, z], value.
 
-    Each axis coordinate is formatted once.  A float's ``repr`` holds no
-    comma, quote or newline, so the rows are joined as ``csv.writer``
-    would write them, without its per-field scan.
+    The bytes are those ``csv.writer`` writes: a float's ``repr`` holds no
+    comma, quote or newline, so no field needs quoting.  Each axis
+    coordinate is formatted once.  The file is written one grid line (the
+    nodes along the last axis) at a time: the line's leading coordinates
+    are one prefix, and its rows are joined with ``"\\n" + prefix``.
     """
     grid = field.grid
-    axes = [[repr(x) + "," for x in grid.axis(i).tolist()] for i in range(grid.dimension)]
-    prefixes = map("".join, itertools.product(*axes))
-    values = map(repr, field.values.ravel().tolist())
+    n = grid.dimension
+    lead = [[repr(x) + "," for x in grid.axis(i).tolist()] for i in range(n - 1)]
+    last = [repr(x) + "," for x in grid.axis(n - 1).tolist()]
+    lines = field.values.reshape(-1, grid.shape[-1])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(["x", "y", "z"][: grid.dimension] + ["value"]) + "\n")
-        handle.writelines(f"{prefix}{value}\n" for prefix, value in zip(prefixes, values))
+        handle.write(",".join(["x", "y", "z"][:n] + ["value"]) + "\n")
+        for prefix, line in zip(map("".join, itertools.product(*lead)), lines):
+            rows = map(operator.add, last, map(repr, line.tolist()))
+            handle.write(prefix + ("\n" + prefix).join(rows) + "\n")
 
 
 def _location_cells(location):

@@ -20,6 +20,16 @@ solver solved.  Jacobians of stretched gradients are formed with the
 product rule from the discrete gradient and Hessian, which keeps the
 algebraic sigma_2 identities exact at the node level; ``sigma_2`` and the
 squared Frobenius norm are their matrix invariants.
+
+The stretched-gradient calculus takes and returns stacked arrays
+(components last) but computes per gradient component and per Hessian
+entry, on whole-grid arrays, with no ``np.einsum`` and no reduction over a
+trailing axis.  Its sums add their terms in the order numpy's stacked
+formulas did, so every value keeps its bits: ``|g|^2`` and every sum of
+two or three terms in sequence; ``H g`` and ``<H g, g>`` from +0.0, as
+``np.einsum`` accumulates, with ``(H g)_i = (H_i0 g_0 + H_i2 g_2) + H_i1 g_1``
+in 3-d; and ``|M|^2`` of a 3x3 matrix in numpy's pairwise order
+``(((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)))+a8`` over its row-major entries.
 """
 
 from __future__ import annotations
@@ -225,9 +235,51 @@ def hessian(v: ScalarField) -> np.ndarray:
     return _prepare(out, grid.shape + (n, n), "Hessian")
 
 
+def _sum_from_zero(terms) -> np.ndarray:
+    """``0 + t_0 + t_1 + ...``, added in the order given, into the first term.
+
+    ``np.einsum`` accumulates its sums of products from +0.0 in this way: a
+    sum whose value is 0 comes out +0.0 even where every term is -0.0.
+    Adding the terms in sequence and then +0.0 gives the same bits, because
+    the sums differ at most in the sign of a zero.
+    """
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    total += 0.0
+    return total
+
+
+def _sum_sq(parts) -> np.ndarray:
+    """The squares of the arrays ``parts`` added in sequence: the order of
+    numpy's sum over a trailing axis of length 2 or 3."""
+    parts = iter(parts)
+    total = next(parts) ** 2
+    for part in parts:
+        total += part**2
+    return total
+
+
+def _norm_sq(vectors: np.ndarray) -> np.ndarray:
+    """``|g|^2`` per node of ``vectors``, components last, summed over the
+    components by :func:`_sum_sq`."""
+    return _sum_sq(np.moveaxis(vectors, -1, 0))
+
+
 def infinity_laplacian_values(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
-    """The quadratic form ``<H g, g>`` per node."""
-    return np.einsum("...ij,...i,...j->...", hess, grad, grad)
+    """The quadratic form ``<H g, g>`` per node.
+
+    The terms ``(H_ij g_i) g_j`` are added in row-major order of ``(i, j)``,
+    from +0.0, as ``np.einsum("...ij,...i,...j->...")`` adds them.
+    """
+    n = grad.shape[-1]
+    terms = []
+    for i in range(n):
+        for j in range(n):
+            term = hess[..., i, j] * grad[..., i]
+            term *= grad[..., j]
+            terms.append(term)
+    return _sum_from_zero(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +294,30 @@ def _check_stretch(beta: float, eps: float):
         raise ValueError("regularization must be nonnegative")
 
 
+def _stretch(grad: np.ndarray, beta: float, eps: float) -> tuple:
+    """``d = |g|^2 + eps`` and the stretch factor ``s = d^(beta/2)``, 0
+    where ``d`` is 0, per node."""
+    base = _norm_sq(grad)
+    base += eps
+    factor = np.power(base, beta / 2.0, out=np.zeros_like(base), where=base > 0.0)
+    return base, factor
+
+
 def stretched_gradient_values(grad: np.ndarray, beta: float, eps: float) -> np.ndarray:
     _check_stretch(beta, eps)
-    base = np.sum(grad**2, axis=-1) + eps
-    factor = np.power(base, beta / 2.0, out=np.zeros_like(base), where=base > 0.0)
-    return factor[..., None] * grad
+    _, factor = _stretch(grad, beta, eps)
+    out = np.empty(grad.shape)
+    for i in range(grad.shape[-1]):
+        np.multiply(factor, grad[..., i], out=out[..., i])
+    return out
+
+
+def _hess_times_grad(hess: np.ndarray, grad: np.ndarray, i: int) -> np.ndarray:
+    """``(H g)_i`` per node, its terms ``H_ij g_j`` added from +0.0 in the
+    order of ``np.einsum("...ij,...j->...i")``: ``j = 0, 1`` in 2-d and
+    ``j = 0, 2, 1`` in 3-d."""
+    order = (0, 1) if grad.shape[-1] == 2 else (0, 2, 1)
+    return _sum_from_zero([hess[..., i, j] * grad[..., j] for j in order])
 
 
 def stretched_jacobian_values(grad: np.ndarray, hess: np.ndarray, beta: float, eps: float) -> np.ndarray:
@@ -255,17 +326,31 @@ def stretched_jacobian_values(grad: np.ndarray, hess: np.ndarray, beta: float, e
     Entry (a, b) is ``d_b [ (|g|^2+eps)^(beta/2) g_a ]`` evaluated exactly from
     the supplied gradient/Hessian values:
     ``s * (H + beta * g (Hg)^T / (|g|^2+eps))`` with ``s = (|g|^2+eps)^(beta/2)``.
+    The rank-one term is 0 where ``|g|^2 + eps`` is 0.  Each entry is
+    computed on its own; the result is a view of shape ``grad.shape + (n,)``
+    whose entries ``[..., a, b]`` are contiguous arrays.
     """
     _check_stretch(beta, eps)
-    base = np.sum(grad**2, axis=-1) + eps
     if beta == 0.0:
         return hess.copy()
-    s = np.power(base, beta / 2.0, out=np.zeros_like(base), where=base > 0.0)
-    hg = np.einsum("...ij,...j->...i", hess, grad)
-    outer = grad[..., :, None] * hg[..., None, :]
-    rank1 = np.zeros_like(outer)
-    np.divide(beta * outer, base[..., None, None], out=rank1, where=base[..., None, None] > 0.0)
-    return s[..., None, None] * (hess + rank1)
+    n = grad.shape[-1]
+    base, factor = _stretch(grad, beta, eps)
+    positive = base > 0.0
+    blank = None if positive.all() else ~positive
+    # the nodes where |g|^2 + eps is 0 divide by 1, then their term is set to 0
+    divisor = base if blank is None else np.where(positive, base, 1.0)
+    hg = [_hess_times_grad(hess, grad, b) for b in range(n)]
+    out = np.empty((n, n) + base.shape)
+    for a in range(n):
+        for b in range(n):
+            rank1 = np.multiply(grad[..., a], hg[b], out=out[a, b, ...])
+            rank1 *= beta
+            rank1 /= divisor
+            if blank is not None:
+                rank1[blank] = 0.0
+            rank1 += hess[..., a, b]
+            rank1 *= factor
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -287,4 +372,14 @@ def sigma2_values(matrices: np.ndarray) -> np.ndarray:
 
 
 def frobenius_sq(matrices: np.ndarray) -> np.ndarray:
-    return np.sum(np.asarray(matrices) ** 2, axis=(-2, -1))
+    """``sum_ab M_ab^2`` per matrix, added as numpy sums a contiguous run of
+    4 or 9 values: in sequence for 2x2, and for 3x3 as
+    ``(((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)))+a8`` over the row-major entries."""
+    m = np.asarray(matrices)
+    n = m.shape[-1]
+    if n not in (2, 3):
+        raise ValueError(f"the squared norm is summed for 2x2 and 3x3 matrices, got {n}x{n}")
+    a = [m[..., i, j] ** 2 for i in range(n) for j in range(n)]
+    if n == 2:
+        return ((a[0] + a[1]) + a[2]) + a[3]
+    return (((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))) + a[8]

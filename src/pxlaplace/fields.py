@@ -3,7 +3,12 @@
 Rectangular boxes discretized with node-centered uniform spacing carry all
 discrete data.  Derivatives are read on the interior nodes alone
 (:meth:`GridSpec.interior_mask`), where every difference stencil is
-central, so a field is its grid and its node values and nothing more.
+central, so a field is its grid and its node values and nothing more.  A
+grid builds its axis coordinates once, at the first :meth:`GridSpec.axis`
+call, and every caller shares them read-only; :meth:`GridSpec.coords`
+returns fresh arrays.  The per-ball helpers read the distance of the nodes
+from the ball's center (:func:`node_distance`), which balls with one
+center can share.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "ball_mask",
     "cutoff",
     "mollify",
+    "node_distance",
     "sample",
 ]
 
@@ -76,8 +82,19 @@ class GridSpec:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
+    @functools.cached_property
+    def _axes(self) -> tuple:
+        """The node coordinates of every axis, built at the first read and
+        kept on the grid.  Callers share them, so they are read-only; the
+        grid's equality and hash read its fields only."""
+        axes = tuple(np.linspace(a, b, m) for a, b, m in zip(self.lo, self.hi, self.shape))
+        for axis in axes:
+            axis.setflags(write=False)
+        return axes
+
     def axis(self, i: int) -> np.ndarray:
-        return np.linspace(self.lo[i], self.hi[i], self.shape[i])
+        """The node coordinates along axis ``i``, a read-only array."""
+        return self._axes[i]
 
     def coords(self) -> tuple:
         """Dense meshgrid coordinate arrays, ``ij`` indexing."""
@@ -226,7 +243,7 @@ def ball_box(ball: BallRegion, grid: GridSpec, margin_nodes: int = 2) -> tuple:
     """Index box around the ball, one slice per axis.
 
     Per axis it holds every node whose offset from the center, computed as
-    in the distance of :func:`ball_mask`, is at most the ball's radius (and
+    in :func:`node_distance`, is at most the ball's radius (and
     the nearest node, so it is never empty), widened by ``margin_nodes`` on
     each side.  It therefore holds the nodes of :func:`ball_mask`, and the
     box of a three-quarter scaling holds the support of :func:`cutoff`.
@@ -243,7 +260,7 @@ def ball_box(ball: BallRegion, grid: GridSpec, margin_nodes: int = 2) -> tuple:
     return tuple(box)
 
 
-def _distance(grid: GridSpec, center, box=None) -> np.ndarray:
+def node_distance(grid: GridSpec, center, box=None) -> np.ndarray:
     """Distance of every node (of ``box``, when given) from ``center``."""
     if box is None:
         box = (slice(None),) * grid.dimension
@@ -253,26 +270,30 @@ def _distance(grid: GridSpec, center, box=None) -> np.ndarray:
     return np.sqrt(sum((c - z) ** 2 for c, z in zip(axes, center)))
 
 
-def ball_mask(ball: BallRegion, grid: GridSpec, box=None) -> np.ndarray:
+def ball_mask(ball: BallRegion, grid: GridSpec, distance=None) -> np.ndarray:
     """Nodes whose cell centers lie inside the ball.
 
-    With an index ``box`` from :func:`ball_box` the mask covers only the
-    nodes of that box.
+    The mask covers the grid or, given the :func:`node_distance` of the
+    ball's center on an index box from :func:`ball_box`, that box; balls
+    with one center share the distance.
     """
     require_inside(ball, grid)
-    return _distance(grid, ball.center, box) <= ball.radius
+    if distance is None:
+        distance = node_distance(grid, ball.center)
+    return distance <= ball.radius
 
 
-def cutoff(ball: BallRegion, grid: GridSpec, box=None) -> np.ndarray:
+def cutoff(ball: BallRegion, grid: GridSpec, distance=None) -> np.ndarray:
     """Radial cutoff: 1 on the half ball, 0 outside the three-quarter ball.
 
     The ramp is a clamped smoothstep over the annulus ``[R/2, 3R/4]``; its
     analytic slope peaks at ``6/R``, inside the admissible ``8/R`` budget.
-    Returns the array of its values on the grid or, given an index ``box``
-    from :func:`ball_box`, on that box.
+    Returns the array of its values on the grid or, given the node
+    ``distance`` of an index box as in :func:`ball_mask`, on that box.
     """
     require_inside(ball.scaled(0.75), grid)
     radius = ball.radius
-    r = _distance(grid, ball.center, box)
-    t = np.clip((r - 0.5 * radius) / (0.25 * radius), 0.0, 1.0)
+    if distance is None:
+        distance = node_distance(grid, ball.center)
+    t = np.clip((distance - 0.5 * radius) / (0.25 * radius), 0.0, 1.0)
     return 1.0 - t * t * (3.0 - 2.0 * t)

@@ -926,7 +926,8 @@ def epsilon_continuation(spec: ProblemSpec, schedule) -> ContinuationResult:
 
     :func:`build_problem` samples the boundary, ``p`` and ``f`` once, and
     its raw ``p`` must exceed 1.  Each level mollifies ``p`` and ``f`` (once
-    per distinct radius) and the interior data field ``u0``, the previous
+    per distinct radius; an identically zero ``f`` is its own mollification,
+    so it is kept as sampled) and the interior data field ``u0``, the previous
     solution or at the first level the boundary, with a radius that follows
     the schedule, clipped to what the grid can resolve.  So the data term
     ``g - v = f_eps + u0_eps - v`` contracts along the schedule and the final
@@ -949,7 +950,8 @@ def epsilon_continuation(spec: ProblemSpec, schedule) -> ContinuationResult:
     for eps, radius in zip(schedule, radii):
         if radius != mollified_at:  # radii only shrink, so a repeat is the last
             mollified_at = radius
-            p, f = mollify(data.p, radius), mollify(data.f, radius)
+            p = mollify(data.p, radius)
+            f = mollify(data.f, radius) if data.f.values.any() else data.f
         u0 = mollify(data.boundary if prev is None else prev, radius)
         prob = _discretized(eps, data.boundary, p, f, u0)
         result = solve_regularized(prob, warm_start=prev, held=held)

@@ -1,5 +1,6 @@
 import csv
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -702,3 +703,18 @@ class TestFieldCsv:
         written = (tmp_path / "fast.csv").read_bytes()
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert b"-0.0\n" in written and b"5e-324\n" in written and b"-1e+300\n" in written
+
+    def test_streams_line_by_line(self, tmp_path):
+        # one grid line's rows at a time; a writer that joined the whole
+        # 0.63 MB file before writing it would pass the bound
+        grid = GridSpec((0.0, 0.0), (1.0, 1.0), (129, 129))
+        field = ScalarField(grid, np.random.default_rng(3).standard_normal(grid.shape))
+        grid.axis(0)  # built once per grid, before the measurement
+        tracemalloc.start()
+        try:
+            write_field_csv(field, tmp_path / "solution.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "solution.csv").stat().st_size > 600_000
+        assert peak < 0.75e6

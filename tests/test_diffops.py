@@ -336,3 +336,118 @@ def test_stretched_jacobian_values_match_symbolic_oracle():
         beta * s / base
     )[:, None, None] * grad[:, :, None] * hg[:, None, :]
     assert np.allclose(dj, expected, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The per-component calculus against the stacked formulas it replaced
+# ---------------------------------------------------------------------------
+
+
+def stacked_stretched_gradient(grad, beta, eps):
+    """Reference: the stretched gradient summed over the trailing axis."""
+    base = np.sum(grad**2, axis=-1) + eps
+    factor = np.power(base, beta / 2.0, out=np.zeros_like(base), where=base > 0.0)
+    return factor[..., None] * grad
+
+
+def einsum_stretched_jacobian(grad, hess, beta, eps):
+    """Reference: the product-rule Jacobian with ``H g`` from ``np.einsum``."""
+    base = np.sum(grad**2, axis=-1) + eps
+    if beta == 0.0:
+        return hess.copy()
+    s = np.power(base, beta / 2.0, out=np.zeros_like(base), where=base > 0.0)
+    hg = np.einsum("...ij,...j->...i", hess, grad)
+    outer = grad[..., :, None] * hg[..., None, :]
+    rank1 = np.zeros_like(outer)
+    np.divide(beta * outer, base[..., None, None], out=rank1, where=base[..., None, None] > 0.0)
+    return s[..., None, None] * (hess + rank1)
+
+
+def stacked_frobenius_sq(matrices):
+    """Reference: the squared Frobenius norm as one sum over both trailing axes."""
+    return np.sum(np.asarray(matrices) ** 2, axis=(-2, -1))
+
+
+def einsum_infinity_laplacian(grad, hess):
+    """Reference: ``<H g, g>`` from ``np.einsum``."""
+    return np.einsum("...ij,...i,...j->...", hess, grad, grad)
+
+
+def wide_samples(rng, shape, n):
+    """Gradient and symmetric Hessian values over 40 orders of magnitude,
+    so that any change in the order of a sum shows in the last bits."""
+    grad = rng.normal(size=shape + (n,)) * np.exp(rng.uniform(-20.0, 20.0, size=shape + (n,)))
+    hess = rng.normal(size=shape + (n, n)) * np.exp(rng.uniform(-20.0, 20.0, size=shape + (n, n)))
+    return grad, 0.5 * (hess + np.swapaxes(hess, -1, -2))
+
+
+def field_samples(n, m):
+    """The gradient and Hessian of a smooth field on an m^n grid, with the
+    zero derivatives of its Dirichlet nodes."""
+    grid = GridSpec((0.0,) * n, (1.0,) * n, (m,) * n)
+    expr = "sin(3*x1)*cos(2*x2) + x1^3*x2" + (" + x3^2*x1" if n == 3 else "")
+    field = sample(parse_expression(expr, n), grid)
+    return gradient(field), hessian(field)
+
+
+def signed_zero_samples(n):
+    """Nodes whose gradient vanishes, with Hessian entries of both signs and
+    signed zeros: every sum of products there is a sum of zeros."""
+    grad = np.zeros((6, n))
+    grad[1::2] = -0.0
+    hess = np.zeros((6, n, n))
+    hess[0] = -1.0
+    hess[1] = -0.0
+    hess[2] = 1.0
+    hess[3, :, 0] = -0.0
+    hess[4] = np.arange(n * n).reshape(n, n) - 4.0
+    hess[5] = -np.arange(n * n).reshape(n, n)
+    return grad, hess
+
+
+def assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def calculus_samples():
+    """Gradient and Hessian values by name."""
+    rng = np.random.default_rng(2024)
+    for n in (2, 3):
+        yield f"wide-{n}d", wide_samples(rng, (40, 7) if n == 2 else (9, 5, 4), n)
+        yield f"field-{n}d", field_samples(n, 33 if n == 2 else 13)
+        yield f"zeros-{n}d", signed_zero_samples(n)
+    # |DF| overflows at beta = 2000: (1 + |g|^2)^1000 is inf at |g| = 2, and
+    # inf * 0 is NaN where the Hessian or the rank-one term vanishes
+    grad = np.array([[2.0, 0.0], [1.0, 1.0], [0.0, 0.0], [3.0, -2.0], [1e-3, 0.5]])
+    hess = np.array([[[1.0, 0.0], [0.0, -1.0]]] * 5)
+    hess[3] = 0.0
+    yield "overflow-2d", (grad, hess)
+
+
+CALCULUS_SAMPLES = dict(calculus_samples())
+
+
+@pytest.mark.parametrize("name", CALCULUS_SAMPLES)
+@pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 2000.0])
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_per_component_calculus_is_bitwise_the_stacked_formulas(name, beta, eps):
+    grad, hess = CALCULUS_SAMPLES[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_bits(
+            stretched_gradient_values(grad, beta, eps), stacked_stretched_gradient(grad, beta, eps)
+        )
+        df = stretched_jacobian_values(grad, hess, beta, eps)
+        expected = einsum_stretched_jacobian(grad, hess, beta, eps)
+        assert_same_bits(df, expected)
+        assert_same_bits(frobenius_sq(df), stacked_frobenius_sq(expected))
+    assert_same_bits(infinity_laplacian_values(grad, hess), einsum_infinity_laplacian(grad, hess))
+
+
+def test_overflow_sample_reaches_inf_and_nan():
+    # the overflow sample above exercises the non-finite paths
+    grad, hess = CALCULUS_SAMPLES["overflow-2d"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        df_sq = frobenius_sq(stretched_jacobian_values(grad, hess, 2000.0, 1e-3))
+    assert np.isinf(df_sq).any() and np.isnan(df_sq).any() and np.isfinite(df_sq).any()

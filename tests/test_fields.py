@@ -88,6 +88,32 @@ class TestGridSpec:
         assert grid.dimension == 3
         assert grid.interior_mask().sum() == 7**3
 
+    def test_axes_built_once_and_read_only(self):
+        grid = GridSpec((0.0, -1.0, 2.0), (1.0, 0.5, 3.0), (9, 13, 11))
+        for i in range(grid.dimension):
+            axis = grid.axis(i)
+            assert axis is grid.axis(i)
+            assert not axis.flags.writeable
+            with pytest.raises(ValueError):
+                axis[0] = 5.0
+            assert np.array_equal(axis, np.linspace(grid.lo[i], grid.hi[i], grid.shape[i]))
+
+    def test_coords_stay_fresh_and_writable(self):
+        grid = unit_square(9)
+        first, second = grid.coords(), grid.coords()
+        for a, b in zip(first, second):
+            assert a.flags.writeable and a is not b
+            a[...] = -1.0
+        assert np.array_equal(grid.coords()[0][:, 0], grid.axis(0))
+
+    def test_equality_and_hash_ignore_built_axes(self):
+        built, fresh = unit_square(17), unit_square(17)
+        built.axis(0)
+        assert "_axes" in vars(built) and "_axes" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh)
+        assert {built: 1}[fresh] == 1
+        assert built != unit_square(19)
+
 
 class TestFieldInvariants:
     def test_shape_checked(self):
@@ -345,3 +371,14 @@ class TestCutoff:
         grid = unit_square(33)
         with pytest.raises(FieldError, match="margin"):
             cutoff(BallRegion((0.1, 0.5), 0.4), grid)
+
+    def test_values_on_a_box_are_the_grid_values_there(self):
+        # balls with one center read one distance array, on a ball's box
+        grid = unit_square(65)
+        ball = BallRegion((0.48, 0.52), 0.3)
+        box = fields.ball_box(ball.scaled(0.75), grid)
+        distance = fields.node_distance(grid, ball.center, box)
+        assert np.array_equal(cutoff(ball, grid, distance), cutoff(ball, grid)[box])
+        for factor in (0.25, 0.75):
+            inner = ball.scaled(factor)
+            assert np.array_equal(ball_mask(inner, grid, distance), ball_mask(inner, grid)[box])

@@ -1323,10 +1323,38 @@ class TestContinuation:
             return mollify(field, radius)
 
         monkeypatch.setattr(solver, "mollify", recording_mollify)
-        epsilon_continuation(make_spec("x1^2 - x2^2"), (0.1, 0.01))
+        epsilon_continuation(make_spec("x1^2 - x2^2", f="x1"), (0.1, 0.01))
         assert radii[:3] == [pytest.approx(0.1)] * 3
         # clipped up to the resolvable radius 2 h
         assert radii[3:] == [pytest.approx(2.0 / 32.0)] * 3
+
+    def test_zero_source_is_not_mollified(self, monkeypatch):
+        # an identically zero f is its own mollification: each level
+        # mollifies p and u0 only, and its data are those a mollified f gives
+        mollified = []
+
+        def recording_mollify(field, radius):
+            mollified.append(field)
+            return mollify(field, radius)
+
+        monkeypatch.setattr(solver, "mollify", recording_mollify)
+        spec = make_spec("x1^2 - x2^2")
+        schedule = (0.1, 0.03, 0.01)
+        result = epsilon_continuation(spec, schedule)
+        radii = {solver._clip_radius(eps, spec.grid) for eps in schedule}
+        assert len(mollified) == len(radii) + len(schedule)  # p per radius, u0 per level
+        assert all(field.values.any() for field in mollified)  # p and u0, never f
+        monkeypatch.undo()
+        raw = build_problem(spec)
+        assert not raw.f.values.any()
+        u0 = raw.boundary
+        for level in result.results:
+            radius = solver._clip_radius(level.problem.eps, spec.grid)
+            f = mollify(raw.f, radius).values
+            assert level.problem.f.values.tobytes() == f.tobytes()
+            g = f + mollify(u0, radius).values
+            assert level.problem.g.values.tobytes() == g.tobytes()
+            u0 = level.v
 
 
     def test_level_data_sampled_once_and_bitwise_per_level(self, monkeypatch):
