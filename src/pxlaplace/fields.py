@@ -17,7 +17,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .expressions import DomainError, Expression
 
@@ -171,6 +170,8 @@ def _kernel_transform(spacing: tuple, eps: float, period: tuple) -> tuple:
     ``period``, built once per spacing, radius and period.  The transform is
     shared by every field mollified with them (an eps continuation
     mollifies ``p``, ``f`` and ``u0`` at each radius), so it is read-only."""
+    from scipy.fft import rfftn
+
     kernel = mollifier_kernel(spacing, eps)
     transform = rfftn(kernel, period)
     transform.setflags(write=False)
@@ -184,7 +185,11 @@ def mollify(field: ScalarField, eps: float) -> ScalarField:
     the grid.  Elsewhere, on the valid region of the convolution, they come
     from one real FFT product: a circular convolution of period at least the
     grid's, which wraps only outside that region, so no padding is needed.
+    ``scipy.fft`` is imported at the first call, so a run that mollifies
+    nothing does not load it.
     """
+    from scipy.fft import irfftn, next_fast_len, rfftn
+
     grid = field.grid
     h = grid.spacing
     if eps <= 0:

@@ -19,20 +19,24 @@ interior node to the last.  The Dirichlet positions inside that range get
 zero differences, so ``A`` is the identity there, and the residual and
 the product give those rows back their own values: no check reads them.
 ``J(v) = K(v) - (p - 2) b . D_h`` is the frozen operator
-``K(v) = 1 - A(v) : D^2_h`` plus a first-order term on the axis neighbours,
-so it has the stencil's sparsity pattern; it is assembled only when the
-LU or GMRES solver of ``J(v)``, ``v != 0``, is built, from the interior
-positions of the range.  Each iterate is differentiated once: its
+``K(v) = 1 - A(v) : D^2_h`` plus a first-order term on the axis neighbours.
+Every operator is one table (:func:`_stencil`): the rows of ``K(v)`` or
+``J(v)`` as weighted neighbour steps in the column order of the assembled
+rows.  Every solver applies its table on the flat range
+(:func:`_stencil_action`) and takes its max norm from the weights
+(:func:`_stencil_norm`); only the 2-d LU factor assembles the table into
+a sparse matrix.  Each iterate is differentiated once: its
 residual, ``A(v)`` and ``J(v)`` read one pass of
 :func:`pxlaplace.diffops._stencil_derivatives`, and ``p - 2`` is taken
 once per solve.  At ``v = 0``, where ``A`` is the
 identity whatever ``p`` is, ``J`` is the ``p = 2`` operator
 ``1 - Delta_h``, and the solver is a direct fast Poisson solve: two DST-I
-transforms, in 2-d and 3-d alike.  That path assembles nothing: its
-backward-error check applies ``J(0)`` from the 5-point (2-d) or 7-point
-(3-d) stencil.  So ``scipy.sparse`` is imported only when a run first
-builds an LU factor (2-d) or a GMRES solver (3-d).  A cold solve starts
-there, and the sweep loop keeps that solver while it contracts: each later
+transforms, in 2-d and 3-d alike, whose table is the 5-point (2-d) or
+7-point (3-d) stencil with number weights.  ``scipy.fft`` is imported when
+a run first builds the fast Poisson inverse (:func:`_poisson_inverse`),
+and ``scipy.sparse`` when it first builds an LU factor (2-d) or a GMRES
+solver (3-d).  A cold solve starts with the fast Poisson solve, and the
+sweep loop keeps that solver while it contracts: each later
 sweep solves ``J(0) x = gamma r``, with ``gamma = tr A / |A|^2`` per interior
 node (1 on the Dirichlet rows), which renormalizes the nondivergence
 operator so that the Laplacian preconditions it under the Cordes condition
@@ -74,7 +78,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 from .constants import ExponentWindow
 from .diffops import _flat_range, _shifted, _stencil_derivatives, gradient
@@ -228,49 +231,49 @@ def _discretized(eps: float, boundary, p, f, u0) -> DiscreteProblem:
 
 
 # ---------------------------------------------------------------------------
-# Stencil assembly
+# The stencil and its operators
 # ---------------------------------------------------------------------------
 
 
-def _offset(n: int, *steps) -> tuple:
-    """The neighbour offset ``sum(s e_i)`` over the steps ``(i, s)``, as a tuple."""
-    return tuple(dict(steps).get(i, 0) for i in range(n))
+def _neighbours(n: int) -> list:
+    """The offsets of an interior row's neighbours in ``n`` dimensions, the
+    node included: each one differs from the node along at most two axes.
+    They come in lexicographic order, the column order of the row."""
+    return [off for off in itertools.product((-1, 0, 1), repeat=n) if n - off.count(0) <= 2]
 
 
 @functools.lru_cache(maxsize=8)
 def _stencil_pattern(shape: tuple) -> tuple:
-    """The CSR structure ``(indptr, indices, slots)`` of the stencil on one grid shape.
+    """The CSR structure ``(indptr, indices, starts)`` of the stencil on one grid shape.
 
-    A Dirichlet row holds its diagonal alone.  An interior row holds each
-    neighbour that differs from the node along at most two axes, in the
-    lexicographic order of the offsets, which is the column order: every
-    axis has at least 3 nodes, so a stride exceeds twice the sum of the
-    smaller ones.  ``slots[offset]`` holds, per interior node, the position
-    in ``data`` of the entry of the neighbour at that :func:`_offset`.  The
-    arrays are shared by every matrix assembled on the grid shape, so they
-    are read-only.
+    A Dirichlet row holds its diagonal alone.  An interior row holds its
+    :func:`_neighbours`, in their lexicographic order, which is the column
+    order: every axis has at least 3 nodes, so a stride exceeds twice the
+    sum of the smaller ones.  ``starts`` holds, per interior node in C
+    order, the position in ``data`` of its row's first entry; the ``k``-th
+    row of a full :func:`_stencil` table fills ``starts + k``.  The arrays
+    are shared by every matrix assembled on the grid shape, so they are
+    read-only.
     """
     from scipy.sparse import get_index_dtype
 
-    n = len(shape)
     nodes = np.arange(math.prod(shape)).reshape(shape)
     interior = _shifted(nodes).ravel()
-    offsets = [off for off in itertools.product((-1, 0, 1), repeat=n) if n - off.count(0) <= 2]
+    offsets = _neighbours(len(shape))
     width = np.ones(nodes.size, dtype=np.intp)
     width[interior] = len(offsets)
     indptr = np.concatenate([[0], np.cumsum(width)])
     indices = np.repeat(nodes.ravel(), width)
+    starts = indptr[interior]
     strides = np.array(nodes.strides) // nodes.itemsize
-    slots = {}
     for k, off in enumerate(offsets):
-        slots[off] = indptr[interior] + k
-        indices[slots[off]] = interior + np.dot(off, strides)
+        indices[starts + k] = interior + np.dot(off, strides)
     # the index type scipy gives the matrix, so no assembly converts them
     index = get_index_dtype(maxval=indptr[-1])
     indptr, indices = indptr.astype(index), indices.astype(index)
-    for array in (indptr, indices, *slots.values()):
+    for array in (indptr, indices, starts):
         array.setflags(write=False)
-    return indptr, indices, slots
+    return indptr, indices, starts
 
 
 #: A block of at most this many nodes is not dissected further.
@@ -323,8 +326,8 @@ class _Coefficients:
     grid's flat range (:func:`pxlaplace.diffops._flat_range`).  At its
     Dirichlet positions ``q`` and ``hess`` are 0, so ``A`` is the identity
     and ``lam`` is 1 there: the range's minimum, maximum and dominance
-    count are its interior nodes', and the assembly reads the interior
-    positions alone.
+    count are its interior nodes', and the operators of :func:`_stencil`
+    read the interior positions alone.
     """
 
     q: list
@@ -364,16 +367,14 @@ def _exponent_offset(p: np.ndarray) -> np.ndarray:
 
 
 def _frozen_coefficients(
-    v: np.ndarray, p: np.ndarray, eps: float, spacing: tuple, offset: Optional[np.ndarray] = None
+    v: np.ndarray, offset: np.ndarray, eps: float, spacing: tuple
 ) -> _Coefficients:
     """The stencil data of ``v``: its central gradient and stencil Hessian on
     the flat range, and ``A(v)`` from them.  ``offset`` is the
-    :func:`_exponent_offset` of ``p``; the sweep loop takes it once per
-    solve and passes it."""
+    :func:`_exponent_offset` of the exponent's node values; the sweep loop
+    takes it once per solve."""
     if eps <= 0:
         raise SolverError("frozen operator needs eps > 0")
-    if offset is None:
-        offset = _exponent_offset(p)
     n = v.ndim
     q, hess = _stencil_derivatives(v, spacing)
     # each operation below writes into the array of the one before it, in
@@ -397,12 +398,7 @@ def _frozen_coefficients(
 
 
 def _nonlinear_residual(
-    v: np.ndarray,
-    p: np.ndarray,
-    eps: float,
-    spacing: tuple,
-    rhs: np.ndarray,
-    offset: Optional[np.ndarray] = None,
+    v: np.ndarray, offset: np.ndarray, eps: float, spacing: tuple, rhs: np.ndarray
 ):
     """``rhs - A(v) v`` (flat) and the stencil data of ``v``, with no matrix.
 
@@ -410,7 +406,7 @@ def _nonlinear_residual(
     Dirichlet rows are ``boundary - v``.  ``offset`` is passed on to
     :func:`_frozen_coefficients`.
     """
-    coeffs = _frozen_coefficients(v, p, eps, spacing, offset)
+    coeffs = _frozen_coefficients(v, offset, eps, spacing)
     table = _flat_range(v.shape)
     r = rhs - v.ravel()
     rows = table.shifted(r)  # a view: the updates land in r
@@ -429,79 +425,131 @@ def _nonlinear_residual(
     return r, coeffs
 
 
-def assemble_frozen_operator(coeffs: _Coefficients) -> csr_matrix:
-    """Assemble ``-A(x):D^2 + 1`` with the coefficients ``A(v)`` of one iterate.
+def _stencil(a: dict, spacing: tuple, drift: Optional[list] = None) -> list:
+    """The rows of ``K = 1 - A : D^2_h`` as a table of ``(steps, weight)``
+    pairs, in the column order of the assembled rows; with ``drift``, the
+    rows of ``J(v)``.
 
-    Interior rows carry the 9-point (2-d) / 19-point (3-d) stencil; boundary
-    rows are Dirichlet identities.  The sparsity pattern is built once per
-    grid shape; each call only fills in the coefficients.
+    ``a[i, j]`` (``i <= j``) holds ``A_ij``, an array over the flat range or
+    a number; a missing ``a[i, j]``, ``i < j``, drops its four cross
+    neighbours, so ``_stencil({(i, i): 1.0 ...}, spacing)`` is the 5-point
+    (2-d) or 7-point (3-d) ``J(0) = 1 - Delta_h`` with number weights.
+    ``steps`` maps each axis the neighbour moves along to its step, -1 or
+    1, as :meth:`pxlaplace.diffops._FlatRange.shifted` reads it.  The rows
+    come in the order of :func:`_neighbours`, the lexicographic order of the
+    offsets, which the flat offsets follow too.  ``drift[i]`` is
+    subtracted on the ``+e_i`` neighbour and added on the ``-e_i`` one.
+    Each weight is computed once, over the whole flat range, so the
+    product and the assembled matrix read the same values.
     """
-    from scipy.sparse import csr_matrix
-
-    h = coeffs.spacing
+    h = spacing
     n = len(h)
-    interior = _flat_range(coeffs.shape).interior
-    a = {key: interior(block).ravel() for key, block in coeffs.a.items()}
-
-    indptr, indices, slots = _stencil_pattern(coeffs.shape)
-    data = np.ones(indices.size)  # the Dirichlet rows keep their 1
-
-    center = np.ones(a[0, 0].size)
+    center = 1.0
     for i in range(n):
-        center += 2.0 * a[i, i] / h[i] ** 2
-        axis = -a[i, i] / h[i] ** 2
-        for s in (+1, -1):
-            data[slots[_offset(n, (i, s))]] = axis
-        for j in range(i + 1, n):
-            q = a[i, j] / (2.0 * h[i] * h[j])
-            for si, sj in itertools.product((+1, -1), repeat=2):
-                data[slots[_offset(n, (i, si), (j, sj))]] = -si * sj * q
-    data[slots[_offset(n)]] = center
-    size = int(np.prod(coeffs.shape))
-    return csr_matrix((data, indices, indptr), shape=(size, size))
+        center = center + 2.0 * a[i, i] / h[i] ** 2
+    cross = {(i, j): a[i, j] / (2.0 * h[i] * h[j]) for i, j in a if i != j}
+    rows = []
+    for off in _neighbours(n):
+        steps = {i: s for i, s in enumerate(off) if s}
+        axes = tuple(steps)
+        if not axes:
+            weight = center
+        elif len(axes) == 1:
+            (i,) = axes
+            weight = -a[i, i] / h[i] ** 2
+            if drift is not None:
+                weight = weight - drift[i] if off[i] > 0 else weight + drift[i]
+        elif axes in cross:
+            weight = -off[axes[0]] * off[axes[1]] * cross[axes]
+        else:
+            continue
+        rows.append((steps, weight))
+    return rows
 
 
-def _jacobian(coeffs: _Coefficients) -> csr_matrix:
-    """The Jacobian ``J(v)`` of ``A(v) v - g``, on the frozen operator's pattern.
+def _drift(coeffs: _Coefficients) -> list:
+    """The first-order term of the Jacobian ``J(v)`` of ``A(v) v - g``, per
+    axis on the flat range: the ``drift`` of :func:`_stencil`.
 
     Differentiating ``A(v) : D^2_h v`` through ``A`` gives
     ``J(v) w = K(v) w - (p - 2) b . D_h w`` with ``K(v)`` the frozen operator,
     ``b = 2 H q / d - 2 (q^T H q) q / d^2``, ``q`` the central gradient, ``H``
     the stencil Hessian of ``v`` and ``d = |q|^2 + eps``.  The central
     difference ``D_h w`` reads only the axis neighbours, so ``J`` adds
-    ``-/+ (p - 2) b_i / (2 h_i)`` on the ``+/- e_i`` slots of ``K``.
+    ``-/+ (p - 2) b_i / (2 h_i)`` on the ``+/- e_i`` neighbours of ``K``.
     """
-    matrix = assemble_frozen_operator(coeffs)
     q, hess, d, h = coeffs.q, coeffs.hess, coeffs.d, coeffs.spacing
     n = len(h)
     hq = [sum(hess[min(i, j), max(i, j)] * q[j] for j in range(n)) for i in range(n)]
     qhq = sum(qi * hqi for qi, hqi in zip(q, hq))
     scale = 2.0 * coeffs.coef
-    slots = _stencil_pattern(coeffs.shape)[2]
-    interior = _flat_range(coeffs.shape).interior
-    for i in range(n):
-        drift = interior(scale * (hq[i] - qhq * q[i] / d) / (2.0 * h[i])).ravel()
-        matrix.data[slots[_offset(n, (i, +1))]] -= drift
-        matrix.data[slots[_offset(n, (i, -1))]] += drift
-    return matrix
+    return [scale * (hq[i] - qhq * q[i] / d) / (2.0 * h[i]) for i in range(n)]
 
 
-def _row_sum_norm(matrix: csr_matrix) -> float:
-    """``|matrix|_inf``, the largest absolute row sum, with no copy of the
-    matrix; every row of a stencil matrix holds its diagonal, so none is
-    empty."""
-    return float(np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]).max())
+def _stencil_action(rows: list, shape: tuple, x: np.ndarray) -> np.ndarray:
+    """The product of the :func:`_stencil` table ``rows`` with ``x`` on one
+    grid shape, with no matrix.
+
+    Each interior row adds its terms to 0 in the table's order, the column
+    order of the assembled row, as the CSR product does, so the product is
+    bitwise the assembled one's on finite vectors.  The rows are summed
+    over the grid's flat range, whose Dirichlet positions then take their
+    identity rows back; the rows outside the range are Dirichlet rows too.
+    """
+    table = _flat_range(shape)
+    x = x.ravel()
+    y = x.copy()  # the identity on the Dirichlet rows
+    out = table.shifted(y)  # a view: the sums land in y
+    out[...] = 0.0
+    term = np.empty_like(out)
+    for steps, weight in rows:
+        out += np.multiply(weight, table.shifted(x, steps), out=term)
+    out[table.dirichlet] = table.shifted(x)[table.dirichlet]
+    return y
+
+
+def _stencil_norm(rows: list, shape: tuple) -> float:
+    """The max norm of the :func:`_stencil` table ``rows`` on one grid shape,
+    its largest absolute row sum: the interior maximum of ``sum |weight|``,
+    and 1 on the Dirichlet rows."""
+    total = sum(abs(weight) for _, weight in rows)
+    if np.ndim(total):
+        total = _flat_range(shape).interior(total)
+    return max(1.0, float(np.max(total)))
+
+
+def assemble_frozen_operator(rows: list, shape: tuple) -> csr_matrix:
+    """The CSR matrix of a full :func:`_stencil` table ``rows`` on one grid
+    shape, every ``a[i, j]`` given as an array: ``K(v)``, or ``J(v)`` with
+    the drift.
+
+    Interior rows carry the 9-point (2-d) / 19-point (3-d) stencil; boundary
+    rows are Dirichlet identities.  The sparsity pattern is built once per
+    grid shape; each call only fills in the interior positions of the
+    weights, one table row per column of the pattern.
+    """
+    from scipy.sparse import csr_matrix
+
+    indptr, indices, starts = _stencil_pattern(shape)
+    interior = _flat_range(shape).interior
+    data = np.ones(indices.size)  # the Dirichlet rows keep their 1
+    for k, (_, weight) in enumerate(rows):
+        data[starts + k] = interior(weight).ravel()
+    size = math.prod(shape)
+    return csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 class _CheckedSolver:
     """A linear solver of one operator whose every solve is checked.
 
-    The operator comes as its action ``product`` and its max norm ``norm``:
-    the assembled matrix of ``J(v)`` for the LU and GMRES solvers, the
-    stencil of ``J(0)`` and its closed-form norm for the fast Poisson solve,
-    which assembles nothing.  A solution meets a normwise backward error
-    (residual relative to ``|A| |x| + |b|``, in the max norm) of ``bound``
-    against the operator, after at most one refinement step, or the solve
+    The operator comes as its :func:`_stencil` table on a grid shape:
+    ``J(v)`` for the LU and GMRES solvers, ``J(0)`` for the fast Poisson
+    solve.  The check applies it with :func:`_stencil_action` (the LU
+    factor multiplies by the matrix it factors, the same product) and
+    scales by its :func:`_stencil_norm`.  A solution meets a
+    normwise backward error (residual relative to ``|A| |x| + |b|``, in
+    the max norm) of ``bound`` against the operator, after at most one
+    refinement step, or the solve
     raises :class:`SolverError` naming the bound; an inaccurate or
     non-finite solution is never used.  The bound is :data:`CONTRACT_BOUND`
     unless the caller passes a looser one.  Subclasses supply the unchecked
@@ -513,9 +561,9 @@ class _CheckedSolver:
     above the contract bound (an inexact Newton step).
     """
 
-    def __init__(self, product, norm: float):
-        self._product = product
-        self._norm = norm
+    def __init__(self, rows: list, shape: tuple):
+        self._product = functools.partial(_stencil_action, rows, shape)
+        self._norm = _stencil_norm(rows, shape)
 
     def _backward_error(self, rhs: np.ndarray, x: np.ndarray):
         r = rhs - self._product(x)
@@ -548,20 +596,24 @@ def splu(matrix: csr_matrix, **options):
     return factor(matrix, **options)
 
 
-def gmres(matrix: csr_matrix, rhs: np.ndarray, **options):
+def gmres(operator, rhs: np.ndarray, **options):
     """:func:`scipy.sparse.linalg.gmres`, imported at the first call."""
     from scipy.sparse.linalg import gmres as krylov
 
-    return krylov(matrix, rhs, **options)
+    return krylov(operator, rhs, **options)
 
 
 class _LUFactor(_CheckedSolver):
-    """Sparse LU factor of one matrix, reused for any number of solves.
+    """Sparse LU factor of one stencil table's matrix, reused for any number
+    of solves.
 
-    It factors ``P A P^T``, with ``P`` the :func:`_dissection_order` of the
-    grid shape, in that order (``permc_spec="NATURAL"``) and with every
-    pivot on the diagonal (``diag_pivot_thresh=0`` in ``SymmetricMode``),
-    so the row and column permutations stay ``P``.  That fits the Jacobian:
+    The table is assembled (:func:`assemble_frozen_operator`) for the
+    factor, and the checks multiply by that matrix; the norm is the
+    table's.  It factors ``P A P^T``, with ``P`` the
+    :func:`_dissection_order` of the grid shape, in that order
+    (``permc_spec="NATURAL"``) and with every pivot on the diagonal
+    (``diag_pivot_thresh=0`` in ``SymmetricMode``), so the row and column
+    permutations stay ``P``.  That fits the Jacobian:
     its stencil pattern is structurally symmetric (an interior node couples
     to an interior neighbour exactly when the neighbour couples back; a
     Dirichlet row is a row of the identity) and every diagonal entry is at
@@ -577,8 +629,11 @@ class _LUFactor(_CheckedSolver):
     keep_ratio = REFACTOR_RATIO
     inexact = False
 
-    def __init__(self, matrix: csr_matrix, shape: tuple):
-        super().__init__(matrix.dot, _row_sum_norm(matrix))
+    def __init__(self, rows: list, shape: tuple):
+        super().__init__(rows, shape)
+        matrix = assemble_frozen_operator(rows, shape)
+        # bitwise the table's action, and at 65^2 in half its time
+        self._product = matrix.dot
         self._order = _dissection_order(shape)
         try:
             self._lu = splu(
@@ -609,8 +664,11 @@ def _poisson_inverse(grid: GridSpec):
     the inverse of the 5-point (2-d) or 7-point (3-d) ``1 - Delta_h``: a
     diagonal scaling between two DST-I transforms.  So it inverts ``J(0)``
     exactly on a vector whose Dirichlet rows are 0, where no boundary value
-    couples into the interior rows.
+    couples into the interior rows.  ``scipy.fft`` is imported here, at the
+    first fast Poisson solver, so a run that solves nothing does not load it.
     """
+    from scipy.fft import dstn, idstn
+
     # eigenvalues of the 1-d Dirichlet -D^2_h per axis, summed over an
     # open mesh onto the 1: the symbol of 1 - Delta_h in the sine basis
     eigenvalues = [
@@ -629,42 +687,6 @@ def _poisson_inverse(grid: GridSpec):
     return apply
 
 
-def _poisson_operator(grid: GridSpec):
-    """The action of the ``p = 2`` operator ``J(0)``, with no matrix.
-
-    It is the identity on the Dirichlet rows and the 5-point (2-d) or
-    7-point (3-d) ``1 - Delta_h`` on the interior rows, the rows
-    :func:`_jacobian` assembles at ``v = 0``.  Each interior row adds its
-    terms to 0 in the column order of the assembled row, the lower axis
-    neighbours, the node, the upper ones, as the CSR product does, so the
-    product is bitwise the assembled one's on finite vectors.  The rows are
-    summed over the grid's flat range, whose Dirichlet positions then take
-    their identity rows back.
-    """
-    axes = list(enumerate(-1.0 / h**2 for h in grid.spacing))  # the axis entries
-    center = sum((2.0 / h**2 for h in grid.spacing), 1.0)
-    terms = (
-        [(weight, {i: -1}) for i, weight in axes]
-        + [(center, None)]
-        + [(weight, {i: +1}) for i, weight in reversed(axes)]
-    )
-
-    table = _flat_range(grid.shape)
-
-    def apply(x):
-        x = x.ravel()
-        y = x.copy()  # the identity on the Dirichlet rows
-        rows = table.shifted(y)  # a view: the sums land in y
-        rows[...] = 0.0
-        term = np.empty_like(rows)
-        for weight, steps in terms:
-            rows += np.multiply(weight, table.shifted(x, steps), out=term)
-        rows[table.dirichlet] = table.shifted(x)[table.dirichlet]
-        return y
-
-    return apply
-
-
 class _FastPoisson(_CheckedSolver):
     """The direct solve of ``J(0)``, the ``p = 2`` operator, by fast Poisson.
 
@@ -675,9 +697,9 @@ class _FastPoisson(_CheckedSolver):
     :func:`_poisson_inverse` is the exact solution, with no matrix
     factorized.  Past the cold sweep the residual's Dirichlet rows are 0,
     so the solve is ``M rhs`` alone.  No matrix is assembled either:
-    ``J x0`` and the backward-error check apply ``J(0)`` from its stencil
-    (:func:`_poisson_operator`), and its max norm is the closed form
-    ``1 + 4 sum_i h_i^-2`` of an interior row.
+    ``J x0`` and the backward-error check apply the 5-point (2-d) or
+    7-point (3-d) :func:`_stencil` table of ``J(0)``, whose weights are
+    numbers.
 
     Away from ``v = 0`` a sweep's step solves ``J(0) x = gamma r``: the
     renormalization ``gamma = tr A / |A|^2`` of Smears and Sueli makes
@@ -694,7 +716,8 @@ class _FastPoisson(_CheckedSolver):
     inexact = False
 
     def __init__(self, grid: GridSpec):
-        super().__init__(_poisson_operator(grid), 1.0 + sum(4.0 / h**2 for h in grid.spacing))
+        identity = {(i, i): 1.0 for i in range(grid.dimension)}
+        super().__init__(_stencil(identity, grid.spacing), grid.shape)
         self._inverse = _poisson_inverse(grid)
         self._boundary = ~grid.interior_mask().ravel()
 
@@ -715,7 +738,10 @@ class _FastPoisson(_CheckedSolver):
 
 
 class _PoissonGMRES(_CheckedSolver):
-    """GMRES on the assembled matrix, preconditioned by a fast Poisson solve.
+    """GMRES on a stencil table, preconditioned by a fast Poisson solve.
+
+    GMRES multiplies by the table with :func:`_stencil_action`, wrapped in
+    a ``LinearOperator``: no matrix is assembled.
 
     The frozen coefficient ``A = I + (p - 2) s e (x) e`` satisfies the Cordes
     condition (in 3-d when its largest eigenvalue is below 4, so for every
@@ -740,14 +766,13 @@ class _PoissonGMRES(_CheckedSolver):
     #: A Newton step stops GMRES at the forcing term.
     inexact = True
 
-    def __init__(self, matrix: csr_matrix, grid: GridSpec):
+    def __init__(self, rows: list, grid: GridSpec):
         from scipy.sparse.linalg import LinearOperator
 
-        super().__init__(matrix.dot, _row_sum_norm(matrix))
-        self._matrix = matrix
-        self._preconditioner = LinearOperator(
-            matrix.shape, matvec=_poisson_inverse(grid), dtype=float
-        )
+        super().__init__(rows, grid.shape)
+        size = (math.prod(grid.shape),) * 2
+        self._operator = LinearOperator(size, matvec=self._product, dtype=float)
+        self._preconditioner = LinearOperator(size, matvec=_poisson_inverse(grid), dtype=float)
 
     def _apply(self, rhs: np.ndarray, bound: float = CONTRACT_BOUND) -> np.ndarray:
         if not np.isfinite(rhs).all():
@@ -756,7 +781,7 @@ class _PoissonGMRES(_CheckedSolver):
             return np.full_like(rhs, np.nan)
         # a missed tolerance is left to the contract check, not to ``info``
         x, _ = gmres(
-            self._matrix,
+            self._operator,
             rhs,
             rtol=bound,
             atol=0.0,
@@ -770,14 +795,15 @@ class _PoissonGMRES(_CheckedSolver):
 def _linear_solver(coeffs: _Coefficients, v: np.ndarray, grid: GridSpec) -> _CheckedSolver:
     """The solver of ``J(v)`` on ``grid``, from the stencil data ``coeffs``
     of ``v``: fast Poisson at ``v = 0``, where ``J`` is the ``p = 2``
-    operator and nothing is assembled; else, on the assembled
-    :func:`_jacobian`, GMRES in 3-d, where LU fill grows faster than the
-    grid, and sparse LU in 2-d, where it is cheaper."""
+    operator; else, on the :func:`_stencil` table of ``J(v)``, GMRES in
+    3-d, where LU fill grows faster than the grid, and sparse LU in 2-d,
+    where it is cheaper.  Only the LU factor assembles a matrix."""
     if not v.any():
         return _FastPoisson(grid)
+    rows = _stencil(coeffs.a, grid.spacing, _drift(coeffs))
     if grid.dimension == 3:
-        return _PoissonGMRES(_jacobian(coeffs), grid)
-    return _LUFactor(_jacobian(coeffs), grid.shape)
+        return _PoissonGMRES(rows, grid)
+    return _LUFactor(rows, grid.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +861,7 @@ def solve_regularized(
     offset = _exponent_offset(prob.p.values)  # once per level, not per sweep
 
     def nonlinear_residual(v):
-        return _nonlinear_residual(v, prob.p.values, prob.eps, grid.spacing, rhs, offset)
+        return _nonlinear_residual(v, offset, prob.eps, grid.spacing, rhs)
 
     r, coeffs = nonlinear_residual(v)
     residual = float(np.abs(r).max())

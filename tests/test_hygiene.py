@@ -9,9 +9,11 @@ read as an attribute somewhere in the package.  So a deletion that leaves
 an import, an export, a replaced constant, a helper that only the tests
 call or a field that only the tests set behind fails here by name.  Every
 linear solver class of the sweep loop states its policy in its own class
-body.  No module calls a builtin that runs text as code.  The command line module
-loads no heavy scipy subpackage it does not need, and not sympy, and a run
-loads ``scipy.sparse`` only when it builds an LU factor or a GMRES solver.
+body.  No module calls a builtin that runs text as code.  No module
+imports scipy when it is loaded.  The command line module loads no heavy
+scipy subpackage it does not need, and not sympy; a run loads
+``scipy.fft`` only when it mollifies or solves, and ``scipy.sparse`` only
+when it builds an LU factor or a GMRES solver.
 """
 
 import ast
@@ -288,14 +290,70 @@ def test_checks_catch_a_dead_import_and_a_stale_export():
     assert undefined_exports(tree) == ["gone"]
 
 
+#: The tests that guard a static-typing-only import block, as written.
+TYPE_CHECKING_TESTS = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+
+
+def load_time_imports(statements):
+    """Each import statement of ``statements`` that runs when the module is
+    loaded: every one outside a function body and outside the body of an
+    ``if TYPE_CHECKING:`` block.  Class bodies run at load time."""
+    for node in statements:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        elif isinstance(node, ast.If) and ast.unparse(node.test) in TYPE_CHECKING_TESTS:
+            yield from load_time_imports(node.orelse)
+        else:  # compound statements; an except handler holds a body too
+            for field in ("body", "handlers", "orelse", "finalbody"):
+                yield from load_time_imports(getattr(node, field, []))
+
+
+def scipy_at_load(tree):
+    """The scipy modules the module imports when it is loaded, in order."""
+    modules = []
+    for node in load_time_imports(tree.body):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = [alias.name for alias in node.names]
+        modules += [name for name in names if name.split(".")[0] == "scipy"]
+    return modules
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_module_imports_scipy_when_loaded(path):
+    # every scipy subpackage is imported where it is first used, so a
+    # command that needs none of them loads none
+    loaded = scipy_at_load(parse(path))
+    assert loaded == [], f"{path.name} imports {loaded} at module level"
+
+
+def test_check_catches_a_module_level_scipy_import():
+    tree = ast.parse(
+        "import numpy, scipy.linalg\nfrom typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n    from scipy.sparse import csr_matrix\n"
+        "else:\n    from scipy import fft\n"
+        "try:\n    from scipy.special import gamma\nexcept ImportError:\n    import scipy.stats\n"
+        "def solve():\n    from scipy.sparse.linalg import splu\n\n"
+        "class Holder:\n    import scipy.optimize\n\n"
+        "    def method(self):\n        import scipy.ndimage\n"
+    )
+    expected = ["scipy.linalg", "scipy", "scipy.special", "scipy.stats", "scipy.optimize"]
+    assert scipy_at_load(tree) == expected
+
+
 #: scipy subpackages the lab does not use, each slow to import: scipy.signal
 #: alone takes longer than the rest of ``import pxlaplace.cli``.  sympy is
 #: the tests' oracle, never the lab's.
 HEAVY_MODULES = ("scipy.ndimage", "scipy.signal", "sympy")
 
-#: Loaded only when a run builds an LU factor (2-d) or a GMRES solver
-#: (3-d): the fast Poisson path assembles no matrix.
-DEFERRED_MODULES = ("scipy.sparse", "scipy.sparse.linalg")
+#: Loaded only by a run that mollifies or solves (``scipy.fft``, for the
+#: mollifier and the fast Poisson solve), and only when a run builds an LU
+#: factor (2-d) or a GMRES solver (3-d) (``scipy.sparse``): the fast
+#: Poisson path assembles no matrix.
+DEFERRED_MODULES = ("scipy.fft", "scipy.sparse", "scipy.sparse.linalg")
 
 #: An audit config for ``pxlaplace audit``: the fixture's boundary data
 #: with exponent ``p`` on ``points`` nodes per axis.
@@ -313,10 +371,11 @@ directory = {outdir}
 """
 
 #: Run in a fresh interpreter: import the command line module, then run
-#: each audit config of ``sys.argv`` through ``cli.main``, with
-#: ``solver.splu`` counted.  Prints, as JSON, the watched modules loaded
-#: after the import and, per config, its exit code, the watched modules
-#: loaded after it and the factors built so far.
+#: each command line of the JSON list ``sys.argv[1]`` through ``cli.main``,
+#: in order, with ``solver.splu`` counted.  Prints, as JSON on its last
+#: line, the watched modules loaded after the import and, per command, its
+#: exit code, the watched modules loaded after it and the factors built so
+#: far.
 PROBE = """\
 import json, sys
 import pxlaplace.cli as cli
@@ -331,45 +390,55 @@ def counting(*args, **options):
     return original(*args, **options)
 
 solver.splu = counting
-record = {{"import": [m for m in watched if m in sys.modules]}}
-for path in sys.argv[1:]:
-    code = cli.main(["audit", "--config", path])
-    record[path] = [code, [m for m in watched if m in sys.modules], len(factors)]
+record = [[m for m in watched if m in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    record.append([code, [m for m in watched if m in sys.modules], len(factors)])
 print(json.dumps(record))
 """
 
 
 def test_cli_import_loads_no_heavy_scipy_subpackage(tmp_path):
-    # checked by name in a fresh interpreter, not by a timing.  The fixture
-    # runs in 2-d and 3-d keep their fast Poisson solve, so they load no
-    # scipy.sparse; p = 1.2 falls back to LU, which loads it and factors
+    # checked by name in a fresh interpreter, not by a timing.  The
+    # constants and identities commands and a config error solve nothing,
+    # so they load no scipy.fft.  The fixture runs in 2-d and 3-d keep
+    # their fast Poisson solve, so they load scipy.fft and no scipy.sparse;
+    # p = 1.2 falls back to LU, which loads it and factors
     schedule = "0.1 0.03 0.01 0.003 0.001 0.0003 0.0001"
     runs = {
+        "increasing": (2, "33 33", "2 + 0.5*sin(x1)", "0.01 0.1"),
         "fixture-33": (2, "33 33", "2 + 0.5*sin(x1)", schedule),
         "cube-9": (3, "9 9 9", "2 + 0.5*sin(x1)", "0.1 0.01 0.001"),
         "p1.2-33": (2, "33 33", "1.2", schedule),
     }
-    paths = []
+    commands = [
+        ["constants", "--n", "2", "--tminus", "2", "--tplus", "2", "--beta", "0"],
+        ["identities", "--count", "2"],
+    ]
     for name, (dimension, points, p, eps) in runs.items():
         path = tmp_path / f"{name}.cfg"
         path.write_text(
             AUDIT_CONFIG.format(dimension=dimension, points=points, p=p, schedule=eps, outdir=tmp_path / name)
         )
-        paths.append(str(path))
+        commands.append(["audit", "--config", str(path)])
     probe = PROBE.format(watched=HEAVY_MODULES + DEFERRED_MODULES)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", probe, *paths],
+        [sys.executable, "-c", probe, json.dumps(commands)],
         env=env,
         capture_output=True,
         text=True,
         check=True,
         timeout=300,
     )
-    record = json.loads(done.stdout.strip().splitlines()[-1])
-    assert record["import"] == [], record
-    fixture, cube, lu = (record[path] for path in paths)
-    assert fixture == [0, [], 0], fixture
-    assert cube == [0, [], 0], cube
+    after_import, after_constants, after_identities, after_error, fixture, cube, lu = json.loads(
+        done.stdout.strip().splitlines()[-1]
+    )
+    assert after_import == [], after_import
+    assert after_constants == [0, [], 0], after_constants
+    assert after_identities == [0, [], 0], after_identities
+    assert after_error == [2, [], 0], after_error
+    assert fixture == [0, ["scipy.fft"], 0], fixture
+    assert cube == [0, ["scipy.fft"], 0], cube
     assert lu[0] == 0 and lu[1] == list(DEFERRED_MODULES) and lu[2] > 0, lu
