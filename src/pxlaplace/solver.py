@@ -544,9 +544,8 @@ class _CheckedSolver:
 
     The operator comes as its :func:`_stencil` table on a grid shape:
     ``J(v)`` for the LU and GMRES solvers, ``J(0)`` for the fast Poisson
-    solve.  The check applies it with :func:`_stencil_action` (the LU
-    factor multiplies by the matrix it factors, the same product) and
-    scales by its :func:`_stencil_norm`.  A solution meets a
+    solve.  The check applies it with :func:`_stencil_action` and scales
+    by its :func:`_stencil_norm`.  A solution meets a
     normwise backward error (residual relative to ``|A| |x| + |b|``, in
     the max norm) of ``bound`` against the operator, after at most one
     refinement step, or the solve
@@ -608,8 +607,8 @@ class _LUFactor(_CheckedSolver):
     of solves.
 
     The table is assembled (:func:`assemble_frozen_operator`) for the
-    factor, and the checks multiply by that matrix; the norm is the
-    table's.  It factors ``P A P^T``, with ``P`` the
+    factor alone; the checks apply the table, as every solver's do.  It
+    factors ``P A P^T``, with ``P`` the
     :func:`_dissection_order` of the grid shape, in that order
     (``permc_spec="NATURAL"``) and with every pivot on the diagonal
     (``diag_pivot_thresh=0`` in ``SymmetricMode``), so the row and column
@@ -632,8 +631,6 @@ class _LUFactor(_CheckedSolver):
     def __init__(self, rows: list, shape: tuple):
         super().__init__(rows, shape)
         matrix = assemble_frozen_operator(rows, shape)
-        # bitwise the table's action, and at 65^2 in half its time
-        self._product = matrix.dot
         self._order = _dissection_order(shape)
         try:
             self._lu = splu(
