@@ -19,6 +19,7 @@ from .constants import ExponentWindow, constant_set
 from .diffops import (
     StretchParams,
     _central_difference,
+    _flat_range,
     _norm_sq,
     _sum_sq,
     frobenius_sq,
@@ -319,13 +320,14 @@ def caccioppoli_audit(
     # central differences of phi are the full-grid gradient's.
     box, distance, phi = _cutoff_box(ball, grid)
     core = tuple(slice(part.start + 1, part.stop - 1) for part in box)
-    inner = (slice(1, -1),) * n
     grad = gradient(v)
 
     f_vals, df_sq, _ = _stretched_fields(v, params.beta, params.eps)
     c = f_vals[box][ball_mask(ball.scaled(0.75), grid, distance)].mean(axis=0)
-    dphi_sq = _sum_sq(_central_difference(phi, axis, h) for axis, h in enumerate(grid.spacing))
-    phi_sq = phi[inner] ** 2
+    table = _flat_range(phi.shape)
+    slope = (_central_difference(phi.ravel(), table, axis, h) for axis, h in enumerate(grid.spacing))
+    dphi_sq = table.interior(_sum_sq(slope))
+    phi_sq = phi[(slice(1, -1),) * n] ** 2
 
     vol = grid.cell_volume
     base = _norm_sq(grad[core]) + params.eps

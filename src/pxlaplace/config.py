@@ -177,7 +177,7 @@ def load_config(path: str) -> RunConfig:
         except (FieldError, AuditError) as err:
             raise ConfigError(f"bad Caccioppoli ball: {err}") from err
     c_target = _number(audit, "c_target", str(REGRESSION_GEHRING_BUDGET))
-    gehring_r_max = _number(audit, "gehring_r_max", "") if audit.get("gehring_r_max") else None
+    gehring_r_max = _number(audit, "gehring_r_max", "") if "gehring_r_max" in audit else None
     positive = [("kappa", kappa), ("c_target", c_target)]
     if gehring_r_max is not None:
         positive.append(("gehring_r_max", gehring_r_max))

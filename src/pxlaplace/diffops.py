@@ -1,25 +1,24 @@
 """Discrete differential operators and the stretched-gradient calculus.
 
-Every difference formula of the lab lives here.  :func:`_central_difference`
-and :func:`_stencil_hessian` (the 3-point second difference on the
-diagonal, the 4-point cross difference off it, exact on quadratics) read
-a node array through a ``shifted`` accessor, in one of two layouts.
-:func:`_shifted`, the default, gives the interior block as a strided view;
-the field derivatives and the Caccioppoli cutoff slope read that.  The
-solver's sweeps read :func:`_stencil_derivatives`, the same formulas on the
-*flat range* of the raveled grid (:func:`_flat_range`): the positions
-``[s, N - s)``, with ``s`` the sum of the strides, hold every interior node,
-and each neighbour is the same range moved by a fixed flat offset, a
-contiguous slice.  The range also holds Dirichlet positions, where the
-offsets wrap across a boundary row; the kernels set their differences to 0.
-:func:`gradient` and :func:`hessian` lay the values out on a field's full
-grid, derivative axes last, with 0 on the Dirichlet nodes, where no central
-stencil fits: read-only arrays, computed once per field, that callers read
-on the interior nodes.  So the audits differentiate with the operator the
-solver solved.  Jacobians of stretched gradients are formed with the
-product rule from the discrete gradient and Hessian, which keeps the
-algebraic sigma_2 identities exact at the node level; ``sigma_2`` and the
-squared Frobenius norm are their matrix invariants.
+Every difference formula of the lab lives here, on one layout: the *flat
+range* of the raveled grid (:func:`_flat_range`), the positions
+``[s, N - s)``, with ``s`` the sum of the strides, which hold every
+interior node.  Each neighbour is the same range moved by a fixed flat
+offset, a contiguous slice.  The range also holds Dirichlet positions,
+where the offsets wrap across a boundary row; the kernels set their values
+there to 0.  :func:`_central_difference` and :func:`_stencil_hessian` (the
+3-point second difference on the diagonal, the 4-point cross difference
+off it, exact on quadratics) are the kernels.  The solver's sweeps read
+them through :func:`_stencil_derivatives`, the Caccioppoli audit its
+cutoff slope on the range of its ball's box, and :func:`gradient` and
+:func:`hessian` write their values into a field's full grid, derivative
+axes last, with 0 on the Dirichlet nodes, where no central stencil fits:
+read-only arrays, computed once per field, that callers read on the
+interior nodes.  So the audits differentiate with the operator the solver
+solved.  Jacobians of stretched gradients are formed with the product rule
+from the discrete gradient and Hessian, which keeps the algebraic sigma_2
+identities exact at the node level; ``sigma_2`` and the squared Frobenius
+norm are their matrix invariants.
 
 The stretched-gradient calculus takes and returns stacked arrays
 (components last) but computes per gradient component and per Hessian
@@ -88,13 +87,6 @@ def _once_per_field(compute):
     return stored
 
 
-def _shifted(v: np.ndarray, steps: Optional[dict] = None) -> np.ndarray:
-    """The interior block of ``v``, moved ``steps[k]`` (-1 or 1) nodes along
-    each axis ``k`` in ``steps``; a view."""
-    offsets = [(steps or {}).get(k, 0) for k in range(v.ndim)]
-    return v[tuple(slice(1 + o, m - 1 + o) for o, m in zip(offsets, v.shape))]
-
-
 class _FlatRange(NamedTuple):
     """The flat range ``[start, stop)`` of one grid shape's raveled nodes.
 
@@ -142,49 +134,54 @@ def _flat_range(shape: tuple) -> _FlatRange:
     start = sum(strides)
     stop = math.prod(shape) - start
     boundary = np.ones(shape, dtype=bool)
-    _shifted(boundary)[...] = False
+    boundary[(slice(1, -1),) * len(shape)] = False
     dirichlet = np.flatnonzero(boundary.ravel()[start:stop])
     dirichlet.setflags(write=False)
     return _FlatRange(shape, strides, start, stop, dirichlet)
 
 
-def _central_difference(values: np.ndarray, axis: int, h: float, shifted=_shifted) -> np.ndarray:
-    """``(v[i+1] - v[i-1]) / 2h`` along ``axis`` on the nodes ``shifted`` reads.
+def _central_difference(flat: np.ndarray, table: _FlatRange, axis: int, h: float) -> np.ndarray:
+    """``(v[i+1] - v[i-1]) / 2h`` along ``axis`` on the flat range ``table``
+    of the raveled node array ``flat``, 0 at the range's Dirichlet positions.
 
     Here and in :func:`_stencil_hessian` each operation of the formula
     writes into the array of the one before it, in the formula's order, so
     the values are the formula's, bitwise, with fewer arrays allocated.
     """
-    out = np.subtract(shifted(values, {axis: 1}), shifted(values, {axis: -1}))
+    out = np.subtract(table.shifted(flat, {axis: 1}), table.shifted(flat, {axis: -1}))
     out /= 2.0 * h
+    out[table.dirichlet] = 0.0
     return out
 
 
-def _stencil_hessian(v: np.ndarray, spacing: tuple, shifted=_shifted) -> dict:
-    """The stencil Hessian ``D^2_h v`` on the nodes ``shifted`` reads.
+def _stencil_hessian(flat: np.ndarray, table: _FlatRange, h: tuple) -> dict:
+    """The stencil Hessian ``D^2_h v``, with the spacings ``h``, on the flat
+    range ``table`` of the raveled node array ``flat``, 0 at the range's
+    Dirichlet positions.
 
     ``hess[i, j]`` (``i <= j``) holds the 3-point second difference along
     axis ``i`` (``i == j``) or the 4-point cross difference of axes ``i``
     and ``j``: the differences the solver's stencil applies.
     """
-    n = len(spacing)
-    h = spacing
-    centre = shifted(v)
+    n = len(h)
+    centre = table.shifted(flat)
     hess = {}
     for i in range(n):
         # (v[+1] - 2 v) + v[-1], over h^2
         second = np.multiply(2.0, centre)
-        np.subtract(shifted(v, {i: 1}), second, out=second)
-        second += shifted(v, {i: -1})
+        np.subtract(table.shifted(flat, {i: 1}), second, out=second)
+        second += table.shifted(flat, {i: -1})
         second /= h[i] ** 2
         hess[i, i] = second
         for j in range(i + 1, n):
             # v[+1, +1] + v[-1, -1] - v[+1, -1] - v[-1, +1], over 4 h_i h_j
-            cross = np.add(shifted(v, {i: 1, j: 1}), shifted(v, {i: -1, j: -1}))
-            cross -= shifted(v, {i: 1, j: -1})
-            cross -= shifted(v, {i: -1, j: 1})
+            cross = np.add(table.shifted(flat, {i: 1, j: 1}), table.shifted(flat, {i: -1, j: -1}))
+            cross -= table.shifted(flat, {i: 1, j: -1})
+            cross -= table.shifted(flat, {i: -1, j: 1})
             cross /= 4.0 * h[i] * h[j]
             hess[i, j] = cross
+    for block in hess.values():
+        block[table.dirichlet] = 0.0
     return hess
 
 
@@ -192,17 +189,13 @@ def _stencil_derivatives(v: np.ndarray, spacing: tuple) -> tuple:
     """The central gradient ``q`` (one array per axis) and the stencil
     Hessian ``hess`` of the node array ``v`` on its flat range.
 
-    Each node's value is the interior kernels' value, bitwise; at the
-    Dirichlet positions of the range every entry is 0, so a check over the
-    range sees the interior nodes' values only.
+    At the Dirichlet positions of the range every entry is 0, so a check
+    over the range sees the interior nodes' values only.
     """
     table = _flat_range(v.shape)
     flat = v.ravel()
-    q = [_central_difference(flat, i, h, table.shifted) for i, h in enumerate(spacing)]
-    hess = _stencil_hessian(flat, spacing, table.shifted)
-    for block in (*q, *hess.values()):
-        block[table.dirichlet] = 0.0
-    return q, hess
+    q = [_central_difference(flat, table, i, h) for i, h in enumerate(spacing)]
+    return q, _stencil_hessian(flat, table, spacing)
 
 
 @_once_per_field
@@ -213,9 +206,11 @@ def gradient(v: ScalarField) -> np.ndarray:
     """
     grid = v.grid
     n = grid.dimension
+    table = _flat_range(grid.shape)
     out = np.zeros(grid.shape + (n,))
+    rows = out.reshape(-1, n)[table.start : table.stop]
     for i in range(n):
-        _shifted(out[..., i])[...] = _central_difference(v.values, i, grid.spacing[i])
+        rows[:, i] = _central_difference(v.values.ravel(), table, i, grid.spacing[i])
     return _prepare(out, grid.shape + (n,), "gradient")
 
 
@@ -228,10 +223,11 @@ def hessian(v: ScalarField) -> np.ndarray:
     """
     grid = v.grid
     n = grid.dimension
+    table = _flat_range(grid.shape)
     out = np.zeros(grid.shape + (n, n))
-    for (i, j), block in _stencil_hessian(v.values, grid.spacing).items():
-        _shifted(out[..., i, j])[...] = block
-        _shifted(out[..., j, i])[...] = block
+    rows = out.reshape(-1, n, n)[table.start : table.stop]
+    for (i, j), block in _stencil_hessian(v.values.ravel(), table, grid.spacing).items():
+        rows[:, i, j] = rows[:, j, i] = block
     return _prepare(out, grid.shape + (n, n), "Hessian")
 
 

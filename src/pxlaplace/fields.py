@@ -106,7 +106,9 @@ class GridSpec:
 
 
 def _prepare(values, shape, what):
-    arr = np.array(values, dtype=float)
+    """``values`` as a read-only float array of ``shape``, checked finite; a
+    float array is checked and frozen in place, not copied."""
+    arr = np.asarray(values, dtype=float)
     if arr.shape != shape:
         raise FieldError(f"{what} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
@@ -121,7 +123,8 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _prepare(self.values, self.grid.shape, "scalar field"))
+        values = np.array(self.values, dtype=float)  # the caller's array stays theirs
+        object.__setattr__(self, "values", _prepare(values, self.grid.shape, "scalar field"))
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .constants import ExponentWindow
-from .diffops import _flat_range, _shifted, _stencil_derivatives, gradient
+from .diffops import _flat_range, _stencil_derivatives, gradient
 from .expressions import Expression
 from .fields import BallRegion, GridSpec, ScalarField, ball_mask, mollify, sample
 
@@ -257,17 +257,16 @@ def _stencil_pattern(shape: tuple) -> tuple:
     """
     from scipy.sparse import get_index_dtype
 
-    nodes = np.arange(math.prod(shape)).reshape(shape)
-    interior = _shifted(nodes).ravel()
+    table = _flat_range(shape)
+    interior = table.interior(np.arange(table.start, table.stop)).ravel()
     offsets = _neighbours(len(shape))
-    width = np.ones(nodes.size, dtype=np.intp)
+    width = np.ones(math.prod(shape), dtype=np.intp)
     width[interior] = len(offsets)
     indptr = np.concatenate([[0], np.cumsum(width)])
-    indices = np.repeat(nodes.ravel(), width)
+    indices = np.repeat(np.arange(width.size), width)
     starts = indptr[interior]
-    strides = np.array(nodes.strides) // nodes.itemsize
     for k, off in enumerate(offsets):
-        indices[starts + k] = interior + np.dot(off, strides)
+        indices[starts + k] = interior + np.dot(off, table.strides)
     # the index type scipy gives the matrix, so no assembly converts them
     index = get_index_dtype(maxval=indptr[-1])
     indptr, indices = indptr.astype(index), indices.astype(index)
@@ -297,8 +296,7 @@ def _dissection_order(shape: tuple) -> np.ndarray:
     the grid shape, so it is read-only.
     """
     nodes = np.arange(math.prod(shape)).reshape(shape)
-    dirichlet = np.ones(shape, dtype=bool)
-    _shifted(dirichlet)[...] = False
+    interior = nodes[(slice(1, -1),) * len(shape)]
 
     def dissect(block):
         if block.size <= DISSECTION_LEAF:
@@ -309,7 +307,7 @@ def _dissection_order(shape: tuple) -> np.ndarray:
         low, high = block[cut + (slice(mid),)], block[cut + (slice(mid + 1, None),)]
         return dissect(low) + dissect(high) + [block[cut + (mid,)].ravel()]
 
-    order = np.concatenate([nodes[dirichlet]] + dissect(_shifted(nodes)))
+    order = np.concatenate([np.setdiff1d(nodes, interior)] + dissect(interior))
     order.setflags(write=False)
     return order
 
@@ -804,7 +802,8 @@ def _linear_solver(coeffs: _Coefficients, v: np.ndarray, grid: GridSpec) -> _Che
 
 
 # ---------------------------------------------------------------------------
-# Newton (3-d) and chord-Newton (2-d) iteration
+# The sweep loop: renormalized fast Poisson sweeps, with Newton (3-d) or
+# chord-Newton (2-d) as the fallback
 # ---------------------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from pxlaplace import audits
+from pxlaplace import audits, diffops
 from pxlaplace.audits import (
     AuditError,
     ball_family,
@@ -29,6 +29,7 @@ from pxlaplace.fields import BallRegion, FieldError, GridSpec, ScalarField, ball
 from pxlaplace.fixtures import REGRESSION_GEHRING_BUDGET, caccioppoli_balls
 
 from manufactured import manufactured_rhs
+from strided import strided_gradient
 
 
 def unit_square(m=65):
@@ -239,6 +240,35 @@ class TestCaccioppoliMatchesFullGrid:
             assert got[name] == pytest.approx(expected, rel=1e-13, abs=0.0), name
         assert lhs > 0.0 and osc > 0.0
         assert report.worst == pytest.approx(lhs / rhs, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["margin-2d", "3d"])
+    def test_cutoff_slope_is_the_strided_slope(self, monkeypatch, case):
+        # the audit differences its cutoff on the flat range of the ball's
+        # box and reads the interior block: the strided formula's bits
+        if case == "3d":
+            v, g, ball = three_d_fields()
+        else:
+            v = g = saddle_field(65)
+            ball = margin_ball(v.grid)
+        grid = v.grid
+        calls = []
+
+        def recording(flat, table, axis, h, original=audits._central_difference):
+            slope = original(flat, table, axis, h)
+            calls.append((flat, table, axis, slope))
+            return slope
+
+        monkeypatch.setattr(audits, "_central_difference", recording)
+        p = ScalarField(grid, np.full(grid.shape, 2.0))
+        caccioppoli_audit(v, p, g, StretchParams(1.0, 1e-2), ExponentWindow(2.0, 2.0), ball)
+        _, _, phi = audits._cutoff_box(ball, grid)
+        table = diffops._flat_range(phi.shape)
+        assert [call[2] for call in calls] == list(range(grid.dimension))
+        expected = strided_gradient(phi, grid.spacing)
+        for flat, seen, axis, slope in calls:
+            assert seen is table and flat.tobytes() == phi.tobytes()
+            assert table.interior(slope).tobytes() == expected[axis].tobytes(), axis
+            assert not slope[table.dirichlet].any()
 
     def test_margin_ball_reaches_the_margin(self, canonical_run):
         final = canonical_run[0].results[-1]

@@ -484,6 +484,7 @@ class TestConfigErrors:
             ("audit", "kappa = 10", "kappa = inf", "kappa must be positive and finite"),
             ("gehring", "c_target = 3.36", "c_target = inf", "c_target must be positive and finite"),
             ("gehring", "seed = 7", "seed = 7\ngehring_r_max = inf", "gehring_r_max must be"),
+            ("gehring", "seed = 7", "seed = 7\ngehring_r_max =", "gehring_r_max must be a number, got ''"),
             ("gehring", "seed = 7", "seed = 7\ngehring_r_max = nan", "gehring_r_max must be"),
             ("gehring", "seed = 7", "seed = 7\ngehring_r_max = 0", "gehring_r_max must be"),
             ("gehring", "seed = 7", "seed = 7\ngehring_r_max = -0.2", "gehring_r_max must be"),
@@ -497,6 +498,7 @@ class TestConfigErrors:
             "kappa-inf",
             "c_target-inf",
             "gehring_r_max-inf",
+            "gehring_r_max-empty",
             "gehring_r_max-nan",
             "gehring_r_max-zero",
             "gehring_r_max-negative",
@@ -510,8 +512,9 @@ class TestConfigErrors:
     ):
         # nan betas would PASS the delta search, an infinite kappa or c_target
         # would make every verdict pass, an infinite gehring_r_max would
-        # halve forever, and a nan ball would fail only after the solve, a
-        # nan eps level only after the levels before it:
+        # halve forever and an empty one would fall back to the default, and
+        # a nan ball would fail only after the solve, a nan eps level only
+        # after the levels before it:
         # config mistakes (2), caught before the solve, not verdicts (0 or 1)
         calls = []
         monkeypatch.setattr(cli, "epsilon_continuation", lambda *args: calls.append(args))

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from pxlaplace import diffops
 from pxlaplace.diffops import (
     StretchParams,
     frobenius_sq,
@@ -17,6 +18,8 @@ from pxlaplace.diffops import (
 from pxlaplace.expressions import parse_expression
 from pxlaplace.fields import FieldError, GridSpec, ScalarField, sample
 from pxlaplace.identities import polynomial_derivative_samples, random_polynomial
+
+from strided import PATTERN_GRIDS, PATTERN_IDS, strided, strided_gradient, strided_hessian
 
 
 def unit_square(m=33):
@@ -139,6 +142,46 @@ class TestComputedOncePerField:
                 assert hessian(field) is hessian(field)
         finally:
             sys.setswitchinterval(switch)
+
+
+class TestFlatLayout:
+    """The field derivatives are computed on the grid's flat range; the
+    strided interior-block formulas are their reference."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        # the pattern grids' spacings are powers of 2; the last grid's are not
+        PATTERN_GRIDS + [GridSpec((0.0, -0.5), (0.7, 0.6), (13, 11))],
+        ids=PATTERN_IDS + ["13x11"],
+    )
+    def test_bitwise_the_strided_formulas(self, grid):
+        values = np.random.default_rng(37).standard_normal(grid.shape)
+        field = ScalarField(grid, values)
+        grad, hess = gradient(field), hessian(field)
+        for i, block in enumerate(strided_gradient(values, grid.spacing)):
+            assert strided(grad[..., i]).tobytes() == block.tobytes(), i
+        for (i, j), block in strided_hessian(values, grid.spacing).items():
+            assert strided(hess[..., i, j]).tobytes() == block.tobytes(), (i, j)
+            assert strided(hess[..., j, i]).tobytes() == block.tobytes(), (j, i)
+        # +0.0 on every Dirichlet node, the flat range's included
+        boundary = ~grid.interior_mask()
+        for array in (grad, hess):
+            assert not array[boundary].any() and not np.signbit(array[boundary]).any()
+            assert not array.flags.writeable
+
+    def test_each_derivative_array_is_allocated_once(self, monkeypatch):
+        # the array the kernel filled is the one returned, checked and
+        # frozen in place, not a copy of it
+        filled = []
+
+        def recording(values, shape, what, original=diffops._prepare):
+            filled.append(values)
+            return original(values, shape, what)
+
+        monkeypatch.setattr(diffops, "_prepare", recording)
+        field = sample(parse_expression("sin(3*x1)*x2^2", 2), unit_square())
+        assert gradient(field) is filled[0]
+        assert hessian(field) is filled[1]
 
 
 class TestSecondOrderConvergence:

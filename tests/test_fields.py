@@ -131,6 +131,15 @@ class TestFieldInvariants:
         with pytest.raises(ValueError):
             field.values[0, 0] = 1.0
 
+    def test_caller_data_copied(self):
+        # the field freezes its own copy: the caller's array stays writable,
+        # and a later write to it does not reach the field
+        data = np.zeros((9, 9))
+        field = ScalarField(unit_square(9), data)
+        assert field.values is not data and data.flags.writeable
+        data[0, 0] = 1.0
+        assert field.values[0, 0] == 0.0
+
 
 class TestSample:
     def test_constant(self):

@@ -9,7 +9,9 @@ read as an attribute somewhere in the package.  So a deletion that leaves
 an import, an export, a replaced constant, a helper that only the tests
 call or a field that only the tests set behind fails here by name.  Every
 linear solver class of the sweep loop states its policy in its own class
-body.  No module calls a builtin that runs text as code.  No module
+body.  No module calls a builtin that runs text as code, and no module
+but ``diffops`` subtracts two sliced views of one array: every difference
+formula lives there, on the grid's flat range.  No module
 imports scipy when it is loaded.  The command line module loads no heavy
 scipy subpackage it does not need, and not sympy; a run loads
 ``scipy.fft`` only when it mollifies or solves, and ``scipy.sparse`` only
@@ -282,6 +284,59 @@ def test_no_module_runs_text_as_code(path):
 def test_check_catches_a_call_that_runs_text():
     # re.compile is a method, not the builtin
     assert executing_calls(ast.parse("eval(s)\nre.compile(s)\nexec(s)\n")) == ["eval", "exec"]
+
+
+#: Every module but ``diffops``, the home of the difference formulas.
+NON_DIFFERENCE_MODULES = [path for path in MODULES if path.stem != "diffops"]
+
+
+def sliced_base(node):
+    """The source of the array a subscript with a slice in its index reads;
+    None for any other node."""
+    if isinstance(node, ast.Subscript) and any(isinstance(part, ast.Slice) for part in ast.walk(node.slice)):
+        return ast.unparse(node.value)
+    return None
+
+
+def sliced_differences(tree):
+    """Each subtraction in the module of two sliced views of one array, by
+    ``-``, ``-=`` or ``np.subtract``, as source, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            sides = [node.left, node.right]
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub):
+            sides = [node.target, node.value]
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.subtract", "numpy.subtract"):
+            sides = node.args[:2]
+        else:
+            continue
+        bases = {sliced_base(side) for side in sides}
+        if len(sides) == 2 and len(bases) == 1 and None not in bases:
+            found.append((node.lineno, ast.unparse(node)))
+    return [source for _, source in sorted(found)]
+
+
+@pytest.mark.parametrize("path", NON_DIFFERENCE_MODULES, ids=[path.stem for path in NON_DIFFERENCE_MODULES])
+def test_no_module_but_diffops_forms_a_strided_difference(path):
+    found = sliced_differences(parse(path))
+    assert found == [], f"{path.name} differences views of one array: {found}"
+
+
+def test_check_catches_a_strided_difference():
+    # two views of different arrays, a sum and an element difference pass
+    tree = ast.parse(
+        "d = v[2:, 1:-1] - v[:-2, 1:-1]\n"
+        "np.subtract(w[..., 1:], w[..., :-1], out=d)\n"
+        "e[1:] -= e[:-1]\n"
+        "ok = v[1:] - w[1:]\nok = v[1:] + v[:-1]\nok = v[0] - v[1]\n"
+        "ok = table.shifted(v, {0: 1}) - table.shifted(v, {0: -1})\n"
+    )
+    assert sliced_differences(tree) == [
+        "v[2:, 1:-1] - v[:-2, 1:-1]",
+        "np.subtract(w[..., 1:], w[..., :-1], out=d)",
+        "e[1:] -= e[:-1]",
+    ]
 
 
 def test_checks_catch_a_dead_import_and_a_stale_export():

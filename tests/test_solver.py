@@ -24,6 +24,7 @@ from pxlaplace.solver import (
 )
 
 from manufactured import manufactured_rhs
+from strided import PATTERN_GRIDS, PATTERN_IDS, strided, strided_gradient, strided_hessian
 
 
 def at(expr, point):
@@ -240,13 +241,6 @@ def reference_assembly(v, p, eps):
     return matrix, ellipticity, int(violations.sum())
 
 
-PATTERN_GRIDS = [
-    unit_square(33),
-    GridSpec((0.0, 0.0), (1.0, 1.0), (17, 9)),
-    GridSpec((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (9, 9, 9)),
-]
-
-
 class TestAssemblyPattern:
     def test_bitwise_identical_to_coo_reference(self):
         rng = np.random.default_rng(3)
@@ -265,7 +259,7 @@ class TestAssemblyPattern:
             violations += dominance
         assert violations > 0
 
-    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=["33x33", "17x9", "9x9x9"])
+    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=PATTERN_IDS)
     def test_cached_pattern_is_read_only(self, grid):
         # every matrix assembled on the grid shape shares these arrays
         indptr, indices, starts = solver._stencil_pattern(grid.shape)
@@ -389,36 +383,17 @@ class TestDifferentiatedOnce:
             assert any(coeffs.q is q and coeffs.hess is hess for q, hess in passes)
 
 
-def strided(v, steps=None):
-    """The interior block of ``v`` moved by ``steps``, a strided view."""
-    offsets = [(steps or {}).get(k, 0) for k in range(v.ndim)]
-    return v[tuple(slice(1 + o, m - 1 + o) for o, m in zip(offsets, v.shape))]
-
-
 def strided_sweep_data(v, p, eps, spacing, rhs):
     """The sweep's stencil data and residual by the strided interior-block
     formulas, as a reference: each array of the interior block, raveled,
     and the residual on the whole grid."""
-    n = v.ndim
-    h = spacing
-    q = [(strided(v, {i: 1}) - strided(v, {i: -1})) / (2.0 * h[i]) for i in range(n)]
+    q, hess = strided_gradient(v, spacing), strided_hessian(v, spacing)
     g2 = sum(qi**2 for qi in q)
     d = g2 + eps
     coef = (strided(p) - 2.0) / d
-    a, hess = {}, {}
-    for i in range(n):
-        a[i, i] = 1.0 + coef * q[i] * q[i]
-        second = strided(v, {i: 1}) - 2.0 * strided(v) + strided(v, {i: -1})
-        hess[i, i] = second / h[i] ** 2
-        for j in range(i + 1, n):
-            a[i, j] = coef * q[i] * q[j]
-            cross = (
-                strided(v, {i: 1, j: 1})
-                + strided(v, {i: -1, j: -1})
-                - strided(v, {i: 1, j: -1})
-                - strided(v, {i: -1, j: 1})
-            )
-            hess[i, j] = cross / (4.0 * h[i] * h[j])
+    a = {(i, j): coef * q[i] * q[j] for i, j in hess}
+    for i in range(v.ndim):
+        a[i, i] = 1.0 + a[i, i]
     r = (rhs - v.ravel()).reshape(v.shape)
     for key in hess:  # in the order (0, 0), (0, 1), ..., the sweep's
         strided(r)[...] += (1.0 if key[0] == key[1] else 2.0) * a[key] * hess[key]
@@ -461,7 +436,7 @@ FLAT_SHAPES = [(grid.shape, grid.spacing) for grid in PATTERN_GRIDS] + [
     ((3, 5), (0.5, 0.25)),
     ((3, 3, 3), (0.5, 0.5, 0.5)),
 ]
-FLAT_IDS = ["33x33", "17x9", "9x9x9", "3x3", "3x5", "3x3x3"]
+FLAT_IDS = PATTERN_IDS + ["3x3", "3x5", "3x3x3"]
 
 
 class TestFlatRange:
@@ -597,7 +572,7 @@ def box_nodes(shape, box):
 
 
 class TestDissectionOrder:
-    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=["33x33", "17x9", "9x9x9"])
+    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=PATTERN_IDS)
     def test_dirichlet_nodes_first_then_separators_last(self, grid):
         shape = grid.shape
         order = solver._dissection_order(shape)
@@ -638,7 +613,7 @@ class TestLUFactor:
         "make_stencil, shape",
         [(functools.partial(random_stencil, grid), grid.shape) for grid in PATTERN_GRIDS]
         + [(saddle_p20_stencil, (65, 65))],
-        ids=["33x33", "17x9", "9x9x9", "65x65-p20"],
+        ids=PATTERN_IDS + ["65x65-p20"],
     )
     def test_diagonal_pivots_meet_contract(self, make_stencil, shape):
         rows = make_stencil()
@@ -737,7 +712,7 @@ def zero_iterate(grid):
 
 
 class TestFastPoisson:
-    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=["33x33", "17x9", "9x9x9"])
+    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=PATTERN_IDS)
     def test_exact_solve_of_the_p2_operator(self, grid, monkeypatch):
         factors = count_splu(monkeypatch)
         krylov = count_gmres(monkeypatch)
@@ -760,7 +735,7 @@ class TestFastPoisson:
         assert np.abs(linear.solve(rhs) - expected).max() <= bound
         assert factors == [] and krylov == []
 
-    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=["33x33", "17x9", "9x9x9"])
+    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=PATTERN_IDS)
     def test_stencil_action_is_the_assembled_p2_operator(self, grid):
         # bitwise the CSR product of J(0) = K(0): each row sums its terms in
         # the assembled row's column order
@@ -772,7 +747,7 @@ class TestFastPoisson:
         for matrix in (frozen, assembled_jacobian(coeffs)):
             assert linear._product(x).tobytes() == (matrix @ x).tobytes()
 
-    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=["33x33", "17x9", "9x9x9"])
+    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=PATTERN_IDS)
     def test_norm_is_the_assembled_row_sum_norm(self, grid):
         # the sum of the absolute number weights of J(0), 1 + 4 sum h_i^-2
         zero = zero_iterate(grid)
@@ -816,7 +791,7 @@ class TestContract:
             linear.solve(rhs)
         assert sum(calls) == 0
 
-    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=["33x33", "17x9", "9x9x9"])
+    @pytest.mark.parametrize("grid", PATTERN_GRIDS, ids=PATTERN_IDS)
     def test_norm_is_the_largest_absolute_row_sum(self, grid):
         # read off the stencil table's weights in place of a copy of |J|
         coeffs = frozen_coefficients(*random_state(grid), 1e-2)
