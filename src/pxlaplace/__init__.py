@@ -11,7 +11,7 @@ Submodules (import them directly; the package root imports none of them):
 - ``solver``: Newton-type solver and eps continuation
 - ``audits``: pointwise/integral estimate audits and the delta search
 - ``config``: run configuration files, loaded and validated
-- ``fixtures``: the canonical regression problem and its frozen budget
+- ``fixtures``: data of the canonical regression fixture and its frozen budget
 - ``cli``: configuration-driven command line front end
 """
 

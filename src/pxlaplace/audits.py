@@ -10,6 +10,7 @@ O(h^2) bias of discrete derivatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,6 +41,7 @@ from .fields import (
     cutoff,
     node_distance,
     require_inside,
+    stored,
 )
 
 __all__ = [
@@ -89,25 +91,37 @@ class GehringResult:
     worst_ratio: float
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _stretched_fields(v: ScalarField, beta: float, eps: float):
     """The stretched gradient ``F``, ``|DF|^2`` and ``sigma_2(DF)`` per node.
 
     All three depend only on ``v``, ``beta`` and ``eps``, so they are
-    computed once per ``(beta, eps)`` and stored on ``v``, read-only, next
-    to its gradient and Hessian.  Every audit reads them from here; the
-    Jacobian ``DF`` itself is not kept.
+    kept in ``v``'s store, read-only, once per ``(beta, eps)``.  Every
+    audit reads them from here; the Jacobian ``DF`` itself is not kept.
     """
-    store = v.__dict__.setdefault("_stretched_fields", {})
-    key = (beta, eps)
-    if key not in store:
+
+    def compute():
         grad, hess = gradient(v), hessian(v)
         f_vals = stretched_gradient_values(grad, beta, eps)
         df = stretched_jacobian_values(grad, hess, beta, eps)
-        fields = (f_vals, frobenius_sq(df), sigma2_values(df))
-        for array in fields:
-            array.setflags(write=False)
-        store[key] = fields
-    return store[key]
+        return tuple(map(_read_only, (f_vals, frobenius_sq(df), sigma2_values(df))))
+
+    return stored(v, ("stretched", beta, eps), compute)
+
+
+def _gradient_sq(v: ScalarField) -> np.ndarray:
+    """``|Dv|^2`` per node, kept in ``v``'s store, read-only."""
+    return stored(v, "gradient_sq", lambda: _read_only(_norm_sq(gradient(v))))
+
+
+def _data_weight(v: ScalarField, beta: float, eps: float) -> np.ndarray:
+    """The data weight ``(|Dv|^2 + eps)^beta`` per node, kept in ``v``'s
+    store, read-only, once per ``(beta, eps)``."""
+    return stored(v, ("data_weight", beta, eps), lambda: _read_only((_gradient_sq(v) + eps) ** beta))
 
 
 def _worst_location(values: np.ndarray, mask: np.ndarray, grid: GridSpec):
@@ -126,24 +140,21 @@ def _worst_location(values: np.ndarray, mask: np.ndarray, grid: GridSpec):
 def equation_residual(v: ScalarField, p: ScalarField, g: ScalarField, eps: float) -> float:
     """Max-norm residual of the discrete regularized equation at interior nodes.
 
-    It is stored on ``v`` with the ``p`` and ``g`` objects and the ``eps``
-    it was computed for, next to the gradient and Hessian it reads, so the
-    pointwise audit of each stretch exponent reads one value; other data
-    recompute it.
+    It is kept in ``v``'s store under the ``p`` and ``g`` objects and the
+    ``eps`` it was computed for, so the pointwise audit of each stretch
+    exponent reads one value; other data compute their own.
     """
-    stored = v.__dict__.get("_equation_residual")
-    if stored is not None and stored[0] is p and stored[1] is g and stored[2] == eps:
-        return stored[3]
-    grad, hess, interior = gradient(v), hessian(v), v.grid.interior_mask()
-    g2 = _norm_sq(grad)
-    lap = hess[..., 0, 0].copy()
-    for i in range(1, grad.shape[-1]):
-        lap += hess[..., i, i]
-    inf_lap = infinity_laplacian_values(grad, hess)
-    res = -lap - (p.values - 2.0) * inf_lap / (g2 + eps) + v.values - g.values
-    value = float(np.abs(res[interior]).max())
-    v.__dict__["_equation_residual"] = (p, g, eps, value)
-    return value
+
+    def compute():
+        grad, hess = gradient(v), hessian(v)
+        lap = hess[..., 0, 0].copy()
+        for i in range(1, grad.shape[-1]):
+            lap += hess[..., i, i]
+        inf_lap = infinity_laplacian_values(grad, hess)
+        res = -lap - (p.values - 2.0) * inf_lap / (_gradient_sq(v) + eps) + v.values - g.values
+        return float(np.abs(res[v.grid.interior_mask()]).max())
+
+    return stored(v, ("equation_residual", p, g, eps), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +192,10 @@ def pointwise_stretch_audit(
             f"(budget {eq_budget:.3e})"
         )
 
-    grad, interior = gradient(v), grid.interior_mask()
+    interior = grid.interior_mask()
     _, lhs, s2 = _stretched_fields(v, params.beta, params.eps)
-    base = _norm_sq(grad) + params.eps
-    data_term = consts.c_tilde_star * base**params.beta * (g.values - v.values) ** 2
+    weight = _data_weight(v, params.beta, params.eps)
+    data_term = consts.c_tilde_star * weight * (g.values - v.values) ** 2
     residual = lhs - consts.c_star * s2 - data_term
     normalized = residual / (lhs + 1.0)
 
@@ -219,7 +230,7 @@ def pointwise_stretch_audit(
 def quasiregularity_audit(
     u: ScalarField,
     beta: float,
-    budget: Optional[float] = None,
+    budget: float = math.inf,
     window: Optional[ExponentWindow] = None,
 ) -> EstimateReport:
     """Distortion ``K = |DF|^2 / sigma_2(DF)`` of the stretched-gradient map.
@@ -248,7 +259,7 @@ def quasiregularity_audit(
     sup = float(distortion[positive].max()) if positive.any() else 0.0
     location = _worst_location(distortion, positive, grid) if positive.any() else None
 
-    passed = violations == 0 and (budget is None or sup <= budget)
+    passed = violations == 0 and sup <= budget
     return EstimateReport(
         audit="quasiregularity",
         region="interior",
@@ -260,7 +271,7 @@ def quasiregularity_audit(
         h=max(grid.spacing),
         worst=sup,
         worst_location=location,
-        tolerance=budget if budget is not None else float("inf"),
+        tolerance=budget,
         passed=passed,
         details={
             "violations": violations,
@@ -320,7 +331,6 @@ def caccioppoli_audit(
     # central differences of phi are the full-grid gradient's.
     box, distance, phi = _cutoff_box(ball, grid)
     core = tuple(slice(part.start + 1, part.stop - 1) for part in box)
-    grad = gradient(v)
 
     f_vals, df_sq, _ = _stretched_fields(v, params.beta, params.eps)
     c = f_vals[box][ball_mask(ball.scaled(0.75), grid, distance)].mean(axis=0)
@@ -330,11 +340,11 @@ def caccioppoli_audit(
     phi_sq = phi[(slice(1, -1),) * n] ** 2
 
     vol = grid.cell_volume
-    base = _norm_sq(grad[core]) + params.eps
+    weight = _data_weight(v, params.beta, params.eps)
     gap = g.values[core] - v.values[core]
     lhs = float(np.sum(df_sq[core] * phi_sq) * vol)
     osc = float(np.sum(_norm_sq(f_vals[core] - c) * dphi_sq) * vol)
-    data = float(np.sum(base**params.beta * gap**2 * phi_sq) * vol)
+    data = float(np.sum(weight[core] * gap**2 * phi_sq) * vol)
     rhs = consts.c_sharp * (osc + data)
     ratio = 0.0 if lhs == 0.0 else (np.inf if rhs == 0.0 else lhs / rhs)
 
@@ -440,13 +450,11 @@ def _holder_data(u: ScalarField, f: Optional[ScalarField], beta: float, balls):
     delta-free oscillation ``|F - mean F| / R`` over the three-quarter ball
     and the data weight there (``None`` without data)."""
     grid = u.grid
-    grad = gradient(u)
     fvals, df_sq, _ = _stretched_fields(u, beta, 0.0)
     dfnorm = np.sqrt(df_sq)
     fweight = None
     if f is not None and float(np.abs(f.values).max()) > 0.0:
-        gnorm = np.sqrt(_norm_sq(grad))
-        fweight = gnorm**beta * np.abs(f.values)
+        fweight = np.sqrt(_gradient_sq(u)) ** beta * np.abs(f.values)
     ball_data = []
     for ball in balls:
         three_quarter = ball.scaled(0.75)

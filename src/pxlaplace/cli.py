@@ -282,9 +282,9 @@ def cmd_gehring(args) -> int:
     cfg = load_config(args.config)
     if any(beta < 0 for beta in cfg.betas):
         raise ConfigError("the delta search stretches with eps = 0 and needs beta >= 0")
+    balls = ball_family(cfg.problem.grid, r_max=cfg.gehring_r_max, seed=cfg.seed)
     outdir = Path(cfg.directory)
     outdir.mkdir(parents=True, exist_ok=True)
-    balls = ball_family(cfg.problem.grid, r_max=cfg.gehring_r_max, seed=cfg.seed)
     continuation = epsilon_continuation(cfg.problem, cfg.schedule)
     final = continuation.results[-1]
     results = []

@@ -89,12 +89,12 @@ def load_config(path: str) -> RunConfig:
     mollify, the eps schedule must be positive and strictly decreasing,
     the audit and stretch exponent lists must not be empty, the stretch
     exponents must be finite, ``kappa``, ``c_target`` and a given
-    ``gehring_r_max`` must be positive and finite, ``p`` and ``f`` must
-    sample on the grid, every audited stretch exponent must clear the
-    critical exponent of the sampled coefficient window, and with the
-    Caccioppoli audit listed ``ball_radii`` must not be empty and every
-    ball's three-quarter scaling must sit inside the grid margin and hold a
-    node strictly inside; violations raise :class:`ConfigError`.  The
+    ``gehring_r_max`` must be positive and finite, ``p``, ``f`` and the
+    boundary data must sample on the grid, every audited stretch exponent
+    must clear the critical exponent of the sampled coefficient window, and
+    with the Caccioppoli audit listed ``ball_radii`` must not be empty and
+    every ball's three-quarter scaling must sit inside the grid margin and
+    hold a node strictly inside; violations raise :class:`ConfigError`.  The
     distortion audit's own rules (``beta >= 0``, ``f = 0``) are checked by
     ``pxlaplace audit``, which alone runs it.
     """
@@ -204,10 +204,11 @@ def load_config(path: str) -> RunConfig:
                 f"beta = {beta} is inadmissible: must exceed beta_star = {critical:.6g} "
                 f"for t_plus = {t_plus:.6g}"
             )
-    try:
-        sample(f_expr, grid)
-    except FieldError as err:
-        raise ConfigError(f"cannot sample f: {err}") from err
+    for name, expr in (("f", f_expr), ("boundary", boundary_expr)):
+        try:
+            sample(expr, grid)
+        except FieldError as err:
+            raise ConfigError(f"cannot sample {name}: {err}") from err
 
     output = parser["output"] if "output" in parser else {}
     directory = output.get("directory", "out")

@@ -13,12 +13,12 @@ them through :func:`_stencil_derivatives`, the Caccioppoli audit its
 cutoff slope on the range of its ball's box, and :func:`gradient` and
 :func:`hessian` write their values into a field's full grid, derivative
 axes last, with 0 on the Dirichlet nodes, where no central stencil fits:
-read-only arrays, computed once per field, that callers read on the
-interior nodes.  So the audits differentiate with the operator the solver
-solved.  Jacobians of stretched gradients are formed with the product rule
-from the discrete gradient and Hessian, which keeps the algebraic sigma_2
-identities exact at the node level; ``sigma_2`` and the squared Frobenius
-norm are their matrix invariants.
+read-only arrays, kept in the field's store (:func:`fields.stored`), that
+callers read on the interior nodes.  So the audits differentiate with the
+operator the solver solved.  Jacobians of stretched gradients are formed
+with the product rule from the discrete gradient and Hessian, which keeps
+the algebraic sigma_2 identities exact at the node level; ``sigma_2`` and
+the squared Frobenius norm are their matrix invariants.
 
 The stretched-gradient calculus takes and returns stacked arrays
 (components last) but computes per gradient component and per Hessian
@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .fields import ScalarField, _prepare
+from .fields import ScalarField, _prepare, stored
 
 __all__ = [
     "StretchParams",
@@ -69,22 +69,13 @@ class StretchParams:
 
 
 def _once_per_field(compute):
-    """Store ``compute(v)`` on the field ``v`` and return it on later calls.
-
-    Fields are frozen and their arrays read-only, so the stored result stays
-    exact; recomputing it would give the same values.
-    """
-    name = "_" + compute.__name__
+    """``compute(v)``, kept in the store of the field ``v`` under its name."""
 
     @functools.wraps(compute)
-    def stored(v):
-        result = v.__dict__.get(name)
-        if result is None:
-            result = compute(v)
-            object.__setattr__(v, name, result)
-        return result
+    def once(v):
+        return stored(v, compute.__name__, lambda: compute(v))
 
-    return stored
+    return once
 
 
 class _FlatRange(NamedTuple):

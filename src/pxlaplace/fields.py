@@ -3,18 +3,22 @@
 Rectangular boxes discretized with node-centered uniform spacing carry all
 discrete data.  Derivatives are read on the interior nodes alone
 (:meth:`GridSpec.interior_mask`), where every difference stencil is
-central, so a field is its grid and its node values and nothing more.  A
-grid builds its axis coordinates once, at the first :meth:`GridSpec.axis`
-call, and every caller shares them read-only; :meth:`GridSpec.coords`
-returns fresh arrays.  The per-ball helpers read the distance of the nodes
-from the ball's center (:func:`node_distance`), which balls with one
-center can share.
+central, so a field is its grid, its node values and the store of what is
+computed from them, and nothing more.  A grid builds its axis coordinates
+once, at the first :meth:`GridSpec.axis` call, and every caller shares
+them read-only; :meth:`GridSpec.coords` returns fresh arrays.  Everything
+the lab derives from a field (its gradient and Hessian, ``|Dv|^2``, the
+audits' stretched fields, data weights and equation residuals) is kept in
+the field's one store, :attr:`ScalarField.derived`, filled through
+:func:`stored`.  The per-ball helpers read the distance of the nodes from
+the ball's center (:func:`node_distance`), which balls with one center can
+share.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +35,7 @@ __all__ = [
     "mollify",
     "node_distance",
     "sample",
+    "stored",
 ]
 
 class FieldError(ValueError):
@@ -117,14 +122,35 @@ def _prepare(values, shape, what):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarField:
+    """A grid and its read-only node values.
+
+    ``derived`` is the field's store of the arrays and numbers computed
+    from it, keyed by what they are (:func:`stored`).  A field compares
+    and hashes by identity, so it can be part of a key.
+    """
+
     grid: GridSpec
     values: np.ndarray
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)  # the caller's array stays theirs
         object.__setattr__(self, "values", _prepare(values, self.grid.shape, "scalar field"))
+
+
+def stored(v: ScalarField, key, compute):
+    """The entry ``key`` of ``v``'s store, ``compute()`` at its first read.
+
+    A field's values are read-only, so an entry stays exact; two threads
+    that race to fill one compute equal values, and the first one stored
+    is the one every later read returns.
+    """
+    try:
+        return v.derived[key]
+    except KeyError:
+        return v.derived.setdefault(key, compute())
 
 
 # ---------------------------------------------------------------------------

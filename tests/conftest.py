@@ -2,8 +2,10 @@ import time
 
 import pytest
 
-from pxlaplace.fixtures import FIXTURE_SCHEDULE, fixture_problem
+from pxlaplace.fixtures import FIXTURE_SCHEDULE
 from pxlaplace.solver import epsilon_continuation
+
+from canonical import fixture_problem
 
 
 @pytest.fixture(scope="session")

@@ -476,9 +476,50 @@ class TestStretchedFieldStore:
         for beta, eps in expected:
             for array in audits._stretched_fields(shared, beta, eps):
                 assert not array.flags.writeable
+            assert shared.derived["stretched", beta, eps] is audits._stretched_fields(shared, beta, eps)
         assert len(calls) == 4  # reading the store builds nothing
         for run, result in zip(runs, results):
             assert run(twin()) == result
+
+    def test_gradient_sq_and_data_weight_computed_once(self, canonical_run, monkeypatch):
+        # over the whole battery, |Dv|^2 is summed from the gradient once,
+        # and (|Dv|^2 + eps)^beta is computed once per (beta, eps): the
+        # pointwise audit and the five Caccioppoli balls of a beta share it
+        final = canonical_run[0].results[-1]
+        prob = final.problem
+        v = ScalarField(final.v.grid, final.v.values)
+        grad = gradient(v)
+        norms = []
+        counted_norm = audits._norm_sq
+
+        def counting_norm(vectors):
+            norms.append(vectors is grad)
+            return counted_norm(vectors)
+
+        computed = []
+        counted_store = audits.stored
+
+        def counting_store(field, key, compute):
+            def counting_compute():
+                computed.append(key)
+                return compute()
+
+            return counted_store(field, key, counting_compute)
+
+        monkeypatch.setattr(audits, "_norm_sq", counting_norm)
+        monkeypatch.setattr(audits, "stored", counting_store)
+        runs = self.battery(prob, ball_family(prob.grid, r_max=0.3, seed=3))
+        for _ in range(2):  # the second pass reads the store alone
+            for run in runs:
+                run(v)
+        assert norms.count(True) == 1
+        assert computed.count("gradient_sq") == 1
+        weights = [key for key in computed if key[0] == "data_weight"]
+        assert weights == [("data_weight", beta, prob.eps) for beta in self.BETAS]
+        for beta in self.BETAS:
+            weight = v.derived["data_weight", beta, prob.eps]
+            assert not weight.flags.writeable
+            assert weight.tobytes() == ((audits._norm_sq(grad) + prob.eps) ** beta).tobytes()
 
     def test_threads_racing_to_fill_the_store(self):
         # a race may build a triple twice, but every reader sees equal values
@@ -504,6 +545,7 @@ class TestStretchedFieldStore:
                 assert all(result == reference for result in results)
                 stored = audits._stretched_fields(field, 1.0, 0.0)
                 assert stored is audits._stretched_fields(field, 1.0, 0.0)
+                assert stored is field.derived["stretched", 1.0, 0.0]
         finally:
             sys.setswitchinterval(switch)
 
@@ -639,6 +681,11 @@ class TestEquationResidual:
         fresh = ScalarField(grid, v.values)
         assert equation_residual(v, p, g, 1e-3) == equation_residual(fresh, p, g, 1e-3) != first
         assert len(calls) == 5
+        # every (p, g, eps) keeps its own entry, so going back computes nothing
+        assert equation_residual(v, p, g, 1e-2) == equation_residual(v, same_p, g, 1e-2) == first
+        assert len(calls) == 5
+        residuals = [key for key in v.derived if key[0] == "equation_residual"]
+        assert len(residuals) == 4 and all(key[1] in (p, same_p) for key in residuals)
         window = ExponentWindow(float(p.values.min()), float(p.values.max()))
         calls.clear()
         for beta in (0.0, 1.0):  # v solves nothing: each audit stops at its residual

@@ -11,8 +11,9 @@ from pxlaplace.cli import main, write_field_csv
 from pxlaplace.config import ConfigError, load_config
 from pxlaplace.expressions import MAX_DEPTH, parse_expression
 from pxlaplace.fields import GridSpec, ScalarField, sample
-from pxlaplace.fixtures import fixture_problem
 from pxlaplace.solver import SolverError, epsilon_continuation
+
+from canonical import fixture_problem
 
 SMALL_CONFIG = """\
 [problem]
@@ -560,10 +561,22 @@ class TestConfigErrors:
             ("audit", 'f = "0"', 'f = "log(x1)"', "cannot sample f: expression domain error"),
             ("solve", 'f = "0"', 'f = "log(x1)"', "cannot sample f: expression domain error"),
             (
+                "audit",
+                'boundary = "x1^2 - x2^2"',
+                'boundary = "log(x1)"',
+                "cannot sample boundary: expression domain error",
+            ),
+            (
                 "gehring",
                 "audits = pointwise quasiregularity caccioppoli\nbetas = 0 1",
                 "audits = pointwise\nbetas = -0.5",
                 "the delta search stretches with eps = 0 and needs beta >= 0",
+            ),
+            (
+                "gehring",
+                "seed = 7",
+                "seed = 7\ngehring_r_max = 0.2",
+                "r_max 0.2 below the resolvable radius 0.25 (8h)",
             ),
         ],
         ids=[
@@ -584,7 +597,9 @@ class TestConfigErrors:
             "distortion-inhomogeneous",
             "distortion-f-domain",
             "solve-f-domain",
+            "boundary-domain",
             "gehring-negative-beta",
+            "gehring_r_max-below-8h",
         ],
     )
     def test_config_fault_named_before_any_output(

@@ -17,8 +17,10 @@ from pxlaplace.fields import (
     require_inside,
     sample,
 )
-from pxlaplace.fixtures import FIXTURE_SCHEDULE, fixture_problem
+from pxlaplace.fixtures import FIXTURE_SCHEDULE
 from pxlaplace.solver import _clip_radius, build_problem
+
+from canonical import fixture_problem
 
 
 def unit_square(m=33):
@@ -139,6 +141,22 @@ class TestFieldInvariants:
         assert field.values is not data and data.flags.writeable
         data[0, 0] = 1.0
         assert field.values[0, 0] == 0.0
+
+    def test_store_filled_once_per_key(self):
+        # a field starts with an empty store of its own, fills an entry at
+        # its first read, and compares and hashes by identity, so that it
+        # can be part of a key
+        field = ScalarField(unit_square(9), np.zeros((9, 9)))
+        twin = ScalarField(field.grid, field.values)
+        assert field.derived == {} and field.derived is not twin.derived
+        assert field != twin and hash(field) != hash(twin)
+        calls = []
+        for _ in range(2):
+            assert fields.stored(field, ("key", twin), lambda: calls.append(1) or 7) == 7
+        assert calls == [1] and field.derived == {("key", twin): 7} and twin.derived == {}
+        assert "derived" not in repr(field)
+        with pytest.raises(TypeError):
+            ScalarField(field.grid, field.values, {})
 
 
 class TestSample:

@@ -11,7 +11,9 @@ call or a field that only the tests set behind fails here by name.  Every
 linear solver class of the sweep loop states its policy in its own class
 body.  No module calls a builtin that runs text as code, and no module
 but ``diffops`` subtracts two sliced views of one array: every difference
-formula lives there, on the grid's flat range.  No module
+formula lives there, on the grid's flat range.  No module reaches into an
+object's ``__dict__`` or calls ``object.__setattr__`` outside a
+``__post_init__``: data derived from a field lives in its one store.  No module
 imports scipy when it is loaded.  The command line module loads no heavy
 scipy subpackage it does not need, and not sympy; a run loads
 ``scipy.fft`` only when it mollifies or solves, and ``scipy.sparse`` only
@@ -336,6 +338,56 @@ def test_check_catches_a_strided_difference():
         "v[2:, 1:-1] - v[:-2, 1:-1]",
         "np.subtract(w[..., 1:], w[..., :-1], out=d)",
         "e[1:] -= e[:-1]",
+    ]
+
+
+def store_writes(tree):
+    """Each read of an object's ``__dict__`` in the module, by attribute or
+    by ``vars(obj)``, and each call of ``object.__setattr__`` outside a
+    ``__post_init__``, as source, in line order.  Derived data belongs in a
+    field's store (``ScalarField.derived``)."""
+    found = []
+
+    def visit(node, in_post_init):
+        if isinstance(node, ast.FunctionDef):
+            in_post_init = node.name == "__post_init__"
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Call) and (
+            (ast.unparse(node.func) == "vars" and node.args)
+            or (ast.unparse(node.func) == "object.__setattr__" and not in_post_init)
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_post_init)
+
+    visit(tree, False)
+    return [source for _, source in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_no_module_writes_past_the_field_store(path):
+    found = store_writes(parse(path))
+    assert found == [], f"{path.name} keeps data on an object outside its fields: {found}"
+
+
+def test_check_catches_a_write_past_the_store():
+    # a frozen dataclass may normalize its own fields in __post_init__
+    tree = ast.parse(
+        "class Spec:\n"
+        "    def __post_init__(self):\n        object.__setattr__(self, 'lo', 0.0)\n\n"
+        "def keep(v, value):\n"
+        "    v.__dict__['_cache'] = value\n"
+        "    v.__dict__.setdefault('_fields', {})\n"
+        "    object.__setattr__(v, '_gradient', value)\n"
+        "    store = vars(v)\n"
+        "    v.derived['gradient'] = value\n"
+    )
+    assert store_writes(tree) == [
+        "v.__dict__",
+        "v.__dict__",
+        "object.__setattr__(v, '_gradient', value)",
+        "vars(v)",
     ]
 
 

@@ -12,7 +12,7 @@ from pxlaplace.audits import quasiregularity_audit
 from pxlaplace.diffops import gradient
 from pxlaplace.expressions import parse_expression
 from pxlaplace.fields import GridSpec, ScalarField, mollify, sample
-from pxlaplace.fixtures import FIXTURE_SCHEDULE, fixture_problem
+from pxlaplace.fixtures import FIXTURE_SCHEDULE
 from pxlaplace.solver import (
     ProblemSpec,
     SolveOptions,
@@ -23,6 +23,7 @@ from pxlaplace.solver import (
     solve_regularized,
 )
 
+from canonical import fixture_problem
 from manufactured import manufactured_rhs
 from strided import PATTERN_GRIDS, PATTERN_IDS, strided, strided_gradient, strided_hessian
 
@@ -1350,11 +1351,13 @@ class TestContinuation:
         # the increments come from gradients of level differences, which
         # the linear discrete gradient turns into differences of gradients
         result = epsilon_continuation(fixture_problem(points=33), FIXTURE_SCHEDULE)
-        assert all("_gradient" not in level.v.__dict__ for level in result.results)
+        assert all(level.v.derived == {} for level in result.results)
         grid = result.results[0].v.grid
         mask = solver.ball_mask(solver._default_region(grid).scaled(0.75), grid)
         assert not (mask & ~grid.interior_mask()).any()
         grads = [gradient(level.v) for level in result.results]
+        # the check above reads the store the gradient is kept in
+        assert all(level.v.derived["gradient"] is grad for level, grad in zip(result.results, grads))
         for increment, (a, b) in zip(result.increments, zip(grads, grads[1:])):
             diff = np.linalg.norm(b - a, axis=-1)[mask]
             assert increment == pytest.approx(float(diff.max()), rel=1e-10)
