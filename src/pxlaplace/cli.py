@@ -31,7 +31,7 @@ from .config import ConfigError, RunConfig, load_config
 from .constants import AdmissibilityError, constant_set, ExponentWindow
 from .diffops import StretchParams
 from .expressions import ExpressionError
-from .fields import BallRegion, ScalarField, sample
+from .fields import BallRegion, ScalarField
 from .identities import run_identity_suite
 from .solver import SolverError, epsilon_continuation
 
@@ -261,7 +261,7 @@ def cmd_audit(args) -> int:
             raise ConfigError("the distortion audit needs beta >= 0")
         # for constant p and f, u = -f |x - x0|^2 / (2 (n + p - 2)) solves the
         # equation, and sigma_2(D^2 u) < 0 at every node once f != 0
-        if sample(cfg.problem.f_expr, cfg.problem.grid).values.any():
+        if cfg.problem.f.values.any():
             raise ConfigError(
                 "the distortion audit needs f = 0 at every node: its bound "
                 "|DF|^2 <= C* sigma_2(DF) fails on exact solutions where f != 0"

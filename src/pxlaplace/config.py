@@ -18,7 +18,7 @@ from .constants import beta_star
 from .expressions import ExpressionError, parse_expression
 from .fields import BallRegion, FieldError, GridSpec, sample
 from .fixtures import REGRESSION_GEHRING_BUDGET
-from .solver import ProblemSpec, SolverError, _check_schedule, _clip_radius
+from .solver import DiscreteProblem, SolverError, _check_schedule, _clip_radius, _discretized
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -40,7 +40,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    problem: ProblemSpec
+    problem: DiscreteProblem
     schedule: tuple
     audits: tuple
     betas: tuple
@@ -90,13 +90,19 @@ def load_config(path: str) -> RunConfig:
     the audit and stretch exponent lists must not be empty, the stretch
     exponents must be finite, ``kappa``, ``c_target`` and a given
     ``gehring_r_max`` must be positive and finite, ``p``, ``f`` and the
-    boundary data must sample on the grid, every audited stretch exponent
-    must clear the critical exponent of the sampled coefficient window, and
-    with the Caccioppoli audit listed ``ball_radii`` must not be empty and
-    every ball's three-quarter scaling must sit inside the grid margin and
-    hold a node strictly inside; violations raise :class:`ConfigError`.  The
+    boundary data must sample on the grid, the sampled ``p`` must exceed 1
+    at every node, every audited stretch exponent must clear the critical
+    exponent of the sampled coefficient window, and with the Caccioppoli
+    audit listed ``ball_radii`` must not be empty and every ball's
+    three-quarter scaling must sit inside the grid margin and hold a node
+    strictly inside; violations raise :class:`ConfigError`.  The
     distortion audit's own rules (``beta >= 0``, ``f = 0``) are checked by
     ``pxlaplace audit``, which alone runs it.
+
+    The three expressions are sampled here once.  ``RunConfig.problem`` is
+    the raw problem built from those fields, at the first eps of the
+    schedule, as :func:`pxlaplace.solver.build_problem` builds it; the eps
+    continuation and the audit's ``f = 0`` rule read it and sample nothing.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
@@ -142,13 +148,6 @@ def load_config(path: str) -> RunConfig:
 
     try:
         schedule = _check_schedule(_numbers(problem, "eps_schedule", "0.01"))
-        spec = ProblemSpec(
-            grid=grid,
-            p_expr=p_expr,
-            f_expr=f_expr,
-            boundary_expr=boundary_expr,
-            eps=schedule[0],
-        )
         _clip_radius(schedule[0], grid)  # raises where the continuation could not mollify
     except SolverError as err:
         raise ConfigError(str(err)) from err
@@ -188,15 +187,20 @@ def load_config(path: str) -> RunConfig:
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
 
+    sampled = []
+    for name, expr in (("p", p_expr), ("f", f_expr), ("boundary", boundary_expr)):
+        try:
+            sampled.append(sample(expr, grid))
+        except FieldError as err:
+            raise ConfigError(f"cannot sample {name}: {err}") from err
+    p_field, f_field, boundary = sampled
+    try:
+        data = _discretized(schedule[0], boundary, p_field, f_field, u0=boundary)
+    except SolverError as err:
+        raise ConfigError(str(err)) from err
     # admissibility of every audited stretch exponent, checked up front
     # against the window of the sampled coefficient
-    try:
-        p_field = sample(p_expr, grid)
-    except FieldError as err:
-        raise ConfigError(f"cannot sample p: {err}") from err
-    t_plus = float(p_field.values.max())
-    if float(p_field.values.min()) <= 1.0:
-        raise ConfigError("sampled p leaves the admissible window (min p <= 1)")
+    t_plus = data.window.t_plus
     critical = beta_star(dimension, t_plus)
     for beta in betas:
         if beta <= critical:
@@ -204,17 +208,12 @@ def load_config(path: str) -> RunConfig:
                 f"beta = {beta} is inadmissible: must exceed beta_star = {critical:.6g} "
                 f"for t_plus = {t_plus:.6g}"
             )
-    for name, expr in (("f", f_expr), ("boundary", boundary_expr)):
-        try:
-            sample(expr, grid)
-        except FieldError as err:
-            raise ConfigError(f"cannot sample {name}: {err}") from err
 
     output = parser["output"] if "output" in parser else {}
     directory = output.get("directory", "out")
 
     return RunConfig(
-        problem=spec,
+        problem=data,
         schedule=schedule,
         audits=audits,
         betas=betas,

@@ -65,8 +65,9 @@ An eps continuation hands the kept solver on from one level to the next.
 Which ``J`` a sweep solves with, and how exactly, changes only the path:
 the fixed point ``A(v) v = g`` stays.  Sweeps repeat until both the update
 and the nonlinear residual are tiny.  The right-hand data is ``g = f_eps +
-u0_eps``: :func:`build_problem` samples the fields, and an eps continuation
-mollifies them with a radius tied to ``eps``.
+u0_eps``: :func:`build_problem` (or :func:`pxlaplace.config.load_config`)
+samples the fields once, and an eps continuation mollifies them with a
+radius tied to ``eps``.
 """
 
 from __future__ import annotations
@@ -206,7 +207,8 @@ def build_problem(spec: ProblemSpec) -> DiscreteProblem:
     its grid, unmollified; the sampled boundary is the data field ``u0`` too.
 
     :func:`epsilon_continuation` builds each level from this one by
-    mollifying ``p``, ``f`` and ``u0``.
+    mollifying ``p``, ``f`` and ``u0``; :func:`pxlaplace.config.load_config`
+    builds the same problem from the fields it samples and checks.
     """
     exprs = (spec.boundary_expr, spec.p_expr, spec.f_expr)
     boundary, p, f = (sample(expr, spec.grid) for expr in exprs)
@@ -218,7 +220,7 @@ def _discretized(eps: float, boundary, p, f, u0) -> DiscreteProblem:
     ``p``, ``f`` and ``u0`` as they are, mollified or not: ``g = f + u0``."""
     t_minus = float(p.values.min())
     if t_minus <= 1.0:
-        raise SolverError(f"exponent field leaves the ellipticity window: min p = {t_minus} <= 1")
+        raise SolverError(f"p leaves the ellipticity window (min p <= 1): min p = {t_minus}")
     return DiscreteProblem(
         grid=boundary.grid,
         p=p,
@@ -937,7 +939,7 @@ def _check_schedule(schedule) -> tuple:
     return schedule
 
 
-def epsilon_continuation(spec: ProblemSpec, schedule) -> ContinuationResult:
+def epsilon_continuation(data: DiscreteProblem, schedule) -> ContinuationResult:
     """Solve along a decreasing eps schedule, warm-starting each solve.
 
     The first level starts cold at ``v = 0``.  Each later level starts from
@@ -946,8 +948,11 @@ def epsilon_continuation(spec: ProblemSpec, schedule) -> ContinuationResult:
     where a sweep contracts the residual by less than the held solver's
     ``keep_ratio``.
 
-    :func:`build_problem` samples the boundary, ``p`` and ``f`` once, and
-    its raw ``p`` must exceed 1.  Each level mollifies ``p`` and ``f`` (once
+    ``data`` is the raw problem, sampled and unmollified, that
+    :func:`build_problem` returns and :func:`pxlaplace.config.load_config`
+    keeps as ``RunConfig.problem``; its ``p`` exceeds 1, checked when it was
+    built.  The continuation samples nothing, and reads neither its ``eps``
+    nor its ``g``.  Each level mollifies ``p`` and ``f`` (once
     per distinct radius; an identically zero ``f`` is its own mollification,
     so it is kept as sampled) and the interior data field ``u0``, the previous
     solution or at the first level the boundary, with a radius that follows
@@ -959,10 +964,9 @@ def epsilon_continuation(spec: ProblemSpec, schedule) -> ContinuationResult:
     the discrete gradient is linear, so no level keeps a gradient of its own.
     """
     schedule = _check_schedule(schedule)
-    grid = spec.grid
+    grid = data.grid
     mask = ball_mask(_default_region(grid).scaled(0.75), grid)
     radii = [_clip_radius(eps, grid) for eps in schedule]
-    data = build_problem(spec)
 
     held = [None]  # the last linear solver, which the next eps level reuses
     results = []

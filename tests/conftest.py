@@ -3,7 +3,7 @@ import time
 import pytest
 
 from pxlaplace.fixtures import FIXTURE_SCHEDULE
-from pxlaplace.solver import epsilon_continuation
+from pxlaplace.solver import build_problem, epsilon_continuation
 
 from canonical import fixture_problem
 
@@ -16,5 +16,5 @@ def canonical_run():
     the shared solve time against their runtime budgets.
     """
     start = time.monotonic()
-    continuation = epsilon_continuation(fixture_problem(points=65), FIXTURE_SCHEDULE)
+    continuation = epsilon_continuation(build_problem(fixture_problem(points=65)), FIXTURE_SCHEDULE)
     return continuation, time.monotonic() - start

@@ -782,7 +782,7 @@ class TestAdmissibleBetaRange:
 
 class TestConstantExponentDistortion:
     def test_p_two_and_a_half_limit_below_budget(self):
-        from pxlaplace.solver import ProblemSpec, epsilon_continuation
+        from pxlaplace.solver import ProblemSpec, build_problem, epsilon_continuation
 
         grid = unit_square(33)
         spec = ProblemSpec(
@@ -792,7 +792,7 @@ class TestConstantExponentDistortion:
             parse_expression("x1^2 - x2^2", 2),
             eps=0.1,
         )
-        continuation = epsilon_continuation(spec, (0.1, 0.01, 0.001))
+        continuation = epsilon_continuation(build_problem(spec), (0.1, 0.01, 0.001))
         final = continuation.results[-1]
         budget = constant_set(ExponentWindow(2.5, 2.5), 2, 0.0).c_star
         report = quasiregularity_audit(final.v, 0.0, budget=budget)

@@ -9,9 +9,9 @@ from pxlaplace import audits, cli, solver
 from pxlaplace.audits import quasiregularity_audit
 from pxlaplace.cli import main, write_field_csv
 from pxlaplace.config import ConfigError, load_config
-from pxlaplace.expressions import MAX_DEPTH, parse_expression
+from pxlaplace.expressions import MAX_DEPTH, Expression, parse_expression
 from pxlaplace.fields import GridSpec, ScalarField, sample
-from pxlaplace.solver import SolverError, epsilon_continuation
+from pxlaplace.solver import ProblemSpec, SolverError, build_problem, epsilon_continuation
 
 from canonical import fixture_problem
 
@@ -84,6 +84,19 @@ eps_schedule = 0.1 0.01 0.001
 [audit]
 audits = pointwise quasiregularity caccioppoli
 betas = 0 1
+
+[output]
+directory = {outdir}
+"""
+
+CUBE_9_CONFIG = """\
+[problem]
+dimension = 3
+points = 9 9 9
+p = "2 + 0.25*sin(x1 + x3)"
+f = "0"
+boundary = "x1 - 0.5*x2 + x3^2"
+eps_schedule = 0.01
 
 [output]
 directory = {outdir}
@@ -171,19 +184,7 @@ class TestSolveCommand:
         assert len(lines) == 1 + 33 * 33
 
     def test_three_dimensional_run(self, tmp_path):
-        config = """\
-[problem]
-dimension = 3
-points = 9 9 9
-p = "2 + 0.25*sin(x1 + x3)"
-f = "0"
-boundary = "x1 - 0.5*x2 + x3^2"
-eps_schedule = 0.01
-
-[output]
-directory = {outdir}
-"""
-        path, outdir = write_config(tmp_path, config)
+        path, outdir = write_config(tmp_path, CUBE_9_CONFIG)
         assert main(["solve", "--config", path]) == 0
         lines = (outdir / "solution.csv").read_text().splitlines()
         assert lines[0] == "x,y,z,value"
@@ -307,6 +308,55 @@ class TestGehringCommand:
         assert len(lines) > 1
 
 
+class TestSampledOnce:
+    """The config samples p, f and the boundary once, and every command
+    reads the problem it built: the continuation and the audit's f = 0
+    rule sample nothing."""
+
+    @pytest.mark.parametrize("command", ["solve", "audit", "gehring"])
+    def test_each_expression_evaluated_once(self, tmp_path, monkeypatch, command):
+        evaluated = []
+        original = Expression.evaluate_array
+
+        def counting(expr, coords):
+            evaluated.append(expr.source)
+            return original(expr, coords)
+
+        monkeypatch.setattr(Expression, "evaluate_array", counting)
+        path, _ = write_config(tmp_path, SMALL_CONFIG)
+        assert main([command, "--config", path]) == 0
+        assert sorted(evaluated) == sorted(["2 + 0.5*sin(x1)", "0", "x1^2 - x2^2"])
+
+    @pytest.mark.parametrize(
+        "config, points, sources",
+        [
+            (SMALL_CONFIG, (33, 33), ("2 + 0.5*sin(x1)", "0", "x1^2 - x2^2")),
+            (CUBE_9_CONFIG, (9, 9, 9), ("2 + 0.25*sin(x1 + x3)", "0", "x1 - 0.5*x2 + x3^2")),
+            (
+                SMALL_CONFIG.replace('f = "0"', 'f = "4*(x1 - 0.5)"'),
+                (33, 33),
+                ("2 + 0.5*sin(x1)", "4*(x1 - 0.5)", "x1^2 - x2^2"),
+            ),
+        ],
+        ids=["criterion-9", "cube-9", "inhomogeneous"],
+    )
+    def test_config_problem_is_the_library_problem(self, tmp_path, config, points, sources):
+        # the config path and build_problem give the same raw problem
+        path, _ = write_config(tmp_path, config)
+        cfg = load_config(path)
+        n = len(points)
+        p, f, boundary = (parse_expression(source, n) for source in sources)
+        grid = GridSpec((0.0,) * n, (1.0,) * n, points)
+        spec = ProblemSpec(grid, p, f, boundary, eps=cfg.schedule[0])
+        want = build_problem(spec)
+        got = cfg.problem
+        for name in ("p", "f", "g", "boundary"):
+            assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes(), name
+        assert got.window == want.window
+        assert got.eps == want.eps == cfg.schedule[0]
+        assert got.grid == want.grid == spec.grid
+
+
 class TestConfigErrors:
     def test_missing_file(self, capsys):
         code = main(["audit", "--config", "/nonexistent/path.cfg"])
@@ -418,7 +468,7 @@ class TestConfigErrors:
             load_config(path)
         levels = [float(e) for e in schedule.split()]
         with pytest.raises(SolverError) as from_solver:
-            epsilon_continuation(fixture_problem(points=33), levels)
+            epsilon_continuation(build_problem(fixture_problem(points=33)), levels)
         assert str(from_config.value) == str(from_solver.value) == message
 
     @pytest.mark.parametrize(

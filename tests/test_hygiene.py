@@ -13,11 +13,13 @@ body.  No module calls a builtin that runs text as code, and no module
 but ``diffops`` subtracts two sliced views of one array: every difference
 formula lives there, on the grid's flat range.  No module reaches into an
 object's ``__dict__`` or calls ``object.__setattr__`` outside a
-``__post_init__``: data derived from a field lives in its one store.  No module
-imports scipy when it is loaded.  The command line module loads no heavy
-scipy subpackage it does not need, and not sympy; a run loads
-``scipy.fft`` only when it mollifies or solves, and ``scipy.sparse`` only
-when it builds an LU factor or a GMRES solver.
+``__post_init__``: data derived from a field lives in its one store.  An
+expression is sampled on the grid only where a problem is built, by the
+config and by ``build_problem``.  No module imports scipy when it is
+loaded.  The command line module loads no heavy scipy subpackage it does
+not need, and not sympy; a run loads ``scipy.fft`` only when it mollifies
+or solves, and ``scipy.sparse`` only when it builds an LU factor or a
+GMRES solver.
 """
 
 import ast
@@ -389,6 +391,47 @@ def test_check_catches_a_write_past_the_store():
         "object.__setattr__(v, '_gradient', value)",
         "vars(v)",
     ]
+
+
+#: The two functions that sample an expression on the grid, as (module,
+#: function): a run's config and a library caller's ``build_problem``.
+#: Every later reader is handed the sampled fields.
+SAMPLERS = [("config", "load_config"), ("solver", "build_problem")]
+
+
+def sample_calls(tree, module):
+    """Each call of ``fields.sample`` in the module, bare or qualified, as
+    (module, enclosing function), in line order."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("sample", "fields.sample"):
+            found.append((node.lineno, (module, function)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return [call for _, call in sorted(found)]
+
+
+def test_expressions_sampled_only_where_a_problem_is_built():
+    found = [call for path in MODULES for call in sample_calls(parse(path), path.stem)]
+    assert sorted(set(found)) == SAMPLERS, f"sample is called in {found}"
+
+
+def test_check_catches_a_third_sampler():
+    # a method of another name and a nested helper are both found by name
+    tree = ast.parse(
+        "def cmd_audit(cfg):\n"
+        "    if sample(cfg.problem.f_expr, cfg.problem.grid).values.any():\n"
+        "        raise ConfigError('f')\n\n"
+        "def pick(rng, grid, expr):\n"
+        "    def inner():\n        return fields.sample(expr, grid)\n"
+        "    return rng.sample(range(3), 2), inner()\n"
+    )
+    assert sample_calls(tree, "cli") == [("cli", "cmd_audit"), ("cli", "inner")]
 
 
 def test_checks_catch_a_dead_import_and_a_stale_export():

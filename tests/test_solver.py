@@ -654,7 +654,8 @@ class TestLUFactor:
     def test_fixture_129_factor_has_less_fill_than_minimum_degree(self):
         # the fixture is solved with no factor: factor the Jacobian at its
         # first eps level's solution
-        [level] = epsilon_continuation(fixture_problem(points=129), FIXTURE_SCHEDULE[:1]).results
+        data = build_problem(fixture_problem(points=129))
+        [level] = epsilon_continuation(data, FIXTURE_SCHEDULE[:1]).results
         rows = jacobian_stencil(frozen_coefficients(level.v, level.problem.p, level.problem.eps))
         matrix = assemble_frozen_operator(rows, level.v.grid.shape)
         factor = solver._LUFactor(rows, level.v.grid.shape)
@@ -822,7 +823,7 @@ class TestInexactNewton:
 
         monkeypatch.setattr(solver._PoissonGMRES, "__init__", building)
         monkeypatch.setattr(solver._PoissonGMRES, "solve", recording)
-        result = epsilon_continuation(cube_spec(13, p=P_GMRES), CUBE_SCHEDULE)
+        result = epsilon_continuation(build_problem(cube_spec(13, p=P_GMRES)), CUBE_SCHEDULE)
         assert all(level.converged for level in result.results)
         assert steps
         for bound, error in steps:
@@ -848,7 +849,7 @@ class TestInexactNewton:
 
     def test_cube_continuation_one_call_per_gmres_sweep(self, monkeypatch):
         calls = count_gmres(monkeypatch)
-        result = epsilon_continuation(cube_spec(13, p=P_GMRES), CUBE_SCHEDULE)
+        result = epsilon_continuation(build_problem(cube_spec(13, p=P_GMRES)), CUBE_SCHEDULE)
         sweeps = [level.iterations for level in result.results]
         assert sweeps == [7, 4, 3]
         # every sweep but the first two, the cold one and the Poisson sweep
@@ -861,7 +862,7 @@ class TestInexactNewton:
         # exact solves sat near the restart of 40 here (33-43 per call)
         calls = count_gmres(monkeypatch)
         spec = cube_spec(13, p=P_GMRES)
-        result = epsilon_continuation(spec, (0.1, 0.03, 0.01, 0.003, 0.001))
+        result = epsilon_continuation(build_problem(spec), (0.1, 0.03, 0.01, 0.003, 0.001))
         assert [level.iterations for level in result.results] == [7, 4, 3, 3, 3]
         assert len(calls) == sum(level.iterations for level in result.results) - 2
         assert max(calls) < 20, calls
@@ -977,7 +978,7 @@ class TestFactorReuse:
     def test_fixture_continuation_carries_factor_across_levels(self, monkeypatch):
         calls = count_splu(monkeypatch)
         assembled = count_assembly(monkeypatch)
-        result = epsilon_continuation(fixture_problem(points=33), FIXTURE_SCHEDULE)
+        result = epsilon_continuation(build_problem(fixture_problem(points=33)), FIXTURE_SCHEDULE)
         # the first sweep solves J(0), the p = 2 operator, by fast Poisson;
         # that solver, renormalized, keeps halving the residual through
         # every later eps level, so no factor is built
@@ -991,7 +992,7 @@ class TestFactorReuse:
         calls = count_splu(monkeypatch)
         solves = count_gmres(monkeypatch)
         assembled = count_assembly(monkeypatch)
-        result = epsilon_continuation(cube_spec(13, p=P_GMRES), CUBE_SCHEDULE)
+        result = epsilon_continuation(build_problem(cube_spec(13, p=P_GMRES)), CUBE_SCHEDULE)
         assert all(level.converged for level in result.results)
         assert len(calls) == 0
         assert len(solves) > len(CUBE_SCHEDULE)
@@ -1117,7 +1118,8 @@ class TestKeptPoisson:
     def test_fixture_continuation_makes_no_factor(self, monkeypatch, points):
         calls = count_splu(monkeypatch)
         steps = record_steps(monkeypatch)
-        result = epsilon_continuation(fixture_problem(points=points), FIXTURE_SCHEDULE)
+        data = build_problem(fixture_problem(points=points))
+        result = epsilon_continuation(data, FIXTURE_SCHEDULE)
         assert all(level.converged for level in result.results)
         assert calls == []
         # every sweep after the cold one, across the levels, on its solver
@@ -1128,7 +1130,7 @@ class TestKeptPoisson:
     def test_fixture_cube_makes_no_gmres_call(self, monkeypatch):
         calls = count_gmres(monkeypatch)
         steps = record_steps(monkeypatch)
-        result = epsilon_continuation(cube_spec(13), CUBE_SCHEDULE)
+        result = epsilon_continuation(build_problem(cube_spec(13)), CUBE_SCHEDULE)
         assert all(level.converged for level in result.results)
         assert calls == []
         cold = steps[0][0]
@@ -1138,7 +1140,8 @@ class TestKeptPoisson:
     @pytest.mark.parametrize("points", [33, 65, 129])
     def test_fixture_ratio_stays_under_the_keep_ratio(self, monkeypatch, points):
         steps = record_steps(monkeypatch)
-        result = epsilon_continuation(fixture_problem(points=points), FIXTURE_SCHEDULE)
+        data = build_problem(fixture_problem(points=points))
+        result = epsilon_continuation(data, FIXTURE_SCHEDULE)
         # the cold sweep is not judged: it starts from v = 0, not the data
         judged = sweep_ratios(steps, result)[1:]
         assert max(ratio for _, ratio in judged) < solver.POISSON_KEEP_RATIO
@@ -1147,7 +1150,7 @@ class TestKeptPoisson:
         calls = count_splu(monkeypatch)
         steps = record_steps(monkeypatch)
         spec = dataclasses.replace(fixture_problem(points=65), p_expr=parse_expression("4", 2))
-        result = epsilon_continuation(spec, FIXTURE_SCHEDULE)
+        result = epsilon_continuation(build_problem(spec), FIXTURE_SCHEDULE)
         kinds = [type(linear) for linear, _ in steps]
         assert kinds[:3] == [solver._FastPoisson, solver._FastPoisson, solver._LUFactor]
         # the judged Poisson sweep contracted too little; every later sweep
@@ -1193,14 +1196,14 @@ class TestSkippedLift:
     def test_final_solution_bitwise_as_with_the_lift(self, monkeypatch):
         # 0.0 + (-0.0) is the one sum where the skipped lift could differ
         spec = fixture_problem(points=33)
-        skipped = epsilon_continuation(spec, FIXTURE_SCHEDULE).results[-1].v.values
+        skipped = epsilon_continuation(build_problem(spec), FIXTURE_SCHEDULE).results[-1].v.values
 
         def always_lifted(self, rhs, bound=solver.CONTRACT_BOUND):
             lifted = np.where(self._boundary, rhs, 0.0)
             return lifted + self._inverse(rhs - self._product(lifted))
 
         monkeypatch.setattr(solver._FastPoisson, "_apply", always_lifted)
-        lifted = epsilon_continuation(spec, FIXTURE_SCHEDULE).results[-1].v.values
+        lifted = epsilon_continuation(build_problem(spec), FIXTURE_SCHEDULE).results[-1].v.values
         assert skipped.tobytes() == lifted.tobytes()
 
 
@@ -1231,7 +1234,7 @@ class TestLargeExponent:
     def test_undamped_p20_fixture_continuation_converges(self):
         # the frozen-coefficient chord raised SolverError on its first level
         spec = dataclasses.replace(fixture_problem(points=65), p_expr=parse_expression("20", 2))
-        result = epsilon_continuation(spec, FIXTURE_SCHEDULE)
+        result = epsilon_continuation(build_problem(spec), FIXTURE_SCHEDULE)
         assert all(level.converged for level in result.results)
         # the scheme, not the solver: dominance is read off the frozen A(v)
         final = result.results[-1]
@@ -1313,21 +1316,21 @@ class TestContinuation:
     def test_every_level_solved_through_solve_regularized(self, monkeypatch, spec, schedule):
         # the one entry to the sweep loop, which a wrapper of it sees
         sweeps = count_solves(monkeypatch)
-        result = epsilon_continuation(spec, schedule)
+        result = epsilon_continuation(build_problem(spec), schedule)
         assert len(sweeps) == len(schedule)
         assert sweeps == [level.iterations for level in result.results]
         assert sum(sweeps) > 0
 
     def test_linear_boundary_increments_vanish(self):
         spec = make_spec("0.4*x1 - 0.9*x2")
-        result = epsilon_continuation(spec, (0.1, 0.01, 0.001))
+        result = epsilon_continuation(build_problem(spec), (0.1, 0.01, 0.001))
         assert all(inc < 1e-9 for inc in result.increments)
 
     def test_constant_p_two_increments_shrink(self):
         # linear problem: iterates differ only through the mollified data,
         # so the gradient increments decay along the schedule
         spec = make_spec("sin(2*x1)*x2 + x1", p="2")
-        result = epsilon_continuation(spec, (0.1, 0.01, 0.001, 0.0001))
+        result = epsilon_continuation(build_problem(spec), (0.1, 0.01, 0.001, 0.0001))
         assert all(b < a for a, b in zip(result.increments, result.increments[1:]))
         assert result.increments[-1] < 1e-3
 
@@ -1335,12 +1338,12 @@ class TestContinuation:
         # the saddle is reproduced exactly at every eps (mollification leaves
         # it unchanged), so increments sit at round-off
         spec = make_spec("x1^2 - x2^2", p="2")
-        result = epsilon_continuation(spec, (0.1, 0.01, 0.001))
+        result = epsilon_continuation(build_problem(spec), (0.1, 0.01, 0.001))
         assert all(inc < 1e-11 for inc in result.increments)
 
     def test_fixture_increments_decrease(self):
         spec = make_spec("x1^2 - x2^2")
-        result = epsilon_continuation(spec, (0.1, 0.01, 0.001, 0.0001))
+        result = epsilon_continuation(build_problem(spec), (0.1, 0.01, 0.001, 0.0001))
         assert len(result.increments) == 3
         assert all(b < a for a, b in zip(result.increments, result.increments[1:]))
         final = result.results[-1]
@@ -1350,7 +1353,7 @@ class TestContinuation:
     def test_levels_hold_no_gradient(self):
         # the increments come from gradients of level differences, which
         # the linear discrete gradient turns into differences of gradients
-        result = epsilon_continuation(fixture_problem(points=33), FIXTURE_SCHEDULE)
+        result = epsilon_continuation(build_problem(fixture_problem(points=33)), FIXTURE_SCHEDULE)
         assert all(level.v.derived == {} for level in result.results)
         grid = result.results[0].v.grid
         mask = solver.ball_mask(solver._default_region(grid).scaled(0.75), grid)
@@ -1365,13 +1368,13 @@ class TestContinuation:
     def test_schedule_validated(self):
         spec = make_spec("x1")
         with pytest.raises(SolverError, match="decreasing"):
-            epsilon_continuation(spec, (0.01, 0.1))
+            epsilon_continuation(build_problem(spec), (0.01, 0.1))
         with pytest.raises(SolverError, match="positive"):
-            epsilon_continuation(spec, (0.1, -0.1))
+            epsilon_continuation(build_problem(spec), (0.1, -0.1))
         with pytest.raises(SolverError, match="positive"):
-            epsilon_continuation(spec, (0.1, float("nan")))
+            epsilon_continuation(build_problem(spec), (0.1, float("nan")))
         with pytest.raises(SolverError, match="empty"):
-            epsilon_continuation(spec, ())
+            epsilon_continuation(build_problem(spec), ())
 
     def test_mollification_radius_tracks_schedule(self, monkeypatch):
         # each level mollifies p, f and u0 with one radius
@@ -1382,7 +1385,7 @@ class TestContinuation:
             return mollify(field, radius)
 
         monkeypatch.setattr(solver, "mollify", recording_mollify)
-        epsilon_continuation(make_spec("x1^2 - x2^2", f="x1"), (0.1, 0.01))
+        epsilon_continuation(build_problem(make_spec("x1^2 - x2^2", f="x1")), (0.1, 0.01))
         assert radii[:3] == [pytest.approx(0.1)] * 3
         # clipped up to the resolvable radius 2 h
         assert radii[3:] == [pytest.approx(2.0 / 32.0)] * 3
@@ -1399,7 +1402,7 @@ class TestContinuation:
         monkeypatch.setattr(solver, "mollify", recording_mollify)
         spec = make_spec("x1^2 - x2^2")
         schedule = (0.1, 0.03, 0.01)
-        result = epsilon_continuation(spec, schedule)
+        result = epsilon_continuation(build_problem(spec), schedule)
         radii = {solver._clip_radius(eps, spec.grid) for eps in schedule}
         assert len(mollified) == len(radii) + len(schedule)  # p per radius, u0 per level
         assert all(field.values.any() for field in mollified)  # p and u0, never f
@@ -1418,7 +1421,8 @@ class TestContinuation:
 
     def test_level_data_sampled_once_and_bitwise_per_level(self, monkeypatch):
         # only u0 changes from level to level: the boundary, p and f are
-        # sampled once, and p and f mollified once per distinct radius
+        # sampled once, by build_problem, and p and f mollified once per
+        # distinct radius
         sampled, mollified = [], []
         for name, record in (("sample", sampled), ("mollify", mollified)):
 
@@ -1430,7 +1434,9 @@ class TestContinuation:
         spec = dataclasses.replace(
             fixture_problem(points=33), f_expr=parse_expression("4*(x1 - 0.5)", 2)
         )
-        result = epsilon_continuation(spec, FIXTURE_SCHEDULE)
+        data = build_problem(spec)
+        assert len(sampled) == 3
+        result = epsilon_continuation(data, FIXTURE_SCHEDULE)
         grid = spec.grid
         radii = [solver._clip_radius(eps, grid) for eps in FIXTURE_SCHEDULE]
         assert len(set(radii)) == 2  # 0.1, then 2 h from the second level on
@@ -1457,21 +1463,24 @@ class TestContinuation:
             u0 = level.v
 
     def test_level_data_built_from_one_build_problem(self, monkeypatch):
+        # the caller's one build_problem call is the only sampling: the
+        # continuation builds every level from the data it is handed
+        data = build_problem(make_spec("x1^2 - x2^2"))
         calls = []
-        original = solver.build_problem
+        for name in ("sample", "build_problem"):
 
-        def counting(spec):
-            calls.append(spec)
-            return original(spec)
+            def counting(*args, name=name, original=getattr(solver, name)):
+                calls.append(name)
+                return original(*args)
 
-        monkeypatch.setattr(solver, "build_problem", counting)
-        spec = make_spec("x1^2 - x2^2")
-        epsilon_continuation(spec, (0.1, 0.01, 0.001))
-        assert calls == [spec]
+            monkeypatch.setattr(solver, name, counting)
+        result = epsilon_continuation(data, (0.1, 0.01, 0.001))
+        assert calls == []
+        assert all(level.problem.boundary is data.boundary for level in result.results)
 
     def test_first_eps_bounded_as_in_problem_spec(self):
         with pytest.raises(SolverError, match=r"eps must lie in \(0, 1\), got 1.0"):
-            epsilon_continuation(make_spec("x1"), (1.0, 0.1))
+            epsilon_continuation(build_problem(make_spec("x1")), (1.0, 0.1))
 
     def test_raw_exponent_checked(self):
         # p dips to 0.98 in a narrow well at the centre: the p mollified
@@ -1480,7 +1489,7 @@ class TestContinuation:
         spec = make_spec("x1", p="2 - 1.02*exp(-1000*((x1 - 0.5)^2 + (x2 - 0.5)^2))")
         assert mollify(sample(spec.p_expr, spec.grid), 0.1).values.min() > 1.0
         with pytest.raises(SolverError, match="min p = 0.98"):
-            epsilon_continuation(spec, (0.1,))
+            epsilon_continuation(build_problem(spec), (0.1,))
 
 
 SYMMETRY_SCHEDULE = (0.1, 0.01, 0.001)
@@ -1494,7 +1503,8 @@ class TestSymmetry:
 
     @pytest.fixture(scope="class")
     def fixture_solution(self):
-        return epsilon_continuation(fixture_problem(points=65), SYMMETRY_SCHEDULE).results[-1].v
+        data = build_problem(fixture_problem(points=65))
+        return epsilon_continuation(data, SYMMETRY_SCHEDULE).results[-1].v
 
     @pytest.mark.parametrize(
         "p, boundary, image",
@@ -1510,7 +1520,7 @@ class TestSymmetry:
             p_expr=parse_expression(p, 2),
             boundary_expr=parse_expression(boundary, 2),
         )
-        w = epsilon_continuation(spec, SYMMETRY_SCHEDULE).results[-1].v
+        w = epsilon_continuation(build_problem(spec), SYMMETRY_SCHEDULE).results[-1].v
         assert np.abs(w.values - image(fixture_solution.values)).max() <= 1e-13
         for beta in (0.0, 1.0):
             expected = quasiregularity_audit(fixture_solution, beta).worst
@@ -1531,7 +1541,8 @@ class TestContinuationRegressions:
 
     def test_fixture_257_converges_with_no_factorization(self, monkeypatch):
         calls = count_splu(monkeypatch)
-        self.check_levels(epsilon_continuation(fixture_problem(points=257), FIXTURE_SCHEDULE))
+        data = build_problem(fixture_problem(points=257))
+        self.check_levels(epsilon_continuation(data, FIXTURE_SCHEDULE))
         assert len(calls) == 0
 
     @pytest.mark.parametrize(
@@ -1546,7 +1557,7 @@ class TestContinuationRegressions:
         # REFACTOR_RATIO rebuilds it
         calls = count_splu(monkeypatch)
         spec = dataclasses.replace(fixture_problem(points=65), p_expr=parse_expression(p, 2))
-        result = epsilon_continuation(spec, FIXTURE_SCHEDULE)
+        result = epsilon_continuation(build_problem(spec), FIXTURE_SCHEDULE)
         self.check_levels(result)
         assert [level.iterations for level in result.results] == sweeps
         assert len(calls) == factorizations
@@ -1554,7 +1565,7 @@ class TestContinuationRegressions:
     def test_cube_33_converges_in_the_17_cube_sweeps(self, monkeypatch):
         # Newton-GMRES at p = 9 takes [7, 4, 3] sweeps at 13^3 and 17^3 too
         calls = count_gmres(monkeypatch)
-        result = epsilon_continuation(cube_spec(33, p=P_GMRES), CUBE_SCHEDULE)
+        result = epsilon_continuation(build_problem(cube_spec(33, p=P_GMRES)), CUBE_SCHEDULE)
         self.check_levels(result, CUBE_SCHEDULE)
         assert [level.iterations for level in result.results] == [7, 4, 3]
         assert calls
