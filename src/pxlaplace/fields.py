@@ -193,16 +193,30 @@ def mollifier_kernel(spacing, eps: float) -> np.ndarray:
     return weights / total
 
 
+def _fast_period(m: int) -> int:
+    """The least 5-smooth number (``2^a 3^b 5^c``) not below ``m``: the
+    period of a real FFT convolution on an axis of ``m`` nodes, the length
+    ``scipy.fft.next_fast_len(m, real=True)`` gives."""
+    n = m
+    while True:
+        rest = n
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
+
+
 @functools.lru_cache(maxsize=8)
 def _kernel_transform(spacing: tuple, eps: float, period: tuple) -> tuple:
-    """The shape of :func:`mollifier_kernel` and its real transform of
-    ``period``, built once per spacing, radius and period.  The transform is
-    shared by every field mollified with them (an eps continuation
-    mollifies ``p``, ``f`` and ``u0`` at each radius), so it is read-only."""
-    from scipy.fft import rfftn
-
+    """The shape of :func:`mollifier_kernel` and its ``numpy.fft`` real
+    transform of ``period``, built once per spacing, radius and period.  The
+    transform is shared by every field mollified with them (an eps
+    continuation mollifies ``p``, ``f`` and ``u0`` at each radius), so it is
+    read-only."""
     kernel = mollifier_kernel(spacing, eps)
-    transform = rfftn(kernel, period)
+    transform = np.fft.rfftn(kernel, period, axes=range(kernel.ndim))
     transform.setflags(write=False)
     return kernel.shape, transform
 
@@ -212,13 +226,11 @@ def mollify(field: ScalarField, eps: float) -> ScalarField:
 
     Output values equal the raw input wherever the kernel support leaves
     the grid.  Elsewhere, on the valid region of the convolution, they come
-    from one real FFT product: a circular convolution of period at least the
-    grid's, which wraps only outside that region, so no padding is needed.
-    ``scipy.fft`` is imported at the first call, so a run that mollifies
-    nothing does not load it.
+    from one real FFT product on ``numpy.fft``: a circular convolution of
+    period at least the grid's (:func:`_fast_period` per axis), which wraps
+    only outside that region, so no padding is needed.  No scipy module is
+    loaded.
     """
-    from scipy.fft import irfftn, next_fast_len, rfftn
-
     grid = field.grid
     h = grid.spacing
     if eps <= 0:
@@ -227,9 +239,10 @@ def mollify(field: ScalarField, eps: float) -> ScalarField:
         raise FieldError(f"mollification radius {eps} too small for grid spacing {max(h)}")
     if eps > 0.5 * min(grid.extents):
         raise FieldError(f"mollification radius {eps} exceeds half the domain width")
-    period = tuple(next_fast_len(m, real=True) for m in grid.shape)
+    period = tuple(_fast_period(m) for m in grid.shape)
     shape, transform = _kernel_transform(h, eps, period)
-    conv = irfftn(rfftn(field.values, period) * transform, period)
+    axes = range(grid.dimension)
+    conv = np.fft.irfftn(np.fft.rfftn(field.values, period, axes) * transform, period, axes)
     values = field.values.copy()
     # the full convolution's index k - 1 + i lands on node i + k // 2
     values[tuple(slice(k // 2, m - k // 2) for k, m in zip(shape, grid.shape))] = conv[

@@ -32,10 +32,15 @@ once per solve.  At ``v = 0``, where ``A`` is the
 identity whatever ``p`` is, ``J`` is the ``p = 2`` operator
 ``1 - Delta_h``, and the solver is a direct fast Poisson solve: two DST-I
 transforms, in 2-d and 3-d alike, whose table is the 5-point (2-d) or
-7-point (3-d) stencil with number weights.  ``scipy.fft`` is imported when
-a run first builds the fast Poisson inverse (:func:`_poisson_inverse`),
-and ``scipy.sparse`` when it first builds an LU factor (2-d) or a GMRES
-solver (3-d).  A cold solve starts with the fast Poisson solve, and the
+7-point (3-d) stencil with number weights.  On a grid whose interior axes
+have at most :data:`SINE_PRODUCT_MAX` nodes each, every grid below 129
+nodes per axis, a transform is one dense orthonormal sine matrix product
+per axis on numpy's BLAS; a grid with a longer interior axis imports
+``scipy.fft`` for its transforms when it first builds the fast Poisson
+inverse (:func:`_poisson_inverse`).  ``scipy.sparse`` is imported when a
+run first builds an LU factor (2-d) or a GMRES solver (3-d), so a run that
+builds neither on a grid below 129 nodes per axis loads no scipy module.
+A cold solve starts with the fast Poisson solve, and the
 sweep loop keeps that solver while it contracts: each later
 sweep solves ``J(0) x = gamma r``, with ``gamma = tr A / |A|^2`` per interior
 node (1 on the Dirichlet rows), which renormalizes the nondivergence
@@ -654,18 +659,78 @@ GMRES_RESTART = 40
 GMRES_MAX_CYCLES = 10
 
 
+#: A grid whose interior axes have at most this many nodes each takes its
+#: DST-I as products with the dense orthonormal sine matrix
+#: (:func:`_sine_matrix`); a grid with a longer interior axis takes
+#: ``scipy.fft``'s.  Every grid below 129 nodes per axis, 2-d or 3-d, so
+#: solves with no ``scipy.fft``.  One inverse in microseconds, ``scipy.fft``
+#: against dense, each the median of 5 interleaved rounds of the fastest of
+#: 200 calls (20 from 65^3), on a 2-core x86-64 host, numpy 2.4.6 on
+#: OpenBLAS 0.3.31 and scipy 1.17.1:
+#:
+#:     2-d nodes   33^2   65^2   97^2  113^2  128^2  129^2  257^2
+#:     scipy.fft     50    119    365    663  5,368    576  3,654
+#:     dense         16     54    201    351    467    466  3,644
+#:
+#:     3-d nodes   17^3   33^3   65^3   97^3  129^3
+#:     scipy.fft    213  1,252 21,015 56,860 131,792
+#:     dense         63    688 13,701 40,433 111,250
+#:
+#: Where ``2 (m + 1)``, the FFT length of ``m`` interior nodes, is a power
+#: of 2 the FFT is at its fastest: at 129^2 the dense inverse read between
+#: 0.85 and 1.2 times ``scipy.fft``'s over repeated rounds, and a fixture
+#: continuation at 129^2 took a median 1.03-1.11 times as long on it in
+#: paired runs.  So the crossover sits just below 127, the interior of a
+#: 129-node axis.  The product's work per node grows like ``m``, the FFT's
+#: like ``log m``: they tie again at 257^2, and the FFT wins beyond.
+SINE_PRODUCT_MAX = 126
+
+
+@functools.lru_cache(maxsize=8)
+def _sine_matrix(m: int) -> np.ndarray:
+    """The orthonormal DST-I matrix of ``m`` nodes,
+    ``sqrt(2 / (m + 1)) sin(pi j k / (m + 1))`` for ``j, k = 1..m``.
+
+    It is symmetric and its own inverse.  The angle is reduced first,
+    ``j k mod 2 (m + 1)``, so every sine reads an argument in
+    ``[0, 2 pi)``.  Shared by every inverse on an axis of ``m`` interior
+    nodes, so it is read-only.
+    """
+    k = np.arange(1, m + 1)
+    angle = np.outer(k, k) % (2 * (m + 1)) * (np.pi / (m + 1))
+    matrix = np.sqrt(2.0 / (m + 1)) * np.sin(angle)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _sine_transform(block: np.ndarray) -> np.ndarray:
+    """The orthonormal DST-I of ``block`` along every axis, as one dense
+    :func:`_sine_matrix` product per axis: ``S0 @ B @ S1`` in 2-d and, in
+    3-d, ``S0`` on the first axis of the block reshaped to a matrix, ``S1``
+    batched over the first axis and ``S2`` from the right."""
+    s = [_sine_matrix(m) for m in block.shape]
+    if block.ndim == 2:
+        return s[0] @ block @ s[1]
+    m0, m1, m2 = block.shape
+    first = (s[0] @ block.reshape(m0, m1 * m2)).reshape(m0, m1, m2)
+    return (s[1] @ first) @ s[2]
+
+
 def _poisson_inverse(grid: GridSpec):
     """The exact inverse of the ``p = 2`` operator ``J(0)`` on a residual.
 
     It is the identity on the Dirichlet rows and, on the interior block,
     the inverse of the 5-point (2-d) or 7-point (3-d) ``1 - Delta_h``: a
-    diagonal scaling between two DST-I transforms.  So it inverts ``J(0)``
-    exactly on a vector whose Dirichlet rows are 0, where no boundary value
-    couples into the interior rows.  ``scipy.fft`` is imported here, at the
-    first fast Poisson solver, so a run that solves nothing does not load it.
+    diagonal scaling, by the operator's symbol, between two DST-I
+    transforms.  So it inverts ``J(0)`` exactly on a vector whose Dirichlet
+    rows are 0, where no boundary value couples into the interior rows.
+    When no interior axis is longer than :data:`SINE_PRODUCT_MAX` the
+    transform is the orthonormal one of :func:`_sine_transform`, dense
+    matrix products on numpy's BLAS, and the inverse is
+    ``T(T(B) / symbol)``.  A longer axis takes ``scipy.fft``'s
+    ``idstn(dstn(B) / symbol)``, which is the same map; ``scipy.fft`` is
+    imported in that branch alone, so a run on no such grid never loads it.
     """
-    from scipy.fft import dstn, idstn
-
     # eigenvalues of the 1-d Dirichlet -D^2_h per axis, summed over an
     # open mesh onto the 1: the symbol of 1 - Delta_h in the sine basis
     eigenvalues = [
@@ -674,11 +739,21 @@ def _poisson_inverse(grid: GridSpec):
     ]
     symbol = sum(np.ix_(*eigenvalues), 1.0)
     inner = tuple(slice(1, -1) for _ in grid.shape)
+    if max(grid.shape) - 2 <= SINE_PRODUCT_MAX:
+
+        def solve(block):
+            return _sine_transform(_sine_transform(block) / symbol)
+
+    else:
+        from scipy.fft import dstn, idstn
+
+        def solve(block):
+            return idstn(dstn(block, type=1) / symbol, type=1)
 
     def apply(x):
         y = x.copy()  # the identity on the Dirichlet rows
         block = y.reshape(grid.shape)
-        block[inner] = idstn(dstn(block[inner], type=1) / symbol, type=1)
+        block[inner] = solve(block[inner])
         return y
 
     return apply
@@ -693,7 +768,9 @@ class _FastPoisson(_CheckedSolver):
     and 0 inside, and ``x0 + M (rhs - J x0)`` with ``M`` the
     :func:`_poisson_inverse` is the exact solution, with no matrix
     factorized.  Past the cold sweep the residual's Dirichlet rows are 0,
-    so the solve is ``M rhs`` alone.  No matrix is assembled either:
+    so the solve is ``M rhs`` alone: four dense sine products in 2-d and
+    six in 3-d, or two ``scipy.fft`` transforms on a grid with an interior
+    axis past :data:`SINE_PRODUCT_MAX`.  No matrix is assembled either:
     ``J x0`` and the backward-error check apply the 5-point (2-d) or
     7-point (3-d) :func:`_stencil` table of ``J(0)``, whose weights are
     numbers.
@@ -707,7 +784,8 @@ class _FastPoisson(_CheckedSolver):
     at ``v = 0``, where ``lam = 1``, it is exactly 1.
     """
 
-    #: It costs no factor, only two DST-I transforms per solve: keep it
+    #: It costs no factor, only two DST-I transforms per solve (under a
+    #: millisecond up to 129^2 and 33^3, 14 ms at 65^3): keep it
     #: while each sweep contracts by :data:`POISSON_KEEP_RATIO`.
     keep_ratio = POISSON_KEEP_RATIO
     inexact = False
@@ -745,7 +823,8 @@ class _PoissonGMRES(_CheckedSolver):
     ``s`` when ``p < 5``), and under it the frozen operator is close to the
     Laplacian uniformly in ``h`` (Smears and Sueli, SINUM 51 (2013)); the
     Jacobian adds only a first-order term to it.  The preconditioner is
-    :func:`_poisson_inverse`, the exact inverse of the ``p = 2`` operator.
+    :func:`_poisson_inverse`, the exact inverse of the ``p = 2`` operator,
+    by dense sine products on every 3-d grid below 129 nodes per axis.
     The GMRES iteration count then does not grow as the grid is refined,
     while LU fill in 3-d grows faster than the number of unknowns.
 

@@ -105,6 +105,41 @@ class TestQuasiregularityAudit:
             report = quasiregularity_audit(final.v, beta, budget=budget)
             assert report.passed
             assert report.worst <= budget
+            # the Hessian lies far above its round-off level at every node
+            assert report.details["audited_nodes"] == 63**2
+
+    @pytest.mark.parametrize("points", [9, 33])
+    def test_solved_affine_field_not_audited(self, points):
+        # the solution is the affine boundary data to round-off, so its
+        # stencil Hessian is rounding noise and so is the distortion: a
+        # floor relative to |DF| alone let that noise fail the audit
+        from pxlaplace.solver import ProblemSpec, build_problem, epsilon_continuation
+
+        spec = ProblemSpec(
+            unit_square(points),
+            parse_expression("2.2", 2),
+            parse_expression("0", 2),
+            parse_expression("3*x1 - x2", 2),
+            eps=0.1,
+        )
+        final = epsilon_continuation(build_problem(spec), (0.1, 0.01)).results[-1]
+        assert np.abs(final.v.values - spec.boundary_expr.evaluate_array(spec.grid.coords())).max() <= 1e-15
+        for beta in (0.0, 1.0):
+            budget = constant_set(final.problem.window, 2, beta).c_star
+            report = quasiregularity_audit(final.v, beta, budget=budget)
+            assert report.passed, report
+            assert report.worst == 0.0
+            assert report.details["audited_nodes"] == 0
+            assert report.details["violations"] == 0
+
+    def test_curvature_above_the_roundoff_level_audited(self):
+        # a saddle 1e-6 times the affine part still has a Hessian far above
+        # 64 u max|v| / h^2, so every interior node is audited
+        grid = unit_square(33)
+        u = sample(parse_expression("3*x1 - x2 + 1e-6*(x1^2 - x2^2)", 2), grid)
+        report = quasiregularity_audit(u, beta=0.0)
+        assert report.details["audited_nodes"] == 31**2
+        assert report.worst == pytest.approx(2.0, rel=1e-4)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(AuditError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy import ndimage
-from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.fft import next_fast_len
 
 from pxlaplace import fields
 from pxlaplace.expressions import parse_expression
@@ -50,12 +50,14 @@ def check_reference_convolution(field, eps):
 
 
 def fresh_kernel_mollify(field, eps):
-    """``mollify``'s values with the kernel built and transformed afresh,
-    as before its transform was cached."""
+    """``mollify``'s values with the kernel built and transformed afresh on
+    ``numpy.fft``, as before its transform was cached, with scipy's period."""
     grid = field.grid
     kernel = mollifier_kernel(grid.spacing, eps)
     period = tuple(next_fast_len(m, real=True) for m in grid.shape)
-    conv = irfftn(rfftn(field.values, period) * rfftn(kernel, period), period)
+    axes = tuple(range(grid.dimension))
+    transform = np.fft.rfftn(kernel, period, axes)
+    conv = np.fft.irfftn(np.fft.rfftn(field.values, period, axes) * transform, period, axes)
     values = field.values.copy()
     values[tuple(slice(k // 2, m - k // 2) for k, m in zip(kernel.shape, grid.shape))] = conv[
         tuple(slice(k - 1, m) for k, m in zip(kernel.shape, grid.shape))
@@ -268,6 +270,10 @@ class TestMollify:
         for radius in radii:
             for field in (data.p, data.f, data.boundary, noise):
                 assert mollify(field, radius).values.tobytes() == fresh_kernel_mollify(field, radius).tobytes()
+
+    def test_fast_period_is_scipys_real_fft_length(self):
+        periods = [fields._fast_period(m) for m in range(1, 3000)]
+        assert periods == [next_fast_len(m, real=True) for m in range(1, 3000)]
 
     def test_kernel_transform_built_once_and_read_only(self):
         grid = unit_square(33)

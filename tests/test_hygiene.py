@@ -17,9 +17,10 @@ object's ``__dict__`` or calls ``object.__setattr__`` outside a
 expression is sampled on the grid only where a problem is built, by the
 config and by ``build_problem``.  No module imports scipy when it is
 loaded.  The command line module loads no heavy scipy subpackage it does
-not need, and not sympy; a run loads ``scipy.fft`` only when it mollifies
-or solves, and ``scipy.sparse`` only when it builds an LU factor or a
-GMRES solver.
+not need, and not sympy.  A run loads no scipy module at all unless it
+builds an LU factor or a GMRES solver, which loads ``scipy.sparse``, or
+solves on a grid with an interior axis past the dense sine products'
+crossover, which loads ``scipy.fft``.
 """
 
 import ast
@@ -499,11 +500,13 @@ def test_check_catches_a_module_level_scipy_import():
 #: the tests' oracle, never the lab's.
 HEAVY_MODULES = ("scipy.ndimage", "scipy.signal", "sympy")
 
-#: Loaded only by a run that mollifies or solves (``scipy.fft``, for the
-#: mollifier and the fast Poisson solve), and only when a run builds an LU
-#: factor (2-d) or a GMRES solver (3-d) (``scipy.sparse``): the fast
-#: Poisson path assembles no matrix.
-DEFERRED_MODULES = ("scipy.fft", "scipy.sparse", "scipy.sparse.linalg")
+#: Loaded only when a run needs them: ``scipy.sparse`` when it builds an LU
+#: factor (2-d) or a GMRES solver (3-d), and ``scipy.fft`` when it solves on
+#: a grid with an interior axis longer than ``solver.SINE_PRODUCT_MAX``,
+#: whose fast Poisson inverse takes scipy's DST-I.  The mollifier runs on
+#: ``numpy.fft`` and the fast Poisson inverse of a shorter grid on dense
+#: sine products, so a run that needs neither loads not even ``scipy``.
+DEFERRED_MODULES = ("scipy", "scipy.fft", "scipy.sparse", "scipy.sparse.linalg")
 
 #: An audit config for ``pxlaplace audit``: the fixture's boundary data
 #: with exponent ``p`` on ``points`` nodes per axis.
@@ -550,10 +553,12 @@ print(json.dumps(record))
 
 def test_cli_import_loads_no_heavy_scipy_subpackage(tmp_path):
     # checked by name in a fresh interpreter, not by a timing.  The
-    # constants and identities commands and a config error solve nothing,
-    # so they load no scipy.fft.  The fixture runs in 2-d and 3-d keep
-    # their fast Poisson solve, so they load scipy.fft and no scipy.sparse;
-    # p = 1.2 falls back to LU, which loads it and factors
+    # constants and identities commands and a config error solve nothing.
+    # The fixture runs in 2-d and 3-d keep their fast Poisson solve, on
+    # dense sine products, and mollify on numpy.fft, so they load no scipy
+    # module; p = 1.2 falls back to LU, which loads scipy.sparse and
+    # factors, and a solve on 259 x 9 nodes, an interior axis past the
+    # crossover, loads scipy.fft
     schedule = "0.1 0.03 0.01 0.003 0.001 0.0003 0.0001"
     runs = {
         "increasing": (2, "33 33", "2 + 0.5*sin(x1)", "0.01 0.1"),
@@ -571,6 +576,12 @@ def test_cli_import_loads_no_heavy_scipy_subpackage(tmp_path):
             AUDIT_CONFIG.format(dimension=dimension, points=points, p=p, schedule=eps, outdir=tmp_path / name)
         )
         commands.append(["audit", "--config", str(path)])
+    long_axis = tmp_path / "long-axis.cfg"
+    long_axis.write_text(
+        AUDIT_CONFIG.format(dimension=2, points="259 9", p="2", schedule="0.25", outdir=tmp_path / "long")
+        .replace("[problem]\n", "[problem]\nhi = 32 1\n")
+    )
+    commands.append(["solve", "--config", str(long_axis)])
     probe = PROBE.format(watched=HEAVY_MODULES + DEFERRED_MODULES)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
@@ -582,13 +593,14 @@ def test_cli_import_loads_no_heavy_scipy_subpackage(tmp_path):
         check=True,
         timeout=300,
     )
-    after_import, after_constants, after_identities, after_error, fixture, cube, lu = json.loads(
+    after_import, after_constants, after_identities, after_error, fixture, cube, lu, long = json.loads(
         done.stdout.strip().splitlines()[-1]
     )
     assert after_import == [], after_import
     assert after_constants == [0, [], 0], after_constants
     assert after_identities == [0, [], 0], after_identities
     assert after_error == [2, [], 0], after_error
-    assert fixture == [0, ["scipy.fft"], 0], fixture
-    assert cube == [0, ["scipy.fft"], 0], cube
-    assert lu[0] == 0 and lu[1] == list(DEFERRED_MODULES) and lu[2] > 0, lu
+    assert fixture == [0, [], 0], fixture
+    assert cube == [0, [], 0], cube
+    assert lu[0] == 0 and lu[1] == ["scipy", "scipy.sparse", "scipy.sparse.linalg"] and lu[2] > 0, lu
+    assert long[0] == 0 and long[1] == list(DEFERRED_MODULES), long

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -756,6 +757,100 @@ class TestFastPoisson:
         matrix = jacobian(zero, random_state(grid)[1], 1e-2)
         expected = row_sum_norm(matrix)
         assert abs(solver._FastPoisson(grid)._norm - expected) <= 4e-16 * expected
+
+
+def node_box(shape):
+    """The shape and spacing of the unit box on ``shape`` nodes, all that
+    :func:`solver._poisson_inverse` reads of a grid; unlike a ``GridSpec``
+    it may have fewer than 8 nodes per axis."""
+    return types.SimpleNamespace(shape=shape, spacing=tuple(1.0 / (m - 1) for m in shape))
+
+
+def scipy_poisson_inverse(box, x):
+    """``scipy.fft``'s inverse of ``1 - Delta_h`` on the interior block of
+    ``x``, the identity on its Dirichlet rows."""
+    from scipy.fft import dstn, idstn
+
+    eigenvalues = [
+        (2.0 - 2.0 * np.cos(np.arange(1, m - 1) * np.pi / (m - 1))) / h**2
+        for m, h in zip(box.shape, box.spacing)
+    ]
+    symbol = sum(np.ix_(*eigenvalues), 1.0)
+    inner = (slice(1, -1),) * len(box.shape)
+    y = x.reshape(box.shape).copy()
+    y[inner] = idstn(dstn(y[inner], type=1) / symbol, type=1)
+    return y.ravel()
+
+
+def interior_vector(shape, seed):
+    """A random vector on ``shape`` whose Dirichlet rows are 0."""
+    x = np.zeros(shape)
+    inner = (slice(1, -1),) * len(shape)
+    x[inner] = np.random.default_rng(seed).standard_normal(x[inner].shape)
+    return x.ravel()
+
+
+SINE_SHAPES = [(3, 3), (13, 11), (17, 9), (9, 7, 5), (65, 65), (17, 17, 17)]
+SINE_IDS = ["3x3", "13x11", "17x9", "9x7x5", "65^2", "17^3"]
+
+
+class TestSineProductInverse:
+    @pytest.mark.parametrize("shape", SINE_SHAPES, ids=SINE_IDS)
+    def test_equals_the_scipy_fft_inverse(self, shape):
+        box = node_box(shape)
+        assert max(shape) - 2 <= solver.SINE_PRODUCT_MAX
+        x = np.random.default_rng(41).standard_normal(math.prod(shape))
+        got = solver._poisson_inverse(box)(x)
+        expected = scipy_poisson_inverse(box, x)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("shape", SINE_SHAPES, ids=SINE_IDS)
+    def test_inverts_the_p2_table(self, shape):
+        box = node_box(shape)
+        identity = {(i, i): 1.0 for i in range(len(shape))}
+        rows = solver._stencil(identity, box.spacing)
+        rhs = interior_vector(shape, 43)
+        x = solver._poisson_inverse(box)(rhs)
+        residual = rhs - solver._stencil_action(rows, shape, x)
+        scale = solver._stencil_norm(rows, shape) * np.abs(x).max() + np.abs(rhs).max()
+        assert np.abs(residual).max() / scale <= 1e-14
+
+    def test_sine_matrix_is_symmetric_and_its_own_inverse(self):
+        for m in (1, 7, 64, 127):
+            s = solver._sine_matrix(m)
+            assert np.array_equal(s, s.T)
+            assert np.abs(s @ s - np.eye(m)).max() <= 1e-14
+            assert not s.flags.writeable
+
+    def test_two_calls_give_identical_bytes(self):
+        for shape in ((65, 65), (17, 17, 17)):
+            inverse = solver._poisson_inverse(node_box(shape))
+            x = np.random.default_rng(47).standard_normal(math.prod(shape))
+            assert inverse(x).tobytes() == inverse(x).tobytes()
+            assert inverse(x).tobytes() == solver._poisson_inverse(node_box(shape))(x).tobytes()
+
+    @pytest.mark.parametrize("nodes, fft_calls", [(128, 0), (129, 2)], ids=["at", "past"])
+    def test_an_axis_past_the_crossover_takes_the_fft(self, nodes, fft_calls, monkeypatch):
+        # 128 nodes are 126 interior ones, the crossover; 129 are one past it
+        import scipy.fft
+
+        calls = []
+
+        def recorded(name, transform):
+            def call(*args, **options):
+                calls.append(name)
+                return transform(*args, **options)
+
+            return call
+
+        for name in ("dstn", "idstn"):
+            monkeypatch.setattr(scipy.fft, name, recorded(name, getattr(scipy.fft, name)))
+        grid = GridSpec((0.0, 0.0), ((nodes - 1) / 8.0, 1.0), (nodes, 9))
+        x = interior_vector(grid.shape, 53)
+        got = solver._poisson_inverse(grid)(x)
+        assert len(calls) == fft_calls
+        expected = scipy_poisson_inverse(grid, x)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestContract:
