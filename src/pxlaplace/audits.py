@@ -133,6 +133,19 @@ def _data_weight(v: ScalarField, beta: float, eps: float) -> np.ndarray:
     return stored(v, ("data_weight", beta, eps), lambda: _read_only((_gradient_sq(v) + eps) ** beta))
 
 
+def _resolved(u: ScalarField) -> np.ndarray:
+    """Per node, whether ``u``'s stencil Hessian lies above its round-off
+    level: a Frobenius norm above :data:`HESSIAN_ROUNDOFF` unit round-offs
+    times ``max |u| / h^2``.  Kept in ``u``'s store, read-only."""
+
+    def compute():
+        unit_roundoff = np.finfo(float).eps / 2.0
+        noise = HESSIAN_ROUNDOFF * unit_roundoff * float(np.abs(u.values).max()) / min(u.grid.spacing) ** 2
+        return _read_only(frobenius_sq(hessian(u)) > noise**2)
+
+    return stored(u, "resolved", compute)
+
+
 def _worst_location(values: np.ndarray, mask: np.ndarray, grid: GridSpec):
     """The first node in C order whose value lies within ``1e-12 max(1,
     |worst|)`` of the masked maximum, so that a round-off change does not
@@ -262,10 +275,7 @@ def quasiregularity_audit(
 
     norm = np.sqrt(lhs)
     floor = DISTORTION_FLOOR * float(norm[finite].max()) if finite.any() else 0.0
-    unit_roundoff = np.finfo(float).eps / 2.0
-    noise = HESSIAN_ROUNDOFF * unit_roundoff * float(np.abs(u.values).max()) / min(grid.spacing) ** 2
-    resolved = frobenius_sq(hessian(u)) > noise**2
-    audited = finite & (norm > floor) & resolved
+    audited = finite & (norm > floor) & _resolved(u)
     positive = audited & (s2 > 0.0)
     violations = int(np.sum(audited & (s2 <= 0.0))) + int(np.sum(interior & ~finite))
 
@@ -335,7 +345,10 @@ def caccioppoli_audit(
     LHS integrates ``|DF|^2 phi^2``; RHS is ``C#`` times the oscillation of
     the stretched gradient around its mean ``c`` over the three-quarter
     ball (the variance-minimizing offset) under ``|Dphi|^2``, plus the data
-    term.
+    term.  The LHS leaves out the nodes whose stencil Hessian lies at its
+    round-off level (:data:`HESSIAN_ROUNDOFF`): there ``|DF|^2`` is rounding
+    noise, and on an affine solution the ratio would be noise over noise.
+    The RHS keeps every node, since neither of its terms reads the Hessian.
     """
     grid = v.grid
     n = grid.dimension
@@ -357,7 +370,7 @@ def caccioppoli_audit(
     vol = grid.cell_volume
     weight = _data_weight(v, params.beta, params.eps)
     gap = g.values[core] - v.values[core]
-    lhs = float(np.sum(df_sq[core] * phi_sq) * vol)
+    lhs = float(np.sum(np.where(_resolved(v)[core], df_sq[core], 0.0) * phi_sq) * vol)
     osc = float(np.sum(_norm_sq(f_vals[core] - c) * dphi_sq) * vol)
     data = float(np.sum(weight[core] * gap**2 * phi_sq) * vol)
     rhs = consts.c_sharp * (osc + data)

@@ -49,9 +49,10 @@ operator so that the Laplacian preconditions it under the Cordes condition
 Poisson sweep contracts too little, the loop builds the solver of ``J(v)``:
 in 2-d a sparse LU factor (the stencil pattern is structurally symmetric
 with a diagonal of at least 1, so the factor eliminates the nodes in a
-geometric nested-dissection order, built once per grid shape, and pivots on
-the diagonal); in 3-d, where LU fill grows faster than the grid, GMRES on
-``J``, preconditioned by the same fast Poisson solve.
+geometric nested-dissection order, built once per grid shape with the
+permuted matrix's pattern, and pivots on the diagonal); in 3-d, where LU
+fill grows faster than the grid, GMRES on ``J``, preconditioned by the
+same fast Poisson solve.
 Every solve is checked against a measured normwise backward error, and one
 that misses its bound raises :class:`SolverError` naming the bound.  Every
 2-d solve, and a solve given no bound, is held to
@@ -109,8 +110,10 @@ __all__ = [
 
 #: A sweep on the 2-d LU factor that leaves the nonlinear residual above
 #: this fraction of its previous value makes the loop refactor at the
-#: current iterate.  A fresh factor at 65^2 costs about 9
-#: sweeps (10 at 129^2, 14 at 257^2) and brings the contraction from the
+#: current iterate.  A fresh factor (assembly, gather and ``splu``) costs
+#: about 9 sweeps at 65^2, 9-10 at 129^2 and 10-11 at 257^2 (the p = 4
+#: fixture-data continuation, against the mean of the rest of its work per
+#: sweep) and brings the contraction from the
 #: 0.4-0.5 of a stale one to under 0.1, so it pays back within the level.
 #: 0.2 and 0.3 were both measured: on the fixture data at 65^2 the
 #: exponents p = 1.2, 3 + sin(x2) and 4 take 45, 53 and 52 sweeps at 0.2,
@@ -282,8 +285,22 @@ def _stencil_pattern(shape: tuple) -> tuple:
     return indptr, indices, starts
 
 
-#: A block of at most this many nodes is not dissected further.
-DISSECTION_LEAF = 16
+#: A block of at most this many nodes is not dissected further.  Factor
+#: time in ms (with ``_LUFactor``'s options, against SuperLU's default
+#: ``panel_size``) and factor nonzeros of the first ``J(v)`` that the
+#: fixture-data continuation factors, p = 1.2 at 65^2 and p = 4 at 129^2
+#: and 257^2; medians of 25, 11 and 5 interleaved factors on a 2-core
+#: x86-64 host, scipy 1.17.1.  With diagonal pivots the fill depends on
+#: the pattern alone, so the nonzeros hold for every ``J(v)`` of the shape:
+#:
+#:     leaf    65^2 ms   129^2 ms   257^2 ms   nonzeros 65^2 / 129^2 / 257^2
+#:       4   6.1 / 7.4  50 / 60   204 / 241   202,311 / 1,047,927 / 5,176,551
+#:       8   6.3 / 7.4  49 / 58   197 / 254   202,311 / 1,047,927 / 5,176,551
+#:      16   6.8 / 8.2  51 / 63   226 / 244   206,663 / 1,065,847 / 5,249,255
+#:      32   8.3 / 9.5                        231,327 at 65^2
+#:
+#: Leaves of 4 and 8 fill alike and factor alike within the spread.
+DISSECTION_LEAF = 8
 
 
 @functools.lru_cache(maxsize=8)
@@ -317,6 +334,34 @@ def _dissection_order(shape: tuple) -> np.ndarray:
     order = np.concatenate([np.setdiff1d(nodes, interior)] + dissect(interior))
     order.setflags(write=False)
     return order
+
+
+@functools.lru_cache(maxsize=8)
+def _permuted_pattern(shape: tuple) -> tuple:
+    """The CSC structure ``(indptr, indices, gather)`` of ``P A P^T`` on one
+    grid shape, ``A`` a matrix of the :func:`_stencil_pattern` and ``P`` the
+    :func:`_dissection_order`.
+
+    Entry ``(i, j)`` of ``A`` moves to ``(position[i], position[j])``, with
+    ``position`` the inverse of the order; the entries are sorted by column
+    and then by row, as ``A[order][:, order].tocsc()`` sorts them, and
+    ``gather`` lists their positions in ``A``'s CSR ``data``.  So
+    ``data[gather]`` is the permuted matrix's ``data``.  The arrays are
+    shared by every factor on the grid shape, so they are read-only.
+    """
+    indptr, indices, _ = _stencil_pattern(shape)
+    order = _dissection_order(shape)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    rows = np.repeat(position, np.diff(indptr))
+    columns = position[indices]
+    gather = np.lexsort((rows, columns))
+    permuted_indptr = np.concatenate([[0], np.cumsum(np.bincount(columns, minlength=order.size))])
+    permuted_indptr = permuted_indptr.astype(indptr.dtype)
+    permuted_indices = rows[gather].astype(indices.dtype)
+    for array in (permuted_indptr, permuted_indices, gather):
+        array.setflags(write=False)
+    return permuted_indptr, permuted_indices, gather
 
 
 @dataclass(frozen=True)
@@ -621,27 +666,44 @@ class _LUFactor(_CheckedSolver):
     its stencil pattern is structurally symmetric (an interior node couples
     to an interior neighbour exactly when the neighbour couples back; a
     Dirichlet row is a row of the identity) and every diagonal entry is at
-    least 1.  On the fixture's 129^2 Jacobian the order holds 1,065,847
-    nonzeros against 1,153,652 for minimum degree on ``A + A^T``, and
-    a factor is built in about three quarters of the time.  Diagonal pivots are
+    least 1.  On the fixture's 129^2 Jacobian the order holds 1,047,927
+    nonzeros against 1,153,652 for minimum degree on ``A + A^T``, and a
+    factor, assembly included, takes about 0.6 of the time of the
+    minimum-degree ``splu`` alone (29 against 49 ms).  Diagonal pivots are
     not proven stable for a nonsymmetric operator, which is one reason
     every solve is checked against the backward-error contract.
+
+    ``P A P^T`` is ``data[gather]`` on the cached CSC pattern of
+    :func:`_permuted_pattern`: one gather of the assembled data, no sparse
+    copy, and bitwise ``A[order][:, order].tocsc()``.  The gather takes
+    0.04 ms at 65^2 and 0.18 ms at 129^2, against 0.47 and 2.4 ms for
+    those two copies and 0.18 and 0.66 ms for the fill.  SuperLU factors it
+    one column per panel (``panel_size=1``): on the first p = 1.2
+    fixture-data ``J(v)`` at 65^2, panel sizes 1, 2, 4, 8 and SuperLU's
+    default read 6.3, 6.8, 7.1, 7.4 and 7.4 ms, and a solve takes
+    0.3-0.4 ms at each.  Pass no ``relax``, and keep ``panel_size`` at
+    most 20: ``relax=8, panel_size=24`` and ``relax=32, panel_size=2``
+    made scipy 1.17.1 abort at process exit.
     """
 
-    #: A factor costs about as much as 9 sweeps to build at 65^2, 10 at
+    #: A factor costs about as much as 9 sweeps to build at 65^2, 9-10 at
     #: 129^2: keep it while the sweeps contract.
     keep_ratio = REFACTOR_RATIO
     inexact = False
 
     def __init__(self, rows: list, shape: tuple):
         super().__init__(rows, shape)
+        from scipy.sparse import csc_matrix
+
         matrix = assemble_frozen_operator(rows, shape)
         self._order = _dissection_order(shape)
+        indptr, indices, gather = _permuted_pattern(shape)
         try:
             self._lu = splu(
-                matrix[self._order][:, self._order].tocsc(),
+                csc_matrix((matrix.data[gather], indices, indptr), shape=matrix.shape),
                 permc_spec="NATURAL",
                 diag_pivot_thresh=0.0,
+                panel_size=1,
                 options={"SymmetricMode": True},
             )
         except (RuntimeError, MemoryError) as err:  # singular factorization, memory

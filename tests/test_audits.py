@@ -40,6 +40,24 @@ def saddle_field(m=65, lo=(0.0, 0.0), hi=(1.0, 1.0)):
     return sample(parse_expression("x1^2 - x2^2", 2), GridSpec(lo, hi, (m, m)))
 
 
+def solved_affine(points):
+    """The final level of the affine problem ``p = 2.2``, ``f = 0``, boundary
+    data ``3 x1 - x2``, eps schedule 0.1, 0.01: the boundary data to
+    round-off, so its stencil Hessian is rounding noise."""
+    from pxlaplace.solver import ProblemSpec, build_problem, epsilon_continuation
+
+    spec = ProblemSpec(
+        unit_square(points),
+        parse_expression("2.2", 2),
+        parse_expression("0", 2),
+        parse_expression("3*x1 - x2", 2),
+        eps=0.1,
+    )
+    final = epsilon_continuation(build_problem(spec), (0.1, 0.01)).results[-1]
+    assert np.abs(final.v.values - spec.boundary_expr.evaluate_array(spec.grid.coords())).max() <= 1e-15
+    return final
+
+
 class TestPointwiseAudit:
     def test_linear_solution_passes_with_equality(self):
         grid = unit_square(33)
@@ -110,20 +128,9 @@ class TestQuasiregularityAudit:
 
     @pytest.mark.parametrize("points", [9, 33])
     def test_solved_affine_field_not_audited(self, points):
-        # the solution is the affine boundary data to round-off, so its
-        # stencil Hessian is rounding noise and so is the distortion: a
-        # floor relative to |DF| alone let that noise fail the audit
-        from pxlaplace.solver import ProblemSpec, build_problem, epsilon_continuation
-
-        spec = ProblemSpec(
-            unit_square(points),
-            parse_expression("2.2", 2),
-            parse_expression("0", 2),
-            parse_expression("3*x1 - x2", 2),
-            eps=0.1,
-        )
-        final = epsilon_continuation(build_problem(spec), (0.1, 0.01)).results[-1]
-        assert np.abs(final.v.values - spec.boundary_expr.evaluate_array(spec.grid.coords())).max() <= 1e-15
+        # the distortion of a rounding-noise Hessian is noise: a floor
+        # relative to |DF| alone let that noise fail the audit
+        final = solved_affine(points)
         for beta in (0.0, 1.0):
             budget = constant_set(final.problem.window, 2, beta).c_star
             report = quasiregularity_audit(final.v, beta, budget=budget)
@@ -169,10 +176,27 @@ class TestCaccioppoliAudit:
         with_zero = constant_set(prob.window, 2, params.beta).c_sharp * (osc + data)
         assert with_mean.details["rhs"] <= with_zero
 
+    def test_solved_affine_field_ratio_is_zero(self):
+        # |DF|^2 is rounding noise on every node, and so were the
+        # oscillation and the data term: their ratio read 4.3e-2 (beta = 0)
+        # and 4.0e-4 (beta = 1) on the 33^2 ball of radius 0.2
+        final = solved_affine(33)
+        prob = final.problem
+        for beta in (0.0, 1.0):
+            params = StretchParams(beta, prob.eps)
+            ball = BallRegion((0.5, 0.5), 0.2)
+            report = caccioppoli_audit(final.v, prob.p, prob.g, params, prob.window, ball)
+            assert report.passed
+            assert report.worst == 0.0
+            assert report.details["lhs"] == 0.0
+
     def test_fixture_balls_ratio_below_one(self, canonical_run):
         continuation, _ = canonical_run
         final = continuation.results[-1]
         prob = final.problem
+        # the Hessian lies above its round-off level at every interior
+        # node, so the LHS sums every node's |DF|^2
+        assert audits._resolved(final.v)[1:-1, 1:-1].all()
         for beta in (0.0, 1.0):
             params = StretchParams(beta, prob.eps)
             for ball in caccioppoli_balls():

@@ -610,13 +610,16 @@ class TestDissectionOrder:
                 assert np.all(np.diff(position[box_nodes(shape, leaf)]) == 1)
 
 
+FACTOR_CASES = pytest.mark.parametrize(
+    "make_stencil, shape",
+    [(functools.partial(random_stencil, grid), grid.shape) for grid in PATTERN_GRIDS]
+    + [(saddle_p20_stencil, (65, 65))],
+    ids=PATTERN_IDS + ["65x65-p20"],
+)
+
+
 class TestLUFactor:
-    @pytest.mark.parametrize(
-        "make_stencil, shape",
-        [(functools.partial(random_stencil, grid), grid.shape) for grid in PATTERN_GRIDS]
-        + [(saddle_p20_stencil, (65, 65))],
-        ids=PATTERN_IDS + ["65x65-p20"],
-    )
+    @FACTOR_CASES
     def test_diagonal_pivots_meet_contract(self, make_stencil, shape):
         rows = make_stencil()
         matrix = assemble_frozen_operator(rows, shape)
@@ -629,8 +632,12 @@ class TestLUFactor:
 
     def test_splu_gets_the_permuted_matrix_and_one_option_set(self, monkeypatch):
         # relax=8, panel_size=24 made scipy 1.17.1 abort at process exit
-        # ("corrupted double-linked list") on the 129^2 Jacobian: any change
-        # to this option set must be made here, on purpose
+        # ("corrupted double-linked list") on the 129^2 Jacobian, and
+        # relax=32, panel_size=2 aborted at exit in 1 of 3 runs (2 of 3 on a
+        # recheck) on the first p = 1.2 fixture-data Jacobian at 65^2, where
+        # panel sizes 1 to 8 with the default relax ran clean.  The rule:
+        # pass no relax, and keep panel_size at most 20.  Any change to
+        # this option set must be made here, on purpose
         calls = []
         original = solver.splu
 
@@ -647,10 +654,36 @@ class TestLUFactor:
         assert options == {
             "permc_spec": "NATURAL",
             "diag_pivot_thresh": 0.0,
+            "panel_size": 1,
             "options": {"SymmetricMode": True},
         }
         order = solver._dissection_order(grid.shape)
         assert (factored != matrix[order][:, order]).nnz == 0
+
+    @FACTOR_CASES
+    def test_permuted_fill_is_the_permuted_matrix(self, make_stencil, shape, monkeypatch):
+        # one gather of the CSR fill's data gives splu the bits of
+        # matrix[order][:, order].tocsc()
+        calls = count_splu(monkeypatch)
+        rows = make_stencil()
+        matrix = assemble_frozen_operator(rows, shape)
+        order = solver._dissection_order(shape)
+        expected = matrix[order][:, order].tocsc()
+        solver._LUFactor(rows, shape)
+        [factored] = calls
+        assert factored.format == "csc"
+        for name in ("indptr", "indices", "data"):
+            assert getattr(factored, name).tobytes() == getattr(expected, name).tobytes(), name
+        pattern = solver._permuted_pattern(shape)
+        for array in pattern:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        # a second factor on the shape reads the cached pattern
+        misses = solver._permuted_pattern.cache_info().misses
+        solver._LUFactor(rows, shape)
+        assert solver._permuted_pattern.cache_info().misses == misses
+        assert all(a is b for a, b in zip(solver._permuted_pattern(shape), pattern))
 
     def test_fixture_129_factor_has_less_fill_than_minimum_degree(self):
         # the fixture is solved with no factor: factor the Jacobian at its
