@@ -474,12 +474,13 @@ def _holder_ratio(ball_data, delta):
 
 
 def _holder_data(u: ScalarField, f: Optional[ScalarField], beta: float, balls):
-    """Per ball, what every delta reads: ``|DF|`` on the quarter ball, the
-    delta-free oscillation ``|F - mean F| / R`` over the three-quarter ball
-    and the data weight there (``None`` without data)."""
+    """Per ball, what every delta reads: ``|DF|`` on the quarter ball, 0 on
+    a node whose Hessian is round-off (:func:`_resolved`), the delta-free
+    oscillation ``|F - mean F| / R`` over the three-quarter ball and the
+    data weight there (``None`` without data)."""
     grid = u.grid
     fvals, df_sq, _ = _stretched_fields(u, beta, 0.0)
-    dfnorm = np.sqrt(df_sq)
+    dfnorm = np.where(_resolved(u), np.sqrt(df_sq), 0.0)
     fweight = None
     if f is not None and float(np.abs(f.values).max()) > 0.0:
         fweight = np.sqrt(_gradient_sq(u)) ** beta * np.abs(f.values)

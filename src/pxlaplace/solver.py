@@ -33,13 +33,15 @@ identity whatever ``p`` is, ``J`` is the ``p = 2`` operator
 ``1 - Delta_h``, and the solver is a direct fast Poisson solve: two DST-I
 transforms, in 2-d and 3-d alike, whose table is the 5-point (2-d) or
 7-point (3-d) stencil with number weights.  On a grid whose interior axes
-have at most :data:`SINE_PRODUCT_MAX` nodes each, every grid below 129
+have at most :data:`SINE_PRODUCT_MAX` nodes each, every grid up to 129
 nodes per axis, a transform is one dense orthonormal sine matrix product
-per axis on numpy's BLAS; a grid with a longer interior axis imports
-``scipy.fft`` for its transforms when it first builds the fast Poisson
-inverse (:func:`_poisson_inverse`).  ``scipy.sparse`` is imported when a
-run first builds an LU factor (2-d) or a GMRES solver (3-d), so a run that
-builds neither on a grid below 129 nodes per axis loads no scipy module.
+per axis on numpy's BLAS, folded into two half-size products on an axis
+longer than :data:`SINE_UNFOLDED_MAX` (:func:`_sine_axis`); a grid with a
+longer interior axis imports ``scipy.fft`` for its transforms when it
+first builds the fast Poisson inverse (:func:`_poisson_inverse`).
+``scipy.sparse`` is imported when a run first builds an LU factor (2-d) or
+a GMRES solver (3-d), so a run that builds neither on a grid up to 129
+nodes per axis loads no scipy module.
 A cold solve starts with the fast Poisson solve, and the
 sweep loop keeps that solver while it contracts: each later
 sweep solves ``J(0) x = gamma r``, with ``gamma = tr A / |A|^2`` per interior
@@ -723,29 +725,48 @@ GMRES_MAX_CYCLES = 10
 
 #: A grid whose interior axes have at most this many nodes each takes its
 #: DST-I as products with the dense orthonormal sine matrix
-#: (:func:`_sine_matrix`); a grid with a longer interior axis takes
-#: ``scipy.fft``'s.  Every grid below 129 nodes per axis, 2-d or 3-d, so
-#: solves with no ``scipy.fft``.  One inverse in microseconds, ``scipy.fft``
-#: against dense, each the median of 5 interleaved rounds of the fastest of
-#: 200 calls (20 from 65^3), on a 2-core x86-64 host, numpy 2.4.6 on
-#: OpenBLAS 0.3.31 and scipy 1.17.1:
+#: (:func:`_sine_matrix`), folded on an axis past :data:`SINE_UNFOLDED_MAX`;
+#: a grid with a longer interior axis takes ``scipy.fft``'s.  Every grid up
+#: to 129 nodes per axis, 2-d or 3-d, so solves with no ``scipy.fft``.
+#: One inverse in microseconds, ``scipy.fft`` against the plain and the
+#: folded products (every axis folded, whatever its length), each the
+#: median of 5 interleaved rounds of the fastest of 200 calls (20 from
+#: 65^3), on a 2-core x86-64 host, numpy 2.4.6 on OpenBLAS 0.3.31 with one
+#: thread, scipy 1.17.1:
 #:
 #:     2-d nodes   33^2   65^2   97^2  113^2  128^2  129^2  257^2
-#:     scipy.fft     50    119    365    663  5,368    576  3,654
-#:     dense         16     54    201    351    467    466  3,644
+#:     scipy.fft     62    143    312    337  2,362    316  1,419
+#:     plain         24     67    185    257    310    362  2,128
+#:     folded        70    120    218    194    254    266  1,585
 #:
 #:     3-d nodes   17^3   33^3   65^3   97^3  129^3
-#:     scipy.fft    213  1,252 21,015 56,860 131,792
-#:     dense         63    688 13,701 40,433 111,250
+#:     scipy.fft    155    740  6,939 31,889 87,251
+#:     plain         52    245  4,034 19,812 78,428
+#:     folded       107    477  5,664 20,977 66,567
 #:
 #: Where ``2 (m + 1)``, the FFT length of ``m`` interior nodes, is a power
-#: of 2 the FFT is at its fastest: at 129^2 the dense inverse read between
-#: 0.85 and 1.2 times ``scipy.fft``'s over repeated rounds, and a fixture
-#: continuation at 129^2 took a median 1.03-1.11 times as long on it in
-#: paired runs.  So the crossover sits just below 127, the interior of a
-#: 129-node axis.  The product's work per node grows like ``m``, the FFT's
-#: like ``log m``: they tie again at 257^2, and the FFT wins beyond.
-SINE_PRODUCT_MAX = 126
+#: of 2 the FFT is at its fastest: at 129^2 the plain product read between
+#: 0.85 and 1.2 times ``scipy.fft``'s over repeated rounds, and the fold
+#: brings it under the FFT.  The products' work per node grows like ``m``,
+#: the FFT's like ``log m``: at 257^2 the FFT is ahead of the fold, so the
+#: crossover sits at 127, the interior of a 129-node axis.
+SINE_PRODUCT_MAX = 127
+
+#: An interior axis longer than this takes its sine products folded
+#: (:func:`_sine_axis`): two half-size products, which halve the flops, at
+#: the cost of a fold or an unfold per axis, 5 or 6 more numpy calls each
+#: (46 microseconds more per 2-d inverse at 33^2: 70 against 24).  So the
+#: fold wins once the products outweigh the calls.  One 2-d inverse in
+#: microseconds, measured as the table of :data:`SINE_PRODUCT_MAX`, by
+#: interior nodes per axis:
+#:
+#:     interior   63   79   95   99  100  101  111  127
+#:     plain      64   79  120  129  127  188  290  369
+#:     folded    112  119  158  163  147  168  209  255
+#:
+#: The plain product jumps past 100 nodes, where the fold starts to win;
+#: in 3-d too the fold lost at 95 and won at 127 (the table above).
+SINE_UNFOLDED_MAX = 100
 
 
 @functools.lru_cache(maxsize=8)
@@ -765,17 +786,86 @@ def _sine_matrix(m: int) -> np.ndarray:
     return matrix
 
 
-def _sine_transform(block: np.ndarray) -> np.ndarray:
-    """The orthonormal DST-I of ``block`` along every axis, as one dense
-    :func:`_sine_matrix` product per axis: ``S0 @ B @ S1`` in 2-d and, in
-    3-d, ``S0`` on the first axis of the block reshaped to a matrix, ``S1``
-    batched over the first axis and ``S2`` from the right."""
-    s = [_sine_matrix(m) for m in block.shape]
-    if block.ndim == 2:
-        return s[0] @ block @ s[1]
-    m0, m1, m2 = block.shape
-    first = (s[0] @ block.reshape(m0, m1 * m2)).reshape(m0, m1, m2)
-    return (s[1] @ first) @ s[2]
+@functools.lru_cache(maxsize=8)
+def _sine_halves(m: int) -> tuple:
+    """The two blocks of :func:`_sine_matrix` ``S`` of ``m`` nodes that a
+    folded axis multiplies by: ``even``, the rows of odd ``j`` on the first
+    ``ceil(m / 2)`` columns, and ``odd``, the rows of even ``j`` on the
+    first ``floor(m / 2)`` columns.  ``sin(pi j (m + 1 - k) / (m + 1))`` is
+    ``sin(pi j k / (m + 1))`` for odd ``j`` and its negative for even ``j``,
+    so a row of odd ``j`` is even about the middle column and a row of even
+    ``j`` odd, and 0 on the middle column of an odd ``m``.  Contiguous and
+    read-only, cut once per length.
+    """
+    s = _sine_matrix(m)
+    even = np.ascontiguousarray(s[0::2, : m - m // 2])
+    odd = np.ascontiguousarray(s[1::2, : m // 2])
+    even.setflags(write=False)
+    odd.setflags(write=False)
+    return even, odd
+
+
+def _sine_axis(block: np.ndarray, axis: int, backward: bool) -> np.ndarray:
+    """The orthonormal DST-I of ``block`` along ``axis``.
+
+    The product runs on a view of the block with the axis second to last,
+    ``S @ x`` (on the first axis of a 3-d block reshaped to a matrix, and
+    batched over the first axis on the middle one), or, on the last axis,
+    ``x @ S``.  An axis of at most
+    :data:`SINE_UNFOLDED_MAX` nodes takes the plain product with ``S``,
+    its spectrum in the natural order ``j = 1..m``.  A longer axis folds:
+    with ``top`` its first ``floor(m / 2)`` nodes and ``bottom`` its last
+    ones in reverse order, the spectrum of odd ``j`` is ``even`` (of
+    :func:`_sine_halves`) on ``top + bottom`` and, for an odd ``m``, the
+    middle node, and that of even ``j`` is ``odd`` on ``top - bottom``.
+    The folded spectrum stays in that order, odd ``j`` first: the forward
+    transform (``backward`` false) writes it, and the backward one reads it
+    and unfolds, ``top = a + b``, ``bottom = a - b`` and the middle node
+    ``a`` from the products ``a`` and ``b`` of the two halves.  So on a
+    folded axis the backward transform inverts the forward one, and each
+    alone is ``S`` up to that order.
+    """
+    m = block.shape[axis]
+    last = axis == block.ndim - 1
+    x = block if last else block.reshape(*block.shape[:axis], m, -1)
+    if m <= SINE_UNFOLDED_MAX:
+        s = _sine_matrix(m)
+        return (x @ s if last else s @ x).reshape(block.shape)
+    even, odd = _sine_halves(m)
+    half = m // 2
+    cut = m - half  # the odd j, and the folded rows with the middle node
+    tail = () if last else (slice(None),)
+    nodes = (slice(half), slice(half, cut), slice(m - 1, cut - 1, -1), slice(cut), slice(cut, m))
+    top, middle, bottom, odd_j, even_j = ((Ellipsis, part) + tail for part in nodes)
+    y = np.empty(x.shape)
+    if backward:
+        if last:
+            a, b = x[odd_j] @ even, x[even_j] @ odd
+        else:
+            a, b = even.T @ x[odd_j], odd.T @ x[even_j]
+        np.add(a[top], b, out=y[top])
+        np.subtract(a[top], b, out=y[bottom])
+        y[middle] = a[middle]
+    else:
+        folded = np.empty(x[odd_j].shape)
+        np.add(x[top], x[bottom], out=folded[top])
+        folded[middle] = x[middle]
+        for matrix, rows, spectrum in ((even, folded, odd_j), (odd, x[top] - x[bottom], even_j)):
+            if last:
+                np.matmul(rows, matrix.T, out=y[spectrum])
+            else:
+                np.matmul(matrix, rows, out=y[spectrum])
+    return y.reshape(block.shape)
+
+
+def _sine_transform(block: np.ndarray, backward: bool = False) -> np.ndarray:
+    """The orthonormal DST-I of ``block`` along every axis, one
+    :func:`_sine_axis` per axis in order: ``S0 @ B @ S1`` in 2-d.  A folded
+    axis writes (forward) or reads (``backward``) its spectrum with the odd
+    ``j`` first."""
+    for axis in range(block.ndim):
+        block = _sine_axis(block, axis, backward)
+    return block
 
 
 def _poisson_inverse(grid: GridSpec):
@@ -789,7 +879,8 @@ def _poisson_inverse(grid: GridSpec):
     When no interior axis is longer than :data:`SINE_PRODUCT_MAX` the
     transform is the orthonormal one of :func:`_sine_transform`, dense
     matrix products on numpy's BLAS, and the inverse is
-    ``T(T(B) / symbol)``.  A longer axis takes ``scipy.fft``'s
+    ``T(T(B) / symbol)``, the symbol taken in the spectrum's order: odd
+    ``j`` first on a folded axis.  A longer axis takes ``scipy.fft``'s
     ``idstn(dstn(B) / symbol)``, which is the same map; ``scipy.fft`` is
     imported in that branch alone, so a run on no such grid never loads it.
     """
@@ -799,18 +890,23 @@ def _poisson_inverse(grid: GridSpec):
         (2.0 - 2.0 * np.cos(np.arange(1, m - 1) * np.pi / (m - 1))) / h**2
         for m, h in zip(grid.shape, grid.spacing)
     ]
-    symbol = sum(np.ix_(*eigenvalues), 1.0)
     inner = tuple(slice(1, -1) for _ in grid.shape)
     if max(grid.shape) - 2 <= SINE_PRODUCT_MAX:
+        eigenvalues = [
+            np.concatenate((lam[0::2], lam[1::2])) if lam.size > SINE_UNFOLDED_MAX else lam
+            for lam in eigenvalues
+        ]
 
         def solve(block):
-            return _sine_transform(_sine_transform(block) / symbol)
+            return _sine_transform(_sine_transform(block) / symbol, backward=True)
 
     else:
         from scipy.fft import dstn, idstn
 
         def solve(block):
             return idstn(dstn(block, type=1) / symbol, type=1)
+
+    symbol = sum(np.ix_(*eigenvalues), 1.0)
 
     def apply(x):
         y = x.copy()  # the identity on the Dirichlet rows
@@ -831,8 +927,10 @@ class _FastPoisson(_CheckedSolver):
     :func:`_poisson_inverse` is the exact solution, with no matrix
     factorized.  Past the cold sweep the residual's Dirichlet rows are 0,
     so the solve is ``M rhs`` alone: four dense sine products in 2-d and
-    six in 3-d, or two ``scipy.fft`` transforms on a grid with an interior
-    axis past :data:`SINE_PRODUCT_MAX`.  No matrix is assembled either:
+    six in 3-d, each one two half-size products on an axis folded past
+    :data:`SINE_UNFOLDED_MAX`, or two ``scipy.fft`` transforms on a grid
+    with an interior axis past :data:`SINE_PRODUCT_MAX`.  No matrix is
+    assembled either:
     ``J x0`` and the backward-error check apply the 5-point (2-d) or
     7-point (3-d) :func:`_stencil` table of ``J(0)``, whose weights are
     numbers.
@@ -846,9 +944,10 @@ class _FastPoisson(_CheckedSolver):
     at ``v = 0``, where ``lam = 1``, it is exactly 1.
     """
 
-    #: It costs no factor, only two DST-I transforms per solve (under a
-    #: millisecond up to 129^2 and 33^3, 14 ms at 65^3): keep it
-    #: while each sweep contracts by :data:`POISSON_KEEP_RATIO`.
+    #: It costs no factor, only two DST-I transforms per solve (0.27 ms at
+    #: 129^2, 0.25 ms at 33^3, 4 ms at 65^3 and 67 ms at 129^3, one BLAS
+    #: thread; the table of :data:`SINE_PRODUCT_MAX`): keep it while each
+    #: sweep contracts by :data:`POISSON_KEEP_RATIO`.
     keep_ratio = POISSON_KEEP_RATIO
     inexact = False
 
@@ -886,7 +985,7 @@ class _PoissonGMRES(_CheckedSolver):
     Laplacian uniformly in ``h`` (Smears and Sueli, SINUM 51 (2013)); the
     Jacobian adds only a first-order term to it.  The preconditioner is
     :func:`_poisson_inverse`, the exact inverse of the ``p = 2`` operator,
-    by dense sine products on every 3-d grid below 129 nodes per axis.
+    by dense sine products on every 3-d grid up to 129 nodes per axis.
     The GMRES iteration count then does not grow as the grid is refined,
     while LU fill in 3-d grows faster than the number of unknowns.
 

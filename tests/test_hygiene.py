@@ -502,10 +502,11 @@ HEAVY_MODULES = ("scipy.ndimage", "scipy.signal", "sympy")
 
 #: Loaded only when a run needs them: ``scipy.sparse`` when it builds an LU
 #: factor (2-d) or a GMRES solver (3-d), and ``scipy.fft`` when it solves on
-#: a grid with an interior axis longer than ``solver.SINE_PRODUCT_MAX``,
-#: whose fast Poisson inverse takes scipy's DST-I.  The mollifier runs on
-#: ``numpy.fft`` and the fast Poisson inverse of a shorter grid on dense
-#: sine products, so a run that needs neither loads not even ``scipy``.
+#: a grid with an interior axis longer than ``solver.SINE_PRODUCT_MAX``
+#: (past 129 nodes), whose fast Poisson inverse takes scipy's DST-I.  The
+#: mollifier runs on ``numpy.fft`` and the fast Poisson inverse of a grid up
+#: to 129 nodes per axis on dense sine products, folded on its long axes,
+#: so a run that needs neither loads not even ``scipy``.
 DEFERRED_MODULES = ("scipy", "scipy.fft", "scipy.sparse", "scipy.sparse.linalg")
 
 #: An audit config for ``pxlaplace audit``: the fixture's boundary data
@@ -554,28 +555,30 @@ print(json.dumps(record))
 def test_cli_import_loads_no_heavy_scipy_subpackage(tmp_path):
     # checked by name in a fresh interpreter, not by a timing.  The
     # constants and identities commands and a config error solve nothing.
-    # The fixture runs in 2-d and 3-d keep their fast Poisson solve, on
-    # dense sine products, and mollify on numpy.fft, so they load no scipy
-    # module; p = 1.2 falls back to LU, which loads scipy.sparse and
-    # factors, and a solve on 259 x 9 nodes, an interior axis past the
-    # crossover, loads scipy.fft
+    # The fixture runs in 2-d and 3-d, up to a 129^2 solve, keep their fast
+    # Poisson solve, on dense sine products (folded on a 129-node axis), and
+    # mollify on numpy.fft, so they load no scipy module;
+    # p = 1.2 falls back to LU, which loads scipy.sparse and factors, and a
+    # solve on 259 x 9 nodes, an interior axis past the crossover, loads
+    # scipy.fft
     schedule = "0.1 0.03 0.01 0.003 0.001 0.0003 0.0001"
     runs = {
-        "increasing": (2, "33 33", "2 + 0.5*sin(x1)", "0.01 0.1"),
-        "fixture-33": (2, "33 33", "2 + 0.5*sin(x1)", schedule),
-        "cube-9": (3, "9 9 9", "2 + 0.5*sin(x1)", "0.1 0.01 0.001"),
-        "p1.2-33": (2, "33 33", "1.2", schedule),
+        "increasing": ("audit", 2, "33 33", "2 + 0.5*sin(x1)", "0.01 0.1"),
+        "fixture-33": ("audit", 2, "33 33", "2 + 0.5*sin(x1)", schedule),
+        "cube-9": ("audit", 3, "9 9 9", "2 + 0.5*sin(x1)", "0.1 0.01 0.001"),
+        "fixture-129": ("solve", 2, "129 129", "2 + 0.5*sin(x1)", "0.1 0.01"),
+        "p1.2-33": ("audit", 2, "33 33", "1.2", schedule),
     }
     commands = [
         ["constants", "--n", "2", "--tminus", "2", "--tplus", "2", "--beta", "0"],
         ["identities", "--count", "2"],
     ]
-    for name, (dimension, points, p, eps) in runs.items():
+    for name, (command, dimension, points, p, eps) in runs.items():
         path = tmp_path / f"{name}.cfg"
         path.write_text(
             AUDIT_CONFIG.format(dimension=dimension, points=points, p=p, schedule=eps, outdir=tmp_path / name)
         )
-        commands.append(["audit", "--config", str(path)])
+        commands.append([command, "--config", str(path)])
     long_axis = tmp_path / "long-axis.cfg"
     long_axis.write_text(
         AUDIT_CONFIG.format(dimension=2, points="259 9", p="2", schedule="0.25", outdir=tmp_path / "long")
@@ -593,7 +596,7 @@ def test_cli_import_loads_no_heavy_scipy_subpackage(tmp_path):
         check=True,
         timeout=300,
     )
-    after_import, after_constants, after_identities, after_error, fixture, cube, lu, long = json.loads(
+    after_import, after_constants, after_identities, after_error, fixture, cube, fine, lu, long = json.loads(
         done.stdout.strip().splitlines()[-1]
     )
     assert after_import == [], after_import
@@ -602,5 +605,6 @@ def test_cli_import_loads_no_heavy_scipy_subpackage(tmp_path):
     assert after_error == [2, [], 0], after_error
     assert fixture == [0, [], 0], fixture
     assert cube == [0, [], 0], cube
+    assert fine == [0, [], 0], fine
     assert lu[0] == 0 and lu[1] == ["scipy", "scipy.sparse", "scipy.sparse.linalg"] and lu[2] > 0, lu
     assert long[0] == 0 and long[1] == list(DEFERRED_MODULES), long

@@ -823,8 +823,24 @@ def interior_vector(shape, seed):
     return x.ravel()
 
 
+#: Node shapes with no folded axis, then with some or all of their
+#: interior axes past ``solver.SINE_UNFOLDED_MAX`` (folded).
 SINE_SHAPES = [(3, 3), (13, 11), (17, 9), (9, 7, 5), (65, 65), (17, 17, 17)]
+SINE_SHAPES += [(103, 102), (102, 103), (129, 129), (129, 9), (9, 129), (7, 129, 9), (11, 9, 103)]
 SINE_IDS = ["3x3", "13x11", "17x9", "9x7x5", "65^2", "17^3"]
+SINE_IDS += ["103x102", "102x103", "129^2", "129x9", "9x129", "7x129x9", "11x9x103"]
+
+#: Interior axis lengths on both sides of ``solver.SINE_UNFOLDED_MAX``,
+#: odd and even, up to one past ``solver.SINE_PRODUCT_MAX``.
+FOLD_LENGTHS = [95, 99, 100, 101, 102, 127, 128, 130]
+
+
+def spectrum_order(m):
+    """The order of the spectrum of an axis of ``m`` interior nodes: the
+    natural one up to ``solver.SINE_UNFOLDED_MAX``, odd ``j`` first past it."""
+    if m <= solver.SINE_UNFOLDED_MAX:
+        return np.arange(m)
+    return np.concatenate((np.arange(0, m, 2), np.arange(1, m, 2)))
 
 
 class TestSineProductInverse:
@@ -855,16 +871,43 @@ class TestSineProductInverse:
             assert np.abs(s @ s - np.eye(m)).max() <= 1e-14
             assert not s.flags.writeable
 
+    def test_sine_halves_are_read_only_blocks_of_the_matrix(self):
+        for m in (101, 127):
+            s = solver._sine_matrix(m)
+            even, odd = solver._sine_halves(m)
+            assert solver._sine_halves(m)[0] is even
+            assert np.array_equal(even, s[0::2, : (m + 1) // 2])
+            assert np.array_equal(odd, s[1::2, : m // 2])
+            assert not even.flags.writeable and not odd.flags.writeable
+
     def test_two_calls_give_identical_bytes(self):
-        for shape in ((65, 65), (17, 17, 17)):
+        for shape in ((65, 65), (17, 17, 17), (129, 129), (7, 129, 9)):
             inverse = solver._poisson_inverse(node_box(shape))
             x = np.random.default_rng(47).standard_normal(math.prod(shape))
             assert inverse(x).tobytes() == inverse(x).tobytes()
             assert inverse(x).tobytes() == solver._poisson_inverse(node_box(shape))(x).tobytes()
 
-    @pytest.mark.parametrize("nodes, fft_calls", [(128, 0), (129, 2)], ids=["at", "past"])
+    @pytest.mark.parametrize("m", FOLD_LENGTHS)
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_an_axis_transform_is_the_sine_product(self, m, axis):
+        # forward: S along the axis, its spectrum in the axis's order;
+        # backward: the same order read back, so S on the natural order
+        block = np.random.default_rng(m).standard_normal((m, 7) if axis == 0 else (7, m))
+        s = solver._sine_matrix(m)
+        order = spectrum_order(m)
+        plain = s @ block if axis == 0 else block @ s
+        forward = solver._sine_axis(block, axis, False)
+        expected = plain[order] if axis == 0 else plain[:, order]
+        assert np.abs(forward - expected).max() <= 1e-13 * np.abs(expected).max()
+        spectrum = np.ascontiguousarray(block[order] if axis == 0 else block[:, order])
+        backward = solver._sine_axis(spectrum, axis, True)
+        assert np.abs(backward - plain).max() <= 1e-13 * np.abs(plain).max()
+        if m <= solver.SINE_UNFOLDED_MAX:
+            assert forward.tobytes() == plain.tobytes() == backward.tobytes()
+
+    @pytest.mark.parametrize("nodes, fft_calls", [(129, 0), (130, 2)], ids=["at", "past"])
     def test_an_axis_past_the_crossover_takes_the_fft(self, nodes, fft_calls, monkeypatch):
-        # 128 nodes are 126 interior ones, the crossover; 129 are one past it
+        # 129 nodes are 127 interior ones, the crossover; 130 are one past it
         import scipy.fft
 
         calls = []
