@@ -109,9 +109,14 @@ def _stretched_fields(v: ScalarField, beta: float, eps: float):
     """The stretched gradient ``F``, ``|DF|^2`` and ``sigma_2(DF)`` per node.
 
     All three depend only on ``v``, ``beta`` and ``eps``, so they are
-    kept in ``v``'s store, read-only, once per ``(beta, eps)``.  Every
-    audit reads them from here; the Jacobian ``DF`` itself is not kept.
+    kept in ``v``'s store, read-only, once per ``(beta, eps)``.  At
+    ``beta = 0`` they do not depend on ``eps``: ``F = Dv`` and
+    ``DF = D^2 v``, so that stretch is built once, under ``eps = 0``, for
+    every eps.  Every audit reads them from here; the Jacobian ``DF``
+    itself is not kept.
     """
+    if beta == 0.0:
+        eps = 0.0
 
     def compute():
         grad, hess = gradient(v), hessian(v)

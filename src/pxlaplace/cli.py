@@ -33,7 +33,7 @@ from .diffops import StretchParams
 from .expressions import ExpressionError
 from .fields import BallRegion, ScalarField
 from .identities import run_identity_suite
-from .solver import SolverError, epsilon_continuation
+from .solver import SolveResult, SolverError, epsilon_continuation
 
 __all__ = ["main"]
 
@@ -168,6 +168,22 @@ def _report_line(report: EstimateReport) -> str:
     )
 
 
+def _level_line(result: SolveResult) -> str:
+    """One eps level of the ``solve`` summary.  Its principle range is the
+    boundary data's range widened by ``max |g|`` on each side."""
+    prob = result.problem
+    bvals = prob.boundary.values[~prob.grid.interior_mask()]
+    data_norm = float(abs(prob.g.values).max())
+    return (
+        f"eps={prob.eps:g} iterations={result.iterations} "
+        f"residual={result.residual:.6e} converged={result.converged} "
+        f"ellipticity=[{result.ellipticity[0]:.6g},{result.ellipticity[1]:.6g}] "
+        f"dominance_violations={result.dominance_violations} "
+        f"value_range=[{result.v.values.min():.6g},{result.v.values.max():.6g}] "
+        f"principle_range=[{bvals.min() - data_norm:.6g},{bvals.max() + data_norm:.6g}]"
+    )
+
+
 def _write_summary(path: Path, cfg: RunConfig, lines) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("# configuration\n")
@@ -237,15 +253,7 @@ def cmd_solve(args) -> int:
     continuation = epsilon_continuation(cfg.problem, cfg.schedule)
     final = continuation.results[-1]
     write_field_csv(final.v, outdir / "solution.csv")
-    lines = [
-        f"eps={result.problem.eps:g} iterations={result.iterations} "
-        f"residual={result.residual:.6e} converged={result.converged} "
-        f"ellipticity=[{result.ellipticity[0]:.6g},{result.ellipticity[1]:.6g}] "
-        f"dominance_violations={result.dominance_violations} "
-        f"value_range=[{result.value_range[0]:.6g},{result.value_range[1]:.6g}] "
-        f"principle_range=[{result.principle_range[0]:.6g},{result.principle_range[1]:.6g}]"
-        for result in continuation.results
-    ]
+    lines = [_level_line(result) for result in continuation.results]
     lines += [
         f"gradient_increment[{k}]={inc:.6e}" for k, inc in enumerate(continuation.increments)
     ]

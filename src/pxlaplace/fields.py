@@ -159,19 +159,23 @@ def stored(v: ScalarField, key, compute):
 
 
 def sample(expression: Expression, grid: GridSpec) -> ScalarField:
-    """Evaluate ``expression`` at every grid node."""
+    """Evaluate ``expression`` at every grid node.
+
+    The expression reads the grid's axes as an open mesh (``np.ix_``), which
+    the evaluator broadcasts, so no dense coordinate array is built.
+    """
     if expression.dimension != grid.dimension:
         raise FieldError(
             f"expression dimension {expression.dimension} != grid dimension {grid.dimension}"
         )
-    coords = grid.coords()
+    axes = [grid.axis(i) for i in range(grid.dimension)]
     try:
-        values = expression.evaluate_array(coords)
+        values = expression.evaluate_array(np.ix_(*axes))
     except DomainError as err:
-        first = int(np.argmax(np.broadcast_to(err.mask, grid.shape)))
-        node = tuple(float(c.flat[first]) for c in coords)
+        first = np.unravel_index(int(np.argmax(np.broadcast_to(err.mask, grid.shape))), grid.shape)
+        node = tuple(float(axis[i]) for axis, i in zip(axes, first))
         raise FieldError(f"expression domain error at node {node}: {err}") from err
-    return ScalarField(grid, np.broadcast_to(values, grid.shape))
+    return ScalarField(grid, values)
 
 
 # ---------------------------------------------------------------------------

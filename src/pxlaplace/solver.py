@@ -89,7 +89,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .constants import ExponentWindow
-from .diffops import _flat_range, _stencil_derivatives, gradient
+from .diffops import _flat_range, _norm_sq, _stencil_derivatives, gradient
 from .expressions import Expression
 from .fields import BallRegion, GridSpec, ScalarField, ball_mask, mollify, sample
 
@@ -196,15 +196,32 @@ class SolveResult:
     ellipticity: tuple
     converged: bool
     dominance_violations: int
-    value_range: tuple
-    principle_range: tuple
     problem: DiscreteProblem
 
 
 @dataclass
 class ContinuationResult:
+    """The solved levels of :func:`epsilon_continuation`, one
+    :class:`SolveResult` per eps, in the schedule's order."""
+
     results: list
-    increments: list
+
+    @functools.cached_property
+    def increments(self) -> list:
+        """The Cauchy increments ``max |D(v_k - v_{k-1})|`` of consecutive
+        levels over the three-quarter ball of :func:`_default_region`, whose
+        nodes lie two nodes inside the grid, where every difference is
+        central: the convergence evidence ``pxlaplace solve`` reports.
+        Computed at the first read.  The discrete gradient is linear, so
+        they are taken from the level differences and no level keeps a
+        gradient of its own."""
+        grid = self.results[0].v.grid
+        mask = ball_mask(_default_region(grid).scaled(0.75), grid)
+        pairs = zip(self.results, self.results[1:])
+        diffs = (gradient(ScalarField(grid, b.v.values - a.v.values)) for a, b in pairs)
+        # sqrt is monotone and correctly rounded: the root of the largest
+        # |.|^2 is bitwise the largest np.linalg.norm
+        return [math.sqrt(_norm_sq(diff)[mask].max()) for diff in diffs]
 
 
 # ---------------------------------------------------------------------------
@@ -1085,8 +1102,7 @@ def solve_regularized(
     opts = SolveOptions()
     held = [None] if held is None else held
     grid = prob.grid
-    interior = grid.interior_mask()
-    rhs = np.where(interior, prob.g.values, prob.boundary.values).ravel()
+    rhs = np.where(grid.interior_mask(), prob.g.values, prob.boundary.values).ravel()
     residual_target = 10.0 * opts.tolerance * max(1.0, float(np.abs(rhs).max()))
 
     if warm_start is not None:
@@ -1121,8 +1137,6 @@ def solve_regularized(
             converged = True
             break
 
-    bvals = prob.boundary.values[~interior]
-    data_norm = float(np.abs(prob.g.values).max())
     return SolveResult(
         v=ScalarField(grid, v),
         iterations=iterations,
@@ -1130,8 +1144,6 @@ def solve_regularized(
         ellipticity=coeffs.ellipticity,
         converged=converged,
         dominance_violations=coeffs.dominance_violations,
-        value_range=(float(v.min()), float(v.max())),
-        principle_range=(float(bvals.min()) - data_norm, float(bvals.max()) + data_norm),
         problem=prob,
     )
 
@@ -1142,12 +1154,12 @@ def solve_regularized(
 
 
 def _default_region(grid: GridSpec) -> BallRegion:
+    """The centred ball three nodes inside the grid; a :class:`GridSpec`
+    has at least 8 nodes per axis, so its radius is at least ``h / 2``."""
     center = tuple(0.5 * (a + b) for a, b in zip(grid.lo, grid.hi))
     radius = min(
         0.5 * ext - 3.0 * h for ext, h in zip(grid.extents, grid.spacing)
     )
-    if radius <= 0:
-        raise SolverError("grid too small for a continuation region")
     return BallRegion(center, radius)
 
 
@@ -1198,19 +1210,17 @@ def epsilon_continuation(data: DiscreteProblem, schedule) -> ContinuationResult:
     solution or at the first level the boundary, with a radius that follows
     the schedule, clipped to what the grid can resolve.  So the data term
     ``g - v = f_eps + u0_eps - v`` contracts along the schedule and the final
-    iterate approximates the unregularized problem.  The Cauchy increments
-    ``max |D(v_k - v_{k-1})|`` over a ball two nodes inside the grid, where
-    every difference is central, are recorded as the convergence evidence;
-    the discrete gradient is linear, so no level keeps a gradient of its own.
+    iterate approximates the unregularized problem.  The result holds the
+    levels alone; their Cauchy increments are computed at the first read of
+    :attr:`ContinuationResult.increments`, which ``pxlaplace solve`` alone
+    reports.
     """
     schedule = _check_schedule(schedule)
     grid = data.grid
-    mask = ball_mask(_default_region(grid).scaled(0.75), grid)
     radii = [_clip_radius(eps, grid) for eps in schedule]
 
     held = [None]  # the last linear solver, which the next eps level reuses
     results = []
-    increments = []
     prev = None
     mollified_at = None
     for eps, radius in zip(schedule, radii):
@@ -1223,9 +1233,6 @@ def epsilon_continuation(data: DiscreteProblem, schedule) -> ContinuationResult:
         result = solve_regularized(prob, warm_start=prev, held=held)
         if not result.converged:
             raise SolverError(f"continuation member solve at eps={eps} did not converge")
-        if prev is not None:
-            diff = gradient(ScalarField(grid, result.v.values - prev.values))
-            increments.append(float(np.linalg.norm(diff, axis=-1)[mask].max()))
         results.append(result)
         prev = result.v
-    return ContinuationResult(results=results, increments=increments)
+    return ContinuationResult(results=results)

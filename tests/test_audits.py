@@ -478,7 +478,8 @@ class TestReverseHolder:
 
 
 class TestStretchedFieldStore:
-    """The four audits share one stored (F, |DF|^2, sigma_2) per (beta, eps)."""
+    """The four audits share one stored (F, |DF|^2, sigma_2) per (beta, eps),
+    and one for beta = 0 whatever eps is."""
 
     BETAS = (0.0, 1.0)
 
@@ -510,7 +511,7 @@ class TestStretchedFieldStore:
             )
         return runs
 
-    def test_four_builds_for_two_betas(self, canonical_run, monkeypatch):
+    def test_three_builds_for_two_betas_beta_zero_shared(self, canonical_run, monkeypatch):
         final = canonical_run[0].results[-1]
         prob = final.problem
 
@@ -528,15 +529,23 @@ class TestStretchedFieldStore:
         monkeypatch.setattr(audits, "stretched_jacobian_values", counting)
         shared = twin()
         results = [run(shared) for run in runs]
-        # one build per (beta, eps): the solve's eps and eps = 0, per beta
-        expected = [(beta, eps) for beta in self.BETAS for eps in (prob.eps, 0.0)]
-        assert len(calls) == 4 and sorted(calls) == sorted(expected)
+        # one build per (beta, eps) for beta = 1, the solve's eps and eps =
+        # 0, and one for beta = 0, where F = Dv and DF = D^2 v at every eps
+        expected = [(0.0, 0.0), (1.0, prob.eps), (1.0, 0.0)]
+        assert len(calls) == 3 and sorted(calls) == sorted(expected)
 
         for beta, eps in expected:
             for array in audits._stretched_fields(shared, beta, eps):
                 assert not array.flags.writeable
             assert shared.derived["stretched", beta, eps] is audits._stretched_fields(shared, beta, eps)
-        assert len(calls) == 4  # reading the store builds nothing
+        zero = audits._stretched_fields(shared, 0.0, prob.eps)
+        assert zero is audits._stretched_fields(shared, 0.0, 0.0)
+        assert len(calls) == 3  # reading the store builds nothing
+        # the shared beta = 0 triple holds the bits of a build at the solve's eps
+        grad, hess = gradient(shared), hessian(shared)
+        df = counted(grad, hess, 0.0, prob.eps)
+        built = (stretched_gradient_values(grad, 0.0, prob.eps), frobenius_sq(df), diffops.sigma2_values(df))
+        assert [array.tobytes() for array in zero] == [array.tobytes() for array in built]
         for run, result in zip(runs, results):
             assert run(twin()) == result
 

@@ -383,6 +383,25 @@ class TestSampledOnce:
         assert got.grid == want.grid == spec.grid
 
 
+class TestIncrementsOnRead:
+    """The continuation's Cauchy increments are computed where they are
+    read: ``solve`` reports them, ``audit`` and ``gehring`` never do."""
+
+    @pytest.mark.parametrize("command, read", [("solve", True), ("audit", False), ("gehring", False)])
+    def test_only_solve_computes_them(self, tmp_path, monkeypatch, command, read):
+        kept = []
+        original = cli.epsilon_continuation
+
+        def keeping(*args):
+            kept.append(original(*args))
+            return kept[-1]
+
+        monkeypatch.setattr(cli, "epsilon_continuation", keeping)
+        path, _ = write_config(tmp_path, SMALL_CONFIG)
+        assert main([command, "--config", path]) == 0
+        assert ("increments" in kept[0].__dict__) == read
+
+
 class TestConfigErrors:
     def test_missing_file(self, capsys):
         code = main(["audit", "--config", "/nonexistent/path.cfg"])

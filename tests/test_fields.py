@@ -1,3 +1,6 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -21,6 +24,9 @@ from pxlaplace.fixtures import FIXTURE_SCHEDULE
 from pxlaplace.solver import _clip_radius, build_problem
 
 from canonical import fixture_problem
+from manufactured import manufactured_rhs
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def unit_square(m=33):
@@ -188,6 +194,31 @@ class TestSample:
     def test_dimension_mismatch(self):
         with pytest.raises(FieldError):
             sample(parse_expression("x1", 3), unit_square(9))
+
+    def test_open_axes_give_the_dense_mesh_bits(self, monkeypatch):
+        # every expression a benchmark workload or a test fixture samples:
+        # evaluated on the open axes, it keeps the bits of an evaluation on
+        # the dense mesh of GridSpec.coords()
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        cases = (workloads.FIXTURE_129, *workloads.LADDER_CASES, workloads.CUBE_17)
+        runs = [
+            (source, case.dimension, case.points)
+            for case in cases
+            for source in (case.p, workloads.SADDLE, "0")
+        ]
+        spec = fixture_problem()
+        u = parse_expression("sin(x1)*cos(x2)", 2)
+        fixtures = [spec.p_expr, spec.f_expr, spec.boundary_expr, u]
+        for reaction in (False, True):
+            fixtures.append(manufactured_rhs(u, spec.p_expr, 1e-2, include_reaction=reaction))
+        runs += [(str(expr), 2, points) for expr in fixtures for points in (17, 65, 129)]
+        runs += [(source, 3, 17) for source in ("2 + 0.25*sin(x1 + x3)", "x1 - 0.5*x2 + x3^2")]
+        for source, n, points in runs:
+            expr = parse_expression(source, n)
+            grid = GridSpec((0.0,) * n, (1.0,) * n, (points,) * n)
+            dense = np.broadcast_to(expr.evaluate_array(grid.coords()), grid.shape)
+            assert sample(expr, grid).values.tobytes() == dense.tobytes(), (source, points)
 
 
 class TestMollify:

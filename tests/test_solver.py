@@ -1525,6 +1525,8 @@ class TestContinuation:
         # the increments come from gradients of level differences, which
         # the linear discrete gradient turns into differences of gradients
         result = epsilon_continuation(build_problem(fixture_problem(points=33)), FIXTURE_SCHEDULE)
+        assert "increments" not in result.__dict__  # computed at the first read
+        increments = result.increments
         assert all(level.v.derived == {} for level in result.results)
         grid = result.results[0].v.grid
         mask = solver.ball_mask(solver._default_region(grid).scaled(0.75), grid)
@@ -1532,9 +1534,13 @@ class TestContinuation:
         grads = [gradient(level.v) for level in result.results]
         # the check above reads the store the gradient is kept in
         assert all(level.v.derived["gradient"] is grad for level, grad in zip(result.results, grads))
-        for increment, (a, b) in zip(result.increments, zip(grads, grads[1:])):
-            diff = np.linalg.norm(b - a, axis=-1)[mask]
-            assert increment == pytest.approx(float(diff.max()), rel=1e-10)
+        levels = zip(result.results, result.results[1:])
+        for increment, (a, b), (grad_a, grad_b) in zip(increments, levels, zip(grads, grads[1:])):
+            diff = gradient(ScalarField(grid, b.v.values - a.v.values))
+            assert increment == float(np.linalg.norm(diff, axis=-1)[mask].max())
+            linear = np.linalg.norm(grad_b - grad_a, axis=-1)[mask]
+            assert increment == pytest.approx(float(linear.max()), rel=1e-10)
+        assert result.increments is increments
 
     def test_schedule_validated(self):
         spec = make_spec("x1")
